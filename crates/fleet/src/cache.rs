@@ -223,19 +223,37 @@ mod tests {
 
     #[test]
     fn concurrent_use_is_safe() {
-        let c = std::sync::Arc::new(ResultCache::in_memory(64));
-        std::thread::scope(|s| {
-            for t in 0..4u128 {
-                let c = std::sync::Arc::clone(&c);
-                s.spawn(move || {
-                    for i in 0..50u128 {
-                        let d = t * 1000 + i;
-                        c.insert(d, verdict("x"));
-                        assert!(c.lookup(d).is_some());
-                    }
-                });
-            }
-        });
+        /// Four threads insert 50 distinct digests each and look every
+        /// one up right after inserting it.
+        fn hammer(capacity: usize, must_hit: bool) -> ResultCache {
+            let c = std::sync::Arc::new(ResultCache::in_memory(capacity));
+            std::thread::scope(|s| {
+                for t in 0..4u128 {
+                    let c = std::sync::Arc::clone(&c);
+                    s.spawn(move || {
+                        for i in 0..50u128 {
+                            let d = t * 1000 + i;
+                            c.insert(d, verdict(&d.to_string()));
+                            match c.lookup(d) {
+                                Some(v) => assert_eq!(v.test, d.to_string(), "digest {d}"),
+                                None => assert!(!must_hit, "digest {d} missed"),
+                            }
+                        }
+                    });
+                }
+            });
+            std::sync::Arc::into_inner(c).unwrap()
+        }
+        // Capacity 64 < 200: other threads may evict a digest between
+        // its insert and its lookup, so only a hit's contents are
+        // checked.
+        let c = hammer(64, false);
+        assert!(c.len() <= 64);
         assert_eq!(c.stats().inserts, 200);
+        // Room for all 200: nothing is evicted, every lookup hits.
+        let c = hammer(256, true);
+        assert_eq!(c.len(), 200);
+        let s = c.stats();
+        assert_eq!((s.hits, s.misses, s.inserts), (200, 0, 200));
     }
 }

@@ -6,8 +6,16 @@
 //! are held as `f64` (integers up to 2^53 round-trip exactly, far above
 //! any counter the service emits), and object key order is preserved
 //! (insertion order) so serialized responses are deterministic.
+//!
+//! Every JSON-lines writer goes through [`frame`] / [`write_line`]: the
+//! line is rendered into one buffer and sent with one `write_all`.
+//! `Display` writes piece by piece (one call per character of a string),
+//! which on an unbuffered `TcpStream` is one `write(2)` each, and with
+//! Nagle's algorithm every segment after the first then waits for the
+//! peer's delayed ACK (DESIGN.md §11, "Wire framing").
 
 use std::fmt;
+use std::io::{self, Write};
 
 /// A JSON value.
 #[derive(Debug, Clone, PartialEq)]
@@ -138,6 +146,24 @@ impl fmt::Display for Json {
             }
         }
     }
+}
+
+/// Renders one JSON-lines frame: `line` plus the `\n` terminator, in
+/// one buffer. Takes any `Display` so raw request text (which need not
+/// be valid JSON) frames the same way as a [`Json`] value.
+pub fn frame(line: &impl fmt::Display) -> String {
+    format!("{line}\n")
+}
+
+/// Sends one JSON-lines frame with a single `write_all`, then flushes
+/// (a no-op for sockets and files; it pushes buffered writers out).
+///
+/// # Errors
+///
+/// The writer's I/O errors.
+pub fn write_line<W: Write + ?Sized>(w: &mut W, line: &impl fmt::Display) -> io::Result<()> {
+    w.write_all(frame(line).as_bytes())?;
+    w.flush()
 }
 
 fn write_escaped(f: &mut fmt::Formatter<'_>, s: &str) -> fmt::Result {
@@ -398,5 +424,39 @@ mod tests {
     fn last_key_wins_on_lookup() {
         let v = Json::parse(r#"{"a":1,"a":2}"#).unwrap();
         assert_eq!(v.get("a").unwrap().as_u64(), Some(2));
+    }
+
+    /// A sink that records each `write` call separately.
+    #[derive(Default)]
+    struct CountingSink {
+        writes: Vec<Vec<u8>>,
+    }
+
+    impl Write for CountingSink {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.writes.push(buf.to_vec());
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn write_line_sends_one_write_per_line() {
+        // A `done` response as the server sends it.
+        let done = Json::parse(
+            r#"{"id":2,"proto":1,"status":"done","verdict":{"test":"MP","reachable":true,"expectation":"holds","liveness":"ok","datarace":"n/a"},"phases":{"compile_us":41,"bounds_us":12,"encode_us":388,"solve_us":96},"solver":{"vars":117,"clauses":18,"conflicts":0,"propagations":15},"simplify":{"vars_before":106,"vars_after":10,"clauses_before":236,"clauses_after":10,"literals_before":604,"literals_after":20,"vars_eliminated":76,"equivs_substituted":6,"clauses_subsumed":2,"clauses_strengthened":14,"time_us":173},"portfolio":null,"dpor":null,"time_us":1204}"#,
+        )
+        .unwrap();
+        let awkward = Json::str("say \"hi\"\\ \u{1}\u{1f}\t\r\n → ✓ über 𝔾PU");
+        let empty = Json::Obj(Vec::new());
+        for v in [&done, &awkward, &empty] {
+            let mut sink = CountingSink::default();
+            write_line(&mut sink, v).unwrap();
+            assert_eq!(sink.writes.len(), 1, "one write for {v}");
+            assert_eq!(sink.writes[0], format!("{v}\n").into_bytes());
+        }
     }
 }

@@ -47,7 +47,7 @@
 //! 2-shard run with a mid-run node death is byte-identical to a
 //! single-node run of the same suite.
 
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufRead, BufReader};
 use std::net::TcpStream;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::mpsc::{self, RecvTimeoutError};
@@ -56,7 +56,7 @@ use std::time::{Duration, Instant};
 
 use crate::digest::source_digest;
 use crate::health::{Admission, BreakerConfig, CircuitBreaker};
-use crate::json::Json;
+use crate::json::{self, Json};
 use crate::ring::{HashRing, DEFAULT_VNODES};
 
 /// Concurrent in-flight requests (each may add one hedge attempt).
@@ -268,6 +268,7 @@ struct ShardConn {
 impl ShardConn {
     fn connect(addr: &str, timeout: Option<Duration>) -> std::io::Result<ShardConn> {
         let stream = TcpStream::connect(addr)?;
+        stream.set_nodelay(true)?;
         stream.set_read_timeout(timeout)?;
         Ok(ShardConn {
             reader: BufReader::new(stream.try_clone()?),
@@ -277,8 +278,7 @@ impl ShardConn {
 
     /// Sends one request, awaits its response (matched by id).
     fn roundtrip(&mut self, id: u64, req: &Json) -> Result<Json, String> {
-        writeln!(self.writer, "{req}").map_err(|e| format!("write: {e}"))?;
-        self.writer.flush().map_err(|e| format!("flush: {e}"))?;
+        json::write_line(&mut self.writer, req).map_err(|e| format!("write: {e}"))?;
         loop {
             let mut line = String::new();
             let n = self
@@ -839,7 +839,7 @@ exists (P0:r0 == 0 /\\ P1:r1 == 0)";
                                 Json::Obj(vec![("test".into(), Json::count(id))]),
                             ),
                         ]);
-                        if writeln!(writer, "{resp}").is_err() {
+                        if json::write_line(&mut writer, &resp).is_err() {
                             break;
                         }
                     }
@@ -907,7 +907,7 @@ exists (P0:r0 == 0 /\\ P1:r1 == 0)";
                             ("status".into(), Json::str("shed")),
                             ("error".into(), Json::str("overloaded")),
                         ]);
-                        if writeln!(writer, "{resp}").is_err() {
+                        if json::write_line(&mut writer, &resp).is_err() {
                             break;
                         }
                     }
@@ -954,7 +954,7 @@ exists (P0:r0 == 0 /\\ P1:r1 == 0)";
                                 Json::Obj(vec![("test".into(), Json::count(id))]),
                             ),
                         ]);
-                        if writeln!(writer, "{resp}").is_err() {
+                        if json::write_line(&mut writer, &resp).is_err() {
                             break;
                         }
                     }

@@ -19,12 +19,11 @@
 //! a fingerprint mismatch or a torn header.
 
 use std::fs::{File, OpenOptions};
-use std::io::Write;
 use std::path::{Path, PathBuf};
 
 use crate::cache::CachedVerdict;
 use crate::digest::{digest_hex, parse_digest_hex};
-use crate::json::Json;
+use crate::json::{self, Json};
 
 /// On-disk format version (independent of the digest scheme, which is
 /// part of the fingerprint).
@@ -107,8 +106,7 @@ impl Store {
             .truncate(!valid)
             .open(path)?;
         if !valid {
-            writeln!(file, "{expected_header}")?;
-            file.flush()?;
+            json::write_line(&mut file, &expected_header)?;
         } else if report.recovered_tail_bytes > 0 {
             file.set_len(valid_end)?;
         }
@@ -121,14 +119,14 @@ impl Store {
         ))
     }
 
-    /// Appends one entry and flushes it.
+    /// Appends one entry, newline included, in a single write, which
+    /// narrows the window in which a crash leaves a torn tail.
     ///
     /// # Errors
     ///
     /// Filesystem errors.
     pub fn append(&mut self, digest: u128, verdict: &CachedVerdict) -> std::io::Result<()> {
-        writeln!(self.file, "{}", entry_json(digest, verdict))?;
-        self.file.flush()
+        json::write_line(&mut self.file, &entry_json(digest, verdict))
     }
 
     pub fn path(&self) -> &Path {
@@ -176,6 +174,7 @@ fn parse_entry(line: &str) -> Option<(u128, CachedVerdict)> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::io::Write;
 
     fn verdict(test: &str) -> CachedVerdict {
         CachedVerdict {

@@ -7,10 +7,10 @@
 //! tests — get their concurrency from many connections instead, which
 //! also exercises the server's accept path harder.
 
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufRead, BufReader};
 use std::net::TcpStream;
 
-use crate::json::Json;
+use crate::json::{self, Json};
 
 /// A connected client. See the module docs.
 pub struct Client {
@@ -27,6 +27,7 @@ impl Client {
     /// Connection I/O errors.
     pub fn connect(addr: &str) -> std::io::Result<Client> {
         let writer = TcpStream::connect(addr)?;
+        writer.set_nodelay(true)?;
         let reader = BufReader::new(writer.try_clone()?);
         Ok(Client {
             reader,
@@ -48,8 +49,7 @@ impl Client {
                 self.next_id += 1;
             }
         }
-        writeln!(self.writer, "{request}")?;
-        self.writer.flush()?;
+        json::write_line(&mut self.writer, &request)?;
         let mut line = String::new();
         if self.reader.read_line(&mut line)? == 0 {
             return Err(std::io::Error::new(

@@ -13,7 +13,8 @@
 //!                    · Arc<BoundsMemo> (relation bounds across requests)
 //!                         │
 //!                  responses written through the connection's shared
-//!                  writer (one line per response, ids match requests)
+//!                  writer (one line per response, ids match requests,
+//!                  each line one `write_all` on a TCP_NODELAY socket)
 //! ```
 //!
 //! The deadline clock starts when the request is *accepted*, so time
@@ -62,7 +63,7 @@ use gpumc_fleet::sched::{CostScheduler, PushError};
 use gpumc_models::ModelKind;
 use gpumc_sat::CancelToken;
 
-use crate::json::Json;
+use crate::json::{self, Json};
 use crate::metrics::Metrics;
 use crate::overload::{DegradeLevel, Overload, OverloadPolicy};
 use crate::protocol::{
@@ -189,7 +190,8 @@ fn splitmix64(mut x: u64) -> u64 {
 }
 
 /// A write end shared between the connection reader and the workers
-/// answering its jobs; each response line is written under the lock.
+/// answering its jobs; each response line is one `write_all` under the
+/// lock.
 type Out = Arc<Mutex<Box<dyn Write + Send>>>;
 
 #[derive(Clone)]
@@ -400,6 +402,9 @@ impl ShutdownHandle {
 }
 
 fn handle_connection(stream: TcpStream, shared: &Arc<Shared>, local: SocketAddr) {
+    // Responses are whole lines sent in one write each: nothing is
+    // gained by Nagle holding a line back for the client's delayed ACK.
+    let _ = stream.set_nodelay(true);
     let Ok(read_half) = stream.try_clone() else {
         return;
     };
@@ -1003,9 +1008,11 @@ fn run_verify_job(job: &Job, shared: &Arc<Shared>) -> Json {
 }
 
 fn write_line(out: &Out, response: &Json) {
+    // Render before taking the lock, so the lock covers one write.
+    let line = json::frame(response);
     let mut w = out.lock().unwrap();
     // A dead client (write error) is the client's problem, not the
     // server's: the worker moves on either way.
-    let _ = writeln!(w, "{response}");
+    let _ = w.write_all(line.as_bytes());
     let _ = w.flush();
 }

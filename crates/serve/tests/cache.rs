@@ -4,10 +4,10 @@
 //! a stale verifier fingerprint must invalidate it, and `cache:false`,
 //! fault-armed, and non-definitive answers must all bypass it.
 
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufRead, BufReader};
 use std::net::TcpStream;
 
-use gpumc_serve::json::Json;
+use gpumc_serve::json::{self, Json};
 use gpumc_serve::{Server, ServerConfig};
 
 const MP: &str = "PTX MP\n{ x = 0; flag = 0; }\n\
@@ -44,7 +44,7 @@ impl Conn {
     }
 
     fn roundtrip(&mut self, line: &str) -> Json {
-        writeln!(self.writer, "{line}").expect("send");
+        json::write_line(&mut self.writer, &line).expect("send");
         let mut response = String::new();
         self.reader.read_line(&mut response).expect("recv");
         Json::parse(response.trim_end()).expect("response parses")

@@ -10,10 +10,10 @@
 //! test binaries.
 
 use std::collections::HashMap;
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufRead, BufReader};
 use std::net::TcpStream;
 
-use gpumc_serve::json::Json;
+use gpumc_serve::json::{self, Json};
 use gpumc_serve::{Client, Server, ServerConfig, WORKER_HARD_KILL_POINT};
 
 fn spawn_server(config: ServerConfig) -> (String, std::thread::JoinHandle<()>) {
@@ -30,9 +30,8 @@ fn roundtrip(addr: &str, requests: &[Json]) -> HashMap<u64, Json> {
     let mut reader = BufReader::new(stream.try_clone().unwrap());
     let mut writer = stream;
     for req in requests {
-        writeln!(writer, "{req}").unwrap();
+        json::write_line(&mut writer, req).unwrap();
     }
-    writer.flush().unwrap();
     let mut responses = HashMap::new();
     for _ in 0..requests.len() {
         let mut line = String::new();

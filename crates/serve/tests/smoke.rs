@@ -1,13 +1,14 @@
 //! End-to-end smoke tests: a real server on an ephemeral port, real
 //! TCP clients, catalog litmus tests.
 
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufRead, BufReader};
 use std::net::TcpStream;
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 use gpumc::Verifier;
 use gpumc_models::ModelKind;
-use gpumc_serve::json::Json;
+use gpumc_serve::json::{self, Json};
 use gpumc_serve::protocol::verdict_json;
 use gpumc_serve::{Client, Server, ServerConfig};
 
@@ -220,9 +221,8 @@ fn full_queue_rejects_with_backpressure() {
             ("model".into(), Json::str("ptx-v6.0")),
             ("bound".into(), Json::count(14)),
         ]);
-        writeln!(writer, "{req}").unwrap();
+        json::write_line(&mut writer, &req).unwrap();
     }
-    writer.flush().unwrap();
 
     let mut statuses = Vec::new();
     for _ in 0..burst {
@@ -286,9 +286,8 @@ fn bad_requests_get_error_responses_not_disconnects() {
         r#"{"id":9,"verb":"verify","source":"garbage litmus"}"#,
         r#"{"id":10,"verb":"verify","source":"PTX X\n{ }\nP0@cta 0,gpu 0 ;\nld.weak r0, x ;\nexists (P0:r0 == 0)","model":"no-such-model"}"#,
     ] {
-        writeln!(writer, "{bad}").unwrap();
+        json::write_line(&mut writer, &bad).unwrap();
     }
-    writer.flush().unwrap();
     for _ in 0..4 {
         let mut line = String::new();
         reader.read_line(&mut line).unwrap();
@@ -355,5 +354,87 @@ fn dpor_parallel_requests_are_counted_in_metrics() {
     assert!(count("dpor_parallel_tasks_total") >= 1);
 
     client.shutdown().unwrap();
+    handle.join().unwrap();
+}
+
+/// One long-lived connection, strictly request/response: every round
+/// trip must be answered as soon as the server has it. A response
+/// written in pieces on a Nagle socket waits ~40 ms for the client's
+/// delayed ACK per round trip, so 200 of them would take ~8 s.
+#[test]
+fn sequential_round_trips_pay_no_per_response_stall() {
+    let (addr, handle) = spawn_server(ServerConfig {
+        addr: "127.0.0.1:0".into(),
+        jobs: 1,
+        max_queue: 16,
+        default_timeout_ms: None,
+        metrics_every_secs: None,
+        ..ServerConfig::default()
+    });
+    // The test side sends each request in one write with Nagle off, so
+    // only the server's writes are under test.
+    let stream = TcpStream::connect(&addr).unwrap();
+    stream.set_nodelay(true).unwrap();
+    let mut reader = BufReader::new(stream.try_clone().unwrap());
+    let mut writer = stream;
+    let mut roundtrip = |req: &Json| -> Json {
+        json::write_line(&mut writer, req).unwrap();
+        let mut line = String::new();
+        assert!(
+            reader.read_line(&mut line).unwrap() > 0,
+            "connection closed"
+        );
+        Json::parse(line.trim_end()).unwrap()
+    };
+    let t = &gpumc_catalog::figure_tests()[0];
+    let verify = |id: u64| {
+        Json::Obj(vec![
+            ("id".into(), Json::count(id)),
+            ("verb".into(), Json::str("verify")),
+            ("source".into(), Json::str(&t.source)),
+            ("bound".into(), Json::count(u64::from(t.bound))),
+        ])
+    };
+
+    // Untimed warm-up: the first verify computes and caches the verdict.
+    let first = roundtrip(&verify(0));
+    assert_eq!(
+        first.get("status").and_then(Json::as_str),
+        Some("done"),
+        "got: {first}"
+    );
+    let verdict = first.get("verdict").unwrap().clone();
+
+    let start = Instant::now();
+    for id in 1..=100 {
+        let resp = roundtrip(&Json::Obj(vec![
+            ("id".into(), Json::count(id)),
+            ("verb".into(), Json::str("ping")),
+        ]));
+        assert_eq!(resp.get("id").and_then(Json::as_u64), Some(id));
+        assert_eq!(resp.get("status").and_then(Json::as_str), Some("ok"));
+    }
+    for id in 101..=200 {
+        let resp = roundtrip(&verify(id));
+        assert_eq!(resp.get("id").and_then(Json::as_u64), Some(id));
+        assert_eq!(
+            resp.get("status").and_then(Json::as_str),
+            Some("done"),
+            "got: {resp}"
+        );
+        assert_eq!(resp.get("cached").and_then(Json::as_bool), Some(true));
+        assert_eq!(resp.get("verdict"), Some(&verdict));
+    }
+    let elapsed = start.elapsed();
+    assert!(
+        elapsed < Duration::from_secs(2),
+        "200 sequential round trips took {elapsed:?}: a per-response stall is back"
+    );
+
+    let resp = roundtrip(&Json::Obj(vec![
+        ("id".into(), Json::count(201)),
+        ("verb".into(), Json::str("shutdown")),
+    ]));
+    assert_eq!(resp.get("status").and_then(Json::as_str), Some("ok"));
     handle.join().unwrap();
 }

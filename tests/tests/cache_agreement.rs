@@ -8,12 +8,12 @@
 //! fast; release builds (CI tier-1 runs `cargo test -q` after a release
 //! build, and the release test job this file rides in) sweep all of it.
 
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufRead, BufReader};
 use std::net::TcpStream;
 
 use gpumc::Verifier;
 use gpumc_models::ModelKind;
-use gpumc_serve::json::Json;
+use gpumc_serve::json::{self, Json};
 use gpumc_serve::protocol::verdict_json;
 use gpumc_serve::{Server, ServerConfig};
 
@@ -59,11 +59,8 @@ impl Conn {
             Some(m) => format!(r#","model":"{m}""#),
             None => String::new(),
         };
-        writeln!(
-            self.writer,
-            r#"{{"verb":"verify","source":{source},"bound":{bound}{model}}}"#
-        )
-        .expect("send");
+        let request = format!(r#"{{"verb":"verify","source":{source},"bound":{bound}{model}}}"#);
+        json::write_line(&mut self.writer, &request).expect("send");
         let mut response = String::new();
         self.reader.read_line(&mut response).expect("recv");
         Json::parse(response.trim_end()).expect("response parses")
@@ -132,6 +129,6 @@ fn cached_verdicts_agree_with_uncached_across_the_catalog() {
     assert_eq!(hits, combos, "some duplicate requests missed the cache");
     assert!(combos >= 50, "only {combos} combinations swept");
 
-    writeln!(conn.writer, r#"{{"verb":"shutdown"}}"#).expect("send shutdown");
+    json::write_line(&mut conn.writer, &r#"{"verb":"shutdown"}"#).expect("send shutdown");
     handle.join().unwrap();
 }

@@ -16,11 +16,11 @@
 //! Corpus format: one JSON object per line,
 //! `{"name": <case>, "request": <raw request line>, "response": <normalized response line>}`.
 
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufRead, BufReader};
 use std::net::TcpStream;
 use std::path::PathBuf;
 
-use gpumc_serve::json::Json;
+use gpumc_serve::json::{self, Json};
 use gpumc_serve::{DegradeLevel, Server, ServerConfig};
 
 const MP: &str = "PTX MP\\n{ x = 0; flag = 0; }\\nP0@cta 0,gpu 0 | P1@cta 1,gpu 0 ;\\nst.weak x, 1 | ld.weak r0, flag ;\\nst.weak flag, 1 | ld.weak r1, x ;\\nexists (P1:r0 == 1 /\\\\ P1:r1 == 0)";
@@ -159,14 +159,14 @@ fn replay_phase(
     let mut reader = BufReader::new(stream.try_clone().expect("clone"));
     let mut writer = stream;
     for (name, request) in cases {
-        writeln!(writer, "{request}").expect("send");
+        json::write_line(&mut writer, &request).expect("send");
         let mut line = String::new();
         reader.read_line(&mut line).expect("recv");
         let response = Json::parse(line.trim_end()).expect("response parses");
         out.push((name.to_string(), request, normalize(response).to_string()));
     }
     if !recorded_shutdown {
-        writeln!(writer, r#"{{"id":0,"verb":"shutdown"}}"#).expect("send shutdown");
+        json::write_line(&mut writer, &r#"{"id":0,"verb":"shutdown"}"#).expect("send shutdown");
         let mut line = String::new();
         reader.read_line(&mut line).expect("recv shutdown");
     }
