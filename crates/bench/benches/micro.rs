@@ -157,53 +157,6 @@ exists (P1:r0 == 1 /\ P1:r1 == 0)
     });
 }
 
-/// The CNF simplifier: encoding with SatELite-style simplification on
-/// vs off, and the simplification pass alone on a pre-built encoding.
-/// Prints the pre/post sizes once so the reduction is visible.
-fn bench_simplify(c: &mut Criterion) {
-    let g = mp_graph(8);
-    let model = gpumc_models::ptx75();
-    let on = gpumc::gpumc_encode::EncodeOptions {
-        simplify: true,
-        ..Default::default()
-    };
-    let off = gpumc::gpumc_encode::EncodeOptions {
-        simplify: false,
-        ..Default::default()
-    };
-    let enc = gpumc::gpumc_encode::encode(&g, &model, &on).unwrap();
-    let st = enc.simplify_stats().expect("stats recorded when on");
-    eprintln!(
-        "[simplify] mp-8-ptx75: {} -> {} clauses, {} -> {} vars \
-         ({} eliminated, {} equivalent, {} subsumed)",
-        st.clauses_before,
-        st.clauses_after,
-        st.vars_before,
-        st.vars_after,
-        st.vars_eliminated,
-        st.equivs_substituted,
-        st.clauses_subsumed
-    );
-    c.bench_function("simplify/encode-mp-8-with-simplify", |b| {
-        b.iter(|| gpumc::gpumc_encode::encode(&g, &model, &on).unwrap())
-    });
-    c.bench_function("simplify/encode-mp-8-without-simplify", |b| {
-        b.iter(|| gpumc::gpumc_encode::encode(&g, &model, &off).unwrap())
-    });
-    c.bench_function("simplify/solve-mp-8-simplified", |b| {
-        b.iter(|| {
-            let mut e = gpumc::gpumc_encode::encode(&g, &model, &on).unwrap();
-            e.find_assertion_witness().unwrap()
-        })
-    });
-    c.bench_function("simplify/solve-mp-8-unsimplified", |b| {
-        b.iter(|| {
-            let mut e = gpumc::gpumc_encode::encode(&g, &model, &off).unwrap();
-            e.find_assertion_witness().unwrap()
-        })
-    });
-}
-
 fn bench_cat_parse(c: &mut Criterion) {
     c.bench_function("cat/parse-vulkan-model", |b| {
         b.iter(|| gpumc::gpumc_cat::parse(gpumc_models::VULKAN_CAT).unwrap())
@@ -257,7 +210,6 @@ criterion_group! {
         bench_end_to_end,
         bench_ablation_bounds,
         bench_incremental_session,
-        bench_simplify,
         bench_cat_parse,
         bench_model_cache,
         bench_suite_jobs

@@ -8,8 +8,7 @@
 //! checked against its budget (default `dev`). `--json` additionally
 //! writes the whole comparison — per-kernel verdicts and solver sizes,
 //! per-tool aggregates, the agreement matrix, the incremental-vs-fresh
-//! timings, the CNF-simplification pre/post sizes with simplify-on/off
-//! solve times, the DPOR-engine explored/pruned counters with
+//! timings, the DPOR-engine explored/pruned counters with
 //! wall-clock vs the SAT engine, the parallel-DPOR speedup on the
 //! slowest DPOR kernels (skipped and annotated on 1-core hosts), and
 //! the tier wall-clock-vs-budget record — to `BENCH_table6.json` in the
@@ -256,96 +255,6 @@ fn main() {
         } else {
             1.0
         }
-    );
-
-    // --- the CNF-simplification win: the same three-property check of
-    //     every verifiable kernel, once with SatELite-style simplification
-    //     (the default) and once without. Aggregates the pre/post CNF
-    //     sizes the simplifier reports and the solve wall time each way.
-    let simp_runs = gpumc::parallel_map_ordered(&verifiable, jobs, |_, case| {
-        let kernel = case.kernel.as_ref().expect("verifiable kernels exist");
-        let text = emit_spirv(kernel);
-        let module = parse_spirv(&text).expect("parses");
-        let program = lower(&module, case.grid).expect("lowers");
-        let v = Verifier::new(gpumc_models::load_shared(ModelKind::Vulkan)).with_bound(bound);
-        let t0 = Instant::now();
-        let on = v.clone().with_simplify(true).check_all(&program);
-        let on_us = t0.elapsed().as_micros();
-        let t0 = Instant::now();
-        let off = v.with_simplify(false).check_all(&program);
-        let off_us = t0.elapsed().as_micros();
-        (on, on_us, off, off_us)
-    });
-    let mut clauses_before = 0u64;
-    let mut clauses_after = 0u64;
-    let mut vars_before = 0u64;
-    let mut vars_after = 0u64;
-    let mut literals_before = 0u64;
-    let mut literals_after = 0u64;
-    let mut simplify_us = 0u64;
-    let mut on_solve_us = 0u64;
-    let mut off_solve_us = 0u64;
-    let mut on_wall_us = 0u128;
-    let mut off_wall_us = 0u128;
-    for (case, (on, on_us, off, off_us)) in verifiable.iter().zip(simp_runs) {
-        match (on, off) {
-            (Ok(on), Ok(off)) => {
-                let sp = on.simplify.expect("simplify stats recorded when on");
-                clauses_before += sp.clauses_before as u64;
-                clauses_after += sp.clauses_after as u64;
-                vars_before += sp.vars_before as u64;
-                vars_after += sp.vars_after as u64;
-                literals_before += sp.literals_before as u64;
-                literals_after += sp.literals_after as u64;
-                simplify_us += sp.time_us;
-                on_solve_us += on.phases.solve_us;
-                off_solve_us += off.phases.solve_us;
-                on_wall_us += on_us;
-                off_wall_us += off_us;
-                if on.assertion.reachable != off.assertion.reachable
-                    || on.liveness.violated != off.liveness.violated
-                    || on.data_races.as_ref().map(|d| d.violated)
-                        != off.data_races.as_ref().map(|d| d.violated)
-                {
-                    eprintln!("!! simplify on/off verdict mismatch on {}", case.name);
-                }
-            }
-            (on, off) => {
-                if let Err(e) = on {
-                    eprintln!("simplified check_all failed on {}: {e}", case.name);
-                }
-                if let Err(e) = off {
-                    eprintln!("unsimplified check_all failed on {}: {e}", case.name);
-                }
-            }
-        }
-    }
-    let reduction = |before: u64, after: u64| {
-        if before == 0 {
-            0.0
-        } else {
-            100.0 * (before.saturating_sub(after)) as f64 / before as f64
-        }
-    };
-    println!();
-    println!("CNF simplification at bound {bound} (suite aggregate):");
-    println!(
-        "  clauses  {clauses_before:>8} -> {clauses_after:>8}  (-{:.1}%)",
-        reduction(clauses_before, clauses_after)
-    );
-    println!(
-        "  vars     {vars_before:>8} -> {vars_after:>8}  (-{:.1}%)",
-        reduction(vars_before, vars_after)
-    );
-    println!(
-        "  literals {literals_before:>8} -> {literals_after:>8}  (-{:.1}%)",
-        reduction(literals_before, literals_after)
-    );
-    println!(
-        "  solve time: simplify ON {:>8.1} ms  OFF {:>8.1} ms  (simplifier itself {:.1} ms)",
-        on_solve_us as f64 / 1000.0,
-        off_solve_us as f64 / 1000.0,
-        simplify_us as f64 / 1000.0
     );
 
     // --- the portfolio-solve comparison: the slowest verifiable kernels
@@ -828,26 +737,6 @@ fn main() {
                             1.0
                         }),
                     ),
-                ]),
-            ),
-            (
-                "simplify".into(),
-                Json::Obj(vec![
-                    ("clauses_before".into(), Json::count(clauses_before)),
-                    ("clauses_after".into(), Json::count(clauses_after)),
-                    (
-                        "clause_reduction_pct".into(),
-                        Json::num(reduction(clauses_before, clauses_after)),
-                    ),
-                    ("vars_before".into(), Json::count(vars_before)),
-                    ("vars_after".into(), Json::count(vars_after)),
-                    ("literals_before".into(), Json::count(literals_before)),
-                    ("literals_after".into(), Json::count(literals_after)),
-                    ("simplify_us".into(), Json::count(simplify_us)),
-                    ("on_solve_us".into(), Json::count(on_solve_us)),
-                    ("off_solve_us".into(), Json::count(off_solve_us)),
-                    ("on_wall_us".into(), Json::count(on_wall_us as u64)),
-                    ("off_wall_us".into(), Json::count(off_wall_us as u64)),
                 ]),
             ),
             (

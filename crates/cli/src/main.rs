@@ -40,8 +40,6 @@ OPTIONS (verify):
                          `unknown` and exits 3
     --mem-budget-mb <n>  approximate memory budget for encode + solve;
                          exceeding it answers `unknown` and exits 3
-    --no-simplify        disable SatELite-style CNF simplification of
-                         the SAT encoding (on by default)
     --portfolio <n|auto> race N diversified solvers per query with
                          lock-free learnt-clause sharing and a
                          cube-and-conquer fallback (default: off;
@@ -706,7 +704,6 @@ fn verify(args: &[String]) -> Result<ExitCode, String> {
     let mut show_witness = false;
     let mut all = false;
     let mut fresh = false;
-    let mut simplify = true;
     let mut portfolio = gpumc::gpumc_sat::ParallelPolicy::Off;
     let mut it = args.iter();
     while let Some(a) = it.next() {
@@ -753,7 +750,6 @@ fn verify(args: &[String]) -> Result<ExitCode, String> {
             "--witness" => show_witness = true,
             "--all" => all = true,
             "--fresh" => fresh = true,
-            "--no-simplify" => simplify = false,
             other if !other.starts_with('-') && path.is_none() => path = Some(other.to_string()),
             other => return Err(format!("unknown argument `{other}`")),
         }
@@ -776,7 +772,6 @@ fn verify(args: &[String]) -> Result<ExitCode, String> {
         .with_engine(engine)
         .with_bound(bound)
         .with_incremental(!fresh)
-        .with_simplify(simplify)
         .with_parallel(portfolio);
     if let Some(ms) = timeout_ms {
         verifier = verifier.with_cancel_token(gpumc::gpumc_sat::CancelToken::with_timeout(
@@ -926,21 +921,6 @@ fn verify_all(
     let stats = o.render_query_stats();
     if !stats.is_empty() {
         eprint!("{stats}");
-    }
-    if let Some(sp) = &o.simplify {
-        eprintln!(
-            "  simplify: {} -> {} clauses, {} -> {} vars ({} eliminated, {} equivalent), \
-             {} subsumed, {} strengthened, {:.1} ms",
-            sp.clauses_before,
-            sp.clauses_after,
-            sp.vars_before,
-            sp.vars_after,
-            sp.vars_eliminated,
-            sp.equivs_substituted,
-            sp.clauses_subsumed,
-            sp.clauses_strengthened,
-            sp.time_us as f64 / 1000.0
-        );
     }
     if let Some(p) = &o.portfolio {
         eprintln!(

@@ -309,9 +309,8 @@ pub struct FullOutcome {
     /// Per-query solver-counter deltas, in query order. Empty on the
     /// fresh (non-incremental) path and for the enumeration engine.
     pub queries: Vec<gpumc_encode::QueryRecord>,
-    /// CNF simplification statistics from the shared encoding, or
-    /// `None` when simplification is disabled, on the fresh
-    /// (non-incremental) path, or for the enumeration engine.
+    /// Always `None`: the encoding is solved as built, with no CNF
+    /// simplification pass (DESIGN.md §12).
     pub simplify: Option<gpumc_sat::SimplifyStats>,
     /// Per-phase wall-clock breakdown.
     pub phases: PhaseTimings,
@@ -367,7 +366,6 @@ pub struct Verifier {
     enum_cap: Option<u64>,
     bounds_memo: Option<Arc<gpumc_encode::BoundsMemo>>,
     incremental: bool,
-    simplify: bool,
     cancel: Option<gpumc_sat::CancelToken>,
     conflict_budget: Option<u64>,
     mem_budget_mb: Option<u64>,
@@ -389,7 +387,6 @@ impl Verifier {
             enum_cap: None,
             bounds_memo: None,
             incremental: true,
-            simplify: true,
             cancel: None,
             conflict_budget: None,
             mem_budget_mb: None,
@@ -478,14 +475,6 @@ impl Verifier {
     /// two must be verdict-identical.
     pub fn with_incremental(mut self, incremental: bool) -> Verifier {
         self.incremental = incremental;
-        self
-    }
-
-    /// Enables or disables SatELite-style CNF simplification of the
-    /// SAT encoding (builder style; on by default). The `--no-simplify`
-    /// escape hatch of the CLI and server map here.
-    pub fn with_simplify(mut self, simplify: bool) -> Verifier {
-        self.simplify = simplify;
         self
     }
 
@@ -841,7 +830,7 @@ impl Verifier {
             liveness,
             data_races,
             queries: session.queries().to_vec(),
-            simplify: session.simplify_stats(),
+            simplify: None,
             phases,
             total_time_us: total.elapsed().as_micros(),
             portfolio: session.portfolio_stats(),
@@ -888,7 +877,6 @@ impl Verifier {
         EncodeOptions {
             bv_width: self.bv_width,
             use_bounds: self.use_bounds,
-            simplify: self.simplify,
             cancel: self.cancel.clone(),
             mem_budget_bytes: self.mem_budget_mb.map(|mb| {
                 usize::try_from(mb)

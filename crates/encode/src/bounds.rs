@@ -301,11 +301,14 @@ impl Ctx<'_> {
         self.insert_static("ext", ext);
 
         // loc / vloc. In ablation mode (`!precise`) the may-alias pruning
-        // is skipped: every memory pair stays in the upper bounds.
+        // is skipped: every memory pair stays in the upper bounds, except
+        // that vloc still requires the same declared name. That condition
+        // is what sets vloc apart from loc (the encoder only adds address
+        // equality), so it is semantics, not pruning.
         let precise = self.b.precise;
-        let loc_u = self.pairs(|a, b| {
-            g.event(a).is_memory() && g.event(b).is_memory() && (!precise || g.may_alias(a, b))
-        });
+        let alias = |a, b| !precise || g.may_alias(a, b);
+        let loc_u =
+            self.pairs(|a, b| g.event(a).is_memory() && g.event(b).is_memory() && alias(a, b));
         let loc_l = self
             .pairs(|a, b| g.event(a).is_memory() && g.event(b).is_memory() && g.must_alias(a, b));
         self.b.upper.insert("loc".into(), loc_u);
@@ -314,14 +317,11 @@ impl Ctx<'_> {
             if !(g.event(a).is_memory() && g.event(b).is_memory()) {
                 return false;
             }
-            if !precise {
-                return true;
-            }
             let iw = g.event(a).tags.contains(Tag::IW) || g.event(b).tags.contains(Tag::IW);
             if iw {
-                return g.may_alias(a, b);
+                return alias(a, b);
             }
-            g.virtual_loc(a) == g.virtual_loc(b) && g.may_alias(a, b)
+            g.virtual_loc(a) == g.virtual_loc(b) && alias(a, b)
         });
         let vloc_l = self.pairs(|a, b| g.same_virtual(a, b));
         self.b.upper.insert("vloc".into(), vloc_u);
@@ -332,13 +332,11 @@ impl Ctx<'_> {
         let w = self.b.sets["W"].clone();
         let r = self.b.sets["R"].clone();
         let iw = self.b.sets["IW"].clone();
-        let rf_u =
-            self.pairs(|a, b| w.contains(a) && r.contains(b) && (!precise || g.may_alias(a, b)));
+        let rf_u = self.pairs(|a, b| w.contains(a) && r.contains(b) && alias(a, b));
         self.b.upper.insert("rf".into(), rf_u);
         self.b.lower.insert("rf".into(), Relation::empty(n));
-        let co_u = self.pairs(|a, b| {
-            w.contains(a) && w.contains(b) && !iw.contains(b) && (!precise || g.may_alias(a, b))
-        });
+        let co_u =
+            self.pairs(|a, b| w.contains(a) && w.contains(b) && !iw.contains(b) && alias(a, b));
         let co_l = self
             .pairs(|a, b| iw.contains(a) && w.contains(b) && !iw.contains(b) && g.must_alias(a, b));
         self.b.upper.insert("co".into(), co_u);
@@ -771,5 +769,38 @@ exists (P1:r0 == 1 /\ P1:r1 == 0)
         }
         let fr = model.def_id("fr").unwrap();
         assert_eq!(fresh.def_upper(fr), shared.def_upper(fr));
+    }
+
+    #[test]
+    fn ablation_keeps_vloc_apart_from_loc() {
+        // `s` is a surface alias of `x`: same physical location, two
+        // virtual addresses.
+        let src = r#"
+PTX MP-surface
+{ x = 0; flag = 0; s -> x @ surface; }
+P0@cta 0,gpu 0          | P1@cta 0,gpu 0 ;
+sust s, 1               | ld.acquire.cta r0, flag ;
+st.release.cta flag, 1  | ld.weak r1, x ;
+exists (P1:r0 == 1 /\ P1:r1 == 0)
+"#;
+        let p = gpumc_litmus::parse(src).unwrap();
+        let g = compile(&unroll(&p, 1).unwrap());
+        let model = gpumc_cat::parse("acyclic vloc | loc").unwrap();
+        for precise in [true, false] {
+            let a = RelationAnalysis::new_with(&g, &model, precise);
+            let (loc, vloc) = (a.base_upper("loc").unwrap(), a.base_upper("vloc").unwrap());
+            let mut cross_proxy = 0;
+            for (x, y) in loc.iter() {
+                let iw = g.event(x).tags.contains(Tag::IW) || g.event(y).tags.contains(Tag::IW);
+                if !iw && g.virtual_loc(x) != g.virtual_loc(y) {
+                    assert!(
+                        !vloc.contains(x, y),
+                        "precise={precise}: vloc spans two names"
+                    );
+                    cross_proxy += usize::from(g.may_alias(x, y));
+                }
+            }
+            assert!(cross_proxy > 0, "the surface store aliases the load of x");
+        }
     }
 }

@@ -1,6 +1,6 @@
 //! The CNF encoding of program semantics modulo a `.cat` model.
 
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 use std::time::Instant;
 
 use gpumc_cat::{AxiomKind, CatModel, DefBody, RelExpr, SetExpr};
@@ -21,11 +21,6 @@ pub struct EncodeOptions {
     /// Whether to prune the encoding with relation-analysis bounds
     /// (disable for the ablation benchmark).
     pub use_bounds: bool,
-    /// Run SatELite-style CNF simplification (variable elimination,
-    /// subsumption, equivalent-literal substitution) after building the
-    /// encoding. Witness and query variables are frozen first, so
-    /// verdicts and decoded witnesses are unaffected.
-    pub simplify: bool,
     /// Print per-stage size diagnostics to stderr.
     pub trace: bool,
     /// Watchdog for the *encode* phase: polled between build stages and
@@ -48,7 +43,6 @@ impl Default for EncodeOptions {
         EncodeOptions {
             bv_width: 8,
             use_bounds: true,
-            simplify: true,
             trace: false,
             cancel: None,
             mem_budget_bytes: None,
@@ -93,9 +87,17 @@ pub struct QueryResult<'g> {
 }
 
 /// A relation encoded as literals per (may-)pair.
+///
+/// This and every other encoder map is a `BTreeMap`. Gates and clauses
+/// are emitted while iterating these maps, and clause order steers the
+/// solver's search, so the iteration order must be a function of the
+/// input alone (DESIGN.md §12); a `HashMap` with the default
+/// `RandomState` iterates differently in every map and every process.
+/// The keys are event and definition indices the compiler assigns (plus
+/// relation names from the model), never values a client chooses.
 #[derive(Debug, Clone, Default)]
 struct EncRel {
-    pairs: HashMap<(u32, u32), Lit>,
+    pairs: BTreeMap<(u32, u32), Lit>,
 }
 
 impl EncRel {
@@ -107,7 +109,7 @@ impl EncRel {
 /// A set encoded as literals per (may-)member.
 #[derive(Debug, Clone, Default)]
 struct EncSet {
-    members: HashMap<u32, Lit>,
+    members: BTreeMap<u32, Lit>,
 }
 
 /// Like [`encode`] but prints per-stage variable counts to stderr
@@ -186,16 +188,15 @@ fn build<'g>(
         rf: EncRel::default(),
         co: EncRel::default(),
         sync_fence: EncRel::default(),
-        base_cache: HashMap::new(),
-        pair_exec_cache: HashMap::new(),
-        addr_eq_cache: HashMap::new(),
+        base_cache: BTreeMap::new(),
+        pair_exec_cache: BTreeMap::new(),
+        addr_eq_cache: BTreeMap::new(),
         def_rels: Vec::new(),
         def_sets: Vec::new(),
-        final_reg_cache: HashMap::new(),
+        final_reg_cache: BTreeMap::new(),
         completed: Vec::new(),
-        flag_rels: HashMap::new(),
+        flag_rels: BTreeMap::new(),
         positions: Vec::new(),
-        simplify_stats: None,
         bounds_us: 0,
         encode_us: 0,
         portfolio: None,
@@ -236,20 +237,18 @@ pub struct Encoding<'g> {
     rf: EncRel,
     co: EncRel,
     sync_fence: EncRel,
-    base_cache: HashMap<(String, u32, u32), Lit>,
-    pair_exec_cache: HashMap<(u32, u32), Lit>,
-    addr_eq_cache: HashMap<(u32, u32), Lit>,
+    base_cache: BTreeMap<(String, u32, u32), Lit>,
+    pair_exec_cache: BTreeMap<(u32, u32), Lit>,
+    addr_eq_cache: BTreeMap<(u32, u32), Lit>,
     def_rels: Vec<Option<EncRel>>,
     def_sets: Vec<Option<EncSet>>,
-    final_reg_cache: HashMap<(usize, u32), BitVec>,
+    final_reg_cache: BTreeMap<(usize, u32), BitVec>,
     /// Per-thread "reached an End leaf" literal.
     completed: Vec<Lit>,
     /// Flagged-axiom label → encoded relation.
-    flag_rels: HashMap<String, EncRel>,
+    flag_rels: BTreeMap<String, EncRel>,
     /// Lazily created acyclicity position vectors.
     positions: Vec<Option<BitVec>>,
-    /// Statistics from CNF simplification, when it ran.
-    simplify_stats: Option<gpumc_sat::SimplifyStats>,
     /// Time spent on relation-analysis bounds, microseconds.
     bounds_us: u64,
     /// Time spent building the SAT encoding, microseconds.
@@ -314,10 +313,6 @@ impl<'g> Encoding<'g> {
             let lit = self.cond_lit(filter);
             self.f.assert_lit(lit);
         }
-        if self.opts.simplify {
-            self.simplify();
-            self.trace("simplify");
-        }
         Ok(())
     }
 
@@ -352,50 +347,6 @@ impl<'g> Encoding<'g> {
             }
         }
         Ok(())
-    }
-
-    /// Runs CNF simplification over the built encoding.
-    ///
-    /// The frozen-variable contract: every literal a witness decode reads
-    /// back, or that a later query (`find_condition`, liveness, flags)
-    /// can place into a fresh clause or gate, is frozen first so the
-    /// simplifier never eliminates or substitutes it. The gate caches
-    /// hold output literals that *can* be eliminated, so they are
-    /// cleared — queries rebuild those gates from frozen inputs.
-    fn simplify(&mut self) {
-        for &l in &self.exec_block {
-            self.f.freeze_lit(l);
-        }
-        for &l in &self.exec_event {
-            self.f.freeze_lit(l);
-        }
-        for &l in &self.completed {
-            self.f.freeze_lit(l);
-        }
-        for bv in self.values.iter().chain(&self.addr_bv).flatten() {
-            for &l in bv.bits() {
-                self.f.freeze_lit(l);
-            }
-        }
-        for rel in [&self.rf, &self.co, &self.sync_fence] {
-            for &l in rel.pairs.values() {
-                self.f.freeze_lit(l);
-            }
-        }
-        for rel in self.flag_rels.values() {
-            for &l in rel.pairs.values() {
-                self.f.freeze_lit(l);
-            }
-        }
-        self.base_cache.clear();
-        self.pair_exec_cache.clear();
-        self.addr_eq_cache.clear();
-        self.final_reg_cache.clear();
-        let stats = self.f.simplify();
-        self.simplify_stats = Some(match self.simplify_stats.take() {
-            None => stats,
-            Some(prev) => prev.merged(&stats),
-        });
     }
 
     fn encode_control_flow(&mut self) {
@@ -573,13 +524,11 @@ impl<'g> Encoding<'g> {
             .base_upper("rf")
             .cloned()
             .unwrap_or_else(|| Relation::empty(self.graph.n_events()));
-        let mut per_read: HashMap<u32, Vec<EventId>> = HashMap::new();
+        let mut per_read: BTreeMap<u32, Vec<EventId>> = BTreeMap::new();
         for (w, r) in upper.iter() {
             per_read.entry(r.0).or_default().push(w);
         }
-        let mut reads: Vec<(u32, Vec<EventId>)> = per_read.into_iter().collect();
-        reads.sort_by_key(|(r, _)| *r);
-        for (r_idx, writers) in reads {
+        for (r_idx, writers) in per_read {
             let r = EventId(r_idx);
             let mut lits = Vec::new();
             for w in writers {
@@ -945,7 +894,7 @@ impl<'g> Encoding<'g> {
             }
             SetExpr::Domain(r) => {
                 let rel = self.enc_rel(r);
-                let mut rows: HashMap<u32, Vec<Lit>> = HashMap::new();
+                let mut rows: BTreeMap<u32, Vec<Lit>> = BTreeMap::new();
                 for (&(a, _), &l) in &rel.pairs {
                     rows.entry(a).or_default().push(l);
                 }
@@ -956,7 +905,7 @@ impl<'g> Encoding<'g> {
             }
             SetExpr::Range(r) => {
                 let rel = self.enc_rel(r);
-                let mut cols: HashMap<u32, Vec<Lit>> = HashMap::new();
+                let mut cols: BTreeMap<u32, Vec<Lit>> = BTreeMap::new();
                 for (&(_, b), &l) in &rel.pairs {
                     cols.entry(b).or_default().push(l);
                 }
@@ -1057,11 +1006,11 @@ impl<'g> Encoding<'g> {
             }
             RelExpr::Seq(a, b) => {
                 let (ra, rb) = (self.enc_rel(a), self.enc_rel(b));
-                let mut by_first: HashMap<u32, Vec<(u32, Lit)>> = HashMap::new();
+                let mut by_first: BTreeMap<u32, Vec<(u32, Lit)>> = BTreeMap::new();
                 for (&(m, c), &l) in &rb.pairs {
                     by_first.entry(m).or_default().push((c, l));
                 }
-                let mut disj: HashMap<(u32, u32), Vec<Lit>> = HashMap::new();
+                let mut disj: BTreeMap<(u32, u32), Vec<Lit>> = BTreeMap::new();
                 for (&(x, m), &l1) in &ra.pairs {
                     if let Some(nexts) = by_first.get(&m) {
                         for &(c, l2) in nexts {
@@ -1118,7 +1067,7 @@ impl<'g> Encoding<'g> {
             vars.pairs.insert((a.0, b.0), self.f.new_lit());
         }
         // var(a,b) ↔ base(a,b) ∨ ∃m. var(a,m) ∧ base(m,b)
-        let mut base_by_second: HashMap<u32, Vec<(u32, Lit)>> = HashMap::new();
+        let mut base_by_second: BTreeMap<u32, Vec<(u32, Lit)>> = BTreeMap::new();
         for (&(m, b), &l) in &base.pairs {
             base_by_second.entry(b).or_default().push((m, l));
         }
@@ -1318,7 +1267,7 @@ impl<'g> Encoding<'g> {
         cond: &Condition,
         negate: bool,
     ) -> Result<QueryResult<'g>, EncodeError> {
-        let act = self.new_activation_lit();
+        let act = self.f.new_lit();
         let completed = self.completed.clone();
         for c in completed {
             self.f.add_clause([!act, c]);
@@ -1338,7 +1287,7 @@ impl<'g> Encoding<'g> {
     ///
     /// See [`Encoding::find_assertion_witness`].
     pub fn find_liveness_violation(&mut self) -> Result<QueryResult<'g>, EncodeError> {
-        let act = self.new_activation_lit();
+        let act = self.f.new_lit();
         let mut any_stuck = Vec::new();
         for t in 0..self.graph.threads().len() {
             let mut stuck_lits = Vec::new();
@@ -1410,7 +1359,7 @@ impl<'g> Encoding<'g> {
                 "model defines no flag `{name}`"
             )));
         };
-        let act = self.new_activation_lit();
+        let act = self.f.new_lit();
         let completed = self.completed.clone();
         for c in completed {
             self.f.add_clause([!act, c]);
@@ -1419,15 +1368,6 @@ impl<'g> Encoding<'g> {
         clause.extend(rel.pairs.values().copied());
         self.f.add_clause(clause);
         self.solve_and_decode(act)
-    }
-
-    /// A fresh activation literal for a query, frozen so a later
-    /// simplification pass can never eliminate it out from under the
-    /// clauses it guards (the frozen-variable contract).
-    fn new_activation_lit(&mut self) -> Lit {
-        let act = self.f.new_lit();
-        self.f.freeze_lit(act);
-        act
     }
 
     /// Portfolio workers used when [`gpumc_sat::ParallelPolicy::Auto`]
@@ -1585,12 +1525,6 @@ impl<'g> Encoding<'g> {
     /// Solver statistics.
     pub fn solver_stats(&self) -> gpumc_sat::Stats {
         self.f.solver().stats()
-    }
-
-    /// Statistics from CNF simplification, or `None` when it was
-    /// disabled via [`EncodeOptions::simplify`].
-    pub fn simplify_stats(&self) -> Option<gpumc_sat::SimplifyStats> {
-        self.simplify_stats
     }
 
     /// Overrides the parallel-solve policy for subsequent queries.

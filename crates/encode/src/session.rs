@@ -211,12 +211,6 @@ impl<'g> SolverSession<'g> {
         self.enc.set_conflict_budget(budget);
     }
 
-    /// Statistics from CNF simplification during build, or `None` when
-    /// it was disabled (see [`EncodeOptions::simplify`]).
-    pub fn simplify_stats(&self) -> Option<gpumc_sat::SimplifyStats> {
-        self.enc.simplify_stats()
-    }
-
     /// Overrides the parallel-solve policy for subsequent queries of
     /// this session (see [`Encoding::set_parallel`]).
     pub fn set_parallel(&mut self, policy: gpumc_sat::ParallelPolicy) {
@@ -349,31 +343,6 @@ exists (P1:r0 == 1)";
         s.set_cancel_token(None);
         assert!(s.find_assertion_witness().unwrap().found);
         assert!(!s.find_liveness_violation().unwrap().found);
-    }
-
-    #[test]
-    fn session_multi_query_agrees_with_simplification_off() {
-        let g = graph(MP, 1);
-        let model = gpumc_models::ptx60();
-        let on = EncodeOptions::default();
-        assert!(on.simplify, "simplification is on by default");
-        let off = EncodeOptions {
-            simplify: false,
-            ..on.clone()
-        };
-        let mut s_on = SolverSession::build(&g, &model, &on).unwrap();
-        let mut s_off = SolverSession::build(&g, &model, &off).unwrap();
-        let st = s_on.simplify_stats().expect("stats recorded when on");
-        assert!(st.clauses_after <= st.clauses_before);
-        assert!(s_off.simplify_stats().is_none());
-        assert_eq!(
-            s_on.find_assertion_witness().unwrap().found,
-            s_off.find_assertion_witness().unwrap().found
-        );
-        assert_eq!(
-            s_on.find_liveness_violation().unwrap().found,
-            s_off.find_liveness_violation().unwrap().found
-        );
     }
 
     #[test]

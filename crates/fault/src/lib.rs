@@ -1,6 +1,6 @@
 //! Deterministic fault injection for the verification stack.
 //!
-//! The stack (SAT solver, simplifier, encoder, serve workers) declares
+//! The stack (SAT solver, encoder, serve workers) declares
 //! named *injection points*; a [`FaultPlan`] arms a subset of them with
 //! a [`FaultKind`] each. Probe a point with [`hit`] — it returns `None`
 //! when the point is unarmed, executes `panic` / `delay_ms` in place,
@@ -47,8 +47,6 @@ use std::sync::{Arc, Mutex, OnceLock};
 pub mod points {
     /// The CDCL search loop, probed on each conflict.
     pub const SAT_CONFLICT: &str = "sat.conflict";
-    /// The CNF simplifier, probed between passes.
-    pub const SAT_SIMPLIFY: &str = "sat.simplify";
     /// The encoder, probed between build stages.
     pub const ENCODE_BUILD: &str = "encode.build";
     /// A serve worker, probed at job start.
@@ -67,7 +65,6 @@ pub mod points {
     /// Every wired point, for matrix-style tests.
     pub const ALL: &[&str] = &[
         SAT_CONFLICT,
-        SAT_SIMPLIFY,
         ENCODE_BUILD,
         SERVE_WORKER,
         DPOR_EXPLORE,

@@ -32,15 +32,29 @@ pub mod bv;
 mod cancel;
 mod heap;
 pub mod portfolio;
-mod simplify;
 mod solver;
 mod tseitin;
 
 pub use cancel::{CancelToken, Interrupt};
 pub use portfolio::{ParallelPolicy, PortfolioConfig, PortfolioStats};
-pub use simplify::SimplifyStats;
 pub use solver::{SearchParams, SolveResult, Solver, Stats};
 pub use tseitin::Formula;
+
+/// Sizes and wall time of a CNF simplification pass.
+///
+/// No pass produces one: gpumc solves every encoding as built
+/// (DESIGN.md §12). The type remains for the always-`None`
+/// `gpumc::FullOutcome::simplify` field, which the per-layer benchmark
+/// (`perfbench`) reads.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct SimplifyStats {
+    /// Live clauses before the pass.
+    pub clauses_before: usize,
+    /// Live clauses after the pass.
+    pub clauses_after: usize,
+    /// Wall time of the pass, in microseconds.
+    pub time_us: u64,
+}
 
 /// A propositional variable, numbered from zero.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]

@@ -81,26 +81,26 @@ impl Stats {
 }
 
 #[derive(Debug, Clone)]
-pub(crate) struct Clause {
-    pub(crate) lits: Vec<Lit>,
-    pub(crate) learnt: bool,
-    pub(crate) activity: f32,
-    pub(crate) deleted: bool,
+struct Clause {
+    lits: Vec<Lit>,
+    learnt: bool,
+    activity: f32,
+    deleted: bool,
     /// Literal-block distance at learn time (0 for problem clauses):
     /// the number of distinct decision levels in the clause. Low-glue
     /// clauses connect few search levels and are empirically the ones
     /// worth keeping forever (Audemard & Simon, IJCAI 2009).
-    pub(crate) glue: u32,
+    glue: u32,
 }
 
-pub(crate) type ClauseRef = u32;
+type ClauseRef = u32;
 
 #[derive(Debug, Clone, Copy)]
-pub(crate) struct Watcher {
-    pub(crate) cref: ClauseRef,
+struct Watcher {
+    cref: ClauseRef,
     /// Cached "other" watched literal: if it is already true the clause is
     /// satisfied and we can skip touching the clause memory.
-    pub(crate) blocker: Lit,
+    blocker: Lit,
 }
 
 /// Tunable search heuristics — the diversification axes of the portfolio
@@ -156,20 +156,20 @@ pub(crate) fn splitmix64(mut x: u64) -> u64 {
 /// which is how [`crate::portfolio`] forks diversified racers.
 #[derive(Debug, Clone)]
 pub struct Solver {
-    pub(crate) clauses: Vec<Clause>,
-    pub(crate) watches: Vec<Vec<Watcher>>,
-    pub(crate) assigns: Vec<LBool>,
+    clauses: Vec<Clause>,
+    watches: Vec<Vec<Watcher>>,
+    assigns: Vec<LBool>,
     polarity: Vec<bool>,
     activity: Vec<f64>,
-    pub(crate) reason: Vec<Option<ClauseRef>>,
-    pub(crate) level: Vec<u32>,
-    pub(crate) trail: Vec<Lit>,
+    reason: Vec<Option<ClauseRef>>,
+    level: Vec<u32>,
+    trail: Vec<Lit>,
     trail_lim: Vec<usize>,
-    pub(crate) qhead: usize,
+    qhead: usize,
     order: VarHeap,
     var_inc: f64,
     /// Set once the clause database is known to be unsatisfiable.
-    pub(crate) unsat: bool,
+    unsat: bool,
     seen: Vec<bool>,
     stats: Stats,
     /// Conflict budget per solve call; `None` means unlimited.
@@ -182,32 +182,19 @@ pub struct Solver {
     /// [`Solver::collect_garbage`].
     lits_bytes: usize,
     /// Extra bytes charged against the budget from outside the arena
-    /// (injected allocation spikes, simplifier occurrence lists).
+    /// (injected allocation spikes).
     mem_ballast: usize,
     /// Cooperative cancellation handle, polled between conflicts.
     cancel: Option<CancelToken>,
     /// Clause-activity increment (for learnt-clause deletion).
     cla_inc: f32,
     /// Number of live learnt clauses.
-    pub(crate) n_learnt: usize,
+    n_learnt: usize,
     /// Learnt-clause cap before a database reduction.
     max_learnt: usize,
     /// Number of tombstoned (deleted, not yet compacted) arena slots;
     /// the garbage-collection trigger.
-    pub(crate) n_deleted: usize,
-    /// Variables exempt from elimination/substitution by
-    /// [`Solver::simplify`] — the frozen-variable contract. Anything a
-    /// caller will read back from a model, assume, or mention in a
-    /// later clause must be frozen before simplifying.
-    pub(crate) frozen: Vec<bool>,
-    /// Variables removed from the search by the simplifier. Their model
-    /// values come from [`Solver::value`] via the elimination stack.
-    pub(crate) eliminated: Vec<bool>,
-    /// Reconstruction records, in elimination order; replayed in reverse
-    /// after every `Sat` answer to extend the model over eliminated vars.
-    pub(crate) elim_stack: Vec<crate::simplify::ElimRecord>,
-    /// Extended model values for eliminated variables.
-    pub(crate) ext_model: Vec<LBool>,
+    n_deleted: usize,
     /// Search heuristics; varied per racer by the portfolio mode.
     params: SearchParams,
     /// xorshift64 state for seeded decision randomization (0 = off).
@@ -248,10 +235,6 @@ impl Solver {
             n_learnt: 0,
             max_learnt: 8_192,
             n_deleted: 0,
-            frozen: Vec::new(),
-            eliminated: Vec::new(),
-            elim_stack: Vec::new(),
-            ext_model: Vec::new(),
             params: SearchParams::default(),
             rand_state: 0,
             exchange: None,
@@ -333,19 +316,19 @@ impl Solver {
     }
 
     /// Charges `bytes` of external memory against the budget (injected
-    /// allocation spikes; the simplifier's transient occurrence lists).
+    /// allocation spikes).
     pub fn add_mem_ballast(&mut self, bytes: usize) {
         self.mem_ballast = self.mem_ballast.saturating_add(bytes);
     }
 
     /// Estimated per-clause bookkeeping outside the literal array:
     /// `Clause` header plus the two watcher entries.
-    pub(crate) const CLAUSE_OVERHEAD: usize = 56;
+    const CLAUSE_OVERHEAD: usize = 56;
     /// Estimated bytes of per-variable state across all solver arrays.
     const PER_VAR_BYTES: usize = 96;
 
     /// Recomputes the incremental arena estimate from the live clauses.
-    pub(crate) fn recompute_lits_bytes(&mut self) {
+    fn recompute_lits_bytes(&mut self) {
         self.lits_bytes = self
             .clauses
             .iter()
@@ -357,12 +340,6 @@ impl Solver {
     #[inline]
     fn over_mem_budget(&self) -> bool {
         self.mem_budget.is_some_and(|b| self.bytes_in_use() > b)
-    }
-
-    /// The configured memory budget (the simplifier's between-pass
-    /// checks read it to abort early).
-    pub(crate) fn mem_budget_bytes(&self) -> Option<usize> {
-        self.mem_budget
     }
 
     /// Installs a [`CancelToken`] polled between conflicts and decisions;
@@ -386,38 +363,11 @@ impl Solver {
         self.reason.push(None);
         self.level.push(0);
         self.seen.push(false);
-        self.frozen.push(false);
-        self.eliminated.push(false);
-        self.ext_model.push(LBool::Undef);
         self.watches.push(Vec::new());
         self.watches.push(Vec::new());
         self.order.grow_to(self.assigns.len());
         self.order.push(v, &self.activity);
         v
-    }
-
-    /// Exempts a variable from elimination and substitution by
-    /// [`Solver::simplify`].
-    ///
-    /// This is the frozen-variable contract: any variable whose model
-    /// value will be read back, that will appear in a future clause or
-    /// assumption, or that a later query can otherwise touch, must be
-    /// frozen *before* the simplifier runs. Unfrozen variables may be
-    /// resolved away; mentioning one afterwards is a caller bug and
-    /// panics in [`Solver::add_clause`] / assumption handling.
-    pub fn freeze(&mut self, v: Var) {
-        self.frozen[v.index()] = true;
-    }
-
-    /// Whether [`Solver::freeze`] was called for this variable.
-    pub fn is_frozen(&self, v: Var) -> bool {
-        self.frozen[v.index()]
-    }
-
-    /// Whether the simplifier removed this variable from the search.
-    /// Its model value is still available through [`Solver::value`].
-    pub fn is_eliminated(&self, v: Var) -> bool {
-        self.eliminated[v.index()]
     }
 
     /// Creates a fresh variable and returns its positive literal.
@@ -451,10 +401,6 @@ impl Solver {
             return false;
         }
         let mut ls: Vec<Lit> = lits.into_iter().collect();
-        assert!(
-            ls.iter().all(|l| !self.eliminated[l.var().index()]),
-            "clause mentions an eliminated variable — freeze() it before simplify()"
-        );
         ls.sort_unstable();
         ls.dedup();
         // Remove false literals, drop satisfied/tautological clauses.
@@ -490,7 +436,7 @@ impl Solver {
         }
     }
 
-    pub(crate) fn attach_clause(&mut self, lits: Vec<Lit>, learnt: bool, glue: u32) -> ClauseRef {
+    fn attach_clause(&mut self, lits: Vec<Lit>, learnt: bool, glue: u32) -> ClauseRef {
         debug_assert!(lits.len() >= 2);
         let cref = self.clauses.len() as ClauseRef;
         let w0 = Watcher {
@@ -571,9 +517,8 @@ impl Solver {
     /// every [`ClauseRef`] held by watcher lists and `reason[]`.
     ///
     /// Sound mid-search because reason clauses are never tombstoned
-    /// (`reduce_db` skips locked clauses; the simplifier clears root
-    /// reasons before deleting anything).
-    pub(crate) fn collect_garbage(&mut self) {
+    /// (`reduce_db` skips locked clauses).
+    fn collect_garbage(&mut self) {
         let mut map: Vec<ClauseRef> = vec![ClauseRef::MAX; self.clauses.len()];
         let mut next: ClauseRef = 0;
         for (i, c) in self.clauses.iter().enumerate() {
@@ -616,30 +561,16 @@ impl Solver {
     }
 
     #[inline]
-    pub(crate) fn lit_value(&self, l: Lit) -> LBool {
+    fn lit_value(&self, l: Lit) -> LBool {
         self.assigns[l.var().index()].under(l.is_positive())
-    }
-
-    /// Model value of a literal, consulting the extended model for
-    /// variables the simplifier eliminated.
-    #[inline]
-    pub(crate) fn model_lit(&self, l: Lit) -> LBool {
-        let v = l.var().index();
-        if self.eliminated[v] {
-            self.ext_model[v].under(l.is_positive())
-        } else {
-            self.assigns[v].under(l.is_positive())
-        }
     }
 
     /// Value of a literal in the last satisfying model (after a `Sat` result).
     ///
     /// Returns `None` for variables the search never assigned (they are
-    /// unconstrained and may take either value). Variables eliminated by
-    /// [`Solver::simplify`] answer from the reconstructed model, so
-    /// callers cannot tell whether a variable was eliminated.
+    /// unconstrained and may take either value).
     pub fn value(&self, l: Lit) -> Option<bool> {
-        match self.model_lit(l) {
+        match self.lit_value(l) {
             LBool::True => Some(true),
             LBool::False => Some(false),
             LBool::Undef => None,
@@ -667,7 +598,7 @@ impl Solver {
     }
 
     /// Unit propagation. Returns the conflicting clause, if any.
-    pub(crate) fn propagate(&mut self) -> Option<ClauseRef> {
+    fn propagate(&mut self) -> Option<ClauseRef> {
         let mut conflict = None;
         while self.qhead < self.trail.len() {
             let p = self.trail[self.qhead];
@@ -885,7 +816,7 @@ impl Solver {
             flip = x.is_multiple_of(61);
         }
         while let Some(v) = self.order.pop(&self.activity) {
-            if self.assigns[v.index()] == LBool::Undef && !self.eliminated[v.index()] {
+            if self.assigns[v.index()] == LBool::Undef {
                 return Some(Lit::new(v, self.polarity[v.index()] ^ flip));
             }
         }
@@ -959,17 +890,13 @@ impl Solver {
         *self = winner;
     }
 
-    /// The `k` unassigned, non-eliminated variables with the highest
+    /// The `k` unassigned variables with the highest
     /// VSIDS activity (ties broken by index) — the cube split variables.
     /// Call at decision level 0.
     pub(crate) fn top_vsids_vars(&self, k: usize, exclude: &[Var]) -> Vec<Var> {
         let mut vs: Vec<Var> = (0..self.assigns.len() as u32)
             .map(Var)
-            .filter(|v| {
-                self.assigns[v.index()] == LBool::Undef
-                    && !self.eliminated[v.index()]
-                    && !exclude.contains(v)
-            })
+            .filter(|v| self.assigns[v.index()] == LBool::Undef && !exclude.contains(v))
             .collect();
         vs.sort_by(|a, b| {
             self.activity[b.index()]
@@ -1000,12 +927,6 @@ impl Solver {
     /// and the next call behaves as if the interrupted one never ran
     /// (modulo kept learnt clauses, which are implied by the database).
     pub fn solve_with_assumptions(&mut self, assumptions: &[Lit]) -> SolveResult {
-        assert!(
-            assumptions
-                .iter()
-                .all(|l| !self.eliminated[l.var().index()]),
-            "assumption mentions an eliminated variable — freeze() it before simplify()"
-        );
         if self.unsat {
             return SolveResult::Unsat;
         }
@@ -1178,11 +1099,7 @@ impl Solver {
             self.backtrack_to(0);
         }
         // On SAT we leave the assignment in place so `value` works; the next
-        // solve call must start from level 0 though. Eliminated variables
-        // get their values reconstructed from the elimination stack.
-        if result.is_sat() {
-            self.extend_model();
-        }
+        // solve call must start from level 0 though.
         result
     }
 

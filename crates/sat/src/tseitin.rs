@@ -1,6 +1,6 @@
 //! Circuit-building (Tseitin transformation) helpers on top of [`Solver`].
 
-use crate::{Lit, SimplifyStats, SolveResult, Solver};
+use crate::{Lit, SolveResult, Solver};
 
 /// A formula builder that owns a [`Solver`] and offers gate-level helpers.
 ///
@@ -302,32 +302,6 @@ impl Formula {
         assert!(!lits.is_empty(), "exactly-one over empty set");
         self.solver.add_clause(lits.to_vec());
         self.assert_at_most_one(lits);
-    }
-
-    /// Marks the literal's variable as frozen (exempt from simplification).
-    ///
-    /// See [`Solver::freeze`]. Every literal whose model value will be read
-    /// back, or that will appear in a later incremental query, must be
-    /// frozen before [`Formula::simplify`] is called.
-    pub fn freeze_lit(&mut self, l: Lit) {
-        self.solver.freeze(l.var());
-    }
-
-    /// Runs SatELite-style CNF simplification on the accumulated clauses.
-    ///
-    /// Gate output literals handed out by the hash-consing caches may be
-    /// eliminated or substituted away, so the caches are cleared: gates
-    /// built *after* this call get fresh output variables rather than
-    /// stale (possibly eliminated) ones.
-    pub fn simplify(&mut self) -> SimplifyStats {
-        if let Some(t) = self.true_lit {
-            // The shared constant is handed out freely; keep it meaningful.
-            self.solver.freeze(t.var());
-        }
-        self.and_cache.clear();
-        self.or_cache.clear();
-        self.iff_cache.clear();
-        self.solver.simplify()
     }
 
     /// Solves the accumulated formula.

@@ -140,44 +140,6 @@ proptest! {
         prop_assert_eq!(both.is_sat(), brute_force_sat(8, &cnf));
     }
 
-    /// `freeze` + bounded variable elimination + model reconstruction
-    /// round-trips random CNF: after `simplify`, the verdict matches the
-    /// brute-force oracle, and on Sat the *extended* model — including
-    /// every eliminated, never-frozen variable — satisfies every
-    /// original clause.
-    #[test]
-    fn simplify_roundtrips_random_cnf(
-        cnf in cnf_strategy(8),
-        freeze_mask in 0u32..256,
-    ) {
-        let mut s = Solver::new();
-        let vars: Vec<Lit> = (0..8).map(|_| s.new_lit()).collect();
-        for (i, l) in vars.iter().enumerate() {
-            if freeze_mask >> i & 1 == 1 {
-                s.freeze(l.var());
-            }
-        }
-        for clause in &cnf {
-            let lits: Vec<Lit> = clause
-                .iter()
-                .map(|&(v, pos)| if pos { vars[v] } else { !vars[v] })
-                .collect();
-            s.add_clause(lits);
-        }
-        let stats = s.simplify();
-        prop_assert!(stats.clauses_after <= stats.clauses_before);
-        let expected = brute_force_sat(8, &cnf);
-        prop_assert_eq!(s.solve().is_sat(), expected);
-        if expected {
-            for clause in &cnf {
-                let satisfied = clause
-                    .iter()
-                    .any(|&(v, pos)| s.value_or_false(vars[v]) == pos);
-                prop_assert!(satisfied, "extended model misses a clause");
-            }
-        }
-    }
-
     /// Clause-sharing soundness: every learnt clause a portfolio racer
     /// publishes to the exchange ring is implied by the original CNF —
     /// checked by refutation (CNF ∧ ¬C must be unsatisfiable). This is

@@ -22,7 +22,15 @@
 //! `mem_budget_mb` (solver memory) to unlimited. `faults` arms a
 //! per-job fault-injection plan and requires `--enable-faults`.
 //! `cache` (default `true`) lets a request opt out of the
-//! content-addressed result cache with `"cache": false`.
+//! content-addressed result cache with `"cache": false`. `simplify`
+//! is accepted for compatibility and ignored: no CNF simplification
+//! runs, and `done` responses always carry `"simplify":null`.
+//!
+//! A present field of the wrong JSON type is an error that names the
+//! field, never a silent default: `timeout_ms`, `budget` and
+//! `mem_budget_mb` must be non-negative integers, `cache` and
+//! `simplify` booleans, `model` and `faults` strings. JSON `null`
+//! means absent.
 //!
 //! ## Hygiene
 //!
@@ -99,9 +107,6 @@ pub struct VerifyRequest {
     pub timeout_ms: Option<u64>,
     /// SAT conflict budget per query.
     pub budget: Option<u64>,
-    /// Whether to run CNF simplification on the encoding (default
-    /// `true`; a `"simplify": false` field disables it).
-    pub simplify: bool,
     /// SAT memory budget in MiB; exceeding it answers `unknown` instead
     /// of letting one query OOM the process.
     pub mem_budget_mb: Option<u64>,
@@ -137,6 +142,23 @@ const VERIFY_FIELDS: &[&str] = &[
     "engine",
     "cache",
 ];
+
+/// An optional field: `None` when absent or JSON `null`, the value
+/// when `get` accepts it, and an error naming the field and the
+/// expected `kind` otherwise.
+fn optional<'a, T>(
+    v: &'a Json,
+    key: &str,
+    kind: &str,
+    get: impl FnOnce(&'a Json) -> Option<T>,
+) -> Result<Option<T>, String> {
+    match v.get(key) {
+        None | Some(Json::Null) => Ok(None),
+        Some(x) => get(x)
+            .map(Some)
+            .ok_or_else(|| format!("`{key}` must be {kind}")),
+    }
+}
 
 /// Rejects unknown top-level fields with a structured, named error.
 fn check_fields(v: &Json, verb: &str, extra: &[&str]) -> Result<(), String> {
@@ -225,18 +247,22 @@ pub fn parse_request(line: &str) -> Result<Envelope, String> {
                 Some(Json::Str(s)) => s.parse::<gpumc::EngineKind>()?,
                 Some(_) => return Err("`engine` must be a string".into()),
             };
+            let count = |key| optional(&v, key, "a non-negative integer", Json::as_u64);
+            let string = |key| optional(&v, key, "a string", |x| x.as_str().map(str::to_string));
+            let flag = |key| optional(&v, key, "a boolean", Json::as_bool);
+            // The no-op `simplify` field is still type-checked.
+            flag("simplify")?;
             Request::Verify(VerifyRequest {
                 source,
-                model: v.get("model").and_then(Json::as_str).map(str::to_string),
+                model: string("model")?,
                 bound,
-                timeout_ms: v.get("timeout_ms").and_then(Json::as_u64),
-                budget: v.get("budget").and_then(Json::as_u64),
-                simplify: v.get("simplify").and_then(Json::as_bool).unwrap_or(true),
-                mem_budget_mb: v.get("mem_budget_mb").and_then(Json::as_u64),
-                faults: v.get("faults").and_then(Json::as_str).map(str::to_string),
+                timeout_ms: count("timeout_ms")?,
+                budget: count("budget")?,
+                mem_budget_mb: count("mem_budget_mb")?,
+                faults: string("faults")?,
                 portfolio,
                 engine,
-                cache: v.get("cache").and_then(Json::as_bool).unwrap_or(true),
+                cache: flag("cache")?.unwrap_or(true),
             })
         }
         other => return Err(format!("unknown verb `{other}`")),
@@ -423,46 +449,7 @@ pub fn verify_response(
                 ("propagations".into(), Json::count(propagations)),
             ]),
         ),
-        (
-            "simplify".into(),
-            match &o.simplify {
-                None => Json::Null,
-                Some(sp) => Json::Obj(vec![
-                    ("vars_before".into(), Json::count(sp.vars_before as u64)),
-                    ("vars_after".into(), Json::count(sp.vars_after as u64)),
-                    (
-                        "clauses_before".into(),
-                        Json::count(sp.clauses_before as u64),
-                    ),
-                    ("clauses_after".into(), Json::count(sp.clauses_after as u64)),
-                    (
-                        "literals_before".into(),
-                        Json::count(sp.literals_before as u64),
-                    ),
-                    (
-                        "literals_after".into(),
-                        Json::count(sp.literals_after as u64),
-                    ),
-                    (
-                        "vars_eliminated".into(),
-                        Json::count(sp.vars_eliminated as u64),
-                    ),
-                    (
-                        "equivs_substituted".into(),
-                        Json::count(sp.equivs_substituted as u64),
-                    ),
-                    (
-                        "clauses_subsumed".into(),
-                        Json::count(sp.clauses_subsumed as u64),
-                    ),
-                    (
-                        "clauses_strengthened".into(),
-                        Json::count(sp.clauses_strengthened as u64),
-                    ),
-                    ("time_us".into(), Json::count(sp.time_us)),
-                ]),
-            },
-        ),
+        ("simplify".into(), Json::Null),
         (
             "portfolio".into(),
             match &o.portfolio {
@@ -825,6 +812,79 @@ mod tests {
         assert!(browned
             .to_string()
             .contains(r#""degraded":{"level":"cache-only"},"time_us""#));
+    }
+
+    /// The verify payload of a line that must parse.
+    fn verify(line: &str) -> VerifyRequest {
+        match parse_request(line).unwrap().request {
+            Request::Verify(v) => v,
+            other => panic!("{other:?}"),
+        }
+    }
+
+    /// The error for `"<field>":<value>`, which must name the field and
+    /// the `kind` it expects.
+    fn type_error(field: &str, value: &str, kind: &str) {
+        let line = format!(r#"{{"verb":"verify","source":"x","{field}":{value}}}"#);
+        let err = parse_request(&line).unwrap_err();
+        assert_eq!(err, format!("`{field}` must be {kind}"), "{line}");
+    }
+
+    const COUNT: &str = "a non-negative integer";
+
+    #[test]
+    fn timeout_ms_must_be_a_non_negative_integer() {
+        type_error("timeout_ms", r#""500""#, COUNT);
+        type_error("timeout_ms", "-1", COUNT);
+        type_error("timeout_ms", "2.5", COUNT);
+        let line = r#"{"verb":"verify","source":"x","timeout_ms":null}"#;
+        assert_eq!(verify(line).timeout_ms, None, "null means absent");
+    }
+
+    #[test]
+    fn budget_must_be_a_non_negative_integer() {
+        type_error("budget", r#""1000""#, COUNT);
+        type_error("budget", "true", COUNT);
+        let line = r#"{"verb":"verify","source":"x","budget":0}"#;
+        assert_eq!(verify(line).budget, Some(0));
+    }
+
+    #[test]
+    fn mem_budget_mb_must_be_a_non_negative_integer() {
+        type_error("mem_budget_mb", "-1", COUNT);
+        type_error("mem_budget_mb", r#""64""#, COUNT);
+    }
+
+    #[test]
+    fn cache_must_be_a_boolean() {
+        type_error("cache", r#""false""#, "a boolean");
+        type_error("cache", "0", "a boolean");
+        let line = r#"{"verb":"verify","source":"x","cache":null}"#;
+        assert!(verify(line).cache, "null means the default");
+    }
+
+    #[test]
+    fn simplify_must_be_a_boolean_and_changes_nothing() {
+        type_error("simplify", r#""false""#, "a boolean");
+        let plain = verify(r#"{"verb":"verify","source":"x"}"#);
+        for flag in ["true", "false", "null"] {
+            let line = format!(r#"{{"verb":"verify","source":"x","simplify":{flag}}}"#);
+            assert_eq!(verify(&line), plain, "{line}");
+        }
+    }
+
+    #[test]
+    fn model_must_be_a_string() {
+        type_error("model", "75", "a string");
+        type_error("model", r#"["ptx-v7.5"]"#, "a string");
+        let line = r#"{"verb":"verify","source":"x","model":null}"#;
+        assert_eq!(verify(line).model, None, "null still infers the model");
+    }
+
+    #[test]
+    fn faults_must_be_a_string() {
+        type_error("faults", "true", "a string");
+        type_error("faults", r#"{"serve.worker":"panic"}"#, "a string");
     }
 
     #[test]

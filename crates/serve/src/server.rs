@@ -917,7 +917,6 @@ fn run_verify_job(job: &Job, shared: &Arc<Shared>) -> Json {
         .with_bound(req.bound)
         .with_bounds_memo(Arc::clone(&shared.memo))
         .with_cancel_token(job.token.clone())
-        .with_simplify(req.simplify)
         .with_parallel(req.portfolio);
     if let Some(budget) = req.budget {
         verifier = verifier.with_conflict_budget(budget);
@@ -943,24 +942,6 @@ fn run_verify_job(job: &Job, shared: &Arc<Shared>) -> Json {
                 .add("solver_propagations_total", propagations);
             shared.metrics.observe_us("solve_us", o.phases.solve_us);
             shared.metrics.observe_us("encode_us", o.phases.encode_us);
-            if let Some(sp) = &o.simplify {
-                shared
-                    .metrics
-                    .add("simplify_vars_eliminated_total", sp.vars_eliminated as u64);
-                shared.metrics.add(
-                    "simplify_equivs_substituted_total",
-                    sp.equivs_substituted as u64,
-                );
-                shared.metrics.add(
-                    "simplify_clauses_removed_total",
-                    sp.clauses_before.saturating_sub(sp.clauses_after) as u64,
-                );
-                shared.metrics.add(
-                    "simplify_clauses_subsumed_total",
-                    sp.clauses_subsumed as u64,
-                );
-                shared.metrics.observe_us("simplify_us", sp.time_us);
-            }
             if let Some(p) = &o.portfolio {
                 shared.metrics.inc("portfolio_requests_total");
                 shared

@@ -26,7 +26,7 @@ use gpumc_serve::{DegradeLevel, Server, ServerConfig};
 const MP: &str = "PTX MP\\n{ x = 0; flag = 0; }\\nP0@cta 0,gpu 0 | P1@cta 1,gpu 0 ;\\nst.weak x, 1 | ld.weak r0, flag ;\\nst.weak flag, 1 | ld.weak r1, x ;\\nexists (P1:r0 == 1 /\\\\ P1:r1 == 0)";
 
 /// The canonical request sequence. Order matters: the second MP verify
-/// must be a cache hit, the `cache:false` one a deliberate miss.
+/// must be a cache hit, the `cache:false` ones deliberate misses.
 fn corpus_requests() -> Vec<(&'static str, String)> {
     vec![
         ("ping", r#"{"id":1,"verb":"ping"}"#.into()),
@@ -69,6 +69,16 @@ fn corpus_requests() -> Vec<(&'static str, String)> {
         (
             "faults-disabled",
             format!(r#"{{"id":13,"verb":"verify","source":"{MP}","faults":"encode.pre:panic"}}"#),
+        ),
+        (
+            "verify-simplify-field-ignored",
+            format!(
+                r#"{{"id":18,"verb":"verify","source":"{MP}","bound":1,"simplify":false,"cache":false}}"#
+            ),
+        ),
+        (
+            "timeout-not-an-integer",
+            format!(r#"{{"id":19,"verb":"verify","source":"{MP}","timeout_ms":"500"}}"#),
         ),
         ("shutdown", r#"{"id":14,"verb":"shutdown"}"#.into()),
     ]
@@ -273,6 +283,26 @@ fn corpus_cached_case_is_marked_cached() {
     // All three answer the same verdict object.
     assert_eq!(fresh.get("verdict"), hit.get("verdict"));
     assert_eq!(fresh.get("verdict"), off.get("verdict"));
+}
+
+/// `simplify` is a no-op field: apart from its `id`, the answer is the
+/// byte-identical fresh verification `verify-mp-cache-off` got. This
+/// also pins that two fresh encodings of one test in one process solve
+/// with identical counters.
+#[test]
+fn corpus_simplify_field_is_ignored() {
+    let actual = replay();
+    let without_id = |n: &str| {
+        let (_, _, r) = actual.iter().find(|(name, ..)| name == n).unwrap();
+        let Json::Obj(fields) = Json::parse(r).unwrap() else {
+            panic!("{n}: response is not an object");
+        };
+        Json::Obj(fields.into_iter().filter(|(k, _)| k != "id").collect()).to_string()
+    };
+    assert_eq!(
+        without_id("verify-simplify-field-ignored"),
+        without_id("verify-mp-cache-off")
+    );
 }
 
 /// The brownout cases must actually exercise the ladder: verdicts

@@ -1,22 +1,23 @@
-//! Differential conformance suite for CNF simplification
-//! (`Verifier::with_simplify`): for every catalog test, under every
-//! applicable model and under bounds 1 and 2, the three verdicts with
-//! SatELite-style simplification ON (the default) must be identical to
-//! the verdicts with simplification OFF, including which error class a
-//! failing configuration produces.
+//! Differential conformance suite for encoding simplification by
+//! relation analysis (`Verifier::with_relation_analysis`): for every
+//! catalog test, under every applicable model and under bounds 1 and 2,
+//! the three verdicts of the pruned encoding (the default) must be
+//! identical to the verdicts of the unpruned encoding, including which
+//! error class a failing configuration produces.
 //!
-//! This is the CI gate behind the simplifier: eliminating variables,
-//! subsuming clauses and substituting equivalent literals is only
-//! admissible because the frozen-variable contract keeps every
-//! witness-decoded and query-touched variable intact, and this suite
+//! The solver gets the encoding as built, with no CNF preprocessing
+//! (DESIGN.md §12). The one simplification left between the model and
+//! the solver is relation-analysis pruning: every relation pair the
+//! Table 3 bounds rule out is never encoded. Dropping those pairs is only
+//! admissible because it can never change an answer, and this suite
 //! checks that claim on the whole catalog rather than trusting the
-//! soundness argument in DESIGN.md §12.
+//! bounds computation.
 //!
-//! Witness comparison is by presence and validity, not exact assignment:
-//! both pipelines interpreter-revalidate every witness they return
-//! (`EncodeError::WitnessMismatch` otherwise), and two correct solvers
-//! may legitimately pick different satisfying executions — just as two
-//! `--fresh` runs may. What must never differ is whether one exists.
+//! Witness comparison is by presence, not exact assignment: both
+//! pipelines interpreter-revalidate every witness they return
+//! (`EncodeError::WitnessMismatch` otherwise), and two different
+//! formulas may legitimately yield different satisfying executions. What
+//! must never differ is whether one exists.
 
 use gpumc::{Verifier, VerifyError};
 use gpumc_catalog::Test;
@@ -28,18 +29,18 @@ fn err_class(e: &VerifyError) -> std::mem::Discriminant<VerifyError> {
     std::mem::discriminant(e)
 }
 
-/// Asserts that `check_all` with simplification on and off gives
-/// identical verdicts for one (test, model, bound) configuration.
+/// Asserts that `check_all` with relation-analysis pruning on and off
+/// gives identical verdicts for one (test, model, bound) configuration.
 fn assert_agreement(t: &Test, model: ModelKind, bound: u32) {
     let program = match gpumc::parse_litmus(&t.source) {
         Ok(p) => p,
         Err(e) => panic!("{} does not parse: {e}", t.name),
     };
     let v = Verifier::new(gpumc_models::load_shared(model)).with_bound(bound);
-    let on = v.clone().with_simplify(true).check_all(&program);
-    let off = v.with_simplify(false).check_all(&program);
+    let pruned = v.check_all(&program);
+    let full = v.with_relation_analysis(false).check_all(&program);
     let ctx = format!("{} under {model:?} at bound {bound}", t.name);
-    match (on, off) {
+    match (pruned, full) {
         (Ok(s), Ok(p)) => {
             assert_eq!(
                 s.assertion.reachable, p.assertion.reachable,
@@ -68,26 +69,18 @@ fn assert_agreement(t: &Test, model: ModelKind, bound: u32) {
                 p.data_races.as_ref().map(|d| d.violated),
                 "data-race verdict differs on {ctx}"
             );
-            // The simplified run must actually have simplified, and may
-            // only ever shrink the clause database.
-            let st = s
-                .simplify
-                .unwrap_or_else(|| panic!("no simplify stats on {ctx}"));
-            assert!(
-                st.clauses_after <= st.clauses_before,
-                "simplification grew the clause count on {ctx}: {st:?}"
-            );
-            assert!(p.simplify.is_none(), "stats recorded with simplify off");
+            // No CNF preprocessing runs on either path.
+            assert!(s.simplify.is_none() && p.simplify.is_none());
         }
         (Err(a), Err(b)) => {
             assert_eq!(
                 err_class(&a),
                 err_class(&b),
-                "error classes differ on {ctx}: simplified={a} plain={b}"
+                "error classes differ on {ctx}: pruned={a} unpruned={b}"
             );
         }
-        (Ok(_), Err(e)) => panic!("only the unsimplified path fails on {ctx}: {e}"),
-        (Err(e), Ok(_)) => panic!("only the simplified path fails on {ctx}: {e}"),
+        (Ok(_), Err(e)) => panic!("only the unpruned path fails on {ctx}: {e}"),
+        (Err(e), Ok(_)) => panic!("only the pruned path fails on {ctx}: {e}"),
     }
 }
 
