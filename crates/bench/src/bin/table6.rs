@@ -56,14 +56,11 @@ fn main() {
     let mut gpumc_count = 0usize;
     let mut gpumc_racy: Vec<(String, bool)> = Vec::new();
     let mut kernel_rows: Vec<Json> = Vec::new();
-    // (index into `verifiable`, µs) for ranking the slowest kernels.
-    let mut case_times: Vec<(usize, u128)> = Vec::new();
-    for (i, (case, (outcome, us))) in verifiable.iter().zip(verdicts).enumerate() {
+    for (case, (outcome, us)) in verifiable.iter().zip(verdicts) {
         match outcome {
             Ok(o) => {
                 gpumc_time += us;
                 gpumc_count += 1;
-                case_times.push((i, us));
                 gpumc_racy.push((case.name.clone(), o.violated));
                 kernel_rows.push(Json::Obj(vec![
                     ("name".into(), Json::str(case.name.as_str())),
@@ -257,131 +254,6 @@ fn main() {
         }
     );
 
-    // --- the portfolio-solve comparison: the slowest verifiable kernels
-    //     (ranked by the measured sequential DRF time above), checked
-    //     once sequentially and once racing diversified solvers with
-    //     learnt-clause sharing. On a single-core host the racers
-    //     time-slice, so any win must come from a diversified
-    //     configuration reaching the answer in fewer total conflicts —
-    //     record `host_parallelism` so readers can interpret the ratio.
-    const PORTFOLIO_WORKERS: u32 = 2;
-    const PORTFOLIO_SLOWEST: usize = 8;
-    let host_parallelism = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
-    let mut ranked = case_times.clone();
-    ranked.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
-    let slowest: Vec<usize> = ranked
-        .iter()
-        .take(PORTFOLIO_SLOWEST)
-        .map(|&(i, _)| i)
-        .collect();
-    // A sequential-vs-parallel wall-clock ratio is only a measurement
-    // when the racers actually run in parallel; on a one-core host it
-    // records time-slicing overhead as if it were a result, so the
-    // comparison is skipped (and annotated as such in the JSON).
-    let run_portfolio = host_parallelism > 1;
-    let mut seq_total_us = 0u128;
-    let mut par_total_us = 0u128;
-    let mut pstats = gpumc::gpumc_sat::PortfolioStats::default();
-    let mut portfolio_rows: Vec<Json> = Vec::new();
-    println!();
-    if run_portfolio {
-        println!(
-            "portfolio({PORTFOLIO_WORKERS}) vs sequential on the {} slowest kernels \
-             (host parallelism {host_parallelism}):",
-            slowest.len()
-        );
-    } else {
-        println!(
-            "portfolio({PORTFOLIO_WORKERS}) vs sequential: skipped — host parallelism is 1, \
-             so the racers would time-slice one core and the wall-clock ratio \
-             would measure scheduling overhead, not solver speedup"
-        );
-    }
-    for &i in slowest.iter().filter(|_| run_portfolio) {
-        let case = verifiable[i];
-        let kernel = case.kernel.as_ref().expect("verifiable kernels exist");
-        let text = emit_spirv(kernel);
-        let module = parse_spirv(&text).expect("parses");
-        let program = lower(&module, case.grid).expect("lowers");
-        let v = Verifier::new(gpumc_models::load_shared(ModelKind::Vulkan)).with_bound(bound);
-        let t0 = Instant::now();
-        let seq = v.clone().check_all(&program);
-        let seq_us = t0.elapsed().as_micros();
-        let t0 = Instant::now();
-        let par = v
-            .with_parallel(gpumc::gpumc_sat::ParallelPolicy::Portfolio(
-                PORTFOLIO_WORKERS,
-            ))
-            .check_all(&program);
-        let par_us = t0.elapsed().as_micros();
-        match (seq, par) {
-            (Ok(s), Ok(p)) => {
-                if s.assertion.reachable != p.assertion.reachable
-                    || s.liveness.violated != p.liveness.violated
-                    || s.data_races.as_ref().map(|d| d.violated)
-                        != p.data_races.as_ref().map(|d| d.violated)
-                {
-                    eprintln!("!! portfolio/sequential verdict mismatch on {}", case.name);
-                }
-                seq_total_us += seq_us;
-                par_total_us += par_us;
-                let ps = p.portfolio.unwrap_or_default();
-                pstats.absorb(&ps);
-                println!(
-                    "  {:24} sequential {:>8.1} ms   portfolio {:>8.1} ms   ({:>5.2}x, \
-                     winner {}, {} shared)",
-                    case.name,
-                    seq_us as f64 / 1000.0,
-                    par_us as f64 / 1000.0,
-                    if par_us > 0 {
-                        seq_us as f64 / par_us as f64
-                    } else {
-                        1.0
-                    },
-                    ps.winner.map_or("-".to_string(), |w| w.to_string()),
-                    ps.imported,
-                );
-                portfolio_rows.push(Json::Obj(vec![
-                    ("name".into(), Json::str(case.name.as_str())),
-                    ("sequential_us".into(), Json::count(seq_us as u64)),
-                    ("portfolio_us".into(), Json::count(par_us as u64)),
-                    (
-                        "winner".into(),
-                        ps.winner.map_or(Json::Null, |w| Json::count(u64::from(w))),
-                    ),
-                    ("exported".into(), Json::count(ps.exported)),
-                    ("imported".into(), Json::count(ps.imported)),
-                    ("cube_fallback".into(), Json::Bool(ps.cube_fallback)),
-                ]));
-            }
-            (s, p) => {
-                if let Err(e) = s {
-                    eprintln!("sequential check_all failed on {}: {e}", case.name);
-                }
-                if let Err(e) = p {
-                    eprintln!("portfolio check_all failed on {}: {e}", case.name);
-                }
-            }
-        }
-    }
-    if run_portfolio {
-        println!(
-            "  total: sequential {:>8.1} ms   portfolio {:>8.1} ms   speedup {:.2}x   \
-             ({} clauses exported, {} imported)",
-            seq_total_us as f64 / 1000.0,
-            par_total_us as f64 / 1000.0,
-            if par_total_us > 0 {
-                seq_total_us as f64 / par_total_us as f64
-            } else {
-                1.0
-            },
-            pstats.exported,
-            pstats.imported,
-        );
-    }
-
     // --- the DPOR-engine comparison: the same DRF check of every
     //     verifiable kernel under the pruned stateless exploration
     //     engine, step-capped so a high-interference kernel answers
@@ -453,11 +325,13 @@ fn main() {
     //     kernels (ranked by the sequential DPOR times above), re-checked
     //     with the work-stealing driver at N workers. Verdicts must be
     //     byte-identical; the wall-clock ratio is only a measurement when
-    //     the workers actually run in parallel, so — like the SAT
-    //     portfolio above — the comparison is skipped (and annotated as
-    //     such in the JSON) on a one-core host.
+    //     the workers actually run in parallel, so the comparison is
+    //     skipped (and annotated as such in the JSON) on a one-core host.
     const DPOR_PAR_WORKERS: u32 = 4;
     const DPOR_PAR_SLOWEST: usize = 6;
+    let host_parallelism = std::thread::available_parallelism()
+        .map(|n| n.get())
+        .unwrap_or(1);
     let run_dpor_par = host_parallelism > 1;
     let mut dpor_ranked = dpor_case_times.clone();
     dpor_ranked.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
@@ -501,9 +375,7 @@ fn main() {
         let seq_us = t0.elapsed().as_micros();
         let t0 = Instant::now();
         let par = v
-            .with_parallel(gpumc::gpumc_sat::ParallelPolicy::Portfolio(
-                DPOR_PAR_WORKERS,
-            ))
+            .with_parallel(gpumc::gpumc_exec::ParallelPolicy::Workers(DPOR_PAR_WORKERS))
             .check_data_races(&program);
         let par_us = t0.elapsed().as_micros();
         match (seq, par) {
@@ -738,52 +610,6 @@ fn main() {
                         }),
                     ),
                 ]),
-            ),
-            (
-                "portfolio".into(),
-                if !run_portfolio {
-                    Json::Obj(vec![
-                        ("skipped".into(), Json::Bool(true)),
-                        (
-                            "reason".into(),
-                            Json::str(
-                                "host_parallelism == 1: sequential-vs-parallel wall clock \
-                                 would measure time-slicing overhead, not speedup",
-                            ),
-                        ),
-                        ("workers".into(), Json::count(u64::from(PORTFOLIO_WORKERS))),
-                        (
-                            "host_parallelism".into(),
-                            Json::count(host_parallelism as u64),
-                        ),
-                    ])
-                } else {
-                    Json::Obj(vec![
-                        ("workers".into(), Json::count(u64::from(PORTFOLIO_WORKERS))),
-                        ("tests".into(), Json::count(portfolio_rows.len() as u64)),
-                        (
-                            "host_parallelism".into(),
-                            Json::count(host_parallelism as u64),
-                        ),
-                        ("sequential_us".into(), Json::count(seq_total_us as u64)),
-                        ("portfolio_us".into(), Json::count(par_total_us as u64)),
-                        (
-                            "speedup".into(),
-                            Json::num(if par_total_us > 0 {
-                                seq_total_us as f64 / par_total_us as f64
-                            } else {
-                                1.0
-                            }),
-                        ),
-                        ("clauses_exported".into(), Json::count(pstats.exported)),
-                        ("clauses_imported".into(), Json::count(pstats.imported)),
-                        (
-                            "cube_fallback_runs".into(),
-                            Json::count(u64::from(pstats.cube_fallback)),
-                        ),
-                        ("kernels".into(), Json::Arr(portfolio_rows)),
-                    ])
-                },
             ),
             (
                 "dpor".into(),

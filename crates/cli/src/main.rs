@@ -40,21 +40,18 @@ OPTIONS (verify):
                          `unknown` and exits 3
     --mem-budget-mb <n>  approximate memory budget for encode + solve;
                          exceeding it answers `unknown` and exits 3
-    --portfolio <n|auto> race N diversified solvers per query with
-                         lock-free learnt-clause sharing and a
-                         cube-and-conquer fallback (default: off;
-                         `auto` engages on expensive encodings);
-                         with --engine dpor: split the exploration
-                         tree over N work-stealing workers instead
-                         (`auto` uses all cores)
+    --portfolio <n|auto> DPOR workers only: with --engine dpor, split
+                         the exploration tree over N work-stealing
+                         workers (default: off; `auto` uses all
+                         cores); the other engines ignore it
     --witness            print the witness execution graph
 
 OPTIONS (suite):
     --jobs <n>           worker threads (default and 0: all cores; 1 = serial)
     --engine <e>         sat | enumerate | alloy | dpor  (default: sat)
     --model <name>       model override (default: per-test, from dialect)
-    --portfolio <n|auto> portfolio SAT solve / parallel DPOR exploration
-                         per test (default: off)
+    --portfolio <n|auto> DPOR workers per test with --engine dpor
+                         (default: off; the other engines ignore it)
     --thorough           also cross-check a secondary property per test,
                          answered from one incremental solver session
 
@@ -220,9 +217,9 @@ fn unknown_or_err(e: gpumc::VerifyError) -> Result<ExitCode, String> {
     }
 }
 
-/// One-line stderr diagnostic for the work-stealing DPOR driver,
-/// mirroring the SAT portfolio line; silent on sequential runs so the
-/// stdout verdict surface is unchanged.
+/// One-line stderr diagnostic for the work-stealing DPOR driver;
+/// silent on sequential runs so the stdout verdict surface is
+/// unchanged.
 fn report_dpor_parallel(stats: &gpumc::Stats) {
     if let Some(p) = &stats.dpor_parallel {
         eprintln!(
@@ -670,7 +667,7 @@ fn suite(args: &[String]) -> Result<ExitCode, String> {
                     Some(ModelKind::from_name(m).ok_or_else(|| format!("unknown model `{m}`"))?);
             }
             "--portfolio" => {
-                config.portfolio = gpumc::gpumc_sat::ParallelPolicy::parse(
+                config.portfolio = gpumc::gpumc_exec::ParallelPolicy::parse(
                     it.next().ok_or("--portfolio needs a value")?,
                 )?
             }
@@ -704,7 +701,7 @@ fn verify(args: &[String]) -> Result<ExitCode, String> {
     let mut show_witness = false;
     let mut all = false;
     let mut fresh = false;
-    let mut portfolio = gpumc::gpumc_sat::ParallelPolicy::Off;
+    let mut portfolio = gpumc::gpumc_exec::ParallelPolicy::Off;
     let mut it = args.iter();
     while let Some(a) = it.next() {
         match a.as_str() {
@@ -743,7 +740,7 @@ fn verify(args: &[String]) -> Result<ExitCode, String> {
                 )
             }
             "--portfolio" => {
-                portfolio = gpumc::gpumc_sat::ParallelPolicy::parse(
+                portfolio = gpumc::gpumc_exec::ParallelPolicy::parse(
                     it.next().ok_or("--portfolio needs a value")?,
                 )?
             }
@@ -921,24 +918,6 @@ fn verify_all(
     let stats = o.render_query_stats();
     if !stats.is_empty() {
         eprint!("{stats}");
-    }
-    if let Some(p) = &o.portfolio {
-        eprintln!(
-            "  portfolio: {} workers, winner {}, {} clauses exported, {} imported{}",
-            p.workers,
-            p.winner.map_or("none".to_string(), |w| w.to_string()),
-            p.exported,
-            p.imported,
-            if p.cube_fallback {
-                format!(
-                    ", cube fallback ({} cubes, winner {})",
-                    p.cubes,
-                    p.cube_winner.map_or("none".to_string(), |w| w.to_string())
-                )
-            } else {
-                String::new()
-            }
-        );
     }
     eprintln!("total {:.1} ms", o.total_time_us as f64 / 1000.0);
     if show_witness {

@@ -317,10 +317,6 @@ pub struct FullOutcome {
     /// Wall-clock time of the whole `check_all`, including compilation
     /// and encoding, in microseconds.
     pub total_time_us: u128,
-    /// Aggregate portfolio-solve statistics across the queries, or
-    /// `None` when every query solved sequentially (policy off, `Auto`
-    /// below its size threshold, or the fresh/enumeration path).
-    pub portfolio: Option<gpumc_sat::PortfolioStats>,
 }
 
 impl FullOutcome {
@@ -369,7 +365,7 @@ pub struct Verifier {
     cancel: Option<gpumc_sat::CancelToken>,
     conflict_budget: Option<u64>,
     mem_budget_mb: Option<u64>,
-    parallel: gpumc_sat::ParallelPolicy,
+    parallel: gpumc_exec::ParallelPolicy,
 }
 
 impl Verifier {
@@ -390,7 +386,7 @@ impl Verifier {
             cancel: None,
             conflict_budget: None,
             mem_budget_mb: None,
-            parallel: gpumc_sat::ParallelPolicy::Off,
+            parallel: gpumc_exec::ParallelPolicy::Off,
         }
     }
 
@@ -478,17 +474,14 @@ impl Verifier {
         self
     }
 
-    /// Selects the parallel solve strategy (builder style; off by
-    /// default). With the SAT engine,
-    /// [`gpumc_sat::ParallelPolicy::Portfolio`] races N diversified
-    /// solvers with lock-free clause sharing and a cube-and-conquer
-    /// fallback; `Auto` engages the portfolio only when the encoded CNF
-    /// looks expensive enough to pay for it. With the DPOR engine, the
-    /// same policy selects the work-stealing parallel driver instead: N
-    /// workers (or all cores under `Auto`) split the decision tree into
-    /// independent subtree tasks with a shared step budget and
-    /// first-witness-wins cancellation.
-    pub fn with_parallel(mut self, policy: gpumc_sat::ParallelPolicy) -> Verifier {
+    /// Selects the DPOR worker count (builder style; off by default).
+    /// With the DPOR engine, [`gpumc_exec::ParallelPolicy::Workers`]
+    /// selects the work-stealing parallel driver: N workers (or all
+    /// cores under `Auto`) split the decision tree into independent
+    /// subtree tasks with a shared step budget and first-witness-wins
+    /// cancellation. The other engines ignore it: every SAT query runs
+    /// one sequential CDCL search.
+    pub fn with_parallel(mut self, policy: gpumc_exec::ParallelPolicy) -> Verifier {
         self.parallel = policy;
         self
     }
@@ -833,7 +826,6 @@ impl Verifier {
             simplify: None,
             phases,
             total_time_us: total.elapsed().as_micros(),
-            portfolio: session.portfolio_stats(),
         })
     }
 
@@ -857,7 +849,6 @@ impl Verifier {
             simplify: None,
             phases: PhaseTimings::default(),
             total_time_us: total.elapsed().as_micros(),
-            portfolio: None,
         })
     }
 
@@ -883,8 +874,6 @@ impl Verifier {
                     .unwrap_or(usize::MAX)
                     .saturating_mul(1 << 20)
             }),
-            parallel: self.parallel,
-            ..EncodeOptions::default()
         }
     }
 
@@ -931,13 +920,13 @@ impl Verifier {
     }
 
     /// How many DPOR worker threads the parallel policy implies. `Off`
-    /// and `Portfolio(1)` run the sequential engine; `Auto` spans the
+    /// and `Workers(1)` run the sequential engine; `Auto` spans the
     /// host's cores (so a 1-core host degrades to sequential).
     fn dpor_workers(&self) -> usize {
         match self.parallel {
-            gpumc_sat::ParallelPolicy::Off => 1,
-            gpumc_sat::ParallelPolicy::Portfolio(n) => n.max(1) as usize,
-            gpumc_sat::ParallelPolicy::Auto => std::thread::available_parallelism()
+            gpumc_exec::ParallelPolicy::Off => 1,
+            gpumc_exec::ParallelPolicy::Workers(n) => n.max(1) as usize,
+            gpumc_exec::ParallelPolicy::Auto => std::thread::available_parallelism()
                 .map(std::num::NonZeroUsize::get)
                 .unwrap_or(1),
         }
@@ -1248,7 +1237,7 @@ exists (P0:r0 == 1)
         let seq = Verifier::new(gpumc_models::ptx60()).with_engine(EngineKind::Dpor);
         let par = seq
             .clone()
-            .with_parallel(gpumc_sat::ParallelPolicy::Portfolio(3));
+            .with_parallel(gpumc_exec::ParallelPolicy::Workers(3));
         let so = seq.check_assertion(&p).unwrap();
         let po = par.check_assertion(&p).unwrap();
         assert_eq!(so.reachable, po.reachable, "verdicts must agree");
@@ -1267,10 +1256,10 @@ exists (P0:r0 == 1)
         let preport = pl.stats.dpor_parallel.expect("parallel report recorded");
         assert!(!preport.stopped_early, "no violation, nothing to cancel");
         assert_eq!(Some(preport.stats), sl.stats.dpor, "exact stats merge");
-        // Off and Portfolio(1) stay on the sequential path.
+        // Off and Workers(1) stay on the sequential path.
         let one = seq
             .clone()
-            .with_parallel(gpumc_sat::ParallelPolicy::Portfolio(1));
+            .with_parallel(gpumc_exec::ParallelPolicy::Workers(1));
         assert!(one
             .check_assertion(&p)
             .unwrap()

@@ -90,9 +90,9 @@ pub struct SuiteConfig {
     /// incremental solver session as the primary. SAT engine only;
     /// secondary verdicts never affect pass/fail.
     pub thorough: bool,
-    /// Parallel solve strategy applied to every test's verifier
-    /// (off / portfolio(N) / auto). SAT engine only.
-    pub portfolio: gpumc_sat::ParallelPolicy,
+    /// DPOR worker count applied to every test's verifier
+    /// (off / workers(N) / auto). The other engines ignore it.
+    pub portfolio: gpumc_exec::ParallelPolicy,
 }
 
 impl Default for SuiteConfig {
@@ -103,7 +103,7 @@ impl Default for SuiteConfig {
             model: None,
             enum_cap: None,
             thorough: false,
-            portfolio: gpumc_sat::ParallelPolicy::Off,
+            portfolio: gpumc_exec::ParallelPolicy::Off,
         }
     }
 }

@@ -21,8 +21,6 @@ pub struct EncodeOptions {
     /// Whether to prune the encoding with relation-analysis bounds
     /// (disable for the ablation benchmark).
     pub use_bounds: bool,
-    /// Print per-stage size diagnostics to stderr.
-    pub trace: bool,
     /// Watchdog for the *encode* phase: polled between build stages and
     /// inside the axiom loop, so a deadline or cancellation fires during
     /// a pathological encoding too, not only once solving starts.
@@ -32,10 +30,6 @@ pub struct EncodeOptions {
     /// build stages so an encoding blow-up aborts with a classified
     /// [`EncodeError::Unknown`] instead of exhausting the host.
     pub mem_budget_bytes: Option<usize>,
-    /// How queries on the encoding are solved: sequentially, with a
-    /// diversified portfolio, or decided per query from the encoding's
-    /// size (`Auto`). See [`gpumc_sat::ParallelPolicy`].
-    pub parallel: gpumc_sat::ParallelPolicy,
 }
 
 impl Default for EncodeOptions {
@@ -43,10 +37,8 @@ impl Default for EncodeOptions {
         EncodeOptions {
             bv_width: 8,
             use_bounds: true,
-            trace: false,
             cancel: None,
             mem_budget_bytes: None,
-            parallel: gpumc_sat::ParallelPolicy::Off,
         }
     }
 }
@@ -110,18 +102,6 @@ impl EncRel {
 #[derive(Debug, Clone, Default)]
 struct EncSet {
     members: BTreeMap<u32, Lit>,
-}
-
-/// Like [`encode`] but prints per-stage variable counts to stderr
-/// (diagnostics for the encoding-size experiments).
-pub fn encode_traced<'g>(
-    graph: &'g EventGraph,
-    model: &CatModel,
-    opts: &EncodeOptions,
-) -> Result<Encoding<'g>, EncodeError> {
-    let mut opts = opts.clone();
-    opts.trace = true;
-    encode(graph, model, &opts)
 }
 
 /// Builds the encoding of a graph under a model.
@@ -199,7 +179,6 @@ fn build<'g>(
         positions: Vec::new(),
         bounds_us: 0,
         encode_us: 0,
-        portfolio: None,
     };
     let t0 = Instant::now();
     enc.build()?;
@@ -253,9 +232,6 @@ pub struct Encoding<'g> {
     bounds_us: u64,
     /// Time spent building the SAT encoding, microseconds.
     encode_us: u64,
-    /// Aggregate portfolio statistics across every parallel query run on
-    /// this encoding (`None` until a portfolio solve happens).
-    portfolio: Option<gpumc_sat::PortfolioStats>,
 }
 
 impl<'g> Encoding<'g> {
@@ -270,16 +246,6 @@ impl<'g> Encoding<'g> {
         self.f.solver().num_clauses()
     }
 
-    fn trace(&self, stage: &str) {
-        if self.opts.trace {
-            eprintln!(
-                "[encode] {stage}: vars={} clauses={}",
-                self.num_vars(),
-                self.num_clauses()
-            );
-        }
-    }
-
     // ------------------------------------------------------------------
     // construction
     // ------------------------------------------------------------------
@@ -291,20 +257,15 @@ impl<'g> Encoding<'g> {
         if let Some(token) = self.opts.cancel.clone() {
             self.f.solver_mut().set_cancel_token(Some(token));
         }
-        self.trace("start");
         self.encode_control_flow();
         self.watchdog("control")?;
-        self.trace("control");
         self.encode_data_flow();
         self.watchdog("data")?;
-        self.trace("data");
         self.encode_exec_events();
         self.encode_rf();
         self.watchdog("rf")?;
-        self.trace("rf");
         self.encode_co();
         self.watchdog("co")?;
-        self.trace("co");
         self.encode_sync_fence();
         self.encode_model()?;
         self.watchdog("model")?;
@@ -723,7 +684,6 @@ impl<'g> Encoding<'g> {
                             self.def_rels.push(Some(rel));
                         }
                     }
-                    self.trace(&format!("def {}", defs[i].name));
                     i += 1;
                 }
                 Some(group) => {
@@ -772,7 +732,6 @@ impl<'g> Encoding<'g> {
         for (idx, axiom) in model.axioms().iter().enumerate() {
             self.watchdog(&format!("axiom {}", axiom.label(idx)))?;
             let rel = self.enc_rel(&axiom.expr);
-            self.trace(&format!("axiom {}", axiom.label(idx)));
             if axiom.flagged {
                 self.flag_rels.insert(axiom.label(idx), rel);
                 continue;
@@ -1370,43 +1329,8 @@ impl<'g> Encoding<'g> {
         self.solve_and_decode(act)
     }
 
-    /// Portfolio workers used when [`gpumc_sat::ParallelPolicy::Auto`]
-    /// decides a query is worth parallelizing.
-    const AUTO_WORKERS: u32 = 4;
-    /// `Auto` races a portfolio only above this many problem clauses.
-    /// The clause count is the bounds-pruned cost predictor: it is a
-    /// direct function of the relation-analysis upper bounds (served
-    /// from the `BoundsMemo`), which determine how many rf/co pairs the
-    /// encoding materializes. Below the threshold thread setup dominates
-    /// any conceivable solve-time win.
-    const AUTO_CLAUSE_THRESHOLD: usize = 3_000;
-
-    /// Resolves the configured [`gpumc_sat::ParallelPolicy`] for the next
-    /// query: `None` means solve sequentially.
-    fn portfolio_config(&self) -> Option<gpumc_sat::PortfolioConfig> {
-        use gpumc_sat::ParallelPolicy;
-        match self.opts.parallel {
-            ParallelPolicy::Off => None,
-            ParallelPolicy::Portfolio(n) if n >= 2 => {
-                Some(gpumc_sat::PortfolioConfig::with_workers(n))
-            }
-            ParallelPolicy::Portfolio(_) => None,
-            ParallelPolicy::Auto => (self.num_clauses() >= Self::AUTO_CLAUSE_THRESHOLD)
-                .then(|| gpumc_sat::PortfolioConfig::with_workers(Self::AUTO_WORKERS)),
-        }
-    }
-
     fn solve_and_decode(&mut self, act: Lit) -> Result<QueryResult<'g>, EncodeError> {
-        let result = match self.portfolio_config() {
-            None => self.f.solve_with_assumptions(&[act]),
-            Some(cfg) => {
-                let (result, stats) = self.f.solve_parallel(&[act], &cfg);
-                self.portfolio
-                    .get_or_insert_with(Default::default)
-                    .absorb(&stats);
-                result
-            }
-        };
+        let result = self.f.solve_with_assumptions(&[act]);
         if let Some(interrupt) = result.interrupt() {
             return Err(EncodeError::Unknown(interrupt.to_string()));
         }
@@ -1525,17 +1449,6 @@ impl<'g> Encoding<'g> {
     /// Solver statistics.
     pub fn solver_stats(&self) -> gpumc_sat::Stats {
         self.f.solver().stats()
-    }
-
-    /// Overrides the parallel-solve policy for subsequent queries.
-    pub fn set_parallel(&mut self, policy: gpumc_sat::ParallelPolicy) {
-        self.opts.parallel = policy;
-    }
-
-    /// Aggregate portfolio statistics over every parallel query run on
-    /// this encoding so far; `None` when no query used the portfolio.
-    pub fn portfolio_stats(&self) -> Option<gpumc_sat::PortfolioStats> {
-        self.portfolio
     }
 
     /// Microseconds spent computing relation-analysis bounds for this

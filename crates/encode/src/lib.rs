@@ -44,8 +44,6 @@ mod session;
 
 pub use bounds::{RelationAnalysis, StaticBounds};
 pub use cost::{engine_weight, estimate_cost};
-pub use encode::{
-    encode, encode_memoized, encode_traced, EncodeError, EncodeOptions, Encoding, QueryResult,
-};
+pub use encode::{encode, encode_memoized, EncodeError, EncodeOptions, Encoding, QueryResult};
 pub use memo::BoundsMemo;
 pub use session::{QueryRecord, QueryStats, SolverSession};

@@ -211,18 +211,6 @@ impl<'g> SolverSession<'g> {
         self.enc.set_conflict_budget(budget);
     }
 
-    /// Overrides the parallel-solve policy for subsequent queries of
-    /// this session (see [`Encoding::set_parallel`]).
-    pub fn set_parallel(&mut self, policy: gpumc_sat::ParallelPolicy) {
-        self.enc.set_parallel(policy);
-    }
-
-    /// Aggregate portfolio statistics across this session's parallel
-    /// queries, or `None` when every query solved sequentially.
-    pub fn portfolio_stats(&self) -> Option<gpumc_sat::PortfolioStats> {
-        self.enc.portfolio_stats()
-    }
-
     /// Microseconds spent on relation-analysis bounds during build.
     pub fn bounds_time_us(&self) -> u64 {
         self.enc.bounds_time_us()

@@ -49,6 +49,45 @@ use crate::dpor::{explore_plan, SharedProgress};
 use crate::enumerate::Behavior;
 use crate::{DporError, DporOptions, DporStats};
 
+/// How many workers a DPOR run uses. Plumbed from the CLI's
+/// `--portfolio` option and serve's `portfolio` request field (the names
+/// predate the DPOR driver) down to [`dpor_explore_parallel`]; the SAT
+/// engine ignores it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub enum ParallelPolicy {
+    /// The sequential engine (the default).
+    #[default]
+    Off,
+    /// Split the exploration over this many work-stealing workers.
+    Workers(u32),
+    /// One worker per available core (sequential on a 1-core host).
+    Auto,
+}
+
+impl ParallelPolicy {
+    /// Parses a CLI/request value: `off`, `auto`, or a worker count.
+    pub fn parse(s: &str) -> Result<ParallelPolicy, String> {
+        match s {
+            "off" | "0" | "1" => Ok(ParallelPolicy::Off),
+            "auto" => Ok(ParallelPolicy::Auto),
+            _ => s
+                .parse::<u32>()
+                .map(ParallelPolicy::Workers)
+                .map_err(|_| format!("invalid portfolio value `{s}` (want off, auto, or N)")),
+        }
+    }
+}
+
+impl std::fmt::Display for ParallelPolicy {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            ParallelPolicy::Off => write!(f, "off"),
+            ParallelPolicy::Workers(n) => write!(f, "workers({n})"),
+            ParallelPolicy::Auto => write!(f, "auto"),
+        }
+    }
+}
+
 /// Result of one parallel DPOR run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DporParReport {
@@ -73,7 +112,7 @@ const TASKS_PER_WORKER: usize = 4;
 /// Explores all consistent behaviours with DPOR across `workers`
 /// threads, invoking `visit` for each (concurrently; it must be `Sync`).
 /// Returning [`ControlFlow::Break`] cancels the remaining tasks — first
-/// violation wins, as in the SAT portfolio.
+/// violation wins.
 ///
 /// # Errors
 ///
@@ -259,4 +298,19 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
         .or_else(|| payload.downcast_ref::<String>().cloned())
         .unwrap_or_else(|| "opaque panic payload".into());
     format!("worker panicked: {msg}")
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn parallel_policy_parses() {
+        assert_eq!(ParallelPolicy::parse("off"), Ok(ParallelPolicy::Off));
+        assert_eq!(ParallelPolicy::parse("1"), Ok(ParallelPolicy::Off));
+        assert_eq!(ParallelPolicy::parse("auto"), Ok(ParallelPolicy::Auto));
+        assert_eq!(ParallelPolicy::parse("4"), Ok(ParallelPolicy::Workers(4)));
+        assert!(ParallelPolicy::parse("lots").is_err());
+        assert_eq!(ParallelPolicy::Workers(2).to_string(), "workers(2)");
+    }
 }

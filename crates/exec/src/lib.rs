@@ -36,7 +36,7 @@ mod interp;
 pub use base::BaseInterpretation;
 pub use bitrel::{EventSet, Relation};
 pub use dpor::{dpor_explore, dpor_explore_interruptible, DporError, DporOptions, DporStats};
-pub use dpor_par::{dpor_explore_parallel, DporParReport};
+pub use dpor_par::{dpor_explore_parallel, DporParReport, ParallelPolicy};
 pub use enumerate::{enumerate, enumerate_consistent, Behavior, EnumerateError, EnumerateOptions};
 pub use execution::{Execution, ThreadOutcome};
 pub use interp::{ConsistencyVerdict, FlagHit, Interpreter};

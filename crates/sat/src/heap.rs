@@ -64,14 +64,6 @@ impl VarHeap {
         Some(top)
     }
 
-    /// Re-heapifies in place after a bulk activity rewrite (bottom-up
-    /// Floyd construction, `O(n)`); membership is unchanged.
-    pub(crate) fn rebuild(&mut self, activity: &[f64]) {
-        for i in (0..self.heap.len() / 2).rev() {
-            self.sift_down(i, activity);
-        }
-    }
-
     /// Restores heap order after `v`'s activity increased.
     pub(crate) fn update(&mut self, v: Var, activity: &[f64]) {
         if let Some(&p) = self.pos.get(v.index()) {

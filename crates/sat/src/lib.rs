@@ -31,13 +31,11 @@
 pub mod bv;
 mod cancel;
 mod heap;
-pub mod portfolio;
 mod solver;
 mod tseitin;
 
 pub use cancel::{CancelToken, Interrupt};
-pub use portfolio::{ParallelPolicy, PortfolioConfig, PortfolioStats};
-pub use solver::{SearchParams, SolveResult, Solver, Stats};
+pub use solver::{SolveResult, Solver, Stats};
 pub use tseitin::Formula;
 
 /// Sizes and wall time of a CNF simplification pass.

@@ -103,45 +103,12 @@ struct Watcher {
     blocker: Lit,
 }
 
-/// Tunable search heuristics — the diversification axes of the portfolio
-/// mode. Every racer solves the same clause database under a different
-/// [`SearchParams`]; the defaults reproduce the solver's historical
-/// behaviour exactly.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct SearchParams {
-    /// Base of the Luby restart schedule (restart after
-    /// `restart_base * luby(i)` conflicts).
-    pub restart_base: u64,
-    /// VSIDS decay factor: `var_inc /= var_decay` after every conflict.
-    /// Smaller values forget old conflicts faster.
-    pub var_decay: f64,
-    /// Initial phase-saving polarity for fresh variables.
-    pub default_polarity: bool,
-    /// Decision seed. Zero disables randomization; any other value
-    /// perturbs saved polarities/activities once (see
-    /// [`Solver::set_search_params`]) and occasionally flips a decision
-    /// polarity during search.
-    pub seed: u64,
-}
+/// Base of the Luby restart schedule: restart after
+/// `RESTART_BASE * luby(i)` conflicts.
+const RESTART_BASE: u64 = 32;
 
-impl Default for SearchParams {
-    fn default() -> SearchParams {
-        SearchParams {
-            restart_base: 32,
-            var_decay: 0.95,
-            default_polarity: false,
-            seed: 0,
-        }
-    }
-}
-
-/// SplitMix64: a cheap, well-mixed hash for seeding per-variable noise.
-pub(crate) fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9e3779b97f4a7c15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xbf58476d1ce4e5b9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94d049bb133111eb);
-    x ^ (x >> 31)
-}
+/// VSIDS decay factor: `var_inc /= VAR_DECAY` after every conflict.
+const VAR_DECAY: f64 = 0.95;
 
 /// A MiniSat-style CDCL SAT solver.
 ///
@@ -150,10 +117,6 @@ pub(crate) fn splitmix64(mut x: u64) -> u64 {
 /// time between `solve` calls, and `solve_with_assumptions` allows querying
 /// the same clause database under different temporary hypotheses (gpumc uses
 /// this to check safety and liveness over one program encoding).
-///
-/// The solver is `Clone`: a clone is an independent snapshot of the full
-/// search state (database, learnt clauses, activities, saved phases),
-/// which is how [`crate::portfolio`] forks diversified racers.
 #[derive(Debug, Clone)]
 pub struct Solver {
     clauses: Vec<Clause>,
@@ -195,16 +158,6 @@ pub struct Solver {
     /// Number of tombstoned (deleted, not yet compacted) arena slots;
     /// the garbage-collection trigger.
     n_deleted: usize,
-    /// Search heuristics; varied per racer by the portfolio mode.
-    params: SearchParams,
-    /// xorshift64 state for seeded decision randomization (0 = off).
-    rand_state: u64,
-    /// Learnt-clause exchange endpoint, installed on portfolio racers.
-    /// Exports low-glue clauses at learn time, imports foreign clauses at
-    /// restarts, and carries the *external* cancellation token so a racer
-    /// observes both the race's first-winner cancel (via `cancel`) and
-    /// the caller's token.
-    exchange: Option<crate::portfolio::ExchangeLink>,
 }
 
 impl Solver {
@@ -235,34 +188,6 @@ impl Solver {
             n_learnt: 0,
             max_learnt: 8_192,
             n_deleted: 0,
-            params: SearchParams::default(),
-            rand_state: 0,
-            exchange: None,
-        }
-    }
-
-    /// The active search heuristics.
-    pub fn search_params(&self) -> SearchParams {
-        self.params
-    }
-
-    /// Replaces the search heuristics.
-    ///
-    /// With a non-zero seed this also perturbs the saved polarities and
-    /// adds tiny deterministic activity jitter for *existing* variables,
-    /// so two clones of one solver diverge immediately instead of only
-    /// after their restart schedules drift apart.
-    pub fn set_search_params(&mut self, params: SearchParams) {
-        self.params = params;
-        self.rand_state = params.seed;
-        if params.seed != 0 {
-            for i in 0..self.assigns.len() {
-                let h = splitmix64(params.seed ^ (i as u64));
-                self.polarity[i] = h & 1 == 1;
-                // Jitter far below any bumped activity: only reorders ties.
-                self.activity[i] += (h >> 40) as f64 * 1e-14;
-            }
-            self.order.rebuild(&self.activity);
         }
     }
 
@@ -358,7 +283,7 @@ impl Solver {
     pub fn new_var(&mut self) -> Var {
         let v = Var(self.assigns.len() as u32);
         self.assigns.push(LBool::Undef);
-        self.polarity.push(self.params.default_polarity);
+        self.polarity.push(false);
         self.activity.push(0.0);
         self.reason.push(None);
         self.level.push(0);
@@ -551,6 +476,18 @@ impl Solver {
             self.clauses.len(),
             self.clauses.iter().filter(|c| c.deleted).count(),
         )
+    }
+
+    /// The live (not deleted) learnt clauses, in arena order. Test hook
+    /// for the learnt-clause soundness property; not part of the public
+    /// API.
+    #[doc(hidden)]
+    pub fn learnt_clauses(&self) -> Vec<Vec<Lit>> {
+        self.clauses
+            .iter()
+            .filter(|c| c.learnt && !c.deleted)
+            .map(|c| c.lits.clone())
+            .collect()
     }
 
     /// Overrides the learnt-clause cap that triggers database
@@ -803,108 +740,12 @@ impl Solver {
     }
 
     fn pick_branch(&mut self) -> Option<Lit> {
-        // With a seed armed, occasionally flip the phase of a decision —
-        // the cheap per-decision diversification axis. Completeness is
-        // untouched: the variable choice itself stays VSIDS-driven.
-        let mut flip = false;
-        if self.rand_state != 0 {
-            let mut x = self.rand_state;
-            x ^= x << 13;
-            x ^= x >> 7;
-            x ^= x << 17;
-            self.rand_state = x;
-            flip = x.is_multiple_of(61);
-        }
         while let Some(v) = self.order.pop(&self.activity) {
             if self.assigns[v.index()] == LBool::Undef {
-                return Some(Lit::new(v, self.polarity[v.index()] ^ flip));
+                return Some(Lit::new(v, self.polarity[v.index()]));
             }
         }
         None
-    }
-
-    /// Installs (or removes) the portfolio clause-exchange endpoint.
-    pub(crate) fn set_exchange(&mut self, link: Option<crate::portfolio::ExchangeLink>) {
-        self.exchange = link;
-    }
-
-    /// Checks the *caller's* token carried by the exchange link, in
-    /// addition to the racer-local `cancel` (the race token).
-    #[inline]
-    fn external_stop(&self, poll_clock: bool) -> Option<Interrupt> {
-        self.exchange
-            .as_ref()
-            .and_then(|x| x.external_stop(poll_clock))
-    }
-
-    /// Drains foreign learnt clauses from the exchange ring into the
-    /// database. Must be called at decision level 0 (imported units are
-    /// enqueued directly; the next `propagate` absorbs them). Returns
-    /// `Some(Unsat)` when an import empties under the root assignment.
-    fn import_shared(&mut self) -> Option<SolveResult> {
-        debug_assert_eq!(self.decision_level(), 0);
-        let mut link = self.exchange.take()?;
-        let mut out = None;
-        while let Some((lits, glue)) = link.next_import() {
-            let mut ls = lits;
-            let mut satisfied = false;
-            ls.retain(|&l| match self.lit_value(l) {
-                LBool::True => {
-                    satisfied = true;
-                    false
-                }
-                LBool::False => false,
-                LBool::Undef => true,
-            });
-            if satisfied {
-                continue;
-            }
-            match ls.len() {
-                0 => {
-                    self.unsat = true;
-                    out = Some(SolveResult::Unsat);
-                    break;
-                }
-                1 => self.unchecked_enqueue(ls[0], None),
-                _ => {
-                    self.attach_clause(ls, true, glue);
-                }
-            }
-        }
-        self.exchange = Some(link);
-        out
-    }
-
-    /// Replaces this solver's state with a portfolio winner's, keeping
-    /// the caller-facing configuration (params, budgets, token) so the
-    /// adoption is invisible except for the extra learnt clauses and the
-    /// winner's model/verdict. Stats are monotone: the winner is a clone
-    /// of `self` that only did *more* work.
-    pub(crate) fn adopt_from_portfolio(&mut self, mut winner: Solver) {
-        winner.params = self.params;
-        winner.rand_state = self.rand_state;
-        winner.conflict_budget = self.conflict_budget;
-        winner.mem_budget = self.mem_budget;
-        winner.cancel = self.cancel.take();
-        winner.exchange = None;
-        *self = winner;
-    }
-
-    /// The `k` unassigned variables with the highest
-    /// VSIDS activity (ties broken by index) — the cube split variables.
-    /// Call at decision level 0.
-    pub(crate) fn top_vsids_vars(&self, k: usize, exclude: &[Var]) -> Vec<Var> {
-        let mut vs: Vec<Var> = (0..self.assigns.len() as u32)
-            .map(Var)
-            .filter(|v| self.assigns[v.index()] == LBool::Undef && !exclude.contains(v))
-            .collect();
-        vs.sort_by(|a, b| {
-            self.activity[b.index()]
-                .total_cmp(&self.activity[a.index()])
-                .then(a.index().cmp(&b.index()))
-        });
-        vs.truncate(k);
-        vs
     }
 
     /// Solves the current clause database.
@@ -935,20 +776,14 @@ impl Solver {
         if let Some(i) = self.cancel.as_ref().and_then(|c| c.should_stop(true)) {
             return SolveResult::Unknown(i);
         }
-        if let Some(i) = self.external_stop(true) {
-            return SolveResult::Unknown(i);
-        }
         if self.over_mem_budget() {
             return SolveResult::Unknown(Interrupt::MemBudget);
         }
         self.backtrack_to(0);
-        if let Some(r) = self.import_shared() {
-            return r;
-        }
         let mut luby_index = 0u64;
         let entry_conflicts = self.stats.conflicts;
         let mut conflicts_at_start = self.stats.conflicts;
-        let mut restart_limit = self.params.restart_base * luby(luby_index);
+        let mut restart_limit = RESTART_BASE * luby(luby_index);
         let mut decisions = 0u64;
         let result = 'outer: loop {
             if let Some(confl) = self.propagate() {
@@ -964,9 +799,6 @@ impl Solver {
                     .as_ref()
                     .and_then(|c| c.should_stop(spent.is_multiple_of(128)))
                 {
-                    break SolveResult::Unknown(i);
-                }
-                if let Some(i) = self.external_stop(spent.is_multiple_of(128)) {
                     break SolveResult::Unknown(i);
                 }
                 // The byte estimate is maintained incrementally, so the
@@ -995,11 +827,6 @@ impl Solver {
                 self.stats.max_glue = self.stats.max_glue.max(glue);
                 self.stats.glue_sum += u64::from(glue);
                 self.stats.glued += 1;
-                // Learnt clauses are implied by the shared database, so
-                // racers may exchange them freely; low glue first.
-                if let Some(link) = self.exchange.as_mut() {
-                    link.maybe_export(&learnt, glue);
-                }
                 // Do not backtrack past the assumptions; if the learnt clause
                 // asserts below assumption depth, re-propagation decides.
                 self.backtrack_to(bt);
@@ -1036,19 +863,13 @@ impl Solver {
                     self.stats.restarts += 1;
                     luby_index += 1;
                     conflicts_at_start = self.stats.conflicts;
-                    restart_limit = self.params.restart_base * luby(luby_index);
+                    restart_limit = RESTART_BASE * luby(luby_index);
                     self.backtrack_to(0);
-                    // Root level is the one safe point to absorb foreign
-                    // learnt clauses (units enqueue cleanly, watches see
-                    // no false literals).
-                    if let Some(r) = self.import_shared() {
-                        break r;
-                    }
                 }
                 if self.n_learnt > self.max_learnt {
                     self.reduce_db();
                 }
-                self.var_inc /= self.params.var_decay;
+                self.var_inc /= VAR_DECAY;
                 self.cla_inc /= 0.999;
             } else {
                 // Re-establish assumptions that are not yet on the trail.
@@ -1075,9 +896,6 @@ impl Solver {
                 decisions += 1;
                 if decisions.is_multiple_of(1024) {
                     if let Some(i) = self.cancel.as_ref().and_then(|c| c.should_stop(true)) {
-                        break SolveResult::Unknown(i);
-                    }
-                    if let Some(i) = self.external_stop(true) {
                         break SolveResult::Unknown(i);
                     }
                 }

@@ -316,19 +316,6 @@ impl Formula {
         self.solver.solve_with_assumptions(assumptions)
     }
 
-    /// Solves under assumptions with a diversified portfolio (see
-    /// [`crate::portfolio::solve_portfolio`]); on a definitive answer the
-    /// winner's state is adopted, so `value` and later incremental
-    /// queries behave exactly as after a sequential solve.
-    pub fn solve_parallel(
-        &mut self,
-        assumptions: &[Lit],
-        config: &crate::portfolio::PortfolioConfig,
-    ) -> (SolveResult, crate::portfolio::PortfolioStats) {
-        self.solver.clear_model();
-        crate::portfolio::solve_portfolio(&mut self.solver, assumptions, config)
-    }
-
     /// Model value of a literal after a `Sat` result.
     pub fn value(&self, l: Lit) -> Option<bool> {
         self.solver.value(l)

@@ -140,91 +140,61 @@ proptest! {
         prop_assert_eq!(both.is_sat(), brute_force_sat(8, &cnf));
     }
 
-    /// Clause-sharing soundness: every learnt clause a portfolio racer
-    /// publishes to the exchange ring is implied by the original CNF —
-    /// checked by refutation (CNF ∧ ¬C must be unsatisfiable). This is
-    /// the load-bearing claim behind importing foreign clauses: a racer
-    /// that absorbs them solves an equisatisfiable formula.
+    /// Learnt-clause soundness across incremental queries: after several
+    /// assumption-guarded queries on one solver, every live learnt clause
+    /// C is implied by the clause database — checked by brute-force
+    /// refutation (no assignment satisfies the database and falsifies C).
+    /// This is the load-bearing claim behind carrying learnt clauses from
+    /// one property query to the next over one encoding.
     #[test]
     fn shared_clauses_are_implied_by_the_cnf(cnf in cnf_strategy(8)) {
         let mut s = Solver::new();
         let vars: Vec<Lit> = (0..8).map(|_| s.new_lit()).collect();
-        for clause in &cnf {
-            let lits: Vec<Lit> = clause
-                .iter()
-                .map(|&(v, pos)| if pos { vars[v] } else { !vars[v] })
-                .collect();
-            s.add_clause(lits);
-        }
-        // A small ring keeps the snapshot cheap; glue limit at the
-        // ceiling exports aggressively so the trace is non-trivial on
-        // conflict-heavy instances.
-        let config = gpumc_sat::PortfolioConfig {
-            workers: 3,
-            share_glue_init: 6,
-            ..gpumc_sat::PortfolioConfig::default()
-        };
-        let (result, _, shared) =
-            gpumc_sat::portfolio::solve_portfolio_traced(&mut s, &[], &config);
-        prop_assert_eq!(result.is_sat(), brute_force_sat(8, &cnf));
-        for learnt in &shared {
-            // Refutation check in a fresh solver over the same variable
-            // numbering: original CNF plus the negation of the shared
-            // clause (every literal flipped, asserted as units).
-            let mut r = Solver::new();
-            let rvars: Vec<Lit> = (0..8).map(|_| r.new_lit()).collect();
-            for clause in &cnf {
-                let lits: Vec<Lit> = clause
+        // Two activation literals gate the clauses, as in the encoder's
+        // assumption-guarded queries; variables 8 and 9 are the gates.
+        let acts = [s.new_lit(), s.new_lit()];
+        let mut db: Vec<Vec<(usize, bool)>> = Vec::new();
+        for (i, clause) in cnf.iter().enumerate() {
+            let mut gated = vec![(8 + i % 2, false)];
+            gated.extend(clause.iter().copied());
+            s.add_clause(
+                gated
                     .iter()
-                    .map(|&(v, pos)| if pos { rvars[v] } else { !rvars[v] })
-                    .collect();
-                r.add_clause(lits);
-            }
-            for &lit in learnt {
-                r.add_clause(vec![!lit]);
-            }
+                    .map(|&(v, pos)| {
+                        let l = if v < 8 { vars[v] } else { acts[v - 8] };
+                        if pos { l } else { !l }
+                    })
+                    .collect::<Vec<Lit>>(),
+            );
+            db.push(gated);
+        }
+        let queries = [
+            vec![acts[0]],
+            vec![acts[1]],
+            vec![acts[0], acts[1]],
+            vec![acts[1], !vars[0]],
+        ];
+        for query in &queries {
+            let _ = s.solve_with_assumptions(query);
+        }
+        prop_assert_eq!(
+            s.solve_with_assumptions(&[acts[0], acts[1]]).is_sat(),
+            brute_force_sat(8, &cnf)
+        );
+        for learnt in s.learnt_clauses() {
+            // CNF ∧ ¬C: the database plus each literal of C negated as a
+            // unit (variables are numbered in creation order).
+            let mut refutation = db.clone();
+            refutation.extend(
+                learnt
+                    .iter()
+                    .map(|&l| vec![(l.var().0 as usize, !l.is_positive())]),
+            );
             prop_assert!(
-                r.solve().is_unsat(),
-                "shared clause {:?} is not implied by the CNF",
+                !brute_force_sat(10, &refutation),
+                "learnt clause {:?} is not implied by the clause database",
                 learnt
             );
-        }
-    }
-
-    /// Portfolio determinism: the verdict (though not necessarily the
-    /// model) is a property of the formula, so it must be stable across
-    /// repeated runs and across worker counts — and equal to the
-    /// sequential verdict.
-    #[test]
-    fn portfolio_verdicts_are_stable_across_runs_and_widths(cnf in cnf_strategy(8)) {
-        let build = || {
-            let mut s = Solver::new();
-            let vars: Vec<Lit> = (0..8).map(|_| s.new_lit()).collect();
-            for clause in &cnf {
-                let lits: Vec<Lit> = clause
-                    .iter()
-                    .map(|&(v, pos)| if pos { vars[v] } else { !vars[v] })
-                    .collect();
-                s.add_clause(lits);
-            }
-            s
-        };
-        let expected = build().solve().is_sat();
-        for workers in [1u32, 2, 3, 4] {
-            for run in 0..2 {
-                let mut s = build();
-                let config = gpumc_sat::PortfolioConfig::with_workers(workers);
-                let (result, stats) =
-                    gpumc_sat::portfolio::solve_portfolio(&mut s, &[], &config);
-                prop_assert_eq!(
-                    result.is_sat(),
-                    expected,
-                    "verdict unstable at {} workers, run {}",
-                    workers,
-                    run
-                );
-                prop_assert_eq!(stats.workers, workers.max(1));
-            }
         }
     }
 

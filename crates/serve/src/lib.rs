@@ -8,9 +8,8 @@
 //! * a JSON-lines request/response protocol over TCP (or stdio), see
 //!   [`protocol`];
 //! * a bounded job queue with non-blocking backpressure ([`queue`]);
-//! * a worker pool sharing the warm caches — parsed models
-//!   (`gpumc_models::load_shared`) and relation-analysis bounds
-//!   (`gpumc_encode::BoundsMemo`) — across requests;
+//! * a worker pool sharing parsed models (`gpumc_models::load_shared`)
+//!   across requests;
 //! * per-request deadlines riding the cooperative cancellation layer in
 //!   `gpumc-sat` (`CancelToken`), so a timed-out request yields
 //!   `status: unknown` and the worker lives on;

@@ -13,9 +13,11 @@
 //!   wherever it can, *including* requests that opted out with
 //!   `"cache": false` (a stale-tolerant answer beats no answer; the
 //!   response carries a `degraded` block saying so).
-//! * **sequential** — additionally, portfolio solving is downgraded to
-//!   a single sequential solver per job: under pressure, N× CPU fan-out
-//!   per request is the first luxury to go.
+//! * **sequential** — additionally, a DPOR request's workers (the
+//!   request's `portfolio` field) are downgraded to the sequential
+//!   engine: under pressure, N× CPU fan-out per request is the first
+//!   luxury to go. SAT requests are unaffected, since every SAT query
+//!   already runs one sequential search.
 //! * **shed** — new verify work is refused with `status:"shed"`; only
 //!   cache hits are still answered. A shed request was never accepted,
 //!   so resubmitting later is always safe.
@@ -44,7 +46,7 @@ pub enum DegradeLevel {
     Full = 0,
     /// Serve from cache wherever possible, even past `"cache":false`.
     CacheOnly = 1,
-    /// Additionally force portfolio solving down to sequential.
+    /// Additionally force parallel DPOR down to one worker.
     Sequential = 2,
     /// Refuse new verify work (`status:"shed"`); cache hits still serve.
     Shed = 3,

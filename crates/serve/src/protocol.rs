@@ -25,6 +25,10 @@
 //! content-addressed result cache with `"cache": false`. `simplify`
 //! is accepted for compatibility and ignored: no CNF simplification
 //! runs, and `done` responses always carry `"simplify":null`.
+//! `portfolio` (`off`, `auto`, or a worker count) selects DPOR workers
+//! for `"engine":"dpor"` requests; the SAT engine ignores it (every
+//! query runs one sequential CDCL search), and `done` responses always
+//! carry `"portfolio":null`.
 //!
 //! A present field of the wrong JSON type is an error that names the
 //! field, never a silent default: `timeout_ms`, `budget` and
@@ -113,9 +117,9 @@ pub struct VerifyRequest {
     /// A `gpumc-fault` plan spec armed for this job only. Refused with
     /// `status:"error"` unless the server runs with `--enable-faults`.
     pub faults: Option<String>,
-    /// Parallel solve strategy: a `"portfolio"` field carrying a worker
+    /// DPOR worker count: a `"portfolio"` field carrying a worker
     /// count (`4`), `"auto"`, or `"off"` (the default when absent).
-    pub portfolio: gpumc::gpumc_sat::ParallelPolicy,
+    pub portfolio: gpumc::gpumc_exec::ParallelPolicy,
     /// Verification engine (`sat`, `enumerate`, `alloy`, `dpor`);
     /// defaults to `sat` when absent.
     pub engine: gpumc::EngineKind,
@@ -228,16 +232,16 @@ pub fn parse_request(line: &str) -> Result<Envelope, String> {
                 return Err("`bound` must be at least 1".into());
             }
             let portfolio = match v.get("portfolio") {
-                None | Some(Json::Null) => gpumc::gpumc_sat::ParallelPolicy::Off,
+                None | Some(Json::Null) => gpumc::gpumc_exec::ParallelPolicy::Off,
                 Some(Json::Num(_)) => {
                     let n = v
                         .get("portfolio")
                         .and_then(Json::as_u64)
                         .ok_or("`portfolio` must be a worker count, \"auto\", or \"off\"")?;
                     let n = u32::try_from(n).map_err(|_| "`portfolio` out of range")?;
-                    gpumc::gpumc_sat::ParallelPolicy::parse(&n.to_string())?
+                    gpumc::gpumc_exec::ParallelPolicy::parse(&n.to_string())?
                 }
-                Some(Json::Str(s)) => gpumc::gpumc_sat::ParallelPolicy::parse(s)?,
+                Some(Json::Str(s)) => gpumc::gpumc_exec::ParallelPolicy::parse(s)?,
                 Some(_) => {
                     return Err("`portfolio` must be a worker count, \"auto\", or \"off\"".into())
                 }
@@ -450,23 +454,7 @@ pub fn verify_response(
             ]),
         ),
         ("simplify".into(), Json::Null),
-        (
-            "portfolio".into(),
-            match &o.portfolio {
-                None => Json::Null,
-                Some(p) => Json::Obj(vec![
-                    ("workers".into(), Json::count(u64::from(p.workers))),
-                    (
-                        "winner".into(),
-                        p.winner.map_or(Json::Null, |w| Json::count(u64::from(w))),
-                    ),
-                    ("exported".into(), Json::count(p.exported)),
-                    ("imported".into(), Json::count(p.imported)),
-                    ("cube_fallback".into(), Json::Bool(p.cube_fallback)),
-                    ("cubes".into(), Json::count(u64::from(p.cubes))),
-                ]),
-            },
-        ),
+        ("portfolio".into(), Json::Null),
         (
             "dpor".into(),
             match &o.assertion.stats.dpor {
@@ -623,7 +611,7 @@ mod tests {
 
     #[test]
     fn verify_accepts_portfolio_field() {
-        use gpumc::gpumc_sat::ParallelPolicy;
+        use gpumc::gpumc_exec::ParallelPolicy;
         let policy = |line: &str| match parse_request(line).unwrap().request {
             Request::Verify(v) => v.portfolio,
             other => panic!("{other:?}"),
@@ -634,7 +622,7 @@ mod tests {
         );
         assert_eq!(
             policy(r#"{"verb":"verify","source":"x","portfolio":4}"#),
-            ParallelPolicy::Portfolio(4)
+            ParallelPolicy::Workers(4)
         );
         assert_eq!(
             policy(r#"{"verb":"verify","source":"x","portfolio":1}"#),

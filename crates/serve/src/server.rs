@@ -10,7 +10,6 @@
 //!                         │
 //!                  worker pool (effective_jobs), shared warm state:
 //!                    · gpumc_models::load_shared (one parse per model)
-//!                    · Arc<BoundsMemo> (relation bounds across requests)
 //!                         │
 //!                  responses written through the connection's shared
 //!                  writer (one line per response, ids match requests,
@@ -56,7 +55,6 @@ use std::time::{Duration, Instant};
 
 use gpumc::fault::FaultPlan;
 use gpumc::{effective_jobs, Verifier, VerifyError};
-use gpumc_encode::BoundsMemo;
 use gpumc_fleet::cache::ResultCache;
 use gpumc_fleet::digest::{request_digest, resolve_model, RequestKey};
 use gpumc_fleet::sched::{CostScheduler, PushError};
@@ -226,7 +224,6 @@ struct Job {
 /// State shared by the accept loop, connection threads, and workers.
 struct Shared {
     metrics: Metrics,
-    memo: Arc<BoundsMemo>,
     queue: CostScheduler<Job>,
     /// The content-addressed result cache; `None` with `--no-cache`.
     cache: Option<ResultCache>,
@@ -264,7 +261,6 @@ impl Shared {
         };
         Ok(Arc::new(Shared {
             metrics: Metrics::new(),
-            memo: Arc::new(BoundsMemo::new()),
             queue: CostScheduler::new(config.max_queue, jobs, config.fast_lane_max_cost),
             cache,
             shutdown: AtomicBool::new(false),
@@ -457,12 +453,6 @@ fn dispatch_line(line: &str, out: &Out, shared: &Arc<Shared>) -> std::ops::Contr
                 .set_gauge("model_parse_count", gpumc_models::parse_count() as i64);
             shared
                 .metrics
-                .set_gauge("bounds_memo_hits", shared.memo.hits() as i64);
-            shared
-                .metrics
-                .set_gauge("bounds_memo_misses", shared.memo.misses() as i64);
-            shared
-                .metrics
                 .set_gauge("queue_depth", shared.queue.len() as i64);
             let sched = shared.queue.stats();
             shared
@@ -645,12 +635,12 @@ fn dispatch_line(line: &str, out: &Out, shared: &Arc<Shared>) -> std::ops::Contr
                 }
             }
             // At the sequential rung, per-job CPU fan-out is the first
-            // luxury to go: portfolio solving degrades to one solver.
+            // luxury to go: parallel DPOR degrades to one worker.
             if level >= DegradeLevel::Sequential
-                && req.portfolio != gpumc::gpumc_sat::ParallelPolicy::Off
+                && req.portfolio != gpumc::gpumc_exec::ParallelPolicy::Off
             {
                 shared.metrics.inc("portfolio_downgraded_total");
-                req.portfolio = gpumc::gpumc_sat::ParallelPolicy::Off;
+                req.portfolio = gpumc::gpumc_exec::ParallelPolicy::Off;
             }
             let token = match timeout_ms {
                 Some(ms) => CancelToken::with_timeout(Duration::from_millis(ms)),
@@ -915,7 +905,6 @@ fn run_verify_job(job: &Job, shared: &Arc<Shared>) -> Json {
     let mut verifier = Verifier::new(gpumc_models::load_shared(kind))
         .with_engine(req.engine)
         .with_bound(req.bound)
-        .with_bounds_memo(Arc::clone(&shared.memo))
         .with_cancel_token(job.token.clone())
         .with_parallel(req.portfolio);
     if let Some(budget) = req.budget {
@@ -942,21 +931,6 @@ fn run_verify_job(job: &Job, shared: &Arc<Shared>) -> Json {
                 .add("solver_propagations_total", propagations);
             shared.metrics.observe_us("solve_us", o.phases.solve_us);
             shared.metrics.observe_us("encode_us", o.phases.encode_us);
-            if let Some(p) = &o.portfolio {
-                shared.metrics.inc("portfolio_requests_total");
-                shared
-                    .metrics
-                    .add("portfolio_clauses_exported_total", p.exported);
-                shared
-                    .metrics
-                    .add("portfolio_clauses_imported_total", p.imported);
-                if let Some(w) = p.winner {
-                    shared.metrics.inc(&format!("portfolio_winner_{w}_total"));
-                }
-                if p.cube_fallback {
-                    shared.metrics.inc("portfolio_cube_fallbacks_total");
-                }
-            }
             if let Some(p) = &o.assertion.stats.dpor_parallel {
                 shared.metrics.inc("dpor_parallel_requests_total");
                 shared

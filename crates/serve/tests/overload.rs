@@ -121,9 +121,9 @@ fn pinned_sequential_downgrades_portfolio_and_stamps_degraded() {
         .unwrap();
     assert_eq!(status(&resp), "done", "got: {resp}");
     assert_eq!(degraded_level(&resp), Some("sequential"));
-    // The portfolio the request asked for was downgraded away: the
-    // response's portfolio block is null, exactly as if the client had
-    // asked for `"portfolio":"off"`.
+    // The workers the request asked for were downgraded away (counted
+    // below); the response's portfolio key is null, as on every `done`
+    // response.
     assert_eq!(resp.get("portfolio"), Some(&Json::Null));
     let m = client.metrics().unwrap();
     assert_eq!(counter(&m, "portfolio_downgraded_total"), 1);

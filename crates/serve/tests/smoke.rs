@@ -357,6 +357,50 @@ fn dpor_parallel_requests_are_counted_in_metrics() {
     handle.join().unwrap();
 }
 
+/// The `portfolio` field selects DPOR workers only; a SAT request runs
+/// one sequential search whatever it says, so no value of it can size
+/// an allocation. A four-billion-worker request answers like the batch
+/// CLI and leaves the server answering.
+#[test]
+fn huge_portfolio_on_a_sat_request_answers_and_the_server_survives() {
+    let (addr, handle) = spawn_server(ServerConfig {
+        addr: "127.0.0.1:0".into(),
+        jobs: 1,
+        max_queue: 4,
+        default_timeout_ms: None,
+        metrics_every_secs: None,
+        ..ServerConfig::default()
+    });
+    let mut client = Client::connect(&addr).unwrap();
+    let t = &gpumc_catalog::figure_tests()[0];
+    let resp = client
+        .request(Json::Obj(vec![
+            ("verb".into(), Json::str("verify")),
+            ("source".into(), Json::str(&t.source)),
+            ("bound".into(), Json::count(u64::from(t.bound))),
+            ("portfolio".into(), Json::count(4_000_000_000)),
+        ]))
+        .unwrap();
+    assert_eq!(
+        resp.get("status").and_then(Json::as_str),
+        Some("done"),
+        "got: {resp}"
+    );
+    let expected = {
+        let program = gpumc::parse_litmus(&t.source).unwrap();
+        let v = Verifier::new(gpumc_models::load(default_kind(&program))).with_bound(t.bound);
+        verdict_json(&program.name, &v.check_all(&program).unwrap()).to_string()
+    };
+    assert_eq!(resp.get("verdict").unwrap().to_string(), expected);
+    assert_eq!(resp.get("portfolio"), Some(&Json::Null));
+    assert_eq!(
+        client.ping().unwrap().get("status").and_then(Json::as_str),
+        Some("ok")
+    );
+    client.shutdown().unwrap();
+    handle.join().unwrap();
+}
+
 /// One long-lived connection, strictly request/response: every round
 /// trip must be answered as soon as the server has it. A response
 /// written in pieces on a Nagle socket waits ~40 ms for the client's

@@ -3,7 +3,7 @@
 //! must produce identical verdicts — a three-arm differential gate.
 //! This is the paper's Table 5 validation methodology, run continuously.
 
-use gpumc::gpumc_sat::ParallelPolicy;
+use gpumc::gpumc_exec::ParallelPolicy;
 use gpumc::{EngineKind, Verifier, VerifyError};
 use gpumc_catalog::Test;
 use gpumc_encode::{encode, EncodeOptions};
@@ -534,7 +534,7 @@ fn assert_dpor_sat_agreement(t: &Test, model: ModelKind, bound: u32) -> bool {
             // programs it may legitimately answer where the exhaustive
             // sequential engine ran out of budget — compared only when
             // both arms answered, which they did here.)
-            let par = dpor.clone().with_parallel(ParallelPolicy::Portfolio(3));
+            let par = dpor.clone().with_parallel(ParallelPolicy::Workers(3));
             match check_all_verdicts(&par, &program) {
                 Ok(p) => {
                     assert_eq!(
@@ -716,9 +716,7 @@ fn parallel_dpor_worker_sweep_on_validation_tier() {
         };
         for workers in [2u32, 4] {
             cells += 1;
-            let par = seq
-                .clone()
-                .with_parallel(ParallelPolicy::Portfolio(workers));
+            let par = seq.clone().with_parallel(ParallelPolicy::Workers(workers));
             let ctx = format!("{} under {model:?} with {workers} workers", t.name);
             let (a, b) = match (
                 check_all_verdicts(&par, &program),

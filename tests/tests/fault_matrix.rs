@@ -186,7 +186,7 @@ fn parallel_dpor_engine_contains_explore_faults() {
             let v = Verifier::new(gpumc_models::load_shared(default_kind(&program)))
                 .with_bound(bound)
                 .with_engine(EngineKind::Dpor)
-                .with_parallel(gpumc::gpumc_sat::ParallelPolicy::Portfolio(3));
+                .with_parallel(gpumc::gpumc_exec::ParallelPolicy::Workers(3));
             let outcome = std::panic::catch_unwind(AssertUnwindSafe(|| {
                 v.check_all(&program).map(|o| Verdict {
                     reachable: o.assertion.reachable,

@@ -1,26 +1,27 @@
-//! Differential conformance suite for portfolio solving
-//! (`Verifier::with_parallel`): for every catalog test, under every
-//! applicable model and under bounds 1 and 2, the three verdicts with a
-//! portfolio of diversified racing solvers (N ∈ {2, 4}) must be
-//! identical to the sequential verdicts, including which error class a
-//! failing configuration produces.
+//! Differential conformance suite for the conflict budget
+//! (`Verifier::with_conflict_budget`): for every catalog test, under
+//! every applicable model and under bounds 1 and 2, `check_all` under a
+//! strangled budget must return the unbudgeted verdicts or a classified
+//! `Unknown`, never another verdict and never another error class.
 //!
-//! This is the CI gate behind DESIGN.md §14: racing diversified solver
-//! configurations and importing each other's learnt clauses is only
-//! admissible because every shared clause is derived by resolution from
-//! the common clause database, and the cube-and-conquer fallback only
-//! answers UNSAT when the full cube cover is refuted. This suite checks
-//! that claim on the whole catalog rather than trusting the argument.
+//! Every SAT query runs one sequential CDCL search (DESIGN.md §14), and
+//! the budget is the one way to cut that search short. An interrupted
+//! query must withhold its verdict; it may not turn into a wrong one.
+//! This suite checks that claim on the whole catalog rather than on one
+//! hand-picked test. (The file keeps its name from the SAT portfolio it
+//! used to gate; the suites kept theirs.)
 //!
-//! Witness comparison is by presence and validity, not exact
-//! assignment: a diversified racer may legitimately find a different
-//! satisfying execution than the sequential solver — just as two
-//! `--fresh` runs may. What must never differ is whether one exists.
+//! A budget that never fires changes nothing at all: the search is
+//! deterministic, so a budgeted run that answers must have spent exactly
+//! the unbudgeted per-query conflicts, decisions and propagations.
 
-use gpumc::gpumc_sat::ParallelPolicy;
-use gpumc::{Verifier, VerifyError};
+use gpumc::{FullOutcome, Verifier, VerifyError};
 use gpumc_catalog::Test;
 use gpumc_models::ModelKind;
+
+/// Conflict budgets per query: zero interrupts at the first conflict,
+/// sixteen lets the easy queries of a session through.
+const BUDGETS: [u64; 2] = [0, 16];
 
 /// Coarse error class: two runs "agree" on failure when they fail the
 /// same way, not necessarily with byte-identical messages.
@@ -28,24 +29,37 @@ fn err_class(e: &VerifyError) -> std::mem::Discriminant<VerifyError> {
     std::mem::discriminant(e)
 }
 
-/// Asserts that `check_all` under a portfolio of `workers` racers gives
-/// the same verdicts as the sequential run for one (test, model, bound)
-/// configuration.
-fn assert_agreement(t: &Test, model: ModelKind, bound: u32, workers: u32) {
+/// Per-query search counters, in query order.
+fn search(o: &FullOutcome) -> Vec<(String, u64, u64, u64)> {
+    o.queries
+        .iter()
+        .map(|q| {
+            (
+                q.label.clone(),
+                q.stats.conflicts,
+                q.stats.decisions,
+                q.stats.propagations,
+            )
+        })
+        .collect()
+}
+
+/// Asserts that `check_all` under conflict budget `budget` gives the
+/// unbudgeted verdicts, or `Unknown`, for one (test, model, bound)
+/// configuration. Returns whether the budget interrupted the check.
+fn assert_agreement(t: &Test, model: ModelKind, bound: u32, budget: u64) -> bool {
     let program = match gpumc::parse_litmus(&t.source) {
         Ok(p) => p,
         Err(e) => panic!("{} does not parse: {e}", t.name),
     };
     let v = Verifier::new(gpumc_models::load_shared(model)).with_bound(bound);
-    let seq = v.clone().check_all(&program);
-    let par = v
-        .with_parallel(ParallelPolicy::Portfolio(workers))
-        .check_all(&program);
+    let full = v.clone().check_all(&program);
+    let budgeted = v.with_conflict_budget(budget).check_all(&program);
     let ctx = format!(
-        "{} under {model:?} at bound {bound} portfolio({workers})",
+        "{} under {model:?} at bound {bound} budget {budget}",
         t.name
     );
-    match (seq, par) {
+    match (full, budgeted) {
         (Ok(s), Ok(p)) => {
             assert_eq!(
                 s.assertion.reachable, p.assertion.reachable,
@@ -74,39 +88,51 @@ fn assert_agreement(t: &Test, model: ModelKind, bound: u32, workers: u32) {
                 p.data_races.as_ref().map(|d| d.violated),
                 "data-race verdict differs on {ctx}"
             );
-            assert!(
-                s.portfolio.is_none(),
-                "portfolio stats recorded on the sequential run of {ctx}"
+            assert_eq!(
+                search(&s),
+                search(&p),
+                "a budget that never fired changed the search on {ctx}"
             );
-            let ps = p
-                .portfolio
-                .unwrap_or_else(|| panic!("no portfolio stats on {ctx}"));
-            assert_eq!(ps.workers, workers, "worker count mismatch on {ctx}");
+            false
         }
+        (Ok(_), Err(VerifyError::Unknown(_))) => true,
+        (Ok(_), Err(e)) => panic!("only the budgeted path fails on {ctx}: {e}"),
+        (Err(_), Err(VerifyError::Unknown(_))) => true,
         (Err(a), Err(b)) => {
             assert_eq!(
                 err_class(&a),
                 err_class(&b),
-                "error classes differ on {ctx}: sequential={a} portfolio={b}"
+                "error classes differ on {ctx}: unbudgeted={a} budgeted={b}"
             );
+            false
         }
-        (Ok(_), Err(e)) => panic!("only the portfolio path fails on {ctx}: {e}"),
-        (Err(e), Ok(_)) => panic!("only the sequential path fails on {ctx}: {e}"),
+        (Err(e), Ok(_)) => panic!("only the unbudgeted path fails on {ctx}: {e}"),
     }
 }
 
 /// Runs the agreement check over a suite for the given models × bounds
-/// × portfolio widths.
-fn sweep(tests: &[Test], models: &[ModelKind]) {
+/// × budgets. Returns how many checks the budget interrupted.
+fn sweep(tests: &[Test], models: &[ModelKind]) -> usize {
+    let mut interrupted = 0;
     for t in tests {
         for &model in models {
             for bound in [1, 2] {
-                for workers in [2, 4] {
-                    assert_agreement(t, model, bound, workers);
+                for budget in BUDGETS {
+                    interrupted += usize::from(assert_agreement(t, model, bound, budget));
                 }
             }
         }
     }
+    interrupted
+}
+
+/// The budget must actually bind somewhere in every suite, or the sweep
+/// would pass without exercising an interrupted search.
+fn assert_binds(interrupted: usize, suite: &str) {
+    assert!(
+        interrupted > 0,
+        "no budget in {BUDGETS:?} interrupted any check of the {suite} suite"
+    );
 }
 
 const PTX_MODELS: &[ModelKind] = &[ModelKind::Ptx60, ModelKind::Ptx75];
@@ -121,85 +147,38 @@ fn by_arch(tests: Vec<Test>) -> (Vec<Test>, Vec<Test>) {
 
 #[test]
 fn ptx_safety_suite_agrees() {
-    sweep(&gpumc_catalog::ptx_safety_suite(), PTX_MODELS);
+    let n = sweep(&gpumc_catalog::ptx_safety_suite(), PTX_MODELS);
+    assert_binds(n, "PTX safety");
 }
 
 #[test]
 fn ptx_proxy_suite_agrees() {
-    sweep(&gpumc_catalog::ptx_proxy_suite(), PTX_MODELS);
+    let n = sweep(&gpumc_catalog::ptx_proxy_suite(), PTX_MODELS);
+    assert_binds(n, "PTX proxy");
 }
 
 #[test]
 fn vulkan_safety_suite_agrees() {
-    sweep(&gpumc_catalog::vulkan_safety_suite(), VULKAN_MODELS);
+    let n = sweep(&gpumc_catalog::vulkan_safety_suite(), VULKAN_MODELS);
+    assert_binds(n, "Vulkan safety");
 }
 
 #[test]
 fn vulkan_drf_suite_agrees() {
-    sweep(&gpumc_catalog::vulkan_drf_suite(), VULKAN_MODELS);
+    let n = sweep(&gpumc_catalog::vulkan_drf_suite(), VULKAN_MODELS);
+    assert_binds(n, "Vulkan DRF");
 }
 
 #[test]
 fn liveness_suite_agrees() {
     let (ptx, vulkan) = by_arch(gpumc_catalog::liveness_suite());
-    sweep(&ptx, PTX_MODELS);
-    sweep(&vulkan, VULKAN_MODELS);
+    let n = sweep(&ptx, PTX_MODELS) + sweep(&vulkan, VULKAN_MODELS);
+    assert_binds(n, "liveness");
 }
 
 #[test]
 fn figure_tests_agree() {
     let (ptx, vulkan) = by_arch(gpumc_catalog::figure_tests());
-    sweep(&ptx, PTX_MODELS);
-    sweep(&vulkan, VULKAN_MODELS);
-}
-
-/// The cube-and-conquer path: a conflict budget small enough to blow on
-/// a real catalog test triggers cube splitting inside the portfolio.
-/// Whatever the cubes answer must match the unbudgeted sequential
-/// verdict — a definitive answer reached through cubes is still exact —
-/// and a budget-exhausted `Unknown` must stay `Unknown`, never flip.
-#[test]
-fn cube_fallback_never_flips_a_verdict() {
-    for t in gpumc_catalog::figure_tests() {
-        let program = match gpumc::parse_litmus(&t.source) {
-            Ok(p) => p,
-            Err(e) => panic!("{} does not parse: {e}", t.name),
-        };
-        let (ptx, model) = (t.source.trim_start().starts_with("PTX"), ModelKind::Vulkan);
-        let model = if ptx { ModelKind::Ptx75 } else { model };
-        let v = Verifier::new(gpumc_models::load_shared(model)).with_bound(2);
-        let baseline = v.clone().check_all(&program);
-        let budgeted = v
-            .with_conflict_budget(40)
-            .with_parallel(ParallelPolicy::Portfolio(2))
-            .check_all(&program);
-        match (baseline, budgeted) {
-            (Ok(s), Ok(p)) => {
-                // The budgeted portfolio reached a definitive answer
-                // (directly or through cubes): it must be the same one.
-                assert_eq!(
-                    s.assertion.reachable, p.assertion.reachable,
-                    "cube fallback flipped reachability on {}",
-                    t.name
-                );
-                assert_eq!(
-                    s.liveness.violated, p.liveness.violated,
-                    "cube fallback flipped liveness on {}",
-                    t.name
-                );
-                assert_eq!(
-                    s.data_races.as_ref().map(|d| d.violated),
-                    p.data_races.as_ref().map(|d| d.violated),
-                    "cube fallback flipped the data-race verdict on {}",
-                    t.name
-                );
-            }
-            // Budget exhaustion even after cube splitting is a legal
-            // Unknown; anything else from the budgeted run is not.
-            (Ok(_), Err(VerifyError::Unknown(_))) => {}
-            (Ok(_), Err(e)) => panic!("budgeted portfolio failed hard on {}: {e}", t.name),
-            (Err(a), Err(b)) => assert_eq!(err_class(&a), err_class(&b), "{}", t.name),
-            (Err(e), Ok(_)) => panic!("only the baseline fails on {}: {e}", t.name),
-        }
-    }
+    let n = sweep(&ptx, PTX_MODELS) + sweep(&vulkan, VULKAN_MODELS);
+    assert_binds(n, "figure");
 }
