@@ -9,10 +9,9 @@
 //! writes the whole comparison — per-kernel verdicts and solver sizes,
 //! per-tool aggregates, the agreement matrix, the incremental-vs-fresh
 //! timings, the DPOR-engine explored/pruned counters with
-//! wall-clock vs the SAT engine, the parallel-DPOR speedup on the
-//! slowest DPOR kernels (skipped and annotated on 1-core hosts), and
-//! the tier wall-clock-vs-budget record — to `BENCH_table6.json` in the
-//! current directory, for machine consumption.
+//! wall-clock vs the SAT engine, and the tier wall-clock-vs-budget
+//! record — to `BENCH_table6.json` in the current directory, for
+//! machine consumption.
 
 use std::time::Instant;
 
@@ -257,9 +256,9 @@ fn main() {
     // --- the DPOR-engine comparison: the same DRF check of every
     //     verifiable kernel under the pruned stateless exploration
     //     engine, step-capped so a high-interference kernel answers
-    //     Unknown instead of stalling the batch. Records the
-    //     explored/pruned counters and the wall-clock against the
-    //     sequential SAT total measured above.
+    //     Unknown instead of stalling the batch. Each check stops at
+    //     its first race. Records the explored/pruned counters and the
+    //     wall-clock against the SAT total measured above.
     const DPOR_CAP: u64 = 2_000_000;
     let dpor_runs = gpumc::parallel_map_ordered(&verifiable, jobs, |_, case| {
         let kernel = case.kernel.as_ref().expect("verifiable kernels exist");
@@ -281,14 +280,11 @@ fn main() {
     let mut dpor_consistent = 0u64;
     let mut dpor_pruned = 0u64;
     let mut dpor_mismatches: Vec<String> = Vec::new();
-    // (index into `verifiable`, µs) for ranking the slowest DPOR kernels.
-    let mut dpor_case_times: Vec<(usize, u128)> = Vec::new();
-    for (i, (case, (outcome, us))) in verifiable.iter().zip(dpor_runs).enumerate() {
+    for (case, (outcome, us)) in verifiable.iter().zip(dpor_runs) {
         match outcome {
             Ok(o) => {
                 dpor_time += us;
                 dpor_answered += 1;
-                dpor_case_times.push((i, us));
                 if let Some(st) = o.stats.dpor {
                     dpor_explored += st.explored;
                     dpor_consistent += st.consistent;
@@ -320,133 +316,6 @@ fn main() {
         gpumc_time as f64 / 1000.0,
         dpor_mismatches.len()
     );
-
-    // --- the parallel-DPOR comparison: the slowest DPOR-answerable
-    //     kernels (ranked by the sequential DPOR times above), re-checked
-    //     with the work-stealing driver at N workers. Verdicts must be
-    //     byte-identical; the wall-clock ratio is only a measurement when
-    //     the workers actually run in parallel, so the comparison is
-    //     skipped (and annotated as such in the JSON) on a one-core host.
-    const DPOR_PAR_WORKERS: u32 = 4;
-    const DPOR_PAR_SLOWEST: usize = 6;
-    let host_parallelism = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
-    let run_dpor_par = host_parallelism > 1;
-    let mut dpor_ranked = dpor_case_times.clone();
-    dpor_ranked.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
-    let dpor_slowest: Vec<usize> = dpor_ranked
-        .iter()
-        .take(DPOR_PAR_SLOWEST)
-        .map(|&(i, _)| i)
-        .collect();
-    let mut dpar_seq_us = 0u128;
-    let mut dpar_par_us = 0u128;
-    let mut dpar_mismatches: Vec<String> = Vec::new();
-    let mut dpar_tasks = 0u64;
-    let mut dpar_steals = 0u64;
-    let mut dpar_rows: Vec<Json> = Vec::new();
-    println!();
-    if run_dpor_par {
-        println!(
-            "parallel DPOR ({DPOR_PAR_WORKERS} workers) vs sequential on the {} slowest \
-             DPOR kernels (host parallelism {host_parallelism}):",
-            dpor_slowest.len()
-        );
-    } else {
-        println!(
-            "parallel DPOR ({DPOR_PAR_WORKERS} workers) vs sequential: skipped — host \
-             parallelism is 1, so the workers would time-slice one core and the \
-             wall-clock ratio would measure scheduling overhead, not speedup"
-        );
-    }
-    for &i in dpor_slowest.iter().filter(|_| run_dpor_par) {
-        let case = verifiable[i];
-        let kernel = case.kernel.as_ref().expect("verifiable kernels exist");
-        let text = emit_spirv(kernel);
-        let module = parse_spirv(&text).expect("parses");
-        let program = lower(&module, case.grid).expect("lowers");
-        let v = Verifier::new(gpumc_models::load_shared(ModelKind::Vulkan))
-            .with_bound(bound)
-            .with_engine(EngineKind::Dpor)
-            .with_enumeration_cap(DPOR_CAP);
-        let t0 = Instant::now();
-        let seq = v.clone().check_data_races(&program);
-        let seq_us = t0.elapsed().as_micros();
-        let t0 = Instant::now();
-        let par = v
-            .with_parallel(gpumc::gpumc_exec::ParallelPolicy::Workers(DPOR_PAR_WORKERS))
-            .check_data_races(&program);
-        let par_us = t0.elapsed().as_micros();
-        match (seq, par) {
-            (Ok(s), Ok(p)) => {
-                if s.violated != p.violated {
-                    eprintln!(
-                        "!! parallel/sequential DPOR verdict mismatch on {}",
-                        case.name
-                    );
-                    dpar_mismatches.push(case.name.clone());
-                }
-                dpar_seq_us += seq_us;
-                dpar_par_us += par_us;
-                let report = p.stats.dpor_parallel.unwrap_or_else(|| {
-                    panic!("parallel DPOR run must record a report on {}", case.name)
-                });
-                dpar_tasks += report.tasks as u64;
-                dpar_steals += report.steals;
-                println!(
-                    "  {:24} sequential {:>8.1} ms   parallel {:>8.1} ms   ({:>5.2}x, \
-                     {} tasks, {} steals)",
-                    case.name,
-                    seq_us as f64 / 1000.0,
-                    par_us as f64 / 1000.0,
-                    if par_us > 0 {
-                        seq_us as f64 / par_us as f64
-                    } else {
-                        1.0
-                    },
-                    report.tasks,
-                    report.steals,
-                );
-                dpar_rows.push(Json::Obj(vec![
-                    ("name".into(), Json::str(case.name.as_str())),
-                    ("racy".into(), Json::Bool(p.violated)),
-                    (
-                        "verdicts_agree".into(),
-                        Json::Bool(s.violated == p.violated),
-                    ),
-                    ("sequential_us".into(), Json::count(seq_us as u64)),
-                    ("parallel_us".into(), Json::count(par_us as u64)),
-                    ("tasks".into(), Json::count(report.tasks as u64)),
-                    ("steals".into(), Json::count(report.steals)),
-                ]));
-            }
-            (s, p) => {
-                if let Err(e) = s {
-                    eprintln!("sequential dpor check failed on {}: {e}", case.name);
-                }
-                if let Err(e) = p {
-                    eprintln!("parallel dpor check failed on {}: {e}", case.name);
-                }
-            }
-        }
-    }
-    if run_dpor_par {
-        println!(
-            "  total: sequential {:>8.1} ms   parallel {:>8.1} ms   speedup {:.2}x   \
-             ({} tasks, {} steals, {} mismatches)",
-            dpar_seq_us as f64 / 1000.0,
-            dpar_par_us as f64 / 1000.0,
-            if dpar_par_us > 0 {
-                dpar_seq_us as f64 / dpar_par_us as f64
-            } else {
-                1.0
-            },
-            dpar_tasks,
-            dpar_steals,
-            dpar_mismatches.len(),
-        );
-    }
 
     // --- the tier budget: verify one whole catalog tier (default `dev`;
     //     `--tier validation|scale` for the bigger corpora) and record
@@ -633,57 +502,6 @@ fn main() {
                         ),
                     ),
                 ]),
-            ),
-            (
-                "dpor_parallel".into(),
-                if !run_dpor_par {
-                    Json::Obj(vec![
-                        ("skipped".into(), Json::Bool(true)),
-                        (
-                            "reason".into(),
-                            Json::str(
-                                "host_parallelism == 1: sequential-vs-parallel wall clock \
-                                 would measure time-slicing overhead, not speedup",
-                            ),
-                        ),
-                        ("workers".into(), Json::count(u64::from(DPOR_PAR_WORKERS))),
-                        (
-                            "host_parallelism".into(),
-                            Json::count(host_parallelism as u64),
-                        ),
-                    ])
-                } else {
-                    Json::Obj(vec![
-                        ("workers".into(), Json::count(u64::from(DPOR_PAR_WORKERS))),
-                        ("tests".into(), Json::count(dpar_rows.len() as u64)),
-                        (
-                            "host_parallelism".into(),
-                            Json::count(host_parallelism as u64),
-                        ),
-                        ("sequential_us".into(), Json::count(dpar_seq_us as u64)),
-                        ("parallel_us".into(), Json::count(dpar_par_us as u64)),
-                        (
-                            "speedup".into(),
-                            Json::num(if dpar_par_us > 0 {
-                                dpar_seq_us as f64 / dpar_par_us as f64
-                            } else {
-                                1.0
-                            }),
-                        ),
-                        ("tasks".into(), Json::count(dpar_tasks)),
-                        ("steals".into(), Json::count(dpar_steals)),
-                        (
-                            "mismatches".into(),
-                            Json::Arr(
-                                dpar_mismatches
-                                    .iter()
-                                    .map(|n| Json::str(n.as_str()))
-                                    .collect(),
-                            ),
-                        ),
-                        ("kernels".into(), Json::Arr(dpar_rows)),
-                    ])
-                },
             ),
             (
                 "tier".into(),

@@ -40,18 +40,12 @@ OPTIONS (verify):
                          `unknown` and exits 3
     --mem-budget-mb <n>  approximate memory budget for encode + solve;
                          exceeding it answers `unknown` and exits 3
-    --portfolio <n|auto> DPOR workers only: with --engine dpor, split
-                         the exploration tree over N work-stealing
-                         workers (default: off; `auto` uses all
-                         cores); the other engines ignore it
     --witness            print the witness execution graph
 
 OPTIONS (suite):
     --jobs <n>           worker threads (default and 0: all cores; 1 = serial)
     --engine <e>         sat | enumerate | alloy | dpor  (default: sat)
     --model <name>       model override (default: per-test, from dialect)
-    --portfolio <n|auto> DPOR workers per test with --engine dpor
-                         (default: off; the other engines ignore it)
     --thorough           also cross-check a secondary property per test,
                          answered from one incremental solver session
 
@@ -80,12 +74,12 @@ OPTIONS (serve):
                          fast lane (default: 8192); costlier jobs take
                          per-worker heavy lanes with work stealing
     --degrade-level <l>  pin the brownout ladder at full | cache-only |
-                         sequential | shed (default: track queue
-                         pressure; see DESIGN.md section 18)
-    --cache-only-at / --sequential-at / --shed-at <frac>
+                         shed (default: track queue pressure; see
+                         DESIGN.md section 18)
+    --cache-only-at / --shed-at <frac>
                          queue-pressure thresholds (fractions of
                          --max-queue) engaging each ladder level
-                         (defaults: 0.60 / 0.75 / 0.90)
+                         (defaults: 0.60 / 0.90)
 
 OPTIONS (route):
     --shards <a,b,...>   comma-separated serve addresses (required);
@@ -217,25 +211,6 @@ fn unknown_or_err(e: gpumc::VerifyError) -> Result<ExitCode, String> {
     }
 }
 
-/// One-line stderr diagnostic for the work-stealing DPOR driver;
-/// silent on sequential runs so the stdout verdict surface is
-/// unchanged.
-fn report_dpor_parallel(stats: &gpumc::Stats) {
-    if let Some(p) = &stats.dpor_parallel {
-        eprintln!(
-            "  dpor parallel: {} workers, {} tasks, {} steals{}",
-            p.workers,
-            p.tasks,
-            p.steals,
-            if p.stopped_early {
-                ", stopped early"
-            } else {
-                ""
-            }
-        );
-    }
-}
-
 fn catalog(which: Option<&str>) -> Result<ExitCode, String> {
     let tests = suite_tests(which.unwrap_or("figures"))?;
     for t in &tests {
@@ -318,13 +293,6 @@ fn serve(args: &[String]) -> Result<ExitCode, String> {
                     .ok_or("--cache-only-at needs a value")?
                     .parse()
                     .map_err(|_| "bad --cache-only-at")?
-            }
-            "--sequential-at" => {
-                config.overload.sequential_at = it
-                    .next()
-                    .ok_or("--sequential-at needs a value")?
-                    .parse()
-                    .map_err(|_| "bad --sequential-at")?
             }
             "--shed-at" => {
                 config.overload.shed_at = it
@@ -666,11 +634,6 @@ fn suite(args: &[String]) -> Result<ExitCode, String> {
                 config.model =
                     Some(ModelKind::from_name(m).ok_or_else(|| format!("unknown model `{m}`"))?);
             }
-            "--portfolio" => {
-                config.portfolio = gpumc::gpumc_exec::ParallelPolicy::parse(
-                    it.next().ok_or("--portfolio needs a value")?,
-                )?
-            }
             "--thorough" => config.thorough = true,
             other if !other.starts_with('-') && name.is_none() => name = Some(other.to_string()),
             other => return Err(format!("unknown argument `{other}`")),
@@ -701,7 +664,6 @@ fn verify(args: &[String]) -> Result<ExitCode, String> {
     let mut show_witness = false;
     let mut all = false;
     let mut fresh = false;
-    let mut portfolio = gpumc::gpumc_exec::ParallelPolicy::Off;
     let mut it = args.iter();
     while let Some(a) = it.next() {
         match a.as_str() {
@@ -739,11 +701,6 @@ fn verify(args: &[String]) -> Result<ExitCode, String> {
                         .map_err(|_| "bad --mem-budget-mb")?,
                 )
             }
-            "--portfolio" => {
-                portfolio = gpumc::gpumc_exec::ParallelPolicy::parse(
-                    it.next().ok_or("--portfolio needs a value")?,
-                )?
-            }
             "--witness" => show_witness = true,
             "--all" => all = true,
             "--fresh" => fresh = true,
@@ -768,8 +725,7 @@ fn verify(args: &[String]) -> Result<ExitCode, String> {
     let mut verifier = Verifier::new(gpumc_models::load(kind))
         .with_engine(engine)
         .with_bound(bound)
-        .with_incremental(!fresh)
-        .with_parallel(portfolio);
+        .with_incremental(!fresh);
     if let Some(ms) = timeout_ms {
         verifier = verifier.with_cancel_token(gpumc::gpumc_sat::CancelToken::with_timeout(
             std::time::Duration::from_millis(ms),
@@ -791,7 +747,6 @@ fn verify(args: &[String]) -> Result<ExitCode, String> {
                 Ok(o) => o,
                 Err(e) => return unknown_or_err(e),
             };
-            report_dpor_parallel(&o.stats);
             let verdict = match o.satisfied_expectation {
                 Some(true) => "condition expectation HOLDS",
                 Some(false) => "condition expectation FAILS",
@@ -817,7 +772,6 @@ fn verify(args: &[String]) -> Result<ExitCode, String> {
                 Ok(o) => o,
                 Err(e) => return unknown_or_err(e),
             };
-            report_dpor_parallel(&o.stats);
             (
                 format!(
                     "{}: liveness {} ({:.1} ms)",
@@ -834,7 +788,6 @@ fn verify(args: &[String]) -> Result<ExitCode, String> {
                 Ok(o) => o,
                 Err(e) => return unknown_or_err(e),
             };
-            report_dpor_parallel(&o.stats);
             (
                 format!(
                     "{}: data race {} ({:.1} ms)",
@@ -874,7 +827,6 @@ fn verify_all(
         Ok(o) => o,
         Err(e) => return unknown_or_err(e),
     };
-    report_dpor_parallel(&o.assertion.stats);
     let verdict = match o.assertion.satisfied_expectation {
         Some(true) => "condition expectation HOLDS",
         Some(false) => "condition expectation FAILS",

@@ -46,7 +46,7 @@
 //! ```
 
 use std::ops::ControlFlow;
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::time::Instant;
 
 use gpumc_cat::CatModel;
@@ -268,13 +268,13 @@ pub struct Stats {
     /// SAT clauses (0 for the enumeration engine).
     pub sat_clauses: usize,
     /// Candidate behaviours explored (enumeration and DPOR engines).
+    /// DPOR stops at the first witness, so its count covers the
+    /// candidates up to that witness, or all of them when none exists.
     pub candidates: u64,
     /// Exploration/pruning counters of the DPOR engine, `None` for the
-    /// other engines.
+    /// other engines. Like [`Stats::candidates`], they end at the first
+    /// witness.
     pub dpor: Option<gpumc_exec::DporStats>,
-    /// Work-stealing report of the parallel DPOR driver, `None` when the
-    /// DPOR engine ran sequentially (parallel policy off or one worker).
-    pub dpor_parallel: Option<gpumc_exec::DporParReport>,
     /// Wall-clock time in microseconds.
     pub time_us: u128,
 }
@@ -365,7 +365,6 @@ pub struct Verifier {
     cancel: Option<gpumc_sat::CancelToken>,
     conflict_budget: Option<u64>,
     mem_budget_mb: Option<u64>,
-    parallel: gpumc_exec::ParallelPolicy,
 }
 
 impl Verifier {
@@ -386,7 +385,6 @@ impl Verifier {
             cancel: None,
             conflict_budget: None,
             mem_budget_mb: None,
-            parallel: gpumc_exec::ParallelPolicy::Off,
         }
     }
 
@@ -474,18 +472,6 @@ impl Verifier {
         self
     }
 
-    /// Selects the DPOR worker count (builder style; off by default).
-    /// With the DPOR engine, [`gpumc_exec::ParallelPolicy::Workers`]
-    /// selects the work-stealing parallel driver: N workers (or all
-    /// cores under `Auto`) split the decision tree into independent
-    /// subtree tasks with a shared step budget and first-witness-wins
-    /// cancellation. The other engines ignore it: every SAT query runs
-    /// one sequential CDCL search.
-    pub fn with_parallel(mut self, policy: gpumc_exec::ParallelPolicy) -> Verifier {
-        self.parallel = policy;
-        self
-    }
-
     /// The configured model.
     pub fn model(&self) -> &CatModel {
         &self.model
@@ -565,28 +551,20 @@ impl Verifier {
                     .assertion
                     .clone()
                     .unwrap_or(Assertion::Exists(Condition::True));
-                let found: Mutex<Option<Witness>> = Mutex::new(None);
-                let (st, par) = self.dpor_run(&graph, &|b| {
-                    let mut w = found.lock().expect("witness lock");
-                    if w.is_some() {
-                        // First witness wins: the parallel driver cancels
-                        // the remaining tasks; the sequential engine
-                        // ignores the Break and stays exhaustive.
-                        return ControlFlow::Break(());
-                    }
+                let mut found: Option<Witness> = None;
+                let st = self.dpor_run(&graph, |b| {
                     if !b.execution.all_completed() {
                         return ControlFlow::Continue(());
                     }
                     let (c, negate) = assertion_query(&cond);
                     let holds = b.execution.eval_condition(c) == Some(true);
                     if holds != negate {
-                        *w = Some(Witness::from_execution(&b.execution));
+                        found = Some(Witness::from_execution(&b.execution));
                         return ControlFlow::Break(());
                     }
                     ControlFlow::Continue(())
                 })?;
-                let found = found.into_inner().expect("witness lock");
-                (found.is_some(), found, self.dpor_stats(&graph, st, par))
+                (found.is_some(), found, self.dpor_stats(&graph, st))
             }
         };
         stats.time_us = start.elapsed().as_micros();
@@ -644,20 +622,15 @@ impl Verifier {
                 (found.is_some(), found, stats)
             }
             EngineKind::Dpor => {
-                let found: Mutex<Option<Witness>> = Mutex::new(None);
-                let (st, par) = self.dpor_run(&graph, &|b| {
-                    let mut w = found.lock().expect("witness lock");
-                    if w.is_some() {
-                        return ControlFlow::Break(());
-                    }
+                let mut found: Option<Witness> = None;
+                let st = self.dpor_run(&graph, |b| {
                     if b.execution.is_liveness_violation() {
-                        *w = Some(Witness::from_execution(&b.execution));
+                        found = Some(Witness::from_execution(&b.execution));
                         return ControlFlow::Break(());
                     }
                     ControlFlow::Continue(())
                 })?;
-                let found = found.into_inner().expect("witness lock");
-                (found.is_some(), found, self.dpor_stats(&graph, st, par))
+                (found.is_some(), found, self.dpor_stats(&graph, st))
             }
         };
         stats.time_us = start.elapsed().as_micros();
@@ -720,20 +693,15 @@ impl Verifier {
                         "model defines no flagged data-race relation".into(),
                     ));
                 }
-                let found: Mutex<Option<Witness>> = Mutex::new(None);
-                let (st, par) = self.dpor_run(&graph, &|b| {
-                    let mut w = found.lock().expect("witness lock");
-                    if w.is_some() {
-                        return ControlFlow::Break(());
-                    }
+                let mut found: Option<Witness> = None;
+                let st = self.dpor_run(&graph, |b| {
                     if b.execution.all_completed() && b.verdict.has_flag("dr") {
-                        *w = Some(Witness::from_execution(&b.execution));
+                        found = Some(Witness::from_execution(&b.execution));
                         return ControlFlow::Break(());
                     }
                     ControlFlow::Continue(())
                 })?;
-                let found = found.into_inner().expect("witness lock");
-                (found.is_some(), found, self.dpor_stats(&graph, st, par))
+                (found.is_some(), found, self.dpor_stats(&graph, st))
             }
         };
         stats.time_us = start.elapsed().as_micros();
@@ -919,31 +887,16 @@ impl Verifier {
         Ok(enc)
     }
 
-    /// How many DPOR worker threads the parallel policy implies. `Off`
-    /// and `Workers(1)` run the sequential engine; `Auto` spans the
-    /// host's cores (so a 1-core host degrades to sequential).
-    fn dpor_workers(&self) -> usize {
-        match self.parallel {
-            gpumc_exec::ParallelPolicy::Off => 1,
-            gpumc_exec::ParallelPolicy::Workers(n) => n.max(1) as usize,
-            gpumc_exec::ParallelPolicy::Auto => std::thread::available_parallelism()
-                .map(std::num::NonZeroUsize::get)
-                .unwrap_or(1),
-        }
-    }
-
     /// Runs the DPOR engine over a compiled graph, threading the
     /// verifier's cancellation token and exploration budget through.
-    /// With a parallel policy and more than one worker, the decision
-    /// tree is split over a work-stealing pool and `visit` is invoked
-    /// concurrently; a [`ControlFlow::Break`] cancels the remaining
-    /// subtrees ("first witness wins"), while the sequential engine
-    /// ignores it and explores exhaustively.
+    /// The search stops at the first behaviour for which `visit`
+    /// returns [`ControlFlow::Break`], so the returned counters cover
+    /// the candidates up to the first witness.
     fn dpor_run<'g>(
         &self,
         graph: &'g EventGraph,
-        visit: &(dyn Fn(&gpumc_exec::Behavior<'g>) -> ControlFlow<()> + Sync),
-    ) -> Result<(gpumc_exec::DporStats, Option<gpumc_exec::DporParReport>), VerifyError> {
+        visit: impl FnMut(&gpumc_exec::Behavior<'g>) -> ControlFlow<()>,
+    ) -> Result<gpumc_exec::DporStats, VerifyError> {
         let mut opts = gpumc_exec::DporOptions::default();
         if let Some(cap) = self.enum_cap {
             opts.max_steps = cap;
@@ -952,44 +905,17 @@ impl Verifier {
             .cancel
             .as_ref()
             .map(|c| move || c.check().map(|i| i.to_string()));
-        let workers = self.dpor_workers();
-        if workers > 1 {
-            let poll_dyn = poll
-                .as_ref()
-                .map(|f| f as &(dyn Fn() -> Option<String> + Sync));
-            let report = gpumc_exec::dpor_explore_parallel(
-                graph,
-                &self.model,
-                &opts,
-                workers,
-                poll_dyn,
-                visit,
-            )
-            .map_err(VerifyError::from)?;
-            Ok((report.stats, Some(report)))
-        } else {
-            let poll_dyn = poll.as_ref().map(|f| f as &dyn Fn() -> Option<String>);
-            let st =
-                gpumc_exec::dpor_explore_interruptible(graph, &self.model, &opts, poll_dyn, |b| {
-                    let _ = visit(b);
-                })
-                .map_err(VerifyError::from)?;
-            Ok((st, None))
-        }
+        let poll_dyn = poll.as_ref().map(|f| f as &dyn Fn() -> Option<String>);
+        gpumc_exec::dpor_explore_interruptible(graph, &self.model, &opts, poll_dyn, visit)
+            .map_err(VerifyError::from)
     }
 
-    fn dpor_stats(
-        &self,
-        graph: &EventGraph,
-        st: gpumc_exec::DporStats,
-        par: Option<gpumc_exec::DporParReport>,
-    ) -> Stats {
+    fn dpor_stats(&self, graph: &EventGraph, st: gpumc_exec::DporStats) -> Stats {
         Stats {
             events: graph.n_events(),
             threads: graph.threads().len(),
             candidates: st.explored,
             dpor: Some(st),
-            dpor_parallel: par,
             ..Stats::default()
         }
     }
@@ -1222,50 +1148,94 @@ exists (P0:r0 == 1)
         ));
     }
 
-    #[test]
-    fn parallel_policy_engages_dpor_driver() {
-        let src = r#"
-PTX spin-par
-{ flag = 0; }
-P0@cta 0,gpu 0 | P1@cta 1,gpu 0 ;
-LC00: | st.relaxed.gpu flag, 1 ;
-ld.relaxed.gpu r0, flag | ;
-bne r0, 1, LC00 | ;
-exists (P0:r0 == 1)
+    /// Two racy reads after two racy writes: four candidates, the first
+    /// one already racy.
+    const VULKAN_RACE2: &str = r#"
+VULKAN race2
+{ x = 0; y = 0; }
+P0@sg 0,wg 0,qf 0 | P1@sg 0,wg 1,qf 0 ;
+st.sc0 x, 1       | ld.sc0 r0, x ;
+st.sc0 y, 1       | ld.sc0 r1, y ;
+exists (P1:r0 == 1)
 "#;
-        let p = parse_litmus(src).unwrap();
-        let seq = Verifier::new(gpumc_models::ptx60()).with_engine(EngineKind::Dpor);
-        let par = seq
-            .clone()
-            .with_parallel(gpumc_exec::ParallelPolicy::Workers(3));
-        let so = seq.check_assertion(&p).unwrap();
-        let po = par.check_assertion(&p).unwrap();
-        assert_eq!(so.reachable, po.reachable, "verdicts must agree");
+
+    /// Runs DPOR exhaustively over `p` and returns the rendering of the
+    /// first behaviour `accept` takes as a witness, plus the run's
+    /// explored count.
+    fn first_dpor_witness(
+        v: &Verifier,
+        p: &Program,
+        accept: impl Fn(&gpumc_exec::Behavior<'_>) -> bool,
+    ) -> (String, u64) {
+        let g = v.compile(p).unwrap();
+        let opts = gpumc_exec::DporOptions::default();
+        let mut first = None;
+        let st = gpumc_exec::dpor_explore(&g, v.model(), &opts, |b| {
+            if first.is_none() && accept(b) {
+                first = Some(b.execution.render());
+            }
+        })
+        .unwrap();
+        (first.expect("the program has a witness"), st.explored)
+    }
+
+    #[test]
+    fn dpor_data_race_check_stops_at_the_first_witness() {
+        let p = parse_litmus(VULKAN_RACE2).unwrap();
+        let v = Verifier::new(gpumc_models::vulkan()).with_engine(EngineKind::Dpor);
+        let (first, exhaustive) = first_dpor_witness(&v, &p, |b| {
+            b.execution.all_completed() && b.verdict.has_flag("dr")
+        });
+        let o = v.check_data_races(&p).unwrap();
+        assert!(o.violated);
+        assert_eq!(o.witness.unwrap().rendering, first);
+        let explored = o.stats.dpor.unwrap().explored;
         assert!(
-            so.stats.dpor_parallel.is_none(),
-            "sequential run, no report"
+            explored < exhaustive,
+            "the search must end at the first race: {explored} of {exhaustive} candidates"
         );
-        let report = po.stats.dpor_parallel.expect("parallel report recorded");
-        assert_eq!(report.workers, 3);
-        // Liveness holds on both paths; no early stop, so the merged
-        // stats equal the sequential engine's exactly.
-        let sl = seq.check_liveness(&p).unwrap();
-        let pl = par.check_liveness(&p).unwrap();
-        assert_eq!(sl.violated, pl.violated);
-        assert!(!sl.violated);
-        let preport = pl.stats.dpor_parallel.expect("parallel report recorded");
-        assert!(!preport.stopped_early, "no violation, nothing to cancel");
-        assert_eq!(Some(preport.stats), sl.stats.dpor, "exact stats merge");
-        // Off and Workers(1) stay on the sequential path.
-        let one = seq
-            .clone()
-            .with_parallel(gpumc_exec::ParallelPolicy::Workers(1));
-        assert!(one
-            .check_assertion(&p)
-            .unwrap()
-            .stats
-            .dpor_parallel
-            .is_none());
+        assert_eq!(o.stats.candidates, explored);
+    }
+
+    #[test]
+    fn dpor_assertion_check_stops_at_the_first_witness() {
+        let p = parse_litmus(MP_WEAK).unwrap();
+        let Some(Assertion::Exists(cond)) = p.assertion.clone() else {
+            panic!("MP has an exists condition");
+        };
+        let v = Verifier::new(gpumc_models::ptx60()).with_engine(EngineKind::Dpor);
+        let (first, exhaustive) = first_dpor_witness(&v, &p, |b| {
+            b.execution.all_completed() && b.execution.eval_condition(&cond) == Some(true)
+        });
+        let o = v.check_assertion(&p).unwrap();
+        assert!(o.reachable);
+        assert_eq!(o.witness.unwrap().rendering, first);
+        let explored = o.stats.dpor.unwrap().explored;
+        assert!(
+            explored < exhaustive,
+            "the search must end at the first witness: {explored} of {exhaustive} candidates"
+        );
+    }
+
+    #[test]
+    fn dpor_step_cap_past_the_first_race_answers_violated() {
+        // The first race takes 6 exploration steps, the whole tree 17.
+        const CAP: u64 = 10;
+        let p = parse_litmus(VULKAN_RACE2).unwrap();
+        let v = Verifier::new(gpumc_models::vulkan()).with_engine(EngineKind::Dpor);
+        // The exhaustive search needs more than CAP steps...
+        let g = v.compile(&p).unwrap();
+        let opts = gpumc_exec::DporOptions {
+            max_steps: CAP,
+            ..gpumc_exec::DporOptions::default()
+        };
+        assert!(matches!(
+            gpumc_exec::dpor_explore(&g, v.model(), &opts, |_| {}),
+            Err(gpumc_exec::DporError::Interrupted(_))
+        ));
+        // ...but the first race lies within them.
+        let o = v.with_enumeration_cap(CAP).check_data_races(&p).unwrap();
+        assert!(o.violated);
     }
 
     #[test]

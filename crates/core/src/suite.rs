@@ -90,9 +90,6 @@ pub struct SuiteConfig {
     /// incremental solver session as the primary. SAT engine only;
     /// secondary verdicts never affect pass/fail.
     pub thorough: bool,
-    /// DPOR worker count applied to every test's verifier
-    /// (off / workers(N) / auto). The other engines ignore it.
-    pub portfolio: gpumc_exec::ParallelPolicy,
 }
 
 impl Default for SuiteConfig {
@@ -103,7 +100,6 @@ impl Default for SuiteConfig {
             model: None,
             enum_cap: None,
             thorough: false,
-            portfolio: gpumc_exec::ParallelPolicy::Off,
         }
     }
 }
@@ -350,8 +346,7 @@ impl SuiteRunner {
         let mut v = Verifier::new(gpumc_models::load_shared(kind))
             .with_bound(t.bound)
             .with_engine(self.config.engine)
-            .with_bounds_memo(Arc::clone(&memo))
-            .with_parallel(self.config.portfolio);
+            .with_bounds_memo(Arc::clone(&memo));
         if let Some(cap) = self.config.enum_cap {
             v = v.with_enumeration_cap(cap);
         }

@@ -33,8 +33,14 @@
 //! engine degenerates to a plain incremental enumerator, and the
 //! property tests in `crates/exec/tests/dpor_props.rs` check that the
 //! consistent behaviour footprints are identical either way.
+//!
+//! A query needs only one witness, so the search can end early: a
+//! visitor of [`dpor_explore_interruptible`] that returns
+//! [`ControlFlow::Break`] stops it at that behaviour. The exploration
+//! order is a fixed depth-first order, so a run stopped at the first
+//! witness returns the witness an exhaustive run would visit first.
 
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::ops::ControlFlow;
 
 use gpumc_cat::{CatModel, DefBody, RelExpr, SetExpr};
 use gpumc_ir::{Arch, BlockId, EventGraph, EventId, EventKind, Guard, LocId, Tag, UTerm, Val};
@@ -99,17 +105,6 @@ impl DporStats {
     pub fn pruned_total(&self) -> u64 {
         self.pruned_rf + self.pruned_paths + self.pruned_co + self.pruned_fence
     }
-
-    /// Accumulates another run's counters (merging per-worker stats of
-    /// a parallel exploration).
-    pub fn absorb(&mut self, o: &DporStats) {
-        self.explored += o.explored;
-        self.consistent += o.consistent;
-        self.pruned_rf += o.pruned_rf;
-        self.pruned_paths += o.pruned_paths;
-        self.pruned_co += o.pruned_co;
-        self.pruned_fence += o.pruned_fence;
-    }
 }
 
 /// DPOR exploration failure.
@@ -146,14 +141,19 @@ pub fn dpor_explore<'g>(
     graph: &'g EventGraph,
     model: &CatModel,
     opts: &DporOptions,
-    visit: impl FnMut(&Behavior<'g>),
+    mut visit: impl FnMut(&Behavior<'g>),
 ) -> Result<DporStats, DporError> {
-    dpor_explore_interruptible(graph, model, opts, None, visit)
+    dpor_explore_interruptible(graph, model, opts, None, |b| {
+        visit(b);
+        ControlFlow::Continue(())
+    })
 }
 
-/// [`dpor_explore`] with a cooperative cancellation hook: `poll` is
-/// called on every exploration step and aborts the run with
-/// [`DporError::Interrupted`] when it returns a reason.
+/// [`dpor_explore`] that can stop early: `visit` returning
+/// [`ControlFlow::Break`] ends the search at that behaviour, and the
+/// run returns the counters gathered so far. `poll` is a cooperative
+/// cancellation hook, called on every exploration step; it aborts the
+/// run with [`DporError::Interrupted`] when it returns a reason.
 ///
 /// # Errors
 ///
@@ -163,85 +163,8 @@ pub fn dpor_explore_interruptible<'g>(
     model: &CatModel,
     opts: &DporOptions,
     poll: Option<&dyn Fn() -> Option<String>>,
-    mut visit: impl FnMut(&Behavior<'g>),
+    mut visit: impl FnMut(&Behavior<'g>) -> ControlFlow<()>,
 ) -> Result<DporStats, DporError> {
-    let out = explore_plan(graph, model, opts, &[], false, None, poll, &mut visit)?;
-    debug_assert!(out.split.is_none() && !out.stopped);
-    Ok(out.stats)
-}
-
-/// Internal flow control of one exploration.
-///
-/// `Split` and `Stop` are parallel-exploration aborts, not failures:
-/// a probe hitting its first frontier decision node reports the node's
-/// arity so the driver can fork one task per child, and a raised stop
-/// flag unwinds the task without an error.
-pub(crate) enum Ctl {
-    Split(u32),
-    Stop,
-    Err(DporError),
-}
-
-impl From<DporError> for Ctl {
-    fn from(e: DporError) -> Ctl {
-        Ctl::Err(e)
-    }
-}
-
-/// Progress shared by every task of one parallel run.
-pub(crate) struct SharedProgress {
-    /// Exploration steps across all workers (relaxed: the budget is a
-    /// global cap, not a per-task one, and slight interleaving slack is
-    /// fine).
-    pub(crate) steps: AtomicU64,
-    /// Raised when a visitor requests an early stop; every task exits
-    /// at its next tick.
-    pub(crate) stop: AtomicBool,
-}
-
-impl SharedProgress {
-    pub(crate) fn new() -> SharedProgress {
-        SharedProgress {
-            steps: AtomicU64::new(0),
-            stop: AtomicBool::new(false),
-        }
-    }
-}
-
-/// Result of exploring one plan (see [`explore_plan`]).
-pub(crate) struct PlanOutcome {
-    pub(crate) stats: DporStats,
-    /// `Some(arity)` iff this was a probe that hit a frontier decision
-    /// node with that many eligible children.
-    pub(crate) split: Option<u32>,
-    /// The shared stop flag ended the task early.
-    pub(crate) stopped: bool,
-}
-
-/// Explores the decision subtree selected by `plan`: the i-th entry
-/// forces the i-th *decision node* (an rf choice, unresolved branch, or
-/// coherence refinement with ≥ 2 eligible children) on the path to take
-/// its plan[i]-th eligible child. Beyond the plan the subtree is
-/// explored exhaustively — unless `probe` is set, in which case the
-/// first frontier decision node aborts with its arity so a driver can
-/// split the subtree into one task per child.
-///
-/// The sequential engine is exactly `explore_plan` with an empty plan.
-/// Stats fired while replaying a shared prefix are kept only by the
-/// prefix's canonical owner (the task whose remaining plan is all
-/// zeros), so summing [`PlanOutcome::stats`] over a disjoint task cover
-/// reproduces the sequential counters exactly.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn explore_plan<'g>(
-    graph: &'g EventGraph,
-    model: &CatModel,
-    opts: &DporOptions,
-    plan: &[u32],
-    probe: bool,
-    shared: Option<&SharedProgress>,
-    poll: Option<&dyn Fn() -> Option<String>>,
-    visit: &mut dyn FnMut(&Behavior<'g>),
-) -> Result<PlanOutcome, DporError> {
     let n_threads = graph.threads().len();
     let mut roots: Vec<Option<BlockId>> = vec![None; n_threads];
     for (i, b) in graph.blocks().iter().enumerate() {
@@ -257,10 +180,6 @@ pub(crate) fn explore_plan<'g>(
         .map(|i| EventId(i as u32))
         .filter(|&e| graph.event(e).tags.contains(Tag::W))
         .collect();
-    let mut suffix_all_zero = vec![true; plan.len() + 1];
-    for j in (0..plan.len()).rev() {
-        suffix_all_zero[j] = suffix_all_zero[j + 1] && plan[j] == 0;
-    }
     let mut explorer = Explorer {
         graph,
         interp: Interpreter::new(model),
@@ -278,35 +197,29 @@ pub(crate) fn explore_plan<'g>(
         poll,
         stats: DporStats::default(),
         steps: 0,
-        plan,
-        suffix_all_zero,
-        depth: 0,
-        probe,
-        shared,
         roots,
         write_cands,
         leaf: vec![None; n_threads],
         rf: vec![None; graph.n_events()],
         scratch: Some(Scratch::new(graph)),
-        visit,
+        visit: &mut visit,
     };
     match explorer.explore_thread(0) {
-        Ok(()) => Ok(PlanOutcome {
-            stats: explorer.stats,
-            split: None,
-            stopped: false,
-        }),
-        Err(Ctl::Split(arity)) => Ok(PlanOutcome {
-            stats: explorer.stats,
-            split: Some(arity),
-            stopped: false,
-        }),
-        Err(Ctl::Stop) => Ok(PlanOutcome {
-            stats: explorer.stats,
-            split: None,
-            stopped: true,
-        }),
+        Ok(()) | Err(Ctl::Stop) => Ok(explorer.stats),
         Err(Ctl::Err(e)) => Err(e),
+    }
+}
+
+/// Internal flow control of one exploration. `Stop` is a visitor's
+/// [`ControlFlow::Break`] unwinding the search, not a failure.
+enum Ctl {
+    Stop,
+    Err(DporError),
+}
+
+impl From<DporError> for Ctl {
+    fn from(e: DporError) -> Ctl {
+        Ctl::Err(e)
     }
 }
 
@@ -321,8 +234,8 @@ struct Candidate<'c> {
     vaddrs: &'c [Option<(LocId, u64)>],
 }
 
-/// Per-task scratch buffers reused across candidate validations, so the
-/// hot path of [`Explorer::complete`] allocates nothing per candidate.
+/// Scratch buffers reused across candidate validations, so the hot
+/// path of [`Explorer::complete`] allocates nothing per candidate.
 struct Scratch<'g> {
     ctx: ValCtx<'g>,
     leaves: Vec<BlockId>,
@@ -354,12 +267,6 @@ impl<'g> Scratch<'g> {
     }
 }
 
-/// Stats bucket a decision-node scan prune belongs to.
-enum Bucket {
-    Rf,
-    Co,
-}
-
 struct Explorer<'g, 'a> {
     graph: &'g EventGraph,
     interp: Interpreter<'a>,
@@ -369,18 +276,6 @@ struct Explorer<'g, 'a> {
     poll: Option<&'a dyn Fn() -> Option<String>>,
     stats: DporStats,
     steps: u64,
-    /// Forced eligible-choice indices at successive decision nodes;
-    /// empty for the sequential engine.
-    plan: &'a [u32],
-    /// `suffix_all_zero[j]`: `plan[j..]` is all zeros, making this task
-    /// the canonical owner of stats fired on the shared prefix at
-    /// decision depth `j`.
-    suffix_all_zero: Vec<bool>,
-    /// Decision nodes taken so far on the current path (≤ `plan.len()`).
-    depth: usize,
-    /// Abort with [`Ctl::Split`] at the first frontier decision node.
-    probe: bool,
-    shared: Option<&'a SharedProgress>,
     roots: Vec<BlockId>,
     write_cands: Vec<EventId>,
     /// Chosen leaf per already-decided thread.
@@ -389,33 +284,18 @@ struct Explorer<'g, 'a> {
     rf: Vec<Option<EventId>>,
     /// `Some` except while [`Explorer::complete`] is on the stack.
     scratch: Option<Scratch<'g>>,
-    visit: &'a mut dyn FnMut(&Behavior<'g>),
+    visit: &'a mut dyn FnMut(&Behavior<'g>) -> ControlFlow<()>,
 }
 
 impl<'g> Explorer<'g, '_> {
-    /// One exploration step: budget and cancellation check. Replayed
-    /// prefixes are not re-billed against the step budget — the
-    /// canonical owner of a shared prefix already paid for it.
+    /// One exploration step: budget and cancellation check.
     fn tick(&mut self) -> Result<(), Ctl> {
-        if self.depth == self.plan.len() {
-            let over = match self.shared {
-                Some(s) => s.steps.fetch_add(1, Ordering::Relaxed) + 1 > self.opts.max_steps,
-                None => {
-                    self.steps += 1;
-                    self.steps > self.opts.max_steps
-                }
-            };
-            if over {
-                return Err(Ctl::Err(DporError::Interrupted(format!(
-                    "more than {} exploration steps",
-                    self.opts.max_steps
-                ))));
-            }
-        }
-        if let Some(s) = self.shared {
-            if s.stop.load(Ordering::Relaxed) {
-                return Err(Ctl::Stop);
-            }
+        self.steps += 1;
+        if self.steps > self.opts.max_steps {
+            return Err(Ctl::Err(DporError::Interrupted(format!(
+                "more than {} exploration steps",
+                self.opts.max_steps
+            ))));
         }
         if let Some(poll) = self.poll {
             if let Some(reason) = poll() {
@@ -423,43 +303,6 @@ impl<'g> Explorer<'g, '_> {
             }
         }
         Ok(())
-    }
-
-    /// Still forcing plan entries.
-    fn replaying(&self) -> bool {
-        self.depth < self.plan.len()
-    }
-
-    /// Probing and past the plan: the next decision node splits.
-    fn probing_frontier(&self) -> bool {
-        self.probe && self.depth == self.plan.len()
-    }
-
-    /// Whether stats fired between decision nodes at the current depth
-    /// belong to this task (always true in the free region).
-    fn keep_segment(&self) -> bool {
-        self.suffix_all_zero[self.depth]
-    }
-
-    /// Books the prunes observed while pre-scanning a decision node.
-    /// Sequentially each fires exactly once; every task forced through
-    /// the node re-observes all of them, so only the canonical owner
-    /// keeps its share: prunes scanned past while eligible child `g`
-    /// was next belong to the task forced into `g` (the last child
-    /// also owns the trailing prunes), provided its remaining plan is
-    /// all zeros.
-    fn credit_decision_prunes(&mut self, tags: &[u32], forced: usize, arity: usize, b: Bucket) {
-        if !self.suffix_all_zero[self.depth + 1] {
-            return;
-        }
-        let kept = tags
-            .iter()
-            .filter(|&&g| g as usize == forced || (forced == arity - 1 && g as usize == arity))
-            .count() as u64;
-        match b {
-            Bucket::Rf => self.stats.pruned_rf += kept,
-            Bucket::Co => self.stats.pruned_co += kept,
-        }
     }
 
     fn explore_thread(&mut self, t: usize) -> Result<(), Ctl> {
@@ -493,38 +336,6 @@ impl<'g> Explorer<'g, '_> {
             return self.block_done(t, blk);
         }
         let r = reads[idx];
-        if !self.replaying() && !self.probing_frontier() {
-            // Free region: plain interleaved scan-and-descend — exactly
-            // the sequential engine.
-            let mut i = 0;
-            while i < self.write_cands.len() {
-                let w = self.write_cands[i];
-                i += 1;
-                if !self.graph.may_alias(r, w) {
-                    continue;
-                }
-                if self.opts.prune_rf && self.source_cannot_execute(t, blk, w) {
-                    self.stats.pruned_rf += 1;
-                    continue;
-                }
-                self.rf[r.index()] = Some(w);
-                if self.opts.prune_rf && self.definite_value_cycle(r) {
-                    self.stats.pruned_rf += 1;
-                    self.rf[r.index()] = None;
-                    continue;
-                }
-                self.assign_block_reads(t, blk, reads, idx + 1)?;
-                self.rf[r.index()] = None;
-            }
-            return Ok(());
-        }
-        // Replay / probe frontier: pre-scan the candidates without
-        // descending. The prefix state at each check matches the
-        // interleaved scan's exactly (the sequential loop restores `rf`
-        // between candidates), so eligibility — and thus the node's
-        // arity — is reproduced deterministically.
-        let mut eligible: Vec<EventId> = Vec::new();
-        let mut prune_tags: Vec<u32> = Vec::new();
         let mut i = 0;
         while i < self.write_cands.len() {
             let w = self.write_cands[i];
@@ -533,47 +344,19 @@ impl<'g> Explorer<'g, '_> {
                 continue;
             }
             if self.opts.prune_rf && self.source_cannot_execute(t, blk, w) {
-                prune_tags.push(eligible.len() as u32);
+                self.stats.pruned_rf += 1;
                 continue;
             }
             self.rf[r.index()] = Some(w);
-            let cyclic = self.opts.prune_rf && self.definite_value_cycle(r);
+            if self.opts.prune_rf && self.definite_value_cycle(r) {
+                self.stats.pruned_rf += 1;
+                self.rf[r.index()] = None;
+                continue;
+            }
+            self.assign_block_reads(t, blk, reads, idx + 1)?;
             self.rf[r.index()] = None;
-            if cyclic {
-                prune_tags.push(eligible.len() as u32);
-            } else {
-                eligible.push(w);
-            }
         }
-        if eligible.len() >= 2 {
-            if self.probing_frontier() {
-                return Err(Ctl::Split(eligible.len() as u32));
-            }
-            let forced = self.plan[self.depth] as usize;
-            debug_assert!(forced < eligible.len(), "plan desync at rf node");
-            self.credit_decision_prunes(&prune_tags, forced, eligible.len(), Bucket::Rf);
-            let w = eligible[forced];
-            self.depth += 1;
-            self.rf[r.index()] = Some(w);
-            let res = self.assign_block_reads(t, blk, reads, idx + 1);
-            self.rf[r.index()] = None;
-            self.depth -= 1;
-            res
-        } else {
-            // Not a decision node: its prunes are segment stats.
-            if self.keep_segment() {
-                self.stats.pruned_rf += prune_tags.len() as u64;
-            }
-            match eligible.first().copied() {
-                Some(w) => {
-                    self.rf[r.index()] = Some(w);
-                    let res = self.assign_block_reads(t, blk, reads, idx + 1);
-                    self.rf[r.index()] = None;
-                    res
-                }
-                None => Ok(()),
-            }
-        }
+        Ok(())
     }
 
     fn block_done(&mut self, t: usize, blk: BlockId) -> Result<(), Ctl> {
@@ -600,20 +383,9 @@ impl<'g> Explorer<'g, '_> {
                 };
                 match resolved {
                     Some(v) => {
-                        if self.keep_segment() {
-                            self.stats.pruned_paths += 1;
-                        }
+                        self.stats.pruned_paths += 1;
                         self.descend(t, if v { then_blk } else { else_blk })
                     }
-                    None if self.replaying() => {
-                        let forced = self.plan[self.depth];
-                        debug_assert!(forced < 2, "plan desync at branch node");
-                        self.depth += 1;
-                        let res = self.descend(t, if forced == 0 { then_blk } else { else_blk });
-                        self.depth -= 1;
-                        res
-                    }
-                    None if self.probing_frontier() => Err(Ctl::Split(2)),
                     None => {
                         self.descend(t, then_blk)?;
                         self.descend(t, else_blk)
@@ -784,7 +556,7 @@ impl<'g> Explorer<'g, '_> {
         );
         events.sort_unstable();
         // --- Values (shared thin-air-rejecting semantics). The
-        // task-owned context is reset onto this candidate's rf prefix
+        // explorer-owned context is reset onto this candidate's rf prefix
         // instead of being rebuilt, so validation reuses its buffers;
         // later stages borrow the snapshot back via `ctx.rf()`.
         ctx.reset(&self.rf);
@@ -935,79 +707,29 @@ impl<'g> Explorer<'g, '_> {
         }
         let do_check =
             self.opts.prune_co && !self.prunable_axioms.is_empty() && per_loc[k].len() > 1;
-        if !self.replaying() && !self.probing_frontier() {
-            // Free region: the sequential loop.
-            for c in 0..per_loc[k].len() {
-                self.tick()?;
-                chosen.push(c);
-                if do_check {
-                    // Partial co: refinements chosen so far plus the base
-                    // edges of the still-undecided locations — a subset of
-                    // every completion, so a failing monotone axiom rules
-                    // out the whole subtree.
-                    partial.clone_from(base_co);
-                    for (j, &cj) in chosen.iter().enumerate() {
-                        partial.union_with(&per_loc[j][cj]);
-                    }
-                    let exec = self.build_execution(cand, partial, &[]);
-                    if !self.interp.check_axioms(&exec, &self.prunable_axioms) {
-                        self.stats.pruned_co += 1;
-                        chosen.pop();
-                        continue;
-                    }
-                }
-                self.co_dfs(cand, per_loc, base_co, chosen, partial)?;
-                chosen.pop();
-            }
-            return Ok(());
-        }
-        // Replay / probe frontier: pre-scan the eligible refinements.
-        let mut eligible: Vec<usize> = Vec::new();
-        let mut prune_tags: Vec<u32> = Vec::new();
         for c in 0..per_loc[k].len() {
             self.tick()?;
+            chosen.push(c);
             if do_check {
+                // Partial co: refinements chosen so far plus the base
+                // edges of the still-undecided locations — a subset of
+                // every completion, so a failing monotone axiom rules
+                // out the whole subtree.
                 partial.clone_from(base_co);
                 for (j, &cj) in chosen.iter().enumerate() {
                     partial.union_with(&per_loc[j][cj]);
                 }
-                partial.union_with(&per_loc[k][c]);
                 let exec = self.build_execution(cand, partial, &[]);
                 if !self.interp.check_axioms(&exec, &self.prunable_axioms) {
-                    prune_tags.push(eligible.len() as u32);
+                    self.stats.pruned_co += 1;
+                    chosen.pop();
                     continue;
                 }
             }
-            eligible.push(c);
-        }
-        if eligible.len() >= 2 {
-            if self.probing_frontier() {
-                return Err(Ctl::Split(eligible.len() as u32));
-            }
-            let forced = self.plan[self.depth] as usize;
-            debug_assert!(forced < eligible.len(), "plan desync at co node");
-            self.credit_decision_prunes(&prune_tags, forced, eligible.len(), Bucket::Co);
-            let c = eligible[forced];
-            self.depth += 1;
-            chosen.push(c);
-            let res = self.co_dfs(cand, per_loc, base_co, chosen, partial);
+            self.co_dfs(cand, per_loc, base_co, chosen, partial)?;
             chosen.pop();
-            self.depth -= 1;
-            res
-        } else {
-            if self.keep_segment() {
-                self.stats.pruned_co += prune_tags.len() as u64;
-            }
-            match eligible.first().copied() {
-                Some(c) => {
-                    chosen.push(c);
-                    let res = self.co_dfs(cand, per_loc, base_co, chosen, partial);
-                    chosen.pop();
-                    res
-                }
-                None => Ok(()),
-            }
         }
+        Ok(())
     }
 
     fn with_fence_orders(&mut self, cand: &Candidate<'_>, co: &Relation) -> Result<(), Ctl> {
@@ -1096,10 +818,6 @@ impl<'g> Explorer<'g, '_> {
         co: &Relation,
         fence_order: &[EventId],
     ) -> Result<(), Ctl> {
-        debug_assert!(
-            self.depth == self.plan.len(),
-            "candidates are checked in the free region only"
-        );
         self.tick()?;
         self.stats.explored += 1;
         let execution = self.build_execution(cand, co, fence_order);
@@ -1112,7 +830,9 @@ impl<'g> Explorer<'g, '_> {
         let verdict = self.interp.check(&execution);
         if verdict.consistent {
             self.stats.consistent += 1;
-            (self.visit)(&Behavior { execution, verdict });
+            if (self.visit)(&Behavior { execution, verdict }).is_break() {
+                return Err(Ctl::Stop);
+            }
         }
         Ok(())
     }

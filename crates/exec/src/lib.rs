@@ -28,7 +28,6 @@
 mod base;
 mod bitrel;
 mod dpor;
-mod dpor_par;
 mod enumerate;
 mod execution;
 mod interp;
@@ -36,7 +35,6 @@ mod interp;
 pub use base::BaseInterpretation;
 pub use bitrel::{EventSet, Relation};
 pub use dpor::{dpor_explore, dpor_explore_interruptible, DporError, DporOptions, DporStats};
-pub use dpor_par::{dpor_explore_parallel, DporParReport, ParallelPolicy};
 pub use enumerate::{enumerate, enumerate_consistent, Behavior, EnumerateError, EnumerateOptions};
 pub use execution::{Execution, ThreadOutcome};
 pub use interp::{ConsistencyVerdict, FlagHit, Interpreter};

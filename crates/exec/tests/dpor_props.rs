@@ -8,12 +8,10 @@
 
 use std::collections::BTreeSet;
 use std::ops::ControlFlow;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
 
 use gpumc_cat::CatModel;
 use gpumc_exec::{
-    dpor_explore, dpor_explore_parallel, enumerate, BaseInterpretation, DporOptions, DporParReport,
+    dpor_explore, dpor_explore_interruptible, enumerate, BaseInterpretation, DporOptions,
     DporStats, EnumerateOptions, Execution,
 };
 use gpumc_ir::*;
@@ -345,28 +343,11 @@ fn dpor_budget_exhaustion_is_interrupted() {
 }
 
 // ---------------------------------------------------------------------
-// Parallel driver: agreement with the sequential engine and the
-// determinism gate (identical verdicts AND identical merged stats for
-// every worker count, run after run).
+// Early exit: a visitor's `Break` ends the search at that behaviour.
 // ---------------------------------------------------------------------
 
-fn par_footprints(
-    g: &EventGraph,
-    model: &CatModel,
-    opts: &DporOptions,
-    workers: usize,
-) -> (BTreeSet<Footprint>, DporParReport) {
-    let out = Mutex::new(BTreeSet::new());
-    let report = dpor_explore_parallel(g, model, opts, workers, None, &|b| {
-        out.lock().unwrap().insert(footprint(&b.execution));
-        ControlFlow::Continue(())
-    })
-    .expect("parallel dpor within caps");
-    (out.into_inner().unwrap(), report)
-}
-
 #[test]
-fn parallel_dpor_matches_sequential_per_worker_count() {
+fn break_on_the_first_behaviour_ends_the_search() {
     let programs = [
         (mp_program(), 1, SC_PER_LOC),
         (mp_program(), 1, SC_FULL),
@@ -376,105 +357,31 @@ fn parallel_dpor_matches_sequential_per_worker_count() {
     for (p, bound, cat) in programs {
         let g = graph_of(&p, bound);
         let model = gpumc_cat::parse(cat).unwrap();
-        for opts in [DporOptions::default(), no_prunes()] {
-            let (seq, seq_stats) = dpor_footprints(&g, &model, &opts);
-            for workers in 1..=4 {
-                let (par, report) = par_footprints(&g, &model, &opts, workers);
-                assert_eq!(
-                    par, seq,
-                    "parallel != sequential footprints ({} workers, {})",
-                    workers, p.name
-                );
-                assert!(!report.stopped_early);
-                assert_eq!(report.workers, workers);
-                assert!(report.tasks >= 1);
-                assert_eq!(
-                    report.stats, seq_stats,
-                    "merged stats must equal sequential exactly ({} workers, {})",
-                    workers, p.name
-                );
-            }
-        }
-    }
-}
-
-#[test]
-fn parallel_dpor_is_deterministic_across_runs() {
-    let p = spin_program();
-    let g = graph_of(&p, 2);
-    let model = gpumc_cat::parse(SC_PER_LOC).unwrap();
-    for workers in 1..=4 {
-        let (f1, r1) = par_footprints(&g, &model, &DporOptions::default(), workers);
-        let (f2, r2) = par_footprints(&g, &model, &DporOptions::default(), workers);
-        assert_eq!(f1, f2, "verdicts must not depend on scheduling");
+        let mut first: Option<Footprint> = None;
+        let exhaustive = dpor_explore(&g, &model, &DporOptions::default(), |b| {
+            first.get_or_insert_with(|| footprint(&b.execution));
+        })
+        .expect("dpor within caps");
+        let mut seen = Vec::new();
+        let stopped = dpor_explore_interruptible(&g, &model, &DporOptions::default(), None, |b| {
+            seen.push(footprint(&b.execution));
+            ControlFlow::Break(())
+        })
+        .expect("an early stop is not an error");
+        assert_eq!(seen.len(), 1, "{}: Break must end the search", p.name);
         assert_eq!(
-            r1.stats, r2.stats,
-            "merged stats must not depend on scheduling"
+            seen.first(),
+            first.as_ref(),
+            "{}: the stopped run must end at the exhaustive run's first behaviour",
+            p.name
         );
-        assert_eq!(r1.tasks, r2.tasks, "the splitter is deterministic");
+        assert_eq!(stopped.consistent, 1, "{}", p.name);
+        assert!(
+            stopped.explored <= exhaustive.explored,
+            "{}: stopped {stopped:?} vs exhaustive {exhaustive:?}",
+            p.name
+        );
     }
-}
-
-#[test]
-fn parallel_dpor_break_cancels_remaining_tasks() {
-    let p = spin_program();
-    let g = graph_of(&p, 2);
-    let model = gpumc_cat::parse(SC_PER_LOC).unwrap();
-    let visits = AtomicU64::new(0);
-    let report = dpor_explore_parallel(&g, &model, &DporOptions::default(), 4, None, &|_| {
-        visits.fetch_add(1, Ordering::Relaxed);
-        ControlFlow::Break(())
-    })
-    .expect("early stop is not an error");
-    assert!(
-        report.stopped_early,
-        "a Break must be reported as an early stop"
-    );
-    assert!(visits.load(Ordering::Relaxed) >= 1);
-    // A cancelled run reports partial (but still well-defined) stats.
-    let (_, seq_stats) = dpor_footprints(&g, &model, &DporOptions::default());
-    assert!(report.stats.explored <= seq_stats.explored);
-}
-
-#[test]
-fn parallel_dpor_shares_one_step_budget() {
-    let p = mp_program();
-    let g = graph_of(&p, 1);
-    let model = gpumc_cat::parse(SC_PER_LOC).unwrap();
-    let opts = DporOptions {
-        max_steps: 3,
-        ..DporOptions::default()
-    };
-    let err = dpor_explore_parallel(&g, &model, &opts, 2, None, &|_| ControlFlow::Continue(()))
-        .unwrap_err();
-    assert!(
-        matches!(err, gpumc_exec::DporError::Interrupted(_)),
-        "got {err:?}"
-    );
-}
-
-#[test]
-fn parallel_dpor_contains_injected_panic() {
-    let p = mp_program();
-    let g = graph_of(&p, 1);
-    let model = gpumc_cat::parse(SC_PER_LOC).unwrap();
-    let plan = gpumc_fault::FaultPlan::single(
-        gpumc_fault::points::DPOR_EXPLORE,
-        gpumc_fault::FaultKind::Panic,
-    );
-    let _guard = gpumc_fault::scoped(std::sync::Arc::new(plan));
-    let err = dpor_explore_parallel(&g, &model, &DporOptions::default(), 2, None, &|_| {
-        ControlFlow::Continue(())
-    })
-    .unwrap_err();
-    assert!(
-        matches!(
-            err,
-            gpumc_exec::DporError::Interrupted(ref m)
-                if m.contains("panicked") && m.contains("injected fault")
-        ),
-        "an injected panic must surface as Interrupted with its message, got {err:?}"
-    );
 }
 
 // ---------------------------------------------------------------------

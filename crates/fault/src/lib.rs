@@ -396,24 +396,6 @@ impl Drop for ScopedPlan {
     }
 }
 
-/// Returns the plan the *current thread* would consult on the next
-/// [`hit`]: the innermost scoped plan if one is armed, else the global
-/// plan. Scoped plans live in a thread-local, so worker threads spawned
-/// by a parallel solve do not inherit them automatically; the spawner
-/// captures `current_plan()` before forking and re-arms it with
-/// [`scoped`] inside each worker so injected faults reach every racer.
-pub fn current_plan() -> Option<Arc<FaultPlan>> {
-    if ACTIVE_PLANS.load(Ordering::Relaxed) == 0 {
-        return None;
-    }
-    SCOPED.with(|s| s.borrow().last().cloned()).or_else(|| {
-        global_slot()
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .clone()
-    })
-}
-
 /// Probes an injection point.
 ///
 /// With no plan installed this is a single relaxed atomic load. With a

@@ -10,8 +10,9 @@
 //! Back-edges consume *fuel*: each backward jump instruction may be taken
 //! at most `bound - 1` times on one path. When the fuel runs out the path
 //! terminates with [`UTerm::Bound`]; if the exhausted loop was a
-//! *spinloop* (its body contains no store, RMW, or control barrier — the
-//! side-effect-free loops of §6.4) the terminator records the loop's
+//! *spinloop* (its body contains no store, RMW, fence, or control
+//! barrier — the side-effect-free loops of §6.4, as decided by
+//! [`Instruction::has_side_effect`]) the terminator records the loop's
 //! final load so the liveness checker can test co-maximal stuckness.
 
 use std::collections::HashMap;

@@ -21,9 +21,8 @@
 //!   in [`server`] and the failure taxonomy in DESIGN.md §13;
 //! * admission control and graceful degradation under overload
 //!   ([`overload`]): a deadline-aware load-shed gate ahead of the
-//!   scheduler plus a brownout ladder (full → cache-only → sequential
-//!   → shed), exported in responses as a `degraded` block — DESIGN.md
-//!   §18.
+//!   scheduler plus a brownout ladder (full → cache-only → shed),
+//!   exported in responses as a `degraded` block — DESIGN.md §18.
 //!
 //! The JSON plumbing ([`json`]) is hand-rolled: the offline dependency
 //! set has no serde, and the protocol needs very little. It lives in

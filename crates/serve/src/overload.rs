@@ -5,7 +5,7 @@
 //! falling over (DESIGN.md §18):
 //!
 //! ```text
-//!   full ──► cache-only ──► sequential ──► shed
+//!   full ──► cache-only ──► shed
 //! ```
 //!
 //! * **full** — normal operation.
@@ -13,11 +13,6 @@
 //!   wherever it can, *including* requests that opted out with
 //!   `"cache": false` (a stale-tolerant answer beats no answer; the
 //!   response carries a `degraded` block saying so).
-//! * **sequential** — additionally, a DPOR request's workers (the
-//!   request's `portfolio` field) are downgraded to the sequential
-//!   engine: under pressure, N× CPU fan-out per request is the first
-//!   luxury to go. SAT requests are unaffected, since every SAT query
-//!   already runs one sequential search.
 //! * **shed** — new verify work is refused with `status:"shed"`; only
 //!   cache hits are still answered. A shed request was never accepted,
 //!   so resubmitting later is always safe.
@@ -37,8 +32,8 @@
 use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
 
 /// The degradation ladder, least to most degraded. Ordering is
-/// meaningful: `level >= Sequential` means "sequential *and* cache-only
-/// measures are active".
+/// meaningful: `level >= CacheOnly` means "cache-only measures are
+/// active". The discriminants are the `degraded_level` gauge values.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 #[repr(u8)]
 pub enum DegradeLevel {
@@ -46,8 +41,6 @@ pub enum DegradeLevel {
     Full = 0,
     /// Serve from cache wherever possible, even past `"cache":false`.
     CacheOnly = 1,
-    /// Additionally force parallel DPOR down to one worker.
-    Sequential = 2,
     /// Refuse new verify work (`status:"shed"`); cache hits still serve.
     Shed = 3,
 }
@@ -58,7 +51,6 @@ impl DegradeLevel {
         match self {
             DegradeLevel::Full => "full",
             DegradeLevel::CacheOnly => "cache-only",
-            DegradeLevel::Sequential => "sequential",
             DegradeLevel::Shed => "shed",
         }
     }
@@ -72,10 +64,9 @@ impl DegradeLevel {
         match s {
             "full" => Ok(DegradeLevel::Full),
             "cache-only" => Ok(DegradeLevel::CacheOnly),
-            "sequential" => Ok(DegradeLevel::Sequential),
             "shed" => Ok(DegradeLevel::Shed),
             other => Err(format!(
-                "unknown degrade level `{other}` (expected full, cache-only, sequential, or shed)"
+                "unknown degrade level `{other}` (expected full, cache-only, or shed)"
             )),
         }
     }
@@ -84,7 +75,6 @@ impl DegradeLevel {
         match v {
             0 => DegradeLevel::Full,
             1 => DegradeLevel::CacheOnly,
-            2 => DegradeLevel::Sequential,
             _ => DegradeLevel::Shed,
         }
     }
@@ -97,8 +87,6 @@ impl DegradeLevel {
 pub struct OverloadPolicy {
     /// Pressure at which `cache-only` engages.
     pub cache_only_at: f64,
-    /// Pressure at which `sequential` engages.
-    pub sequential_at: f64,
     /// Pressure at which `shed` engages (the high-water mark).
     pub shed_at: f64,
     /// A level disengages only when pressure drops below its engage
@@ -110,7 +98,6 @@ impl Default for OverloadPolicy {
     fn default() -> OverloadPolicy {
         OverloadPolicy {
             cache_only_at: 0.60,
-            sequential_at: 0.75,
             shed_at: 0.90,
             hysteresis: 0.10,
         }
@@ -122,7 +109,6 @@ impl OverloadPolicy {
         match level {
             DegradeLevel::Full => 0.0,
             DegradeLevel::CacheOnly => self.cache_only_at,
-            DegradeLevel::Sequential => self.sequential_at,
             DegradeLevel::Shed => self.shed_at,
         }
     }
@@ -131,8 +117,6 @@ impl OverloadPolicy {
     fn target(&self, pressure: f64) -> DegradeLevel {
         if pressure >= self.shed_at {
             DegradeLevel::Shed
-        } else if pressure >= self.sequential_at {
-            DegradeLevel::Sequential
         } else if pressure >= self.cache_only_at {
             DegradeLevel::CacheOnly
         } else {
@@ -264,10 +248,13 @@ mod tests {
         );
         assert_eq!(
             next_level(DegradeLevel::Full, 0.80, &p),
-            DegradeLevel::Sequential,
+            DegradeLevel::CacheOnly
+        );
+        assert_eq!(
+            next_level(DegradeLevel::Full, 0.95, &p),
+            DegradeLevel::Shed,
             "rising skips intermediate rungs"
         );
-        assert_eq!(next_level(DegradeLevel::Full, 0.95, &p), DegradeLevel::Shed);
     }
 
     #[test]
@@ -279,7 +266,7 @@ mod tests {
         // ...but below 0.90 − 0.10 it falls to wherever pressure maps.
         assert_eq!(
             next_level(DegradeLevel::Shed, 0.79, &p),
-            DegradeLevel::Sequential
+            DegradeLevel::CacheOnly
         );
         assert_eq!(next_level(DegradeLevel::Shed, 0.10, &p), DegradeLevel::Full);
         assert_eq!(
@@ -333,7 +320,6 @@ mod tests {
         for l in [
             DegradeLevel::Full,
             DegradeLevel::CacheOnly,
-            DegradeLevel::Sequential,
             DegradeLevel::Shed,
         ] {
             assert_eq!(DegradeLevel::parse(l.name()), Ok(l));

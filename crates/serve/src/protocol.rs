@@ -25,10 +25,12 @@
 //! content-addressed result cache with `"cache": false`. `simplify`
 //! is accepted for compatibility and ignored: no CNF simplification
 //! runs, and `done` responses always carry `"simplify":null`.
-//! `portfolio` (`off`, `auto`, or a worker count) selects DPOR workers
-//! for `"engine":"dpor"` requests; the SAT engine ignores it (every
-//! query runs one sequential CDCL search), and `done` responses always
-//! carry `"portfolio":null`.
+//! `portfolio` (`off`, `auto`, or a worker count) is likewise accepted
+//! and ignored: every SAT query runs one sequential CDCL search, DPOR
+//! runs one sequential search that stops at the first witness, and
+//! `done` responses always carry `"portfolio":null`. A DPOR `done`
+//! response's `dpor.explored` therefore counts the candidates up to the
+//! first witness (all of them when the property holds).
 //!
 //! A present field of the wrong JSON type is an error that names the
 //! field, never a silent default: `timeout_ms`, `budget` and
@@ -117,9 +119,6 @@ pub struct VerifyRequest {
     /// A `gpumc-fault` plan spec armed for this job only. Refused with
     /// `status:"error"` unless the server runs with `--enable-faults`.
     pub faults: Option<String>,
-    /// DPOR worker count: a `"portfolio"` field carrying a worker
-    /// count (`4`), `"auto"`, or `"off"` (the default when absent).
-    pub portfolio: gpumc::gpumc_exec::ParallelPolicy,
     /// Verification engine (`sat`, `enumerate`, `alloy`, `dpor`);
     /// defaults to `sat` when absent.
     pub engine: gpumc::EngineKind,
@@ -161,6 +160,26 @@ fn optional<'a, T>(
         Some(x) => get(x)
             .map(Some)
             .ok_or_else(|| format!("`{key}` must be {kind}")),
+    }
+}
+
+/// Checks the no-op `portfolio` field. It is ignored, but only a worker
+/// count (a `u32`), `"auto"` or `"off"` is accepted: exactly the values
+/// that parsed when the field still selected workers.
+fn check_portfolio(v: &Json) -> Result<(), String> {
+    const KIND: &str = "`portfolio` must be a worker count, \"auto\", or \"off\"";
+    match v.get("portfolio") {
+        None | Some(Json::Null) => Ok(()),
+        Some(n @ Json::Num(_)) => {
+            let n = n.as_u64().ok_or(KIND)?;
+            u32::try_from(n).map_err(|_| "`portfolio` out of range")?;
+            Ok(())
+        }
+        Some(Json::Str(s)) if s == "off" || s == "auto" || s.parse::<u32>().is_ok() => Ok(()),
+        Some(Json::Str(s)) => Err(format!(
+            "invalid portfolio value `{s}` (want off, auto, or N)"
+        )),
+        Some(_) => Err(KIND.into()),
     }
 }
 
@@ -231,21 +250,7 @@ pub fn parse_request(line: &str) -> Result<Envelope, String> {
             if bound == 0 {
                 return Err("`bound` must be at least 1".into());
             }
-            let portfolio = match v.get("portfolio") {
-                None | Some(Json::Null) => gpumc::gpumc_exec::ParallelPolicy::Off,
-                Some(Json::Num(_)) => {
-                    let n = v
-                        .get("portfolio")
-                        .and_then(Json::as_u64)
-                        .ok_or("`portfolio` must be a worker count, \"auto\", or \"off\"")?;
-                    let n = u32::try_from(n).map_err(|_| "`portfolio` out of range")?;
-                    gpumc::gpumc_exec::ParallelPolicy::parse(&n.to_string())?
-                }
-                Some(Json::Str(s)) => gpumc::gpumc_exec::ParallelPolicy::parse(s)?,
-                Some(_) => {
-                    return Err("`portfolio` must be a worker count, \"auto\", or \"off\"".into())
-                }
-            };
+            check_portfolio(&v)?;
             let engine = match v.get("engine") {
                 None | Some(Json::Null) => gpumc::EngineKind::Sat,
                 Some(Json::Str(s)) => s.parse::<gpumc::EngineKind>()?,
@@ -264,7 +269,6 @@ pub fn parse_request(line: &str) -> Result<Envelope, String> {
                 budget: count("budget")?,
                 mem_budget_mb: count("mem_budget_mb")?,
                 faults: string("faults")?,
-                portfolio,
                 engine,
                 cache: flag("cache")?.unwrap_or(true),
             })
@@ -611,33 +615,34 @@ mod tests {
 
     #[test]
     fn verify_accepts_portfolio_field() {
-        use gpumc::gpumc_exec::ParallelPolicy;
-        let policy = |line: &str| match parse_request(line).unwrap().request {
-            Request::Verify(v) => v.portfolio,
-            other => panic!("{other:?}"),
-        };
-        assert_eq!(
-            policy(r#"{"verb":"verify","source":"x"}"#),
-            ParallelPolicy::Off
-        );
-        assert_eq!(
-            policy(r#"{"verb":"verify","source":"x","portfolio":4}"#),
-            ParallelPolicy::Workers(4)
-        );
-        assert_eq!(
-            policy(r#"{"verb":"verify","source":"x","portfolio":1}"#),
-            ParallelPolicy::Off
-        );
-        assert_eq!(
-            policy(r#"{"verb":"verify","source":"x","portfolio":"auto"}"#),
-            ParallelPolicy::Auto
-        );
-        assert_eq!(
-            policy(r#"{"verb":"verify","source":"x","portfolio":"off"}"#),
-            ParallelPolicy::Off
-        );
-        assert!(parse_request(r#"{"verb":"verify","source":"x","portfolio":"many"}"#).is_err());
-        assert!(parse_request(r#"{"verb":"verify","source":"x","portfolio":true}"#).is_err());
+        let plain = verify(r#"{"verb":"verify","source":"x"}"#);
+        for ok in [
+            "null",
+            "0",
+            "1",
+            "4",
+            "4294967295",
+            r#""off""#,
+            r#""auto""#,
+            r#""1""#,
+            r#""4""#,
+        ] {
+            let line = format!(r#"{{"verb":"verify","source":"x","portfolio":{ok}}}"#);
+            assert_eq!(verify(&line), plain, "accepted and ignored: {line}");
+        }
+        for bad in [
+            r#""many""#,
+            r#""""#,
+            r#""-1""#,
+            "true",
+            "-1",
+            "2.5",
+            "4294967296",
+            "[2]",
+        ] {
+            let line = format!(r#"{{"verb":"verify","source":"x","portfolio":{bad}}}"#);
+            assert!(parse_request(&line).is_err(), "rejected: {line}");
+        }
     }
 
     #[test]

@@ -514,7 +514,7 @@ fn dispatch_line(line: &str, out: &Out, shared: &Arc<Shared>) -> std::ops::Contr
             );
             ControlFlow::Break(())
         }
-        Request::Verify(mut req) => {
+        Request::Verify(req) => {
             shared.metrics.inc("requests_verify");
             let accepted = Instant::now();
             let faults = match &req.faults {
@@ -633,14 +633,6 @@ fn dispatch_line(line: &str, out: &Out, shared: &Arc<Shared>) -> std::ops::Contr
                         return ControlFlow::Continue(());
                     }
                 }
-            }
-            // At the sequential rung, per-job CPU fan-out is the first
-            // luxury to go: parallel DPOR degrades to one worker.
-            if level >= DegradeLevel::Sequential
-                && req.portfolio != gpumc::gpumc_exec::ParallelPolicy::Off
-            {
-                shared.metrics.inc("portfolio_downgraded_total");
-                req.portfolio = gpumc::gpumc_exec::ParallelPolicy::Off;
             }
             let token = match timeout_ms {
                 Some(ms) => CancelToken::with_timeout(Duration::from_millis(ms)),
@@ -905,8 +897,7 @@ fn run_verify_job(job: &Job, shared: &Arc<Shared>) -> Json {
     let mut verifier = Verifier::new(gpumc_models::load_shared(kind))
         .with_engine(req.engine)
         .with_bound(req.bound)
-        .with_cancel_token(job.token.clone())
-        .with_parallel(req.portfolio);
+        .with_cancel_token(job.token.clone());
     if let Some(budget) = req.budget {
         verifier = verifier.with_conflict_budget(budget);
     }
@@ -931,16 +922,6 @@ fn run_verify_job(job: &Job, shared: &Arc<Shared>) -> Json {
                 .add("solver_propagations_total", propagations);
             shared.metrics.observe_us("solve_us", o.phases.solve_us);
             shared.metrics.observe_us("encode_us", o.phases.encode_us);
-            if let Some(p) = &o.assertion.stats.dpor_parallel {
-                shared.metrics.inc("dpor_parallel_requests_total");
-                shared
-                    .metrics
-                    .add("dpor_parallel_tasks_total", p.tasks as u64);
-                shared.metrics.add("dpor_parallel_steals_total", p.steals);
-                if p.stopped_early {
-                    shared.metrics.inc("dpor_parallel_early_stops_total");
-                }
-            }
             // Only definitive verdicts are cached — the `unknown` and
             // error arms below never reach this insert — and only for
             // jobs whose digest survived the dispatch-time gating

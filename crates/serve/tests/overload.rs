@@ -103,35 +103,6 @@ fn pinned_shed_refuses_fresh_work_but_serves_cache_hits() {
 }
 
 #[test]
-fn pinned_sequential_downgrades_portfolio_and_stamps_degraded() {
-    let (addr, handle) = spawn_server(ServerConfig {
-        addr: "127.0.0.1:0".into(),
-        force_degrade: Some(DegradeLevel::Sequential),
-        ..ServerConfig::default()
-    });
-    let mut client = Client::connect(&addr).unwrap();
-    let t = &gpumc_catalog::figure_tests()[0];
-    let resp = client
-        .request(Json::Obj(vec![
-            ("verb".into(), Json::str("verify")),
-            ("source".into(), Json::str(&t.source)),
-            ("bound".into(), Json::count(u64::from(t.bound))),
-            ("portfolio".into(), Json::count(2)),
-        ]))
-        .unwrap();
-    assert_eq!(status(&resp), "done", "got: {resp}");
-    assert_eq!(degraded_level(&resp), Some("sequential"));
-    // The workers the request asked for were downgraded away (counted
-    // below); the response's portfolio key is null, as on every `done`
-    // response.
-    assert_eq!(resp.get("portfolio"), Some(&Json::Null));
-    let m = client.metrics().unwrap();
-    assert_eq!(counter(&m, "portfolio_downgraded_total"), 1);
-    client.shutdown().unwrap();
-    handle.join().unwrap();
-}
-
-#[test]
 fn pinned_cache_only_overrides_the_cache_opt_out() {
     let (addr, handle) = spawn_server(ServerConfig {
         addr: "127.0.0.1:0".into(),

@@ -304,62 +304,9 @@ fn bad_requests_get_error_responses_not_disconnects() {
     handle.join().unwrap();
 }
 
-#[test]
-fn dpor_parallel_requests_are_counted_in_metrics() {
-    let (addr, handle) = spawn_server(ServerConfig {
-        addr: "127.0.0.1:0".into(),
-        jobs: 1,
-        max_queue: 4,
-        default_timeout_ms: None,
-        metrics_every_secs: None,
-        ..ServerConfig::default()
-    });
-    let mut client = Client::connect(&addr).unwrap();
-
-    // A DPOR-engine request with a parallel policy must engage the
-    // work-stealing driver and agree with the default-engine verdict.
-    let tests = gpumc_catalog::figure_tests();
-    let t = &tests[0];
-    let source = t
-        .source
-        .replace('\\', "\\\\")
-        .replace('"', "\\\"")
-        .replace('\n', "\\n");
-    let req = Json::parse(&format!(
-        r#"{{"id":1,"verb":"verify","source":"{source}","bound":{},"engine":"dpor","portfolio":3}}"#,
-        t.bound
-    ))
-    .unwrap();
-    let resp = client.request(req).unwrap();
-    assert_eq!(
-        resp.get("status").and_then(Json::as_str),
-        Some("done"),
-        "got: {resp}"
-    );
-    let expected = {
-        let program = gpumc::parse_litmus(&t.source).unwrap();
-        let v = Verifier::new(gpumc_models::load(default_kind(&program))).with_bound(t.bound);
-        verdict_json(&program.name, &v.check_all(&program).unwrap()).to_string()
-    };
-    assert_eq!(
-        resp.get("verdict").unwrap().to_string(),
-        expected,
-        "parallel DPOR must agree with the batch SAT verdict"
-    );
-
-    let m = client.metrics().unwrap();
-    let counters = m.get("metrics").unwrap().get("counters").unwrap();
-    let count = |name: &str| counters.get(name).and_then(Json::as_u64).unwrap_or(0);
-    assert_eq!(count("dpor_parallel_requests_total"), 1);
-    assert!(count("dpor_parallel_tasks_total") >= 1);
-
-    client.shutdown().unwrap();
-    handle.join().unwrap();
-}
-
-/// The `portfolio` field selects DPOR workers only; a SAT request runs
-/// one sequential search whatever it says, so no value of it can size
-/// an allocation. A four-billion-worker request answers like the batch
+/// The `portfolio` field is accepted and ignored: every query runs one
+/// sequential search whatever it says, so no value of it can size an
+/// allocation. A four-billion-worker request answers like the batch
 /// CLI and leaves the server answering.
 #[test]
 fn huge_portfolio_on_a_sat_request_answers_and_the_server_survives() {

@@ -3,7 +3,6 @@
 //! must produce identical verdicts — a three-arm differential gate.
 //! This is the paper's Table 5 validation methodology, run continuously.
 
-use gpumc::gpumc_exec::ParallelPolicy;
 use gpumc::{EngineKind, Verifier, VerifyError};
 use gpumc_catalog::Test;
 use gpumc_encode::{encode, EncodeOptions};
@@ -529,34 +528,6 @@ fn assert_dpor_sat_agreement(t: &Test, model: ModelKind, bound: u32) -> bool {
                 Err(VerifyError::TooComplex(_) | VerifyError::Unsupported(_)) => {}
                 Err(e) => panic!("unexpected enumerate failure on {ctx}: {e}"),
             }
-            // Fourth arm: the work-stealing parallel DPOR driver must
-            // agree wherever it answers. (On budget-capped violating
-            // programs it may legitimately answer where the exhaustive
-            // sequential engine ran out of budget — compared only when
-            // both arms answered, which they did here.)
-            let par = dpor.clone().with_parallel(ParallelPolicy::Workers(3));
-            match check_all_verdicts(&par, &program) {
-                Ok(p) => {
-                    assert_eq!(
-                        p.reachable, s.reachable,
-                        "assertion reachability differs on {ctx} (parallel dpor vs sat)"
-                    );
-                    assert_eq!(
-                        p.expectation, s.expectation,
-                        "assertion expectation differs on {ctx} (parallel dpor vs sat)"
-                    );
-                    assert_eq!(
-                        p.liveness, s.liveness,
-                        "liveness verdict differs on {ctx} (parallel dpor vs sat)"
-                    );
-                    assert_eq!(
-                        p.race, s.race,
-                        "data-race verdict differs on {ctx} (parallel dpor vs sat)"
-                    );
-                }
-                Err(VerifyError::Unknown(_) | VerifyError::TooComplex(_)) => {}
-                Err(e) => panic!("unexpected parallel dpor failure on {ctx}: {e}"),
-            }
             true
         }
         // A capped DPOR exploration withholds its verdict; never wrong.
@@ -684,70 +655,6 @@ fn dpor_covers_branching_tests_the_baseline_rejects() {
         }
     }
     assert!(covered > 0, "dpor must answer at least one branching test");
-}
-
-/// The multi-worker agreement sweep the `dpor-parallel` CI job runs on
-/// the validation tier: for each worker count, the parallel driver's
-/// verdicts must equal the sequential DPOR engine's, and back-to-back
-/// runs must agree with each other (scheduling must not leak into
-/// verdicts). Compared only where both arms answered — a capped
-/// exploration may withhold, never contradict.
-#[test]
-fn parallel_dpor_worker_sweep_on_validation_tier() {
-    let tests = gpumc_catalog::tier_tests(gpumc_catalog::Tier::Validation);
-    let stride = if cfg!(debug_assertions) { 24 } else { 6 };
-    let mut cells = 0u32;
-    let mut answered = 0u32;
-    for t in tests.iter().step_by(stride) {
-        let model = if t.source.trim_start().starts_with("PTX") {
-            ModelKind::Ptx75
-        } else {
-            ModelKind::Vulkan
-        };
-        let program = gpumc::parse_litmus(&t.source).expect("catalog test parses");
-        let bound = t.bound.min(2);
-        let seq = Verifier::new(gpumc_models::load_shared(model))
-            .with_bound(bound)
-            .with_engine(EngineKind::Dpor)
-            .with_enumeration_cap(EXPLORE_CAP);
-        let s = match check_all_verdicts(&seq, &program) {
-            Ok(s) => s,
-            Err(_) => continue,
-        };
-        for workers in [2u32, 4] {
-            cells += 1;
-            let par = seq.clone().with_parallel(ParallelPolicy::Workers(workers));
-            let ctx = format!("{} under {model:?} with {workers} workers", t.name);
-            let (a, b) = match (
-                check_all_verdicts(&par, &program),
-                check_all_verdicts(&par, &program),
-            ) {
-                (Ok(a), Ok(b)) => (a, b),
-                (Err(VerifyError::Unknown(_)), _) | (_, Err(VerifyError::Unknown(_))) => continue,
-                (Err(e), _) | (_, Err(e)) => panic!("hard parallel failure on {ctx}: {e}"),
-            };
-            answered += 1;
-            for (run, v) in [("first", &a), ("second", &b)] {
-                assert_eq!(
-                    v.reachable, s.reachable,
-                    "{run} run: reachability differs on {ctx}"
-                );
-                assert_eq!(
-                    v.expectation, s.expectation,
-                    "{run} run: expectation differs on {ctx}"
-                );
-                assert_eq!(
-                    v.liveness, s.liveness,
-                    "{run} run: liveness differs on {ctx}"
-                );
-                assert_eq!(v.race, s.race, "{run} run: race verdict differs on {ctx}");
-            }
-        }
-    }
-    assert!(
-        answered * 10 >= cells * 9,
-        "parallel dpor answered only {answered}/{cells} sweep cells"
-    );
 }
 
 #[test]

@@ -163,57 +163,6 @@ fn dpor_engine_survives_explore_faults() {
 }
 
 #[test]
-fn parallel_dpor_engine_contains_explore_faults() {
-    // The same `dpor.explore` matrix as above, but under the
-    // work-stealing parallel driver: the fault now fires inside a
-    // worker thread (the plan is re-armed per worker), and the driver
-    // must *contain* it. A worker panic surfaces as the classified
-    // `Unknown` — it must never escape to the caller and never flip a
-    // verdict.
-    let tests = gpumc_catalog::figure_tests();
-    assert!(!tests.is_empty());
-    for t in &tests {
-        let bound = t.bound.min(2);
-        let baseline =
-            check_with(t, bound, EngineKind::Dpor).expect("dpor baseline must verify cleanly");
-        let program = gpumc::parse_litmus(&t.source).unwrap();
-        for &kind in KINDS {
-            let plan = FaultPlan::single(points::DPOR_EXPLORE, kind)
-                .with_seed(7)
-                .once();
-            let ctx = format!("{} with {kind:?} at `dpor.explore` (parallel)", t.name);
-            let _g = gpumc::fault::scoped(Arc::new(plan));
-            let v = Verifier::new(gpumc_models::load_shared(default_kind(&program)))
-                .with_bound(bound)
-                .with_engine(EngineKind::Dpor)
-                .with_parallel(gpumc::gpumc_exec::ParallelPolicy::Workers(3));
-            let outcome = std::panic::catch_unwind(AssertUnwindSafe(|| {
-                v.check_all(&program).map(|o| Verdict {
-                    reachable: o.assertion.reachable,
-                    expectation: o.assertion.satisfied_expectation,
-                    liveness_violated: o.liveness.violated,
-                    data_race: o.data_races.map(|d| d.violated),
-                })
-            }));
-            match outcome {
-                Ok(Ok(v)) => assert_eq!(
-                    &v, &baseline,
-                    "fault run completed but flipped the verdict on {ctx}"
-                ),
-                Ok(Err(VerifyError::Unknown(reason))) => assert!(
-                    reason.contains("injected") || reason.contains("budget"),
-                    "unclassified unknown on {ctx}: {reason}"
-                ),
-                Ok(Err(e)) => panic!("hard error on {ctx}: {e}"),
-                Err(_) => {
-                    panic!("the parallel driver must contain worker panics, escaped on {ctx}")
-                }
-            }
-        }
-    }
-}
-
-#[test]
 fn dpor_budget_exhaustion_is_a_classified_unknown_not_a_verdict() {
     // A three-step budget cannot cover any figure exploration: the
     // engine must withhold its verdict as `Unknown`, never guess.

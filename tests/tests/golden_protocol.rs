@@ -80,6 +80,12 @@ fn corpus_requests() -> Vec<(&'static str, String)> {
             "timeout-not-an-integer",
             format!(r#"{{"id":19,"verb":"verify","source":"{MP}","timeout_ms":"500"}}"#),
         ),
+        (
+            "verify-portfolio-field-ignored",
+            format!(
+                r#"{{"id":20,"verb":"verify","source":"{MP}","bound":1,"portfolio":2,"cache":false}}"#
+            ),
+        ),
         ("shutdown", r#"{"id":14,"verb":"shutdown"}"#.into()),
     ]
 }
@@ -92,13 +98,6 @@ type Phase = (Option<DegradeLevel>, Vec<(&'static str, String)>);
 /// response block are wire protocol too, so their bytes are golden.
 fn degraded_phases() -> Vec<Phase> {
     vec![
-        (
-            Some(DegradeLevel::Sequential),
-            vec![(
-                "degraded-sequential",
-                format!(r#"{{"id":15,"verb":"verify","source":"{MP}","bound":1,"portfolio":2}}"#),
-            )],
-        ),
         (
             Some(DegradeLevel::CacheOnly),
             vec![(
@@ -285,10 +284,10 @@ fn corpus_cached_case_is_marked_cached() {
     assert_eq!(fresh.get("verdict"), off.get("verdict"));
 }
 
-/// `simplify` is a no-op field: apart from its `id`, the answer is the
-/// byte-identical fresh verification `verify-mp-cache-off` got. This
-/// also pins that two fresh encodings of one test in one process solve
-/// with identical counters.
+/// `simplify` and `portfolio` are no-op fields: apart from its `id`,
+/// each answer is the byte-identical fresh verification
+/// `verify-mp-cache-off` got. This also pins that fresh encodings of one
+/// test in one process solve with identical counters.
 #[test]
 fn corpus_simplify_field_is_ignored() {
     let actual = replay();
@@ -301,6 +300,10 @@ fn corpus_simplify_field_is_ignored() {
     };
     assert_eq!(
         without_id("verify-simplify-field-ignored"),
+        without_id("verify-mp-cache-off")
+    );
+    assert_eq!(
+        without_id("verify-portfolio-field-ignored"),
         without_id("verify-mp-cache-off")
     );
 }
@@ -323,15 +326,6 @@ fn corpus_brownout_cases_are_classified_and_stamped() {
             .and_then(Json::as_str)
             .map(str::to_owned)
     };
-
-    let seq = by_name("degraded-sequential");
-    assert_eq!(seq.get("status").and_then(Json::as_str), Some("done"));
-    assert_eq!(level(&seq).as_deref(), Some("sequential"));
-    assert_eq!(
-        seq.get("portfolio"),
-        Some(&Json::Null),
-        "the requested portfolio must be downgraded away"
-    );
 
     let cache_only = by_name("degraded-cache-only");
     assert_eq!(
