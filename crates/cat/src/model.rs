@@ -98,9 +98,26 @@ pub struct Axiom {
 impl Axiom {
     /// A human-readable label for the axiom.
     pub fn label(&self, index: usize) -> String {
-        self.name
-            .clone()
-            .unwrap_or_else(|| format!("axiom-{index}-{}", self.kind))
+        self.display_label(index).to_string()
+    }
+
+    /// The label of [`Axiom::label`], formatted only when displayed.
+    pub fn display_label(&self, index: usize) -> impl std::fmt::Display + '_ {
+        Label { axiom: self, index }
+    }
+}
+
+struct Label<'a> {
+    axiom: &'a Axiom,
+    index: usize,
+}
+
+impl std::fmt::Display for Label<'_> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match &self.axiom.name {
+            Some(name) => f.write_str(name),
+            None => write!(f, "axiom-{}-{}", self.index, self.axiom.kind),
+        }
     }
 }
 

@@ -286,8 +286,7 @@ pub struct Stats {
 pub struct PhaseTimings {
     /// Unrolling + compiling the program to its event graph.
     pub compile_us: u64,
-    /// Relation-analysis bounds (zero on a [`gpumc_encode::BoundsMemo`]
-    /// hit).
+    /// The relation analysis: bounds and active sets.
     pub bounds_us: u64,
     /// Building the SAT encoding.
     pub encode_us: u64,
@@ -360,7 +359,6 @@ pub struct Verifier {
     bv_width: usize,
     use_bounds: bool,
     enum_cap: Option<u64>,
-    bounds_memo: Option<Arc<gpumc_encode::BoundsMemo>>,
     incremental: bool,
     cancel: Option<gpumc_sat::CancelToken>,
     conflict_budget: Option<u64>,
@@ -380,7 +378,6 @@ impl Verifier {
             bv_width: 8,
             use_bounds: true,
             enum_cap: None,
-            bounds_memo: None,
             incremental: true,
             cancel: None,
             conflict_budget: None,
@@ -424,14 +421,6 @@ impl Verifier {
     /// Enables or disables relation-analysis pruning (ablation switch).
     pub fn with_relation_analysis(mut self, enabled: bool) -> Verifier {
         self.use_bounds = enabled;
-        self
-    }
-
-    /// Reuses relation-analysis bounds through `memo` (builder style):
-    /// repeated checks of the same (program, bound) — e.g. safety then
-    /// liveness of one test — compute the Table 3 bounds once.
-    pub fn with_bounds_memo(mut self, memo: Arc<gpumc_encode::BoundsMemo>) -> Verifier {
-        self.bounds_memo = Some(memo);
         self
     }
 
@@ -846,16 +835,11 @@ impl Verifier {
     }
 
     fn session<'g>(
-        &self,
+        &'g self,
         graph: &'g EventGraph,
     ) -> Result<gpumc_encode::SolverSession<'g>, VerifyError> {
         let opts = self.encode_options();
-        let mut session = match &self.bounds_memo {
-            Some(memo) => {
-                gpumc_encode::SolverSession::build_memoized(graph, &self.model, &opts, memo)?
-            }
-            None => gpumc_encode::SolverSession::build(graph, &self.model, &opts)?,
-        };
+        let mut session = gpumc_encode::SolverSession::build(graph, &self.model, &opts)?;
         session.set_cancel_token(self.cancel.clone());
         session.set_conflict_budget(self.conflict_budget);
         Ok(session)
@@ -876,12 +860,12 @@ impl Verifier {
         }
     }
 
-    fn encode<'g>(&self, graph: &'g EventGraph) -> Result<gpumc_encode::Encoding<'g>, VerifyError> {
+    fn encode<'g>(
+        &'g self,
+        graph: &'g EventGraph,
+    ) -> Result<gpumc_encode::Encoding<'g>, VerifyError> {
         let opts = self.encode_options();
-        let mut enc = match &self.bounds_memo {
-            Some(memo) => gpumc_encode::encode_memoized(graph, &self.model, &opts, memo)?,
-            None => encode(graph, &self.model, &opts)?,
-        };
+        let mut enc = encode(graph, &self.model, &opts)?;
         enc.set_cancel_token(self.cancel.clone());
         enc.set_conflict_budget(self.conflict_budget);
         Ok(enc)

@@ -4,23 +4,20 @@
 //! worker threads (plain `std::thread::scope`, no extra dependencies) and
 //! collects per-test outcomes **in input order**, so a suite's report is
 //! byte-identical no matter how many workers ran it. Workers share the
-//! process-wide compiled models ([`gpumc_models::load_shared`]) and each
-//! test gets a [`gpumc_encode::BoundsMemo`] so any repeated encodings of
-//! its graph reuse one relation analysis; in thorough SAT mode the
-//! primary and secondary properties are answered from a single
-//! incremental solver session ([`crate::Verifier::check_all`]) instead
-//! of separate encodings.
+//! process-wide compiled models ([`gpumc_models::load_shared`]); in
+//! thorough SAT mode the primary and secondary properties are answered
+//! from a single incremental solver session
+//! ([`crate::Verifier::check_all`]) instead of separate encodings.
 //!
 //! Timing is reported as *wall-clock* (the batch, end to end) versus
 //! *aggregate CPU* (the sum of per-test times) — the ratio is the
 //! parallel speedup actually achieved.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 use gpumc_catalog::{Property, Test};
-use gpumc_encode::BoundsMemo;
 use gpumc_models::ModelKind;
 
 use crate::{EngineKind, Stats, Verifier, VerifyError};
@@ -124,8 +121,6 @@ pub struct TestResult {
     pub stats: Stats,
     /// Total worker time spent on this test (parse + compile + checks).
     pub time: Duration,
-    /// Bounds-memo hits while verifying this test.
-    pub memo_hits: usize,
     /// Per-query solver-counter deltas when the test was answered
     /// through one incremental session (thorough SAT mode); empty
     /// otherwise.
@@ -173,11 +168,6 @@ impl SuiteReport {
     /// The failing results (errors or expectation mismatches).
     pub fn failures(&self) -> impl Iterator<Item = &TestResult> {
         self.results.iter().filter(|r| !r.passed())
-    }
-
-    /// Total bounds-memo hits across the suite.
-    pub fn memo_hits(&self) -> usize {
-        self.results.iter().map(|r| r.memo_hits).sum()
     }
 
     /// Average worker concurrency: aggregate worker time over wall time.
@@ -319,7 +309,6 @@ impl SuiteRunner {
     /// combine it with [`parallel_map_ordered`] directly.
     pub fn run_test(&self, t: &Test) -> TestResult {
         let start = Instant::now();
-        let memo = Arc::new(BoundsMemo::new());
         let mut result = TestResult {
             name: t.name.clone(),
             property: t.property,
@@ -328,7 +317,6 @@ impl SuiteRunner {
             secondary: None,
             stats: Stats::default(),
             time: Duration::ZERO,
-            memo_hits: 0,
             queries: Vec::new(),
         };
         let program = match crate::parse_litmus(&t.source) {
@@ -345,8 +333,7 @@ impl SuiteRunner {
         });
         let mut v = Verifier::new(gpumc_models::load_shared(kind))
             .with_bound(t.bound)
-            .with_engine(self.config.engine)
-            .with_bounds_memo(Arc::clone(&memo));
+            .with_engine(self.config.engine);
         if let Some(cap) = self.config.enum_cap {
             v = v.with_enumeration_cap(cap);
         }
@@ -407,7 +394,6 @@ impl SuiteRunner {
                 }),
             };
         }
-        result.memo_hits = memo.hits();
         result.time = start.elapsed();
         result
     }

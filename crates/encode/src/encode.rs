@@ -1,9 +1,10 @@
 //! The CNF encoding of program semantics modulo a `.cat` model.
 
 use std::collections::BTreeMap;
+use std::fmt::Display;
 use std::time::Instant;
 
-use gpumc_cat::{AxiomKind, CatModel, DefBody, RelExpr, SetExpr};
+use gpumc_cat::{AxiomKind, CatModel};
 use gpumc_exec::{Execution, Interpreter, Relation, ThreadOutcome};
 use gpumc_ir::{
     Arch, BlockId, CondAtom, Condition, EventGraph, EventId, EventKind, Tag, UTerm, Val,
@@ -11,15 +12,16 @@ use gpumc_ir::{
 use gpumc_sat::bv::BitVec;
 use gpumc_sat::{Formula, Lit};
 
-use crate::bounds::RelationAnalysis;
+use crate::bounds::{NodeId, Op, RelationAnalysis};
 
 /// Options controlling the encoding.
 #[derive(Debug, Clone)]
 pub struct EncodeOptions {
     /// Bit-vector width for data values and array indices.
     pub bv_width: usize,
-    /// Whether to prune the encoding with relation-analysis bounds
-    /// (disable for the ablation benchmark).
+    /// Whether to prune the encoding with the relation analysis: alias
+    /// pruning of the Table 3 bounds and active sets (disable for the
+    /// ablation benchmark).
     pub use_bounds: bool,
     /// Watchdog for the *encode* phase: polled between build stages and
     /// inside the axiom loop, so a deadline or cancellation fires during
@@ -78,15 +80,15 @@ pub struct QueryResult<'g> {
     pub witness: Option<Execution<'g>>,
 }
 
-/// A relation encoded as literals per (may-)pair.
+/// A relation encoded as literals per pair; an absent pair is false.
 ///
 /// This and every other encoder map is a `BTreeMap`. Gates and clauses
-/// are emitted while iterating these maps, and clause order steers the
-/// solver's search, so the iteration order must be a function of the
-/// input alone (DESIGN.md §12); a `HashMap` with the default
-/// `RandomState` iterates differently in every map and every process.
-/// The keys are event and definition indices the compiler assigns (plus
-/// relation names from the model), never values a client chooses.
+/// are emitted while iterating these maps and the analysis' bit sets, and
+/// clause order steers the solver's search, so the iteration order must
+/// be a function of the input alone (DESIGN.md §12); a `HashMap` with the
+/// default `RandomState` iterates differently in every map and every
+/// process. The keys are event indices the compiler assigns, never
+/// values a client chooses.
 #[derive(Debug, Clone, Default)]
 struct EncRel {
     pairs: BTreeMap<(u32, u32), Lit>,
@@ -96,12 +98,29 @@ impl EncRel {
     fn get(&self, a: EventId, b: EventId) -> Option<Lit> {
         self.pairs.get(&(a.0, b.0)).copied()
     }
+
+    fn insert(&mut self, a: EventId, b: EventId, l: Lit) {
+        self.pairs.insert((a.0, b.0), l);
+    }
+
+    /// The pairs `(a, _)`, in increasing order of the second event.
+    fn row(&self, a: u32) -> impl Iterator<Item = (u32, Lit)> + '_ {
+        self.pairs
+            .range((a, 0)..=(a, u32::MAX))
+            .map(|(&(_, b), &l)| (b, l))
+    }
 }
 
-/// A set encoded as literals per (may-)member.
+/// A set encoded as literals per member; an absent member is false.
 #[derive(Debug, Clone, Default)]
 struct EncSet {
     members: BTreeMap<u32, Lit>,
+}
+
+impl EncSet {
+    fn get(&self, e: EventId) -> Option<Lit> {
+        self.members.get(&e.0).copied()
+    }
 }
 
 /// Builds the encoding of a graph under a model.
@@ -112,53 +131,15 @@ struct EncSet {
 /// non-flagged axioms); the shipped models are fully supported.
 pub fn encode<'g>(
     graph: &'g EventGraph,
-    model: &CatModel,
+    model: &'g CatModel,
     opts: &EncodeOptions,
 ) -> Result<Encoding<'g>, EncodeError> {
     let t0 = Instant::now();
     let analysis = RelationAnalysis::new_with(graph, model, opts.use_bounds);
     let bounds_us = t0.elapsed().as_micros() as u64;
-    let mut enc = build(graph, model, opts, analysis)?;
-    enc.bounds_us = bounds_us;
-    Ok(enc)
-}
-
-/// Like [`encode`], but sources the relation-analysis bounds from `memo`
-/// so repeated encodings of the same (program, bound) graph — e.g. the
-/// safety, liveness and DRF checks of one test — compute them only once.
-///
-/// # Errors
-///
-/// Same failure modes as [`encode`].
-pub fn encode_memoized<'g>(
-    graph: &'g EventGraph,
-    model: &CatModel,
-    opts: &EncodeOptions,
-    memo: &crate::BoundsMemo,
-) -> Result<Encoding<'g>, EncodeError> {
-    let t0 = Instant::now();
-    let bounds = memo.get_or_compute(graph, model, opts.use_bounds);
-    let bounds_us = t0.elapsed().as_micros() as u64;
-    let mut enc = build(
-        graph,
-        model,
-        opts,
-        RelationAnalysis::from_shared(graph, bounds),
-    )?;
-    enc.bounds_us = bounds_us;
-    Ok(enc)
-}
-
-fn build<'g>(
-    graph: &'g EventGraph,
-    model: &CatModel,
-    opts: &EncodeOptions,
-    analysis: RelationAnalysis<'g>,
-) -> Result<Encoding<'g>, EncodeError> {
     let mut enc = Encoding {
         graph,
-        model: model.clone(),
-        analysis,
+        model,
         opts: opts.clone(),
         f: Formula::new(),
         exec_block: Vec::new(),
@@ -168,20 +149,19 @@ fn build<'g>(
         rf: EncRel::default(),
         co: EncRel::default(),
         sync_fence: EncRel::default(),
-        base_cache: BTreeMap::new(),
         pair_exec_cache: BTreeMap::new(),
         addr_eq_cache: BTreeMap::new(),
-        def_rels: Vec::new(),
-        def_sets: Vec::new(),
+        value_eq_cache: BTreeMap::new(),
+        rels: Vec::new(),
+        sets: Vec::new(),
         final_reg_cache: BTreeMap::new(),
         completed: Vec::new(),
         flag_rels: BTreeMap::new(),
-        positions: Vec::new(),
-        bounds_us: 0,
+        bounds_us,
         encode_us: 0,
     };
     let t0 = Instant::now();
-    enc.build()?;
+    enc.build(&analysis)?;
     enc.encode_us = t0.elapsed().as_micros() as u64;
     Ok(enc)
 }
@@ -205,8 +185,7 @@ fn build<'g>(
 /// ```
 pub struct Encoding<'g> {
     graph: &'g EventGraph,
-    model: CatModel,
-    analysis: RelationAnalysis<'g>,
+    model: &'g CatModel,
     opts: EncodeOptions,
     f: Formula,
     exec_block: Vec<Lit>,
@@ -216,19 +195,18 @@ pub struct Encoding<'g> {
     rf: EncRel,
     co: EncRel,
     sync_fence: EncRel,
-    base_cache: BTreeMap<(String, u32, u32), Lit>,
     pair_exec_cache: BTreeMap<(u32, u32), Lit>,
     addr_eq_cache: BTreeMap<(u32, u32), Lit>,
-    def_rels: Vec<Option<EncRel>>,
-    def_sets: Vec<Option<EncSet>>,
+    value_eq_cache: BTreeMap<(u32, u32), Lit>,
+    /// Encoded model nodes, indexed by analysis node (during build only).
+    rels: Vec<EncRel>,
+    sets: Vec<EncSet>,
     final_reg_cache: BTreeMap<(usize, u32), BitVec>,
     /// Per-thread "reached an End leaf" literal.
     completed: Vec<Lit>,
     /// Flagged-axiom label → encoded relation.
     flag_rels: BTreeMap<String, EncRel>,
-    /// Lazily created acyclicity position vectors.
-    positions: Vec<Option<BitVec>>,
-    /// Time spent on relation-analysis bounds, microseconds.
+    /// Time spent on the relation analysis, microseconds.
     bounds_us: u64,
     /// Time spent building the SAT encoding, microseconds.
     encode_us: u64,
@@ -250,7 +228,7 @@ impl<'g> Encoding<'g> {
     // construction
     // ------------------------------------------------------------------
 
-    fn build(&mut self) -> Result<(), EncodeError> {
+    fn build(&mut self, an: &RelationAnalysis<'g>) -> Result<(), EncodeError> {
         if let Some(budget) = self.opts.mem_budget_bytes {
             self.f.solver_mut().set_mem_budget_bytes(Some(budget));
         }
@@ -262,12 +240,12 @@ impl<'g> Encoding<'g> {
         self.encode_data_flow();
         self.watchdog("data")?;
         self.encode_exec_events();
-        self.encode_rf();
+        self.encode_rf(an);
         self.watchdog("rf")?;
-        self.encode_co();
+        self.encode_co(an);
         self.watchdog("co")?;
-        self.encode_sync_fence();
-        self.encode_model()?;
+        self.encode_sync_fence(an);
+        self.encode_model(an)?;
         self.watchdog("model")?;
         self.encode_completion();
         if let Some(filter) = &self.graph.filter.clone() {
@@ -281,8 +259,9 @@ impl<'g> Encoding<'g> {
     /// the axiom loop): surfaces cancellation/deadline expiry, a blown
     /// memory budget, and any armed `encode.build` fault as a classified
     /// [`EncodeError::Unknown`] — the encode phase can no longer hang
-    /// past its deadline or grow without bound.
-    pub(crate) fn watchdog(&mut self, stage: &str) -> Result<(), EncodeError> {
+    /// past its deadline or grow without bound. `stage` is formatted
+    /// only when the watchdog fires.
+    pub(crate) fn watchdog(&mut self, stage: impl Display) -> Result<(), EncodeError> {
         match gpumc_fault::hit(gpumc_fault::points::ENCODE_BUILD) {
             Some(gpumc_fault::FaultSignal::SpuriousUnknown) => {
                 return Err(EncodeError::Unknown(format!(
@@ -479,12 +458,23 @@ impl<'g> Encoding<'g> {
         lit
     }
 
-    fn encode_rf(&mut self) {
-        let upper = self
-            .analysis
-            .base_upper("rf")
-            .cloned()
-            .unwrap_or_else(|| Relation::empty(self.graph.n_events()));
+    /// Literal for "events a and b carry equal values" (barrier ids).
+    fn value_eq(&mut self, a: EventId, b: EventId) -> Lit {
+        let key = if a.0 <= b.0 { (a.0, b.0) } else { (b.0, a.0) };
+        if let Some(&l) = self.value_eq_cache.get(&key) {
+            return l;
+        }
+        let va = self.values[a.index()].clone().expect("barrier id");
+        let vb = self.values[b.index()].clone().expect("barrier id");
+        let lit = va.eq(&mut self.f, &vb);
+        self.value_eq_cache.insert(key, lit);
+        lit
+    }
+
+    fn encode_rf(&mut self, an: &RelationAnalysis<'g>) {
+        let Some(upper) = an.base_upper("rf") else {
+            return;
+        };
         let mut per_read: BTreeMap<u32, Vec<EventId>> = BTreeMap::new();
         for (w, r) in upper.iter() {
             per_read.entry(r.0).or_default().push(w);
@@ -517,18 +507,15 @@ impl<'g> Encoding<'g> {
         }
     }
 
-    fn encode_co(&mut self) {
-        let n = self.graph.n_events();
-        let upper = self
-            .analysis
-            .base_upper("co")
-            .cloned()
-            .unwrap_or_else(|| Relation::empty(n));
+    fn encode_co(&mut self, an: &RelationAnalysis<'g>) {
+        let Some(upper) = an.base_upper("co") else {
+            return;
+        };
         for (a, b) in upper.iter() {
             let v = self.f.new_lit();
             self.co.pairs.insert((a.0, b.0), v);
         }
-        let iw = self.analysis.set("IW").cloned().expect("IW set");
+        let iw = an.set("IW").expect("IW set");
         let pairs: Vec<(EventId, EventId)> = upper.iter().collect();
         for &(a, b) in &pairs {
             let v = self.co.get(a, b).expect("just created");
@@ -574,20 +561,13 @@ impl<'g> Encoding<'g> {
         }
     }
 
-    fn encode_sync_fence(&mut self) {
-        if !self
-            .model
-            .referenced_base_rels()
-            .iter()
-            .any(|r| r == "sync_fence")
-        {
+    fn encode_sync_fence(&mut self, an: &RelationAnalysis<'g>) {
+        if !an.mentions("sync_fence") {
             return;
         }
-        let upper = self
-            .analysis
-            .base_upper("sync_fence")
-            .cloned()
-            .unwrap_or_else(|| Relation::empty(self.graph.n_events()));
+        let Some(upper) = an.base_upper("sync_fence") else {
+            return;
+        };
         for (a, b) in upper.iter() {
             let v = self.f.new_lit();
             self.sync_fence.pairs.insert((a.0, b.0), v);
@@ -623,115 +603,97 @@ impl<'g> Encoding<'g> {
         }
     }
 
-    /// Literal of a base relation at a pair (false when impossible).
-    fn base_lit(&mut self, name: &str, a: EventId, b: EventId) -> Lit {
-        if let Some(&l) = self.base_cache.get(&(name.to_string(), a.0, b.0)) {
-            return l;
-        }
-        let fls = self.f.lit_false();
-        let in_upper = self
-            .analysis
-            .base_upper(name)
-            .is_some_and(|u| u.contains(a, b));
-        let lit = if !in_upper {
-            fls
-        } else {
-            match name {
-                "rf" => self.rf.get(a, b).unwrap_or(fls),
-                "co" => self.co.get(a, b).unwrap_or(fls),
-                "sync_fence" => self.sync_fence.get(a, b).unwrap_or(fls),
-                "loc" | "vloc" => {
-                    let both = self.pair_exec(a, b);
-                    let ae = self.addr_eq(a, b);
-                    self.f.and2(both, ae)
-                }
-                "syncbar" | "sync_barrier" => {
-                    let both = self.pair_exec(a, b);
-                    let ia = self.values[a.index()].clone().expect("barrier id");
-                    let ib = self.values[b.index()].clone().expect("barrier id");
-                    let ideq = ia.eq(&mut self.f, &ib);
-                    self.f.and2(both, ideq)
-                }
-                // Static relations hold iff both events execute (Table 4).
-                _ => self.pair_exec(a, b),
+    // ------------------------------------------------------------------
+    // the model: definitions and axioms
+    // ------------------------------------------------------------------
+
+    /// Literal of base relation `name` at a pair of its upper bound
+    /// (`None` when it is false).
+    fn base_lit(&mut self, name: &str, a: EventId, b: EventId) -> Option<Lit> {
+        match name {
+            "rf" => self.rf.get(a, b),
+            "co" => self.co.get(a, b),
+            "sync_fence" => self.sync_fence.get(a, b),
+            "loc" | "vloc" => {
+                let both = self.pair_exec(a, b);
+                let ae = self.addr_eq(a, b);
+                Some(self.f.and2(both, ae))
             }
-        };
-        self.base_cache.insert((name.to_string(), a.0, b.0), lit);
-        lit
+            "syncbar" | "sync_barrier" => {
+                let both = self.pair_exec(a, b);
+                let ideq = self.value_eq(a, b);
+                Some(self.f.and2(both, ideq))
+            }
+            // Static relations hold iff both events execute (Table 4).
+            _ => Some(self.pair_exec(a, b)),
+        }
     }
 
-    // ------------------------------------------------------------------
-    // derived relations
-    // ------------------------------------------------------------------
-
-    fn encode_model(&mut self) -> Result<(), EncodeError> {
-        let model = self.model.clone();
-        let mut i = 0;
+    /// Encodes the definitions and asserts the axioms. Every model node
+    /// is built on its active set only, in node order, so a node's
+    /// operands are built before it (see [`RelationAnalysis`]).
+    fn encode_model(&mut self, an: &RelationAnalysis<'g>) -> Result<(), EncodeError> {
+        let model = self.model;
+        self.rels = vec![EncRel::default(); an.len()];
+        self.sets = vec![EncSet::default(); an.len()];
         let defs = model.defs();
+        let mut next: NodeId = 0;
+        let mut i = 0;
         while i < defs.len() {
-            self.watchdog(&format!("def {}", defs[i].name))?;
-            match defs[i].rec_group {
-                None => {
-                    match &defs[i].body {
-                        DefBody::Set(s) => {
-                            let set = self.enc_set(s);
-                            self.def_sets.push(Some(set));
-                            self.def_rels.push(None);
-                        }
-                        DefBody::Rel(r) => {
-                            let rel = self.enc_rel(r);
-                            self.def_sets.push(None);
-                            self.def_rels.push(Some(rel));
-                        }
-                    }
-                    i += 1;
+            self.watchdog(format_args!("def {}", defs[i].name))?;
+            let mut end = i + 1;
+            if let Some(group) = defs[i].rec_group {
+                while end < defs.len() && defs[end].rec_group == Some(group) {
+                    end += 1;
                 }
-                Some(group) => {
-                    // Pre-create variables for the whole group, then
-                    // assert cyclic iff definitions (see crate docs on
-                    // least-fixpoint soundness).
-                    let start = i;
-                    let mut end = i;
-                    while end < defs.len() && defs[end].rec_group == Some(group) {
-                        end += 1;
+                // Variables for the whole group first, so that members
+                // can use each other; each is tied to its body by cyclic
+                // iff gates below (see the crate docs on least-fixpoint
+                // soundness).
+                for d in i..end {
+                    let root = an.def_root(d);
+                    let mut vars = EncRel::default();
+                    for (a, b) in an.active_rel(root).iter().flat_map(|r| r.iter()) {
+                        vars.insert(a, b, self.f.new_lit());
                     }
-                    for j in start..end {
-                        let upper = self
-                            .analysis
-                            .def_upper(j)
-                            .cloned()
-                            .unwrap_or_else(|| Relation::empty(self.graph.n_events()));
-                        let mut rel = EncRel::default();
-                        for (a, b) in upper.iter() {
-                            rel.pairs.insert((a.0, b.0), self.f.new_lit());
-                        }
-                        self.def_rels.push(Some(rel));
-                        self.def_sets.push(None);
-                    }
-                    // `j` walks `defs` and `def_rels` in lockstep.
-                    #[allow(clippy::needless_range_loop)]
-                    for j in start..end {
-                        let DefBody::Rel(body) = &defs[j].body else {
-                            unreachable!("recursive defs are relations");
-                        };
-                        let rhs = self.enc_rel(body);
-                        let lhs = self.def_rels[j].clone().expect("created");
-                        for (&(a, b), &v) in &lhs.pairs {
-                            match rhs.pairs.get(&(a, b)).copied() {
-                                Some(rl) => self.f.assert_iff(v, rl),
-                                None => self.f.assert_lit(!v),
-                            }
-                        }
-                    }
-                    i = end;
+                    self.rels[root] = vars;
                 }
             }
+            let last = an.def_root(end - 1);
+            for id in next..=last {
+                if defs[i].rec_group.is_some() && (i..end).any(|d| an.def_root(d) == id) {
+                    let body = self.node_rel(an, id);
+                    for (&(a, b), &v) in &self.rels[id].pairs {
+                        match body.pairs.get(&(a, b)) {
+                            Some(&l) => self.f.assert_iff(v, l),
+                            None => self.f.assert_lit(!v),
+                        }
+                    }
+                } else {
+                    self.encode_node(an, id);
+                }
+            }
+            next = last + 1;
+            i = end;
         }
         // Axioms. Each one can expand into a large relational encoding,
         // so the watchdog is polled per axiom, not only per stage.
         for (idx, axiom) in model.axioms().iter().enumerate() {
-            self.watchdog(&format!("axiom {}", axiom.label(idx)))?;
-            let rel = self.enc_rel(&axiom.expr);
+            self.watchdog(format_args!("axiom {}", axiom.display_label(idx)))?;
+            let root = an.axiom_root(idx);
+            for id in next..=root {
+                self.encode_node(an, id);
+            }
+            next = root + 1;
+            let value = &self.rels[an.value_node(root)];
+            let rel = EncRel {
+                pairs: an
+                    .active_rel(root)
+                    .iter()
+                    .flat_map(|r| r.iter())
+                    .filter_map(|(a, b)| Some(((a.0, b.0), value.get(a, b)?)))
+                    .collect(),
+            };
             if axiom.flagged {
                 self.flag_rels.insert(axiom.label(idx), rel);
                 continue;
@@ -743,324 +705,283 @@ impl<'g> Encoding<'g> {
             }
             match axiom.kind {
                 AxiomKind::Empty => {
-                    let lits: Vec<Lit> = rel.pairs.values().copied().collect();
-                    for l in lits {
+                    for &l in rel.pairs.values() {
                         self.f.assert_lit(!l);
                     }
                 }
                 AxiomKind::Irreflexive => {
-                    let lits: Vec<Lit> = rel
-                        .pairs
-                        .iter()
-                        .filter(|(&(a, b), _)| a == b)
-                        .map(|(_, &l)| l)
-                        .collect();
-                    for l in lits {
-                        self.f.assert_lit(!l);
+                    for (&(a, b), &l) in &rel.pairs {
+                        if a == b {
+                            self.f.assert_lit(!l);
+                        }
                     }
                 }
                 AxiomKind::Acyclic => self.assert_acyclic(&rel),
             }
         }
+        self.rels = Vec::new();
+        self.sets = Vec::new();
         Ok(())
     }
 
-    /// Acyclicity via per-event position vectors: `r(a,b) → pos_a < pos_b`.
+    /// Acyclicity by reachability inside the strongly connected
+    /// components of the encoded pairs, where every cycle lies. Each
+    /// ordered pair of distinct members of a component gets a variable
+    /// `t(x, z)`, and each pair `(a, b)` inside a component the clauses
+    /// `r(a, b) → t(a, b)`, `r(a, b) ∧ t(b, z) → t(a, z)` for every other
+    /// member `z`, and `¬(r(a, b) ∧ t(b, a))`. A cycle of true pairs
+    /// forces `t` backwards along it and falsifies the last clause; when
+    /// the true pairs are acyclic, their transitive closure satisfies
+    /// every clause. Unit propagation closes a cycle as soon as its last
+    /// pair is set (DESIGN.md §8).
     fn assert_acyclic(&mut self, rel: &EncRel) {
         let n = self.graph.n_events();
-        let width = usize::BITS as usize - n.leading_zeros() as usize + 1;
-        if self.positions.is_empty() {
-            self.positions = vec![None; n];
+        let reach =
+            Relation::from_pairs(n, rel.pairs.keys().map(|&(a, b)| (EventId(a), EventId(b))))
+                .transitive_closure();
+        let same = reach.inter(&reach.inverse()).diff(&Relation::identity(n));
+        let mut t = EncRel::default();
+        for (x, z) in same.iter() {
+            t.insert(x, z, self.f.new_lit());
         }
-        let entries: Vec<((u32, u32), Lit)> = rel.pairs.iter().map(|(&k, &v)| (k, v)).collect();
-        for ((a, b), l) in entries {
+        for (&(a, b), &l) in &rel.pairs {
             if a == b {
                 self.f.assert_lit(!l);
                 continue;
             }
-            for idx in [a, b] {
-                if self.positions[idx as usize].is_none() {
-                    self.positions[idx as usize] = Some(BitVec::fresh(&mut self.f, width));
-                }
+            let (a, b) = (EventId(a), EventId(b));
+            // Off every cycle: `b` does not reach `a`.
+            let Some(ab) = t.get(a, b) else { continue };
+            let ba = t.get(b, a).expect("one component");
+            self.f.assert_implies(l, ab);
+            self.f.add_clause([!l, !ba]);
+            for z in same.successors(b).filter(|&z| z != a) {
+                let bz = t.get(b, z).expect("one component");
+                let az = t.get(a, z).expect("one component");
+                self.f.add_clause([!l, !bz, az]);
             }
-            let pa = self.positions[a as usize].clone().expect("created");
-            let pb = self.positions[b as usize].clone().expect("created");
-            let lt = pa.ult(&mut self.f, &pb);
-            self.f.assert_implies(l, lt);
         }
     }
 
-    fn enc_set(&mut self, e: &SetExpr) -> EncSet {
+    /// Builds node `id` from the encodings of its operands.
+    fn encode_node(&mut self, an: &RelationAnalysis<'g>, id: NodeId) {
+        match an.op(id) {
+            // A reference has no encoding of its own: users read the
+            // definition's root (`RelationAnalysis::value_node`).
+            Op::Ref(_) | Op::SetRef(_) => {}
+            _ if an.is_set(id) => self.sets[id] = self.node_set(an, id),
+            _ => self.rels[id] = self.node_rel(an, id),
+        }
+    }
+
+    /// Set node `id` on its active members. An operand member without a
+    /// literal is false.
+    fn node_set(&mut self, an: &RelationAnalysis<'g>, id: NodeId) -> EncSet {
         let mut out = EncSet::default();
-        match e {
-            SetExpr::Base(_) | SetExpr::Ref(_) | SetExpr::Universe => {
-                let members: Vec<u32> = match e {
-                    SetExpr::Base(name) => self
-                        .analysis
-                        .set(name)
-                        .map(|s| s.iter().map(|x| x.0).collect())
-                        .unwrap_or_default(),
-                    SetExpr::Ref(id) => match &self.def_sets[*id] {
-                        Some(s) => return s.clone(),
-                        None => Vec::new(),
-                    },
-                    SetExpr::Universe => (0..self.graph.n_events() as u32).collect(),
-                    _ => unreachable!(),
-                };
-                for m in members {
-                    out.members.insert(m, self.exec_event[m as usize]);
+        let Some(active) = an.active_set(id) else {
+            return out;
+        };
+        let op = an.op(id);
+        let [a, b] = an.kids(id);
+        match op {
+            Op::Tag(_) | Op::Universe => {
+                for m in active.iter() {
+                    out.members.insert(m.0, self.exec_event[m.index()]);
                 }
             }
-            SetExpr::Union(a, b) => {
-                let (sa, sb) = (self.enc_set(a), self.enc_set(b));
-                for (&m, &l) in &sa.members {
-                    match sb.members.get(&m) {
-                        Some(&l2) => {
-                            let or = self.f.or2(l, l2);
-                            out.members.insert(m, or);
-                        }
-                        None => {
-                            out.members.insert(m, l);
-                        }
-                    }
-                }
-                for (&m, &l) in &sb.members {
-                    out.members.entry(m).or_insert(l);
+            Op::SetUnion | Op::SetInter | Op::SetDiff => {
+                let (sa, sb) = (&self.sets[an.value_node(a)], &self.sets[an.value_node(b)]);
+                for m in active.iter() {
+                    let l = match (op, sa.get(m), sb.get(m)) {
+                        (Op::SetUnion, Some(la), Some(lb)) => self.f.or2(la, lb),
+                        (Op::SetUnion, Some(l), None) | (Op::SetUnion, None, Some(l)) => l,
+                        (Op::SetInter, Some(la), Some(lb)) => self.f.and2(la, lb),
+                        (Op::SetDiff, Some(la), Some(lb)) => self.f.and2(la, !lb),
+                        (Op::SetDiff, Some(la), None) => la,
+                        _ => continue,
+                    };
+                    out.members.insert(m.0, l);
                 }
             }
-            SetExpr::Inter(a, b) => {
-                let (sa, sb) = (self.enc_set(a), self.enc_set(b));
-                for (&m, &l) in &sa.members {
-                    if let Some(&l2) = sb.members.get(&m) {
-                        let and = self.f.and2(l, l2);
-                        out.members.insert(m, and);
+            Op::Domain => {
+                let r = &self.rels[an.value_node(a)];
+                let mut lits = Vec::new();
+                for m in active.iter() {
+                    lits.clear();
+                    lits.extend(r.row(m.0).map(|(_, l)| l));
+                    if !lits.is_empty() {
+                        out.members.insert(m.0, self.f.or(&lits));
                     }
                 }
             }
-            SetExpr::Diff(a, b) => {
-                let (sa, sb) = (self.enc_set(a), self.enc_set(b));
-                for (&m, &l) in &sa.members {
-                    match sb.members.get(&m) {
-                        Some(&l2) => {
-                            let and = self.f.and2(l, !l2);
-                            out.members.insert(m, and);
-                        }
-                        None => {
-                            out.members.insert(m, l);
-                        }
-                    }
-                }
-            }
-            SetExpr::Domain(r) => {
-                let rel = self.enc_rel(r);
-                let mut rows: BTreeMap<u32, Vec<Lit>> = BTreeMap::new();
-                for (&(a, _), &l) in &rel.pairs {
-                    rows.entry(a).or_default().push(l);
-                }
-                for (m, lits) in rows {
-                    let or = self.f.or(&lits);
-                    out.members.insert(m, or);
-                }
-            }
-            SetExpr::Range(r) => {
-                let rel = self.enc_rel(r);
+            Op::Range => {
                 let mut cols: BTreeMap<u32, Vec<Lit>> = BTreeMap::new();
-                for (&(_, b), &l) in &rel.pairs {
-                    cols.entry(b).or_default().push(l);
+                for (&(_, y), &l) in &self.rels[an.value_node(a)].pairs {
+                    if active.contains(EventId(y)) {
+                        cols.entry(y).or_default().push(l);
+                    }
                 }
                 for (m, lits) in cols {
-                    let or = self.f.or(&lits);
-                    out.members.insert(m, or);
+                    out.members.insert(m, self.f.or(&lits));
                 }
             }
+            _ => unreachable!("relation operator on a set node"),
         }
         out
     }
 
-    fn enc_rel(&mut self, e: &RelExpr) -> EncRel {
-        let n = self.graph.n_events();
+    /// Relation node `id` on its active pairs. An operand pair without a
+    /// literal is false.
+    fn node_rel(&mut self, an: &RelationAnalysis<'g>, id: NodeId) -> EncRel {
         let mut out = EncRel::default();
-        match e {
-            RelExpr::Base(name) => {
-                let upper = self
-                    .analysis
-                    .base_upper(name)
-                    .cloned()
-                    .unwrap_or_else(|| Relation::empty(n));
-                for (a, b) in upper.iter() {
-                    let l = self.base_lit(name, a, b);
-                    out.pairs.insert((a.0, b.0), l);
+        let Some(active) = an.active_rel(id) else {
+            return out;
+        };
+        let op = an.op(id);
+        let [a, b] = an.kids(id);
+        match op {
+            Op::Base(name) => {
+                for (x, y) in active.iter() {
+                    if let Some(l) = self.base_lit(name, x, y) {
+                        out.insert(x, y, l);
+                    }
                 }
             }
-            RelExpr::Ref(id) => {
-                return self.def_rels[*id].clone().expect("relation def");
-            }
-            RelExpr::Id => {
+            // Only the root of a `let rec` member that merely names
+            // another definition gets here: its body is that value.
+            Op::Ref(_) => return self.rels[an.value_node(id)].clone(),
+            Op::Id => {
                 let t = self.f.lit_true();
-                for i in 0..n as u32 {
-                    out.pairs.insert((i, i), t);
+                for (x, y) in active.iter() {
+                    out.insert(x, y, t);
                 }
             }
-            RelExpr::IdSet(s) => {
-                let set = self.enc_set(s);
-                for (&m, &l) in &set.members {
-                    out.pairs.insert((m, m), l);
-                }
-            }
-            RelExpr::Cross(a, b) => {
-                let (sa, sb) = (self.enc_set(a), self.enc_set(b));
-                for (&x, &lx) in &sa.members {
-                    for (&y, &ly) in &sb.members {
-                        if !self.graph.can_coexist(EventId(x), EventId(y)) {
-                            continue;
-                        }
-                        if x == y {
-                            out.pairs.insert((x, y), lx);
-                            continue;
-                        }
-                        let l = self.f.and2(lx, ly);
-                        out.pairs.insert((x, y), l);
+            Op::IdSet => {
+                let s = &self.sets[an.value_node(a)];
+                for (x, y) in active.iter() {
+                    if let Some(l) = s.get(x) {
+                        out.insert(x, y, l);
                     }
                 }
             }
-            RelExpr::Union(a, b) => {
-                let (ra, rb) = (self.enc_rel(a), self.enc_rel(b));
-                for (&k, &l) in &ra.pairs {
-                    match rb.pairs.get(&k) {
-                        Some(&l2) => {
-                            let or = self.f.or2(l, l2);
-                            out.pairs.insert(k, or);
-                        }
-                        None => {
-                            out.pairs.insert(k, l);
-                        }
-                    }
-                }
-                for (&k, &l) in &rb.pairs {
-                    out.pairs.entry(k).or_insert(l);
-                }
-            }
-            RelExpr::Inter(a, b) => {
-                let (ra, rb) = (self.enc_rel(a), self.enc_rel(b));
-                for (&k, &l) in &ra.pairs {
-                    if let Some(&l2) = rb.pairs.get(&k) {
-                        let and = self.f.and2(l, l2);
-                        out.pairs.insert(k, and);
+            Op::Cross => {
+                let (sa, sb) = (&self.sets[an.value_node(a)], &self.sets[an.value_node(b)]);
+                for (x, y) in active.iter() {
+                    if let (Some(lx), Some(ly)) = (sa.get(x), sb.get(y)) {
+                        out.insert(x, y, self.f.and2(lx, ly));
                     }
                 }
             }
-            RelExpr::Diff(a, b) => {
-                let (ra, rb) = (self.enc_rel(a), self.enc_rel(b));
-                for (&k, &l) in &ra.pairs {
-                    match rb.pairs.get(&k) {
-                        Some(&l2) => {
-                            let and = self.f.and2(l, !l2);
-                            out.pairs.insert(k, and);
-                        }
-                        None => {
-                            out.pairs.insert(k, l);
-                        }
+            Op::Union | Op::Inter | Op::Diff => {
+                let (ra, rb) = (&self.rels[an.value_node(a)], &self.rels[an.value_node(b)]);
+                for (x, y) in active.iter() {
+                    let l = match (op, ra.get(x, y), rb.get(x, y)) {
+                        (Op::Union, Some(la), Some(lb)) => self.f.or2(la, lb),
+                        (Op::Union, Some(l), None) | (Op::Union, None, Some(l)) => l,
+                        (Op::Inter, Some(la), Some(lb)) => self.f.and2(la, lb),
+                        (Op::Diff, Some(la), Some(lb)) => self.f.and2(la, !lb),
+                        (Op::Diff, Some(la), None) => la,
+                        _ => continue,
+                    };
+                    out.insert(x, y, l);
+                }
+            }
+            Op::Seq => self.encode_seq(active, an.value_node(a), an.value_node(b), &mut out),
+            Op::Inverse => {
+                let r = &self.rels[an.value_node(a)];
+                for (x, y) in active.iter() {
+                    if let Some(l) = r.get(y, x) {
+                        out.insert(x, y, l);
                     }
                 }
             }
-            RelExpr::Seq(a, b) => {
-                let (ra, rb) = (self.enc_rel(a), self.enc_rel(b));
-                let mut by_first: BTreeMap<u32, Vec<(u32, Lit)>> = BTreeMap::new();
-                for (&(m, c), &l) in &rb.pairs {
-                    by_first.entry(m).or_default().push((c, l));
-                }
-                let mut disj: BTreeMap<(u32, u32), Vec<Lit>> = BTreeMap::new();
-                for (&(x, m), &l1) in &ra.pairs {
-                    if let Some(nexts) = by_first.get(&m) {
-                        for &(c, l2) in nexts {
-                            if !self.graph.can_coexist(EventId(x), EventId(c)) {
-                                continue;
-                            }
-                            let and = self.f.and2(l1, l2);
-                            disj.entry((x, c)).or_default().push(and);
-                        }
-                    }
-                }
-                for (k, lits) in disj {
-                    let or = self.f.or(&lits);
-                    out.pairs.insert(k, or);
-                }
-            }
-            RelExpr::Inverse(a) => {
-                let ra = self.enc_rel(a);
-                for (&(x, y), &l) in &ra.pairs {
-                    out.pairs.insert((y, x), l);
-                }
-            }
-            RelExpr::Plus(a) => {
-                return self.enc_closure(a, false);
-            }
-            RelExpr::Star(a) => {
-                return self.enc_closure(a, true);
-            }
-            RelExpr::Opt(a) => {
-                out = self.enc_rel(a);
+            Op::Opt => {
                 let t = self.f.lit_true();
-                for i in 0..n as u32 {
-                    out.pairs.insert((i, i), t);
+                let r = &self.rels[an.value_node(a)];
+                for (x, y) in active.iter() {
+                    if let Some(l) = if x == y { Some(t) } else { r.get(x, y) } {
+                        out.insert(x, y, l);
+                    }
                 }
             }
+            Op::Plus | Op::Star => {
+                self.encode_closure(active, an.value_node(a), op == Op::Star, &mut out)
+            }
+            _ => unreachable!("set operator on a relation node"),
         }
         out
     }
 
-    /// Transitive closure with cyclic iff-gates. Every satisfying model
-    /// assigns a *superset* of the least fixpoint (the one-step rules are
-    /// Horn and force all derivable pairs), which is sound and complete
-    /// for the anti-monotone axiom shapes of cat (see crate docs).
-    fn enc_closure(&mut self, inner: &RelExpr, reflexive: bool) -> EncRel {
-        let base = self.enc_rel(inner);
-        let n = self.graph.n_events();
-        let mut base_upper = Relation::empty(n);
-        for &(a, b) in base.pairs.keys() {
-            base_upper.insert(EventId(a), EventId(b));
-        }
-        let tc_upper = base_upper.transitive_closure();
-        let mut vars = EncRel::default();
-        for (a, b) in tc_upper.iter() {
-            vars.pairs.insert((a.0, b.0), self.f.new_lit());
-        }
-        // var(a,b) ↔ base(a,b) ∨ ∃m. var(a,m) ∧ base(m,b)
-        let mut base_by_second: BTreeMap<u32, Vec<(u32, Lit)>> = BTreeMap::new();
-        for (&(m, b), &l) in &base.pairs {
-            base_by_second.entry(b).or_default().push((m, l));
-        }
-        let keys: Vec<(u32, u32)> = vars.pairs.keys().copied().collect();
-        for (a, b) in keys {
-            let v = vars.pairs[&(a, b)];
-            let mut supports = Vec::new();
-            if let Some(&bl) = base.pairs.get(&(a, b)) {
-                supports.push(bl);
+    /// `a ; b` on the active pairs: per row `x` of `a`, one disjunction
+    /// per target `c` over the midpoints `m` of `a(x, m) ∧ b(m, c)`.
+    fn encode_seq(&mut self, active: &Relation, a: NodeId, b: NodeId, out: &mut EncRel) {
+        let (ra, rb) = (&self.rels[a], &self.rels[b]);
+        let mut row: Vec<(u32, Lit)> = Vec::new();
+        let mut lits = Vec::new();
+        let mut pairs = ra.pairs.iter().peekable();
+        while let Some((&(x, m), &l1)) = pairs.next() {
+            for (c, l2) in rb.row(m) {
+                if active.contains(EventId(x), EventId(c)) {
+                    row.push((c, self.f.and2(l1, l2)));
+                }
             }
-            if let Some(preds) = base_by_second.get(&b) {
-                for &(m, bl) in preds {
-                    if m == a {
-                        continue; // covered by the direct base pair
-                    }
-                    if let Some(&vm) = vars.pairs.get(&(a, m)) {
-                        let and = self.f.and2(vm, bl);
-                        supports.push(and);
-                    }
+            if pairs.peek().is_some_and(|(&(x2, _), _)| x2 == x) {
+                continue;
+            }
+            // Row `x` is complete. The sort is stable, so each target's
+            // midpoints stay in increasing order.
+            row.sort_by_key(|&(c, _)| c);
+            for group in row.chunk_by(|p, q| p.0 == q.0) {
+                lits.clear();
+                lits.extend(group.iter().map(|&(_, l)| l));
+                out.insert(EventId(x), EventId(group[0].0), self.f.or(&lits));
+            }
+            row.clear();
+        }
+    }
+
+    /// Transitive closure with cyclic iff-gates on the active pairs,
+    /// which the analysis closes under their supports. Every satisfying
+    /// model assigns a *superset* of the least fixpoint (the one-step
+    /// rules are Horn and force all derivable pairs), which is sound and
+    /// complete for the anti-monotone axiom shapes of cat (see crate
+    /// docs). `r*` encodes its diagonal as true.
+    fn encode_closure(
+        &mut self,
+        active: &Relation,
+        body: NodeId,
+        reflexive: bool,
+        out: &mut EncRel,
+    ) {
+        let t = self.f.lit_true();
+        for (x, y) in active.iter() {
+            let v = if reflexive && x == y {
+                t
+            } else {
+                self.f.new_lit()
+            };
+            out.insert(x, y, v);
+        }
+        // var(x,y) ↔ body(x,y) ∨ ∃m ≠ x. var(x,m) ∧ body(m,y)
+        let base = &self.rels[body];
+        let mut supports = Vec::new();
+        for (&(x, y), &v) in &out.pairs {
+            if reflexive && x == y {
+                continue;
+            }
+            supports.clear();
+            supports.extend(base.get(EventId(x), EventId(y)));
+            for (m, vm) in out.row(x) {
+                if m == x {
+                    continue; // covered by the direct body pair
+                }
+                if let Some(bl) = base.get(EventId(m), EventId(y)) {
+                    supports.push(self.f.and2(vm, bl));
                 }
             }
             let rhs = self.f.or(&supports);
             self.f.assert_iff(v, rhs);
         }
-        if reflexive {
-            // The diagonal is unconditionally true — overwriting any
-            // transitive-closure variable the cycle-shaped upper bound
-            // may have created for (i, i).
-            let t = self.f.lit_true();
-            for i in 0..n as u32 {
-                vars.pairs.insert((i, i), t);
-            }
-        }
-        vars
     }
 
     // ------------------------------------------------------------------
@@ -1343,7 +1264,7 @@ impl<'g> Encoding<'g> {
         let exec = self.decode();
         // Defense in depth: the witness must satisfy the model according
         // to the explicit interpreter.
-        let verdict = Interpreter::new(&self.model).check(&exec);
+        let verdict = Interpreter::new(self.model).check(&exec);
         if !verdict.consistent {
             return Err(EncodeError::WitnessMismatch(format!(
                 "SAT witness violates axiom {:?}\n{}",
@@ -1451,8 +1372,8 @@ impl<'g> Encoding<'g> {
         self.f.solver().stats()
     }
 
-    /// Microseconds spent computing relation-analysis bounds for this
-    /// encoding (zero when served from a [`crate::BoundsMemo`] hit).
+    /// Microseconds spent on the relation analysis (bounds and active
+    /// sets) for this encoding.
     pub fn bounds_time_us(&self) -> u64 {
         self.bounds_us
     }
@@ -1461,75 +1382,5 @@ impl<'g> Encoding<'g> {
     /// construction, excluding bounds analysis and solving).
     pub fn encode_time_us(&self) -> u64 {
         self.encode_us
-    }
-}
-
-impl<'g> Encoding<'g> {
-    /// Compares the SAT model's relation assignments against the
-    /// interpreter's least-fixpoint values for a decoded execution.
-    /// Returns human-readable discrepancies (diagnostics only).
-    #[doc(hidden)]
-    pub fn debug_compare(&mut self, exec: &Execution<'_>) -> Vec<String> {
-        use gpumc_exec::BaseInterpretation;
-        let mut out = Vec::new();
-        let base = BaseInterpretation::compute(exec);
-        // Compare base relations first.
-        for name in self.model.referenced_base_rels() {
-            let Some(upper) = self.analysis.base_upper(&name).cloned() else {
-                continue;
-            };
-            let Some(interp) = base.rel(&name).cloned() else {
-                continue;
-            };
-            for (a, b) in interp.iter() {
-                if !upper.contains(a, b) {
-                    out.push(format!(
-                        "base {name}: ({},{}) outside upper bound",
-                        a.0, b.0
-                    ));
-                    continue;
-                }
-                let lit = self.base_lit(&name, a, b);
-                if !self.f.value_or_false(lit) {
-                    out.push(format!(
-                        "base {name}: ({},{}) true in interp, false in SAT",
-                        a.0, b.0
-                    ));
-                }
-            }
-        }
-        // Compare definitions.
-        let interp = Interpreter::new(&self.model);
-        for (i, def) in self.model.defs().iter().enumerate() {
-            let gpumc_cat::DefBody::Rel(_) = &def.body else {
-                continue;
-            };
-            let val = interp.eval_named_rel(&def.name, exec);
-            let Some(enc) = self.def_rels[i].clone() else {
-                continue;
-            };
-            for (a, b) in val.iter() {
-                match enc.pairs.get(&(a.0, b.0)) {
-                    None => out.push(format!(
-                        "def {}: ({},{}) outside encoded upper bound",
-                        def.name, a.0, b.0
-                    )),
-                    Some(&l) if !self.f.value_or_false(l) => out.push(format!(
-                        "def {}: ({},{}) true in interp, false in SAT",
-                        def.name, a.0, b.0
-                    )),
-                    _ => {}
-                }
-            }
-        }
-        out
-    }
-}
-
-impl<'g> Encoding<'g> {
-    /// Decodes the current SAT model (diagnostics only).
-    #[doc(hidden)]
-    pub fn debug_decode(&mut self) -> Execution<'g> {
-        self.decode()
     }
 }

@@ -5,9 +5,11 @@
 //! top of the `gpumc-sat` solver:
 //!
 //! * [`RelationAnalysis`] — static lower/upper bounds for all base and
-//!   derived relations (Table 3). Upper bounds prune variable creation;
-//!   lower bounds let static relations be encoded as plain conjunctions
-//!   of execution literals (Table 4's first row).
+//!   derived relations (Table 3), and *active sets*: the pairs of each
+//!   model expression that can change whether an axiom holds, derived
+//!   top-down from the axioms. Every expression is encoded on its active
+//!   pairs only, which lie within its upper bound; static relations are
+//!   plain conjunctions of execution literals (Table 4's first row).
 //! * [`Encoding`] — the CNF encoding: guarded control flow, bit-blasted
 //!   data flow, decision variables for `rf`, the (partial for PTX, total
 //!   for Vulkan) coherence order `co`, the runtime `sync_fence` order,
@@ -24,9 +26,6 @@
 //! * [`SolverSession`] — the incremental query layer: owns one encoding,
 //!   answers all of a test's property queries from the single shared
 //!   solver, and records per-query [`QueryStats`] counter deltas.
-//! * [`BoundsMemo`] — an opt-in cache of the (expensive, graph-sized)
-//!   bounds so the several encodings of one test share a single
-//!   relation analysis; see [`encode_memoized`].
 //! * [`estimate_cost`] — a relative cost prediction (events² × bound ×
 //!   engine weight) the serving layer uses for lane placement in its
 //!   cost-aware scheduler.
@@ -39,11 +38,9 @@
 mod bounds;
 mod cost;
 mod encode;
-mod memo;
 mod session;
 
-pub use bounds::{RelationAnalysis, StaticBounds};
+pub use bounds::RelationAnalysis;
 pub use cost::{engine_weight, estimate_cost};
-pub use encode::{encode, encode_memoized, EncodeError, EncodeOptions, Encoding, QueryResult};
-pub use memo::BoundsMemo;
+pub use encode::{encode, EncodeError, EncodeOptions, Encoding, QueryResult};
 pub use session::{QueryRecord, QueryStats, SolverSession};

@@ -22,8 +22,7 @@ use std::time::Instant;
 use gpumc_cat::CatModel;
 use gpumc_ir::{Condition, EventGraph};
 
-use crate::encode::{encode, encode_memoized, EncodeError, EncodeOptions, Encoding, QueryResult};
-use crate::memo::BoundsMemo;
+use crate::encode::{encode, EncodeError, EncodeOptions, Encoding, QueryResult};
 
 /// Deltas of the shared solver's cumulative statistics over one query.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -92,27 +91,10 @@ impl<'g> SolverSession<'g> {
     /// Same failure modes as [`encode`].
     pub fn build(
         graph: &'g EventGraph,
-        model: &CatModel,
+        model: &'g CatModel,
         opts: &EncodeOptions,
     ) -> Result<SolverSession<'g>, EncodeError> {
         Ok(SolverSession::from_encoding(encode(graph, model, opts)?))
-    }
-
-    /// Like [`SolverSession::build`] but sources relation-analysis
-    /// bounds from `memo` (see [`encode_memoized`]).
-    ///
-    /// # Errors
-    ///
-    /// Same failure modes as [`encode`].
-    pub fn build_memoized(
-        graph: &'g EventGraph,
-        model: &CatModel,
-        opts: &EncodeOptions,
-        memo: &BoundsMemo,
-    ) -> Result<SolverSession<'g>, EncodeError> {
-        Ok(SolverSession::from_encoding(encode_memoized(
-            graph, model, opts, memo,
-        )?))
     }
 
     /// Wraps an already-built encoding.
@@ -211,7 +193,7 @@ impl<'g> SolverSession<'g> {
         self.enc.set_conflict_budget(budget);
     }
 
-    /// Microseconds spent on relation-analysis bounds during build.
+    /// Microseconds spent on the relation analysis during build.
     pub fn bounds_time_us(&self) -> u64 {
         self.enc.bounds_time_us()
     }
@@ -331,6 +313,22 @@ exists (P1:r0 == 1)";
         s.set_cancel_token(None);
         assert!(s.find_assertion_witness().unwrap().found);
         assert!(!s.find_liveness_violation().unwrap().found);
+    }
+
+    #[test]
+    fn each_acyclic_axiom_is_checked_on_its_own() {
+        // `co` and `co^-1` are each acyclic in every execution, but their
+        // union has a cycle as soon as Vulkan's total `co` orders the two
+        // writes. The final value is reachable only if each axiom gets its
+        // own order.
+        let src = "VULKAN 2W\n{ x = 0; }\n\
+P0@sg 0,wg 0,qf 0 | P1@sg 0,wg 1,qf 0 ;\n\
+st.atom.dv.sc0 x, 1 | st.atom.dv.sc0 x, 2 ;\n\
+exists (x == 2)";
+        let g = graph(src, 1);
+        let model = gpumc_cat::parse("acyclic co as forward\nacyclic co^-1 as backward").unwrap();
+        let mut s = SolverSession::build(&g, &model, &Default::default()).unwrap();
+        assert!(s.find_assertion_witness().unwrap().found);
     }
 
     #[test]

@@ -240,6 +240,9 @@ fn event_scope(tags: gpumc_ir::TagSet, arch: Arch) -> Option<Scope> {
 /// PTX `sr`: each event's thread lies inside the other event's scope
 /// instance (Table 3). Also used by the DPOR engine to decide which SC
 /// fences commute (only `sr`-related fences contribute to `sync_fence`).
+///
+/// Like every base relation, `sr` relates distinct events only: its
+/// diagonal is empty (DESIGN.md §4).
 pub(crate) fn scoped_sr(exec: &Execution<'_>) -> Relation {
     let g = exec.graph;
     let n = g.n_events();
@@ -249,6 +252,9 @@ pub(crate) fn scoped_sr(exec: &Execution<'_>) -> Relation {
     }
     for a in exec.executed.iter() {
         for b in exec.executed.iter() {
+            if a == b {
+                continue;
+            }
             let (ea, eb) = (g.event(a), g.event(b));
             let (Some(ta), Some(tb)) = (ea.thread, eb.thread) else {
                 continue;
@@ -309,7 +315,7 @@ fn ssw(exec: &Execution<'_>) -> Relation {
     rel
 }
 
-/// Barriers with equal (runtime) ids.
+/// Distinct barriers with equal (runtime) ids.
 fn syncbar(exec: &Execution<'_>) -> Relation {
     let g = exec.graph;
     let mut rel = Relation::empty(g.n_events());
@@ -320,7 +326,9 @@ fn syncbar(exec: &Execution<'_>) -> Relation {
         .collect();
     for &a in &barriers {
         for &b in &barriers {
-            if exec.values[a.index()].is_some() && exec.values[a.index()] == exec.values[b.index()]
+            if a != b
+                && exec.values[a.index()].is_some()
+                && exec.values[a.index()] == exec.values[b.index()]
             {
                 rel.insert(a, b);
             }

@@ -8,6 +8,20 @@ fn words_for(bits: usize) -> usize {
     bits.div_ceil(WORD)
 }
 
+/// Positions of the set bits of `words`, in increasing order.
+fn set_bits(words: &[u64]) -> impl Iterator<Item = usize> + '_ {
+    words.iter().enumerate().flat_map(|(wi, &w)| {
+        let mut bits = w;
+        std::iter::from_fn(move || {
+            (bits != 0).then(|| {
+                let b = bits.trailing_zeros() as usize;
+                bits &= bits - 1;
+                wi * WORD + b
+            })
+        })
+    })
+}
+
 /// A set of events over a fixed universe of `n` events.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct EventSet {
@@ -72,9 +86,7 @@ impl EventSet {
 
     /// Iterates over members in increasing id order.
     pub fn iter(&self) -> impl Iterator<Item = EventId> + '_ {
-        (0..self.n)
-            .map(|i| EventId(i as u32))
-            .filter(move |&e| self.contains(e))
+        set_bits(&self.words).map(|i| EventId(i as u32))
     }
 
     /// In-place union.
@@ -245,13 +257,22 @@ impl Relation {
         self.words.iter().all(|&w| w == 0)
     }
 
-    /// Iterates over all pairs.
+    /// Iterates over all pairs, row by row, each row in increasing
+    /// order of the second event.
     pub fn iter(&self) -> impl Iterator<Item = (EventId, EventId)> + '_ {
         (0..self.n).flat_map(move |i| {
-            (0..self.n)
-                .filter(move |&j| self.contains(EventId(i as u32), EventId(j as u32)))
-                .map(move |j| (EventId(i as u32), EventId(j as u32)))
+            set_bits(self.row(i)).map(move |j| (EventId(i as u32), EventId(j as u32)))
         })
+    }
+
+    /// The events `b` with `(a, b)` in the relation, in increasing order.
+    pub fn successors(&self, a: EventId) -> impl Iterator<Item = EventId> + '_ {
+        let row: &[u64] = if a.index() < self.n {
+            self.row(a.index())
+        } else {
+            &[]
+        };
+        set_bits(row).map(|j| EventId(j as u32))
     }
 
     fn row(&self, i: usize) -> &[u64] {
@@ -503,6 +524,26 @@ mod tests {
         assert!(!r.contains(e(1), e(0)));
         assert_eq!(r.len(), 2);
         assert_eq!(r.iter().count(), 2);
+    }
+
+    #[test]
+    fn iteration_is_row_major_across_word_boundaries() {
+        let n = 130;
+        let pairs = [(0, 129), (0, 1), (64, 63), (64, 64), (129, 0), (1, 128)];
+        let r = Relation::from_pairs(n, pairs.map(|(a, b)| (e(a), e(b))));
+        let reference: Vec<(EventId, EventId)> = (0..n as u32)
+            .flat_map(|a| (0..n as u32).map(move |b| (e(a), e(b))))
+            .filter(|&(a, b)| r.contains(a, b))
+            .collect();
+        assert_eq!(r.iter().collect::<Vec<_>>(), reference);
+        assert_eq!(r.successors(e(0)).collect::<Vec<_>>(), vec![e(1), e(129)]);
+        assert_eq!(r.successors(e(2)).count(), 0);
+        assert_eq!(r.successors(e(500)).count(), 0);
+        let s = r.domain();
+        assert_eq!(
+            s.iter().collect::<Vec<_>>(),
+            vec![e(0), e(1), e(64), e(129)]
+        );
     }
 
     #[test]

@@ -51,9 +51,12 @@ pub struct Interpreter<'m> {
     model: &'m CatModel,
 }
 
-#[derive(Debug, Clone)]
-enum Value {
+/// The value of one definition over an execution.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum DefValue {
+    /// A set-kinded definition.
     Set(EventSet),
+    /// A relation-kinded definition.
     Rel(Relation),
 }
 
@@ -124,22 +127,28 @@ impl<'m> Interpreter<'m> {
         let defs = self.eval_defs(&base);
         let id = self.model.def_id(name).expect("unknown definition");
         match &defs[id] {
-            Value::Rel(r) => r.clone(),
-            Value::Set(_) => panic!("`{name}` is a set"),
+            DefValue::Rel(r) => r.clone(),
+            DefValue::Set(_) => panic!("`{name}` is a set"),
         }
     }
 
-    fn eval_defs(&self, base: &BaseInterpretation) -> Vec<Value> {
+    /// Evaluates every definition over an execution, indexed by
+    /// [`gpumc_cat::DefId`].
+    pub fn def_values(&self, exec: &Execution<'_>) -> Vec<DefValue> {
+        self.eval_defs(&BaseInterpretation::compute(exec))
+    }
+
+    fn eval_defs(&self, base: &BaseInterpretation) -> Vec<DefValue> {
         let n = base.universe();
         let model_defs = self.model.defs();
-        let mut values: Vec<Value> = Vec::with_capacity(model_defs.len());
+        let mut values: Vec<DefValue> = Vec::with_capacity(model_defs.len());
         let mut i = 0;
         while i < model_defs.len() {
             match model_defs[i].rec_group {
                 None => {
                     let v = match &model_defs[i].body {
-                        DefBody::Set(s) => Value::Set(eval_set(s, base, &values)),
-                        DefBody::Rel(r) => Value::Rel(eval_rel(r, base, &values)),
+                        DefBody::Set(s) => DefValue::Set(eval_set(s, base, &values)),
+                        DefBody::Rel(r) => DefValue::Rel(eval_rel(r, base, &values)),
                     };
                     values.push(v);
                     i += 1;
@@ -152,7 +161,7 @@ impl<'m> Interpreter<'m> {
                         end += 1;
                     }
                     for _ in start..end {
-                        values.push(Value::Rel(Relation::empty(n)));
+                        values.push(DefValue::Rel(Relation::empty(n)));
                     }
                     loop {
                         let mut changed = false;
@@ -161,11 +170,11 @@ impl<'m> Interpreter<'m> {
                                 unreachable!("recursive defs are relations");
                             };
                             let next = eval_rel(body, base, &values);
-                            let Value::Rel(cur) = &values[j] else {
+                            let DefValue::Rel(cur) = &values[j] else {
                                 unreachable!()
                             };
                             if &next != cur {
-                                values[j] = Value::Rel(next);
+                                values[j] = DefValue::Rel(next);
                                 changed = true;
                             }
                         }
@@ -190,7 +199,7 @@ fn axiom_holds(axiom: &Axiom, rel: &Relation) -> bool {
     raw != axiom.negated
 }
 
-fn eval_set(e: &SetExpr, base: &BaseInterpretation, defs: &[Value]) -> EventSet {
+fn eval_set(e: &SetExpr, base: &BaseInterpretation, defs: &[DefValue]) -> EventSet {
     let n = base.universe();
     match e {
         SetExpr::Base(name) => base
@@ -198,8 +207,8 @@ fn eval_set(e: &SetExpr, base: &BaseInterpretation, defs: &[Value]) -> EventSet 
             .cloned()
             .unwrap_or_else(|| EventSet::empty(n)),
         SetExpr::Ref(id) => match &defs[*id] {
-            Value::Set(s) => s.clone(),
-            Value::Rel(_) => unreachable!("kind-checked"),
+            DefValue::Set(s) => s.clone(),
+            DefValue::Rel(_) => unreachable!("kind-checked"),
         },
         // The universe restricted to executed events (consistent with the
         // SAT encoding, where every relation is execution-gated).
@@ -212,7 +221,7 @@ fn eval_set(e: &SetExpr, base: &BaseInterpretation, defs: &[Value]) -> EventSet 
     }
 }
 
-fn eval_rel(e: &RelExpr, base: &BaseInterpretation, defs: &[Value]) -> Relation {
+fn eval_rel(e: &RelExpr, base: &BaseInterpretation, defs: &[DefValue]) -> Relation {
     let n = base.universe();
     match e {
         RelExpr::Base(name) => base
@@ -220,8 +229,8 @@ fn eval_rel(e: &RelExpr, base: &BaseInterpretation, defs: &[Value]) -> Relation 
             .cloned()
             .unwrap_or_else(|| Relation::empty(n)),
         RelExpr::Ref(id) => match &defs[*id] {
-            Value::Rel(r) => r.clone(),
-            Value::Set(_) => unreachable!("kind-checked"),
+            DefValue::Rel(r) => r.clone(),
+            DefValue::Set(_) => unreachable!("kind-checked"),
         },
         RelExpr::Id => Relation::identity(n),
         RelExpr::IdSet(s) => Relation::identity_on(&eval_set(s, base, defs)),

@@ -37,4 +37,4 @@ pub use bitrel::{EventSet, Relation};
 pub use dpor::{dpor_explore, dpor_explore_interruptible, DporError, DporOptions, DporStats};
 pub use enumerate::{enumerate, enumerate_consistent, Behavior, EnumerateError, EnumerateOptions};
 pub use execution::{Execution, ThreadOutcome};
-pub use interp::{ConsistencyVerdict, FlagHit, Interpreter};
+pub use interp::{ConsistencyVerdict, DefValue, FlagHit, Interpreter};
