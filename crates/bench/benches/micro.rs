@@ -119,11 +119,11 @@ fn bench_ablation_bounds(c: &mut Criterion) {
     });
 }
 
-/// The incremental query layer: all three properties (assertion,
-/// liveness, data races) of a Vulkan test answered from one solver
-/// session versus three fresh encodings. Prints the per-query solver
-/// deltas once so the learnt-clause reuse is visible, and asserts the
-/// two paths agree on every verdict.
+/// The shared encoding: all three properties (assertion, liveness, data
+/// races) of a Vulkan test answered by `check_all` from one encoding
+/// versus the three single-property checks, each with its own. Prints
+/// the per-query solver deltas once so the learnt-clause reuse is
+/// visible, and asserts the two paths agree on every verdict.
 fn bench_incremental_session(c: &mut Criterion) {
     let src = r#"
 VULKAN vk-mp-spin
@@ -136,24 +136,28 @@ st.atom.rel.dv.sc0 flag, 1 | ld.atom.acq.dv.sc0 r0, flag ;
 exists (P1:r0 == 1 /\ P1:r1 == 0)
 "#;
     let p = gpumc::parse_litmus(src).unwrap();
-    let model = gpumc_models::vulkan();
-    let inc = gpumc::Verifier::new(model.clone()).with_bound(2);
-    let fresh = inc.clone().with_incremental(false);
-    let i = inc.check_all(&p).unwrap();
-    eprintln!("[incremental] three-property Vulkan session, per-query solver deltas:");
+    let v = gpumc::Verifier::new(gpumc_models::vulkan()).with_bound(2);
+    let three_checks = || {
+        (
+            v.check_assertion(&p).unwrap().reachable,
+            v.check_liveness(&p).unwrap().violated,
+            v.check_data_races(&p).unwrap().violated,
+        )
+    };
+    let i = v.check_all(&p).unwrap();
+    eprintln!("[incremental] three-property Vulkan check_all, per-query solver deltas:");
     eprint!("{}", i.render_query_stats());
-    let f = fresh.check_all(&p).unwrap();
-    assert_eq!(i.assertion.reachable, f.assertion.reachable);
-    assert_eq!(i.liveness.violated, f.liveness.violated);
-    assert_eq!(
-        i.data_races.as_ref().map(|d| d.violated),
-        f.data_races.as_ref().map(|d| d.violated)
+    let shared = (
+        i.assertion.reachable,
+        i.liveness.violated,
+        i.data_races.as_ref().unwrap().violated,
     );
+    assert_eq!(shared, three_checks());
     c.bench_function("incremental/vk-three-property-session", |b| {
-        b.iter(|| inc.check_all(&p).unwrap())
+        b.iter(|| v.check_all(&p).unwrap())
     });
     c.bench_function("incremental/vk-three-property-fresh", |b| {
-        b.iter(|| fresh.check_all(&p).unwrap())
+        b.iter(three_checks)
     });
 }
 

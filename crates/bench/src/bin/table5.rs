@@ -6,8 +6,8 @@
 //!
 //! With `--all`, the Dartagnan engine answers *all* properties of every
 //! test (assertion + liveness + data races where the model flags them)
-//! from one incremental solver session per test instead of checking only
-//! the catalogued property; the per-property query totals go to stderr.
+//! from one encoding per test instead of checking only the catalogued
+//! property; the per-property query totals go to stderr.
 
 use std::io::Write as _;
 use std::time::Instant;
@@ -65,7 +65,7 @@ fn run_one(t: &Test, model: ModelKind, engine: EngineKind) -> Result<u128, Verif
     Ok(t0.elapsed().as_micros())
 }
 
-/// `--all` mode: every property of the test from one incremental session.
+/// `--all` mode: every property of the test from one encoding.
 fn run_all(t: &Test, model: ModelKind) -> Result<(u128, gpumc::FullOutcome), VerifyError> {
     let program = gpumc::parse_litmus(&t.source)?;
     let v = Verifier::new(gpumc_models::load_shared(model)).with_bound(t.bound);
@@ -215,7 +215,7 @@ fn main() {
     let jobs = gpumc_bench::jobs_from_args();
     let all = gpumc_bench::flag_from_args("--all");
     if all {
-        eprintln!("(--all: every property per test from one incremental session)");
+        eprintln!("(--all: every property per test from one encoding)");
     }
     let ptx_safety = gpumc_catalog::ptx_safety_suite();
     let ptx_proxy = gpumc_catalog::ptx_proxy_suite();

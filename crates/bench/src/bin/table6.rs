@@ -7,15 +7,16 @@
 //! <dev|validation|scale>` selects the catalog tier whose wall clock is
 //! checked against its budget (default `dev`). `--json` additionally
 //! writes the whole comparison — per-kernel verdicts and solver sizes,
-//! per-tool aggregates, the agreement matrix, the incremental-vs-fresh
-//! timings, the DPOR-engine explored/pruned counters with
-//! wall-clock vs the SAT engine, and the tier wall-clock-vs-budget
-//! record — to `BENCH_table6.json` in the current directory, for
-//! machine consumption.
+//! per-tool aggregates, the agreement matrix, the `check_all` timing
+//! against three single-property checks, the DPOR-engine
+//! explored/pruned counters with wall-clock vs the SAT engine, and the
+//! tier wall-clock-vs-budget record — to `BENCH_table6.json` in the
+//! current directory, for machine consumption.
 
 use std::time::Instant;
 
-use gpumc::{EngineKind, Verifier};
+use gpumc::gpumc_ir::Program;
+use gpumc::{EngineKind, Verifier, VerifyError};
 use gpumc_models::ModelKind;
 use gpumc_serve::json::Json;
 use gpumc_spirv::{emit_spirv, gpuverify_corpus, lower, parse_spirv, Bucket};
@@ -192,11 +193,11 @@ fn main() {
         }
     }
 
-    // --- the incremental-session win: all three properties (assertion,
+    // --- the shared-encoding win: all three properties (assertion,
     //     liveness, data races) of every verifiable kernel, answered once
-    //     from one incremental encoding and once from three fresh
-    //     encodings. Verdicts must agree; per-query solver deltas go to
-    //     stderr.
+    //     by `check_all` from one encoding and once by the three
+    //     single-property checks, each with its own encoding. Verdicts
+    //     must agree; per-query solver deltas go to stderr.
     let mut inc_us = 0u128;
     let mut fresh_us = 0u128;
     for case in &verifiable {
@@ -209,33 +210,37 @@ fn main() {
         let inc = v.check_all(&program);
         let inc_elapsed = t0.elapsed().as_micros();
         let t0 = Instant::now();
-        let fresh = v.clone().with_incremental(false).check_all(&program);
+        let fresh = three_checks(&v, &program);
         let fresh_elapsed = t0.elapsed().as_micros();
         match (inc, fresh) {
             (Ok(i), Ok(f)) => {
                 inc_us += inc_elapsed;
                 fresh_us += fresh_elapsed;
                 eprintln!(
-                    "  {} incremental {:.1} ms vs fresh {:.1} ms",
+                    "  {} check_all {:.1} ms vs three checks {:.1} ms",
                     case.name,
                     inc_elapsed as f64 / 1000.0,
                     fresh_elapsed as f64 / 1000.0
                 );
                 eprint!("{}", i.render_query_stats());
-                if i.assertion.reachable != f.assertion.reachable
-                    || i.liveness.violated != f.liveness.violated
-                    || i.data_races.as_ref().map(|d| d.violated)
-                        != f.data_races.as_ref().map(|d| d.violated)
-                {
-                    eprintln!("!! incremental/fresh verdict mismatch on {}", case.name);
+                let shared = (
+                    i.assertion.reachable,
+                    i.liveness.violated,
+                    i.data_races.as_ref().map(|d| d.violated),
+                );
+                if shared != f {
+                    eprintln!(
+                        "!! check_all/single-check verdict mismatch on {}",
+                        case.name
+                    );
                 }
             }
             (i, f) => {
                 if let Err(e) = i {
-                    eprintln!("incremental check_all failed on {}: {e}", case.name);
+                    eprintln!("check_all failed on {}: {e}", case.name);
                 }
                 if let Err(e) = f {
-                    eprintln!("fresh check_all failed on {}: {e}", case.name);
+                    eprintln!("single-property check failed on {}: {e}", case.name);
                 }
             }
         }
@@ -243,7 +248,7 @@ fn main() {
     println!();
     println!("three-property verification (assertion + liveness + drf) per kernel:");
     println!(
-        "  incremental session: {:>8.1} ms   three fresh encodings: {:>8.1} ms   speedup {:.2}x",
+        "  check_all, one encoding: {:>8.1} ms   three single checks: {:>8.1} ms   speedup {:.2}x",
         inc_us as f64 / 1000.0,
         fresh_us as f64 / 1000.0,
         if inc_us > 0 {
@@ -525,4 +530,15 @@ fn main() {
             Err(e) => eprintln!("failed to write {path}: {e}"),
         }
     }
+}
+
+/// The `three_property` baseline: the three single-property checks that
+/// `check_all` answers from one encoding, each compiling and encoding the
+/// kernel on its own.
+fn three_checks(v: &Verifier, p: &Program) -> Result<(bool, bool, Option<bool>), VerifyError> {
+    Ok((
+        v.check_assertion(p)?.reachable,
+        v.check_liveness(p)?.violated,
+        Some(v.check_data_races(p)?.violated),
+    ))
 }

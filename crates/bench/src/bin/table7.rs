@@ -4,9 +4,9 @@
 //! Run with: `cargo run --release -p gpumc-bench --bin table7 [-- --jobs N]`
 //!
 //! With `--all`, each primitive's mutual-exclusion assertion *and* its
-//! liveness (can a spinloop get stuck?) are answered from one
-//! incremental solver session; the extra `Live` column reports the
-//! latter and the per-query solver deltas go to stderr.
+//! liveness (can a spinloop get stuck?) are answered from one encoding;
+//! the extra `Live` column reports the latter and the per-query solver
+//! deltas go to stderr.
 
 use std::time::Instant;
 
@@ -42,7 +42,7 @@ fn main() {
             Verifier::new(gpumc_models::load_shared(ModelKind::Vulkan)).with_bound(b.test.bound);
         let t0 = Instant::now();
         if all {
-            // One incremental session answers mutual exclusion + liveness.
+            // One encoding answers mutual exclusion + liveness.
             v.check_all(&program)
                 .map(|o| {
                     (

@@ -28,8 +28,6 @@ OPTIONS (verify):
     --all                check all three properties from one incremental
                          encoding (assertion + liveness + datarace);
                          per-query solver statistics go to stderr
-    --fresh              with --all: use three fresh encodings instead of
-                         the incremental session (differential baseline)
     --engine <e>         sat | enumerate | alloy | dpor  (default: sat;
                          `alloy` is the straight-line enumeration baseline,
                          `dpor` the pruned stateless exploration engine)
@@ -47,7 +45,7 @@ OPTIONS (suite):
     --engine <e>         sat | enumerate | alloy | dpor  (default: sat)
     --model <name>       model override (default: per-test, from dialect)
     --thorough           also cross-check a secondary property per test,
-                         answered from one incremental solver session
+                         answered from the same encoding as the primary
 
 OPTIONS (serve):
     --addr <host:port>   listen address (default: 127.0.0.1:7878;
@@ -663,7 +661,6 @@ fn verify(args: &[String]) -> Result<ExitCode, String> {
     let mut mem_budget_mb: Option<u64> = None;
     let mut show_witness = false;
     let mut all = false;
-    let mut fresh = false;
     let mut it = args.iter();
     while let Some(a) = it.next() {
         match a.as_str() {
@@ -703,7 +700,6 @@ fn verify(args: &[String]) -> Result<ExitCode, String> {
             }
             "--witness" => show_witness = true,
             "--all" => all = true,
-            "--fresh" => fresh = true,
             other if !other.starts_with('-') && path.is_none() => path = Some(other.to_string()),
             other => return Err(format!("unknown argument `{other}`")),
         }
@@ -724,8 +720,7 @@ fn verify(args: &[String]) -> Result<ExitCode, String> {
     let engine = parse_engine(&engine)?;
     let mut verifier = Verifier::new(gpumc_models::load(kind))
         .with_engine(engine)
-        .with_bound(bound)
-        .with_incremental(!fresh);
+        .with_bound(bound);
     if let Some(ms) = timeout_ms {
         verifier = verifier.with_cancel_token(gpumc::gpumc_sat::CancelToken::with_timeout(
             std::time::Duration::from_millis(ms),
@@ -814,8 +809,8 @@ fn verify(args: &[String]) -> Result<ExitCode, String> {
     })
 }
 
-/// `gpumc verify --all`: all three properties from one encoding (or from
-/// three fresh ones with `--fresh`). The exit code reflects the
+/// `gpumc verify --all`: all three properties from one compilation (and,
+/// under SAT, one encoding). The exit code reflects the
 /// assertion expectation, like the default property; the liveness and
 /// data-race lines are informational.
 fn verify_all(
@@ -865,7 +860,7 @@ fn verify_all(
             program.name
         ),
     }
-    // Per-query solver deltas (incremental path only) are diagnostics:
+    // Per-query solver deltas (SAT engine only) are diagnostics:
     // keep stdout clean for the verdict lines.
     let stats = o.render_query_stats();
     if !stats.is_empty() {

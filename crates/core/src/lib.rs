@@ -50,7 +50,7 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use gpumc_cat::CatModel;
-use gpumc_encode::{encode, EncodeOptions};
+use gpumc_encode::{encode, EncodeOptions, Encoding};
 use gpumc_exec::{enumerate, EnumerateOptions, Execution};
 use gpumc_ir::{compile, unroll, Assertion, Condition, EventGraph, Program};
 
@@ -280,8 +280,9 @@ pub struct Stats {
 }
 
 /// Where the time of one [`Verifier::check_all`] went, microseconds per
-/// pipeline phase. Populated on the incremental SAT path; all-zero on
-/// the fresh baseline and the enumeration engine.
+/// pipeline phase. `compile_us` is recorded for every engine; the
+/// bounds, encode and solve phases belong to the SAT engine and stay
+/// zero under enumeration and DPOR.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PhaseTimings {
     /// Unrolling + compiling the program to its event graph.
@@ -305,8 +306,9 @@ pub struct FullOutcome {
     /// The data-race verdict, or `None` when the model defines no
     /// flagged `dr` relation (the PTX models, §3.5).
     pub data_races: Option<PropertyOutcome>,
-    /// Per-query solver-counter deltas, in query order. Empty on the
-    /// fresh (non-incremental) path and for the enumeration engine.
+    /// Per-query solver-counter deltas of the shared SAT encoding, in
+    /// query order. Empty for the enumeration and DPOR engines, which
+    /// use no solver.
     pub queries: Vec<gpumc_encode::QueryRecord>,
     /// Always `None`: the encoding is solved as built, with no CNF
     /// simplification pass (DESIGN.md §12).
@@ -359,7 +361,6 @@ pub struct Verifier {
     bv_width: usize,
     use_bounds: bool,
     enum_cap: Option<u64>,
-    incremental: bool,
     cancel: Option<gpumc_sat::CancelToken>,
     conflict_budget: Option<u64>,
     mem_budget_mb: Option<u64>,
@@ -378,7 +379,6 @@ impl Verifier {
             bv_width: 8,
             use_bounds: true,
             enum_cap: None,
-            incremental: true,
             cancel: None,
             conflict_budget: None,
             mem_budget_mb: None,
@@ -451,16 +451,6 @@ impl Verifier {
         self
     }
 
-    /// Selects whether [`Verifier::check_all`] answers all properties
-    /// from one incremental [`gpumc_encode::SolverSession`] (the
-    /// default) or from three independent fresh encodings (builder
-    /// style). The fresh path exists as the differential baseline; the
-    /// two must be verdict-identical.
-    pub fn with_incremental(mut self, incremental: bool) -> Verifier {
-        self.incremental = incremental;
-        self
-    }
-
     /// The configured model.
     pub fn model(&self) -> &CatModel {
         &self.model
@@ -487,87 +477,8 @@ impl Verifier {
     ///
     /// See [`VerifyError`].
     pub fn check_assertion(&self, program: &Program) -> Result<AssertionOutcome, VerifyError> {
-        self.check_interrupt()?;
-        let graph = self.compile(program)?;
-        let start = Instant::now();
-        let (reachable, witness, mut stats) = match &self.engine {
-            EngineKind::Sat => {
-                let mut enc = self.encode(&graph)?;
-                let r = enc.find_assertion_witness()?;
-                let stats = self.sat_stats(&graph, &enc);
-                (
-                    r.found,
-                    r.witness.as_ref().map(Witness::from_execution),
-                    stats,
-                )
-            }
-            EngineKind::Enumerate { straight_line_only } => {
-                let mut opts = EnumerateOptions {
-                    straight_line_only: *straight_line_only,
-                    ..EnumerateOptions::default()
-                };
-                if let Some(cap) = self.enum_cap {
-                    opts.max_candidates = cap;
-                }
-                // An assertion-less (filter-only) test asks whether any
-                // consistent complete behaviour survives, matching the
-                // SAT encoder's `Exists(True)` default.
-                let cond = graph
-                    .assertion
-                    .clone()
-                    .unwrap_or(Assertion::Exists(Condition::True));
-                let mut found: Option<Witness> = None;
-                let st = enumerate(&graph, &self.model, &opts, |b| {
-                    if found.is_some() || !b.execution.all_completed() {
-                        return;
-                    }
-                    let (c, negate) = assertion_query(&cond);
-                    let holds = b.execution.eval_condition(c) == Some(true);
-                    if holds != negate {
-                        found = Some(Witness::from_execution(&b.execution));
-                    }
-                })?;
-                let stats = Stats {
-                    events: graph.n_events(),
-                    threads: graph.threads().len(),
-                    candidates: st.candidates,
-                    ..Stats::default()
-                };
-                (found.is_some(), found, stats)
-            }
-            EngineKind::Dpor => {
-                let cond = graph
-                    .assertion
-                    .clone()
-                    .unwrap_or(Assertion::Exists(Condition::True));
-                let mut found: Option<Witness> = None;
-                let st = self.dpor_run(&graph, |b| {
-                    if !b.execution.all_completed() {
-                        return ControlFlow::Continue(());
-                    }
-                    let (c, negate) = assertion_query(&cond);
-                    let holds = b.execution.eval_condition(c) == Some(true);
-                    if holds != negate {
-                        found = Some(Witness::from_execution(&b.execution));
-                        return ControlFlow::Break(());
-                    }
-                    ControlFlow::Continue(())
-                })?;
-                (found.is_some(), found, self.dpor_stats(&graph, st))
-            }
-        };
-        stats.time_us = start.elapsed().as_micros();
-        let satisfied_expectation = program.assertion.as_ref().map(|a| match a {
-            Assertion::Exists(_) => reachable,
-            Assertion::NotExists(_) => !reachable,
-            Assertion::Forall(_) => !reachable,
-        });
-        Ok(AssertionOutcome {
-            reachable,
-            satisfied_expectation,
-            witness,
-            stats,
-        })
+        let answer = self.check(program, Query::Assertion)?;
+        Ok(answer.into_assertion(program))
     }
 
     /// Checks liveness (§6.4): searches for a consistent stuck state.
@@ -576,145 +487,33 @@ impl Verifier {
     ///
     /// See [`VerifyError`].
     pub fn check_liveness(&self, program: &Program) -> Result<PropertyOutcome, VerifyError> {
-        self.check_interrupt()?;
-        let graph = self.compile(program)?;
-        let start = Instant::now();
-        let (violated, witness, mut stats) = match &self.engine {
-            EngineKind::Sat => {
-                let mut enc = self.encode(&graph)?;
-                let r = enc.find_liveness_violation()?;
-                let stats = self.sat_stats(&graph, &enc);
-                (
-                    r.found,
-                    r.witness.as_ref().map(Witness::from_execution),
-                    stats,
-                )
-            }
-            EngineKind::Enumerate { straight_line_only } => {
-                if *straight_line_only {
-                    return Err(VerifyError::Unsupported(
-                        "the Alloy-style baseline cannot check liveness".into(),
-                    ));
-                }
-                let mut found: Option<Witness> = None;
-                let st = enumerate(&graph, &self.model, &EnumerateOptions::default(), |b| {
-                    if found.is_none() && b.execution.is_liveness_violation() {
-                        found = Some(Witness::from_execution(&b.execution));
-                    }
-                })?;
-                let stats = Stats {
-                    events: graph.n_events(),
-                    threads: graph.threads().len(),
-                    candidates: st.candidates,
-                    ..Stats::default()
-                };
-                (found.is_some(), found, stats)
-            }
-            EngineKind::Dpor => {
-                let mut found: Option<Witness> = None;
-                let st = self.dpor_run(&graph, |b| {
-                    if b.execution.is_liveness_violation() {
-                        found = Some(Witness::from_execution(&b.execution));
-                        return ControlFlow::Break(());
-                    }
-                    ControlFlow::Continue(())
-                })?;
-                (found.is_some(), found, self.dpor_stats(&graph, st))
-            }
-        };
-        stats.time_us = start.elapsed().as_micros();
-        Ok(PropertyOutcome {
-            violated,
-            witness,
-            stats,
-        })
+        Ok(self.check(program, Query::Liveness)?.into_property())
     }
 
     /// Checks data-race freedom through the model's flagged `dr` axiom.
     ///
     /// # Errors
     ///
-    /// Fails with [`VerifyError::Unsupported`] when the model has no
-    /// `dr` flag (the PTX models define races differently and do not
-    /// treat them as undefined behaviour, §3.5).
+    /// Fails with [`VerifyError::Unsupported`], under every engine, when
+    /// the model has no `dr` flag (the PTX models define races
+    /// differently and do not treat them as undefined behaviour, §3.5).
     pub fn check_data_races(&self, program: &Program) -> Result<PropertyOutcome, VerifyError> {
-        self.check_interrupt()?;
-        let graph = self.compile(program)?;
-        let start = Instant::now();
-        let (violated, witness, mut stats) = match &self.engine {
-            EngineKind::Sat => {
-                let mut enc = self.encode(&graph)?;
-                let r = enc.find_flag("dr")?;
-                let stats = self.sat_stats(&graph, &enc);
-                (
-                    r.found,
-                    r.witness.as_ref().map(Witness::from_execution),
-                    stats,
-                )
-            }
-            EngineKind::Enumerate { straight_line_only } => {
-                if self.model.flagged_axioms().count() == 0 {
-                    return Err(VerifyError::Unsupported(
-                        "model defines no flagged data-race relation".into(),
-                    ));
-                }
-                let opts = EnumerateOptions {
-                    straight_line_only: *straight_line_only,
-                    ..EnumerateOptions::default()
-                };
-                let mut found: Option<Witness> = None;
-                let st = enumerate(&graph, &self.model, &opts, |b| {
-                    if found.is_none() && b.execution.all_completed() && b.verdict.has_flag("dr") {
-                        found = Some(Witness::from_execution(&b.execution));
-                    }
-                })?;
-                let stats = Stats {
-                    events: graph.n_events(),
-                    threads: graph.threads().len(),
-                    candidates: st.candidates,
-                    ..Stats::default()
-                };
-                (found.is_some(), found, stats)
-            }
-            EngineKind::Dpor => {
-                if self.model.flagged_axioms().count() == 0 {
-                    return Err(VerifyError::Unsupported(
-                        "model defines no flagged data-race relation".into(),
-                    ));
-                }
-                let mut found: Option<Witness> = None;
-                let st = self.dpor_run(&graph, |b| {
-                    if b.execution.all_completed() && b.verdict.has_flag("dr") {
-                        found = Some(Witness::from_execution(&b.execution));
-                        return ControlFlow::Break(());
-                    }
-                    ControlFlow::Continue(())
-                })?;
-                (found.is_some(), found, self.dpor_stats(&graph, st))
-            }
-        };
-        stats.time_us = start.elapsed().as_micros();
-        Ok(PropertyOutcome {
-            violated,
-            witness,
-            stats,
-        })
+        Ok(self.check(program, Query::DataRaces)?.into_property())
     }
 
     /// Checks all three properties — assertion, liveness, data races —
     /// of one program.
     ///
-    /// With the SAT engine on the (default) incremental path, the
-    /// program semantics and the `.cat` model are encoded **once** into
-    /// a [`gpumc_encode::SolverSession`] and the three properties are
-    /// posed as assumption-guarded queries against the single shared
-    /// solver, so learnt clauses carry over between queries; the
-    /// returned [`FullOutcome::queries`] records the per-query solver
-    /// deltas. With [`Verifier::with_incremental`]`(false)` or the
-    /// enumeration engine, each property gets its own fresh check.
+    /// The program is compiled once, for every engine, and the queries
+    /// are posed in that order. With the SAT engine the program
+    /// semantics and the `.cat` model are encoded **once** and every
+    /// property is an assumption-guarded query against the one shared
+    /// solver, so learnt clauses carry over between queries;
+    /// [`FullOutcome::queries`] records the per-query solver deltas. The
+    /// enumeration and DPOR engines explore once per query.
     ///
-    /// Both paths are verdict-identical by construction and by the
-    /// differential conformance suite (`incremental_agreement.rs`). The
+    /// Each verdict equals the matching single-property check's
+    /// (`incremental_agreement.rs` gates this over the catalog). The
     /// data-race verdict is `None` when the model defines no flagged
     /// `dr` relation — where [`Verifier::check_data_races`] would
     /// return [`VerifyError::Unsupported`].
@@ -723,90 +522,160 @@ impl Verifier {
     ///
     /// See [`VerifyError`].
     pub fn check_all(&self, program: &Program) -> Result<FullOutcome, VerifyError> {
-        if !self.incremental || self.engine != EngineKind::Sat {
-            return self.check_all_fresh(program);
-        }
         self.check_interrupt()?;
         let total = Instant::now();
         let graph = self.compile(program)?;
-        let compile_us = total.elapsed().as_micros() as u64;
-        let mut session = self.session(&graph)?;
-
-        let r = session.find_assertion_witness()?;
-        let reachable = r.found;
-        let assertion_witness = r.witness.as_ref().map(Witness::from_execution);
-        let assertion_stats = self.session_stats(&graph, &session);
-        let satisfied_expectation = program.assertion.as_ref().map(|a| match a {
-            Assertion::Exists(_) => reachable,
-            Assertion::NotExists(_) => !reachable,
-            Assertion::Forall(_) => !reachable,
-        });
-
-        let r = session.find_liveness_violation()?;
-        let liveness = PropertyOutcome {
-            violated: r.found,
-            witness: r.witness.as_ref().map(Witness::from_execution),
-            stats: self.session_stats(&graph, &session),
+        let mut phases = PhaseTimings {
+            compile_us: total.elapsed().as_micros() as u64,
+            ..PhaseTimings::default()
         };
-
-        let data_races = if session.has_flag("dr") {
-            let r = session.find_flag("dr")?;
-            Some(PropertyOutcome {
-                violated: r.found,
-                witness: r.witness.as_ref().map(Witness::from_execution),
-                stats: self.session_stats(&graph, &session),
-            })
+        let mut enc = None;
+        let assertion = self
+            .ask(&graph, &mut enc, Query::Assertion)?
+            .into_assertion(program);
+        let liveness = self.ask(&graph, &mut enc, Query::Liveness)?.into_property();
+        let data_races = if self.flags_races() {
+            Some(
+                self.ask(&graph, &mut enc, Query::DataRaces)?
+                    .into_property(),
+            )
         } else {
             None
         };
-
-        let phases = PhaseTimings {
-            compile_us,
-            bounds_us: session.bounds_time_us(),
-            encode_us: session.encode_time_us(),
-            solve_us: session
-                .queries()
-                .iter()
-                .map(|q| q.stats.time_us as u64)
-                .sum(),
-        };
+        let mut queries = Vec::new();
+        if let Some(enc) = enc {
+            phases.bounds_us = enc.bounds_time_us();
+            phases.encode_us = enc.encode_time_us();
+            phases.solve_us = enc.queries().iter().map(|q| q.stats.time_us as u64).sum();
+            queries = enc.queries().to_vec();
+        }
         Ok(FullOutcome {
-            assertion: AssertionOutcome {
-                reachable,
-                satisfied_expectation,
-                witness: assertion_witness,
-                stats: assertion_stats,
-            },
+            assertion,
             liveness,
             data_races,
-            queries: session.queries().to_vec(),
+            queries,
             simplify: None,
             phases,
             total_time_us: total.elapsed().as_micros(),
         })
     }
 
-    /// The non-incremental [`Verifier::check_all`] baseline: three
-    /// independent checks, each with its own encoding (or enumeration).
-    fn check_all_fresh(&self, program: &Program) -> Result<FullOutcome, VerifyError> {
+    /// Compiles `program` and answers one query about it; the stats time
+    /// everything after compilation, the SAT encoding included.
+    fn check(&self, program: &Program, query: Query) -> Result<Answer, VerifyError> {
         self.check_interrupt()?;
-        let total = Instant::now();
-        let assertion = self.check_assertion(program)?;
-        let liveness = self.check_liveness(program)?;
-        let data_races = match self.check_data_races(program) {
-            Ok(o) => Some(o),
-            Err(VerifyError::Unsupported(_)) => None,
-            Err(e) => return Err(e),
+        let graph = self.compile(program)?;
+        let start = Instant::now();
+        let mut answer = self.ask(&graph, &mut None, query)?;
+        answer.stats.time_us = start.elapsed().as_micros();
+        Ok(answer)
+    }
+
+    /// The one engine dispatch: poses `query` about `graph` to the
+    /// configured engine. The SAT engine answers from `enc`, building it
+    /// on first use, so every query of one check shares one encoding and
+    /// its solver; the explicit engines explore once per query and stop
+    /// at the first behaviour that witnesses it.
+    fn ask<'g>(
+        &'g self,
+        graph: &'g EventGraph,
+        enc: &mut Option<Encoding<'g>>,
+        query: Query,
+    ) -> Result<Answer, VerifyError> {
+        if query == Query::DataRaces && !self.flags_races() {
+            return Err(VerifyError::Unsupported(format!(
+                "model defines no flag `{RACE_FLAG}`"
+            )));
+        }
+        let mut stats = Stats {
+            events: graph.n_events(),
+            threads: graph.threads().len(),
+            ..Stats::default()
         };
-        Ok(FullOutcome {
-            assertion,
-            liveness,
-            data_races,
-            queries: Vec::new(),
-            simplify: None,
-            phases: PhaseTimings::default(),
-            total_time_us: total.elapsed().as_micros(),
+        let default_assertion = Assertion::Exists(Condition::True);
+        // An assertion-less (filter-only) test asks whether any
+        // consistent complete behaviour survives, like the SAT encoder.
+        let assertion = graph.assertion.as_ref().unwrap_or(&default_assertion);
+        let mut found: Option<Witness> = None;
+        match self.engine {
+            EngineKind::Sat => {
+                let enc = match enc {
+                    Some(enc) => enc,
+                    None => enc.insert(self.encode(graph)?),
+                };
+                let r = match query {
+                    Query::Assertion => enc.find_assertion_witness(),
+                    Query::Liveness => enc.find_liveness_violation(),
+                    Query::DataRaces => enc.find_flag(RACE_FLAG),
+                }?;
+                found = r.witness.as_ref().map(Witness::from_execution);
+                stats.sat_vars = enc.num_vars();
+                stats.sat_clauses = enc.num_clauses();
+                stats.time_us = enc.queries().last().map_or(0, |q| q.stats.time_us);
+            }
+            EngineKind::Enumerate { straight_line_only } => {
+                if straight_line_only && query == Query::Liveness {
+                    return Err(VerifyError::Unsupported(
+                        "the Alloy-style baseline cannot check liveness".into(),
+                    ));
+                }
+                let mut opts = EnumerateOptions {
+                    straight_line_only,
+                    ..EnumerateOptions::default()
+                };
+                if let Some(cap) = self.enum_cap {
+                    opts.max_candidates = cap;
+                }
+                let start = Instant::now();
+                let st = enumerate(graph, &self.model, &opts, |b| {
+                    if found.is_none() && query.witnessed_by(assertion, b) {
+                        found = Some(Witness::from_execution(&b.execution));
+                    }
+                })?;
+                stats.candidates = st.candidates;
+                stats.time_us = start.elapsed().as_micros();
+            }
+            EngineKind::Dpor => {
+                let mut opts = gpumc_exec::DporOptions::default();
+                if let Some(cap) = self.enum_cap {
+                    opts.max_steps = cap;
+                }
+                let poll = self
+                    .cancel
+                    .as_ref()
+                    .map(|c| move || c.check().map(|i| i.to_string()));
+                let poll_dyn = poll.as_ref().map(|f| f as &dyn Fn() -> Option<String>);
+                let start = Instant::now();
+                let st = gpumc_exec::dpor_explore_interruptible(
+                    graph,
+                    &self.model,
+                    &opts,
+                    poll_dyn,
+                    |b| {
+                        if query.witnessed_by(assertion, b) {
+                            found = Some(Witness::from_execution(&b.execution));
+                            return ControlFlow::Break(());
+                        }
+                        ControlFlow::Continue(())
+                    },
+                )?;
+                stats.candidates = st.explored;
+                stats.dpor = Some(st);
+                stats.time_us = start.elapsed().as_micros();
+            }
+        }
+        Ok(Answer {
+            witness: found,
+            stats,
         })
+    }
+
+    /// Whether the model flags data races: a `flag` axiom named
+    /// [`RACE_FLAG`]. Every engine requires it before a data-race query.
+    fn flags_races(&self) -> bool {
+        self.model
+            .flagged_axioms()
+            .any(|a| a.name.as_deref() == Some(RACE_FLAG))
     }
 
     /// Early cancellation check, so a request whose deadline expired on
@@ -818,11 +687,12 @@ impl Verifier {
         Ok(())
     }
 
-    /// The encode options this verifier implies. The cancel token rides
-    /// inside so the *encode* phase observes deadlines too, not only the
-    /// solve loop; likewise the memory budget.
-    fn encode_options(&self) -> EncodeOptions {
-        EncodeOptions {
+    /// Builds the SAT encoding of `graph` with this verifier's options.
+    /// The cancel token rides inside the encode options so the *encode*
+    /// phase observes deadlines too, not only the solve loop; likewise
+    /// the memory budget.
+    fn encode<'g>(&'g self, graph: &'g EventGraph) -> Result<Encoding<'g>, VerifyError> {
+        let opts = EncodeOptions {
             bv_width: self.bv_width,
             use_bounds: self.use_bounds,
             cancel: self.cancel.clone(),
@@ -831,94 +701,74 @@ impl Verifier {
                     .unwrap_or(usize::MAX)
                     .saturating_mul(1 << 20)
             }),
-        }
-    }
-
-    fn session<'g>(
-        &'g self,
-        graph: &'g EventGraph,
-    ) -> Result<gpumc_encode::SolverSession<'g>, VerifyError> {
-        let opts = self.encode_options();
-        let mut session = gpumc_encode::SolverSession::build(graph, &self.model, &opts)?;
-        session.set_cancel_token(self.cancel.clone());
-        session.set_conflict_budget(self.conflict_budget);
-        Ok(session)
-    }
-
-    fn session_stats(
-        &self,
-        graph: &EventGraph,
-        session: &gpumc_encode::SolverSession<'_>,
-    ) -> Stats {
-        Stats {
-            events: graph.n_events(),
-            threads: graph.threads().len(),
-            sat_vars: session.num_vars(),
-            sat_clauses: session.num_clauses(),
-            time_us: session.last_query().map_or(0, |q| q.stats.time_us),
-            ..Stats::default()
-        }
-    }
-
-    fn encode<'g>(
-        &'g self,
-        graph: &'g EventGraph,
-    ) -> Result<gpumc_encode::Encoding<'g>, VerifyError> {
-        let opts = self.encode_options();
+        };
         let mut enc = encode(graph, &self.model, &opts)?;
         enc.set_cancel_token(self.cancel.clone());
         enc.set_conflict_budget(self.conflict_budget);
         Ok(enc)
     }
+}
 
-    /// Runs the DPOR engine over a compiled graph, threading the
-    /// verifier's cancellation token and exploration budget through.
-    /// The search stops at the first behaviour for which `visit`
-    /// returns [`ControlFlow::Break`], so the returned counters cover
-    /// the candidates up to the first witness.
-    fn dpor_run<'g>(
-        &self,
-        graph: &'g EventGraph,
-        visit: impl FnMut(&gpumc_exec::Behavior<'g>) -> ControlFlow<()>,
-    ) -> Result<gpumc_exec::DporStats, VerifyError> {
-        let mut opts = gpumc_exec::DporOptions::default();
-        if let Some(cap) = self.enum_cap {
-            opts.max_steps = cap;
-        }
-        let poll = self
-            .cancel
-            .as_ref()
-            .map(|c| move || c.check().map(|i| i.to_string()));
-        let poll_dyn = poll.as_ref().map(|f| f as &dyn Fn() -> Option<String>);
-        gpumc_exec::dpor_explore_interruptible(graph, &self.model, &opts, poll_dyn, visit)
-            .map_err(VerifyError::from)
-    }
+/// The flag a model raises on a data race (Vulkan's `flag ~empty dr as dr`).
+const RACE_FLAG: &str = "dr";
 
-    fn dpor_stats(&self, graph: &EventGraph, st: gpumc_exec::DporStats) -> Stats {
-        Stats {
-            events: graph.n_events(),
-            threads: graph.threads().len(),
-            candidates: st.explored,
-            dpor: Some(st),
-            ..Stats::default()
-        }
-    }
+/// A property question posed to an engine by [`Verifier::ask`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Query {
+    /// A complete behaviour satisfying the test's condition (violating
+    /// it, for `forall`).
+    Assertion,
+    /// A consistent stuck state (§6.4).
+    Liveness,
+    /// A complete behaviour raising the model's [`RACE_FLAG`].
+    DataRaces,
+}
 
-    fn sat_stats(&self, graph: &EventGraph, enc: &gpumc_encode::Encoding<'_>) -> Stats {
-        Stats {
-            events: graph.n_events(),
-            threads: graph.threads().len(),
-            sat_vars: enc.num_vars(),
-            sat_clauses: enc.num_clauses(),
-            ..Stats::default()
+impl Query {
+    /// Whether an explored behaviour witnesses this query: the one
+    /// predicate the enumeration and DPOR engines share.
+    fn witnessed_by(self, assertion: &Assertion, b: &gpumc_exec::Behavior<'_>) -> bool {
+        match self {
+            Query::Assertion => {
+                let (cond, negate) = match assertion {
+                    Assertion::Exists(c) | Assertion::NotExists(c) => (c, false),
+                    Assertion::Forall(c) => (c, true),
+                };
+                b.execution.all_completed()
+                    && (b.execution.eval_condition(cond) == Some(true)) != negate
+            }
+            Query::Liveness => b.execution.is_liveness_violation(),
+            Query::DataRaces => b.execution.all_completed() && b.verdict.has_flag(RACE_FLAG),
         }
     }
 }
 
-fn assertion_query(a: &Assertion) -> (&Condition, bool) {
-    match a {
-        Assertion::Exists(c) | Assertion::NotExists(c) => (c, false),
-        Assertion::Forall(c) => (c, true),
+/// One engine's answer to one [`Query`]: the witness, when one exists.
+struct Answer {
+    witness: Option<Witness>,
+    stats: Stats,
+}
+
+impl Answer {
+    fn into_assertion(self, program: &Program) -> AssertionOutcome {
+        let reachable = self.witness.is_some();
+        AssertionOutcome {
+            reachable,
+            satisfied_expectation: program.assertion.as_ref().map(|a| match a {
+                Assertion::Exists(_) => reachable,
+                Assertion::NotExists(_) | Assertion::Forall(_) => !reachable,
+            }),
+            witness: self.witness,
+            stats: self.stats,
+        }
+    }
+
+    fn into_property(self) -> PropertyOutcome {
+        PropertyOutcome {
+            violated: self.witness.is_some(),
+            witness: self.witness,
+            stats: self.stats,
+        }
     }
 }
 
@@ -938,13 +788,7 @@ exists (P1:r0 == 1 /\ P1:r1 == 0)
     #[test]
     fn sat_and_enumerate_agree_on_weak_mp() {
         let p = parse_litmus(MP_WEAK).unwrap();
-        for engine in [
-            EngineKind::Sat,
-            EngineKind::Enumerate {
-                straight_line_only: false,
-            },
-            EngineKind::Dpor,
-        ] {
+        for engine in ENGINES {
             let v = Verifier::new(gpumc_models::ptx60()).with_engine(engine);
             let o = v.check_assertion(&p).unwrap();
             assert!(o.reachable);
@@ -989,20 +833,79 @@ exists (P0:r0 == 1)
         ));
     }
 
-    #[test]
-    fn vulkan_drf_query_finds_races() {
-        let src = r#"
+    /// A plain store racing a plain load: two candidates, both racy.
+    const VULKAN_RACE: &str = r#"
 VULKAN race
 { x = 0; }
 P0@sg 0,wg 0,qf 0 | P1@sg 0,wg 1,qf 0 ;
 st.sc0 x, 1       | ld.sc0 r0, x ;
 exists (P1:r0 == 1)
 "#;
-        let p = parse_litmus(src).unwrap();
+
+    const ENGINES: [EngineKind; 3] = [
+        EngineKind::Sat,
+        EngineKind::Enumerate {
+            straight_line_only: false,
+        },
+        EngineKind::Dpor,
+    ];
+
+    #[test]
+    fn vulkan_drf_query_finds_races() {
+        let p = parse_litmus(VULKAN_RACE).unwrap();
         let v = Verifier::new(gpumc_models::vulkan());
         let o = v.check_data_races(&p).unwrap();
         assert!(o.violated);
         assert!(o.witness.is_some());
+    }
+
+    #[test]
+    fn every_engine_requires_a_dr_flag() {
+        // The shipped Vulkan model with its race detector renamed: it
+        // still flags races, but under no name a data-race check knows.
+        let src =
+            gpumc_models::VULKAN_CAT.replace("flag ~empty dr as dr", "flag ~empty dr as race");
+        assert_ne!(src, gpumc_models::VULKAN_CAT);
+        let renamed = Arc::new(gpumc_cat::parse(&src).unwrap());
+        let p = parse_litmus(VULKAN_RACE).unwrap();
+        for engine in ENGINES {
+            let shipped = Verifier::new(gpumc_models::vulkan()).with_engine(engine);
+            assert!(shipped.check_data_races(&p).unwrap().violated, "{engine:?}");
+            let v = Verifier::new(Arc::clone(&renamed)).with_engine(engine);
+            assert!(
+                matches!(v.check_data_races(&p), Err(VerifyError::Unsupported(_))),
+                "{engine:?} must refuse a model without a `dr` flag"
+            );
+            assert!(v.check_all(&p).unwrap().data_races.is_none(), "{engine:?}");
+        }
+    }
+
+    #[test]
+    fn enumeration_cap_bounds_every_check() {
+        let enumerate = EngineKind::Enumerate {
+            straight_line_only: false,
+        };
+        let mp = parse_litmus(MP_WEAK).unwrap();
+        let v = Verifier::new(gpumc_models::ptx60())
+            .with_engine(enumerate)
+            .with_enumeration_cap(1);
+        assert!(matches!(
+            v.check_assertion(&mp),
+            Err(VerifyError::TooComplex(_))
+        ));
+        assert!(matches!(
+            v.check_liveness(&mp),
+            Err(VerifyError::TooComplex(_))
+        ));
+        assert!(matches!(v.check_all(&mp), Err(VerifyError::TooComplex(_))));
+        let race = parse_litmus(VULKAN_RACE).unwrap();
+        let v = Verifier::new(gpumc_models::vulkan())
+            .with_engine(enumerate)
+            .with_enumeration_cap(1);
+        assert!(matches!(
+            v.check_data_races(&race),
+            Err(VerifyError::TooComplex(_))
+        ));
     }
 
     #[test]

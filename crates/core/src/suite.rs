@@ -6,8 +6,8 @@
 //! byte-identical no matter how many workers ran it. Workers share the
 //! process-wide compiled models ([`gpumc_models::load_shared`]); in
 //! thorough SAT mode the primary and secondary properties are answered
-//! from a single incremental solver session
-//! ([`crate::Verifier::check_all`]) instead of separate encodings.
+//! from a single encoding ([`crate::Verifier::check_all`]) instead of
+//! separate ones.
 //!
 //! Timing is reported as *wall-clock* (the batch, end to end) versus
 //! *aggregate CPU* (the sum of per-test times) — the ratio is the
@@ -83,8 +83,8 @@ pub struct SuiteConfig {
     /// Candidate cap for the enumeration engine.
     pub enum_cap: Option<u64>,
     /// Also check a secondary property per test (safety tests get a
-    /// liveness check and vice versa), answered from the same
-    /// incremental solver session as the primary. SAT engine only;
+    /// liveness check and vice versa), answered from the same encoding
+    /// as the primary. SAT engine only;
     /// secondary verdicts never affect pass/fail.
     pub thorough: bool,
 }
@@ -115,15 +115,14 @@ pub struct TestResult {
     /// test.
     pub verdict: Result<bool, VerifyError>,
     /// Thorough mode: a secondary property verdict answered from the
-    /// same incremental solver session as the primary.
+    /// same encoding as the primary.
     pub secondary: Option<(Property, bool)>,
     /// Statistics of the primary check.
     pub stats: Stats,
     /// Total worker time spent on this test (parse + compile + checks).
     pub time: Duration,
     /// Per-query solver-counter deltas when the test was answered
-    /// through one incremental session (thorough SAT mode); empty
-    /// otherwise.
+    /// from one encoding (thorough SAT mode); empty otherwise.
     pub queries: Vec<gpumc_encode::QueryRecord>,
 }
 
@@ -337,8 +336,8 @@ impl SuiteRunner {
         if let Some(cap) = self.config.enum_cap {
             v = v.with_enumeration_cap(cap);
         }
-        // Thorough SAT mode: all properties from one incremental solver
-        // session ([`Verifier::check_all`]) — the test's own property is
+        // Thorough SAT mode: all properties from one encoding
+        // ([`Verifier::check_all`]) — the test's own property is
         // the primary verdict, another one becomes the secondary, and the
         // per-query solver deltas are kept for diagnostics. Otherwise,
         // only the catalogued property is checked.
@@ -487,7 +486,7 @@ mod tests {
         .run(&tests);
         for r in &report.results {
             assert!(r.secondary.is_some(), "{} has a secondary verdict", r.name);
-            // One incremental session answered both properties: no
+            // One encoding answered both properties: no
             // re-encoding happened, and the per-query deltas were kept.
             assert!(
                 r.queries.len() >= 2,
@@ -501,8 +500,8 @@ mod tests {
 
     #[test]
     fn thorough_and_plain_runs_agree_on_verdicts() {
-        // The differential contract at suite level: the incremental
-        // session path (thorough) and the fresh single-property path must
+        // The differential contract at suite level: the shared-encoding
+        // path (thorough) and the single-property path must
         // produce identical primary verdicts.
         let tests = tiny_suite();
         let run = |thorough| {
@@ -519,7 +518,7 @@ mod tests {
             assert_eq!(
                 p.verdict.as_ref().ok(),
                 t.verdict.as_ref().ok(),
-                "{} verdict differs between fresh and incremental paths",
+                "{} verdict differs between single-property and check_all paths",
                 p.name
             );
         }

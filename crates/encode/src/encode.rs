@@ -80,6 +80,35 @@ pub struct QueryResult<'g> {
     pub witness: Option<Execution<'g>>,
 }
 
+/// Deltas of the shared solver's cumulative statistics over one query.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct QueryStats {
+    /// Conflicts spent answering this query.
+    pub conflicts: u64,
+    /// Decisions spent answering this query.
+    pub decisions: u64,
+    /// Unit propagations spent answering this query.
+    pub propagations: u64,
+    /// Live learnt clauses when the query started. Non-zero on a second
+    /// or later query means earlier learning is being reused.
+    pub learnt_before: usize,
+    /// Live learnt clauses when the query finished.
+    pub learnt_after: usize,
+    /// Wall-clock time of the query: gate clauses, solve, witness decode
+    /// and re-validation (the encoding's build time excluded).
+    pub time_us: u128,
+}
+
+/// A labelled, per-query statistics record of an [`Encoding`].
+#[derive(Debug, Clone)]
+pub struct QueryRecord {
+    /// What was asked: `"assertion"`, `"condition"`, `"liveness"`,
+    /// `"flag:dr"`, ...
+    pub label: String,
+    /// The solver-counter deltas for that query.
+    pub stats: QueryStats,
+}
+
 /// A relation encoded as literals per pair; an absent pair is false.
 ///
 /// This and every other encoder map is a `BTreeMap`. Gates and clauses
@@ -159,6 +188,7 @@ pub fn encode<'g>(
         flag_rels: BTreeMap::new(),
         bounds_us,
         encode_us: 0,
+        queries: Vec::new(),
     };
     let t0 = Instant::now();
     enc.build(&analysis)?;
@@ -167,6 +197,17 @@ pub fn encode<'g>(
 }
 
 /// A built encoding, ready for queries.
+///
+/// Every query is assumption-guarded: its clauses are gated behind a
+/// fresh activation literal and posed via
+/// `Solver::solve_with_assumptions`. A later query sees earlier query
+/// clauses only as satisfiable-by-deactivation noise, while the solver's
+/// learnt clauses (implied by the shared database) carry over, so one
+/// encoding answers all of a test's properties. Each answered query
+/// appends a [`QueryRecord`] to [`Encoding::queries`]: the shared
+/// solver's counter deltas over it, so what the carry-over saves can be
+/// measured (a liveness query that starts with a non-zero
+/// `learnt_before` reuses the assertion query's learning).
 ///
 /// # Example
 ///
@@ -210,6 +251,8 @@ pub struct Encoding<'g> {
     bounds_us: u64,
     /// Time spent building the SAT encoding, microseconds.
     encode_us: u64,
+    /// One record per answered query, in query order.
+    queries: Vec<QueryRecord>,
 }
 
 impl<'g> Encoding<'g> {
@@ -1115,12 +1158,15 @@ impl<'g> Encoding<'g> {
     }
 
     /// Searches for a consistent, complete behaviour satisfying the
-    /// test's condition — or violating it for `forall` tests.
+    /// test's condition — or violating it for `forall` tests. Recorded
+    /// as `"assertion"`.
     ///
     /// # Errors
     ///
     /// Returns [`EncodeError::WitnessMismatch`] if a SAT witness fails
-    /// interpreter re-validation (an internal bug).
+    /// interpreter re-validation (an internal bug), and
+    /// [`EncodeError::Unknown`] when the query is interrupted. A failed
+    /// query records nothing, and the encoding stays usable.
     pub fn find_assertion_witness(&mut self) -> Result<QueryResult<'g>, EncodeError> {
         let assertion = self
             .graph
@@ -1128,21 +1174,27 @@ impl<'g> Encoding<'g> {
             .clone()
             .unwrap_or(gpumc_ir::Assertion::Exists(Condition::True));
         let (cond, negate) = match &assertion {
-            gpumc_ir::Assertion::Exists(c) | gpumc_ir::Assertion::NotExists(c) => {
-                (c.clone(), false)
-            }
-            gpumc_ir::Assertion::Forall(c) => (c.clone(), true),
+            gpumc_ir::Assertion::Exists(c) | gpumc_ir::Assertion::NotExists(c) => (c, false),
+            gpumc_ir::Assertion::Forall(c) => (c, true),
         };
-        self.find_condition(&cond, negate)
+        self.record("assertion", |enc| enc.condition_query(cond, negate))
     }
 
     /// Searches for a consistent, complete behaviour where `cond` (or its
-    /// negation, with `negate`) holds.
+    /// negation, with `negate`) holds. Recorded as `"condition"`.
     ///
     /// # Errors
     ///
     /// See [`Encoding::find_assertion_witness`].
     pub fn find_condition(
+        &mut self,
+        cond: &Condition,
+        negate: bool,
+    ) -> Result<QueryResult<'g>, EncodeError> {
+        self.record("condition", |enc| enc.condition_query(cond, negate))
+    }
+
+    fn condition_query(
         &mut self,
         cond: &Condition,
         negate: bool,
@@ -1161,12 +1213,17 @@ impl<'g> Encoding<'g> {
     }
 
     /// Searches for a liveness violation (§6.4): every thread completed
-    /// or stuck on a co-maximal spin read, at least one stuck.
+    /// or stuck on a co-maximal spin read, at least one stuck. Recorded
+    /// as `"liveness"`.
     ///
     /// # Errors
     ///
     /// See [`Encoding::find_assertion_witness`].
     pub fn find_liveness_violation(&mut self) -> Result<QueryResult<'g>, EncodeError> {
+        self.record("liveness", Encoding::liveness_query)
+    }
+
+    fn liveness_query(&mut self) -> Result<QueryResult<'g>, EncodeError> {
         let act = self.f.new_lit();
         let mut any_stuck = Vec::new();
         for t in 0..self.graph.threads().len() {
@@ -1220,14 +1277,9 @@ impl<'g> Encoding<'g> {
         self.solve_and_decode(act)
     }
 
-    /// Whether the model defines the flagged relation `name`
-    /// ([`Encoding::find_flag`] on it can succeed).
-    pub fn has_flag(&self, name: &str) -> bool {
-        self.flag_rels.contains_key(name)
-    }
-
     /// Searches for a consistent, complete behaviour raising the given
-    /// flag (e.g. `dr`, the Vulkan data-race detector).
+    /// flag (e.g. `dr`, the Vulkan data-race detector). Recorded as
+    /// `"flag:<name>"`.
     ///
     /// # Errors
     ///
@@ -1239,15 +1291,43 @@ impl<'g> Encoding<'g> {
                 "model defines no flag `{name}`"
             )));
         };
-        let act = self.f.new_lit();
-        let completed = self.completed.clone();
-        for c in completed {
-            self.f.add_clause([!act, c]);
-        }
-        let mut clause = vec![!act];
-        clause.extend(rel.pairs.values().copied());
-        self.f.add_clause(clause);
-        self.solve_and_decode(act)
+        self.record(&format!("flag:{name}"), |enc| {
+            let act = enc.f.new_lit();
+            let completed = enc.completed.clone();
+            for c in completed {
+                enc.f.add_clause([!act, c]);
+            }
+            let mut clause = vec![!act];
+            clause.extend(rel.pairs.values().copied());
+            enc.f.add_clause(clause);
+            enc.solve_and_decode(act)
+        })
+    }
+
+    /// Runs one query and, when it answers, appends its record to the
+    /// ledger: the solver-counter deltas and the wall-clock time of the
+    /// whole query.
+    fn record(
+        &mut self,
+        label: &str,
+        query: impl FnOnce(&mut Encoding<'g>) -> Result<QueryResult<'g>, EncodeError>,
+    ) -> Result<QueryResult<'g>, EncodeError> {
+        let before = self.f.solver().stats();
+        let start = Instant::now();
+        let result = query(self)?;
+        let after = self.f.solver().stats();
+        self.queries.push(QueryRecord {
+            label: label.to_string(),
+            stats: QueryStats {
+                conflicts: after.conflicts - before.conflicts,
+                decisions: after.decisions - before.decisions,
+                propagations: after.propagations - before.propagations,
+                learnt_before: before.learnt,
+                learnt_after: after.learnt,
+                time_us: start.elapsed().as_micros(),
+            },
+        });
+        Ok(result)
     }
 
     fn solve_and_decode(&mut self, act: Lit) -> Result<QueryResult<'g>, EncodeError> {
@@ -1367,9 +1447,28 @@ impl<'g> Encoding<'g> {
         self.f.solver_mut().set_cancel_token(token);
     }
 
-    /// Solver statistics.
-    pub fn solver_stats(&self) -> gpumc_sat::Stats {
-        self.f.solver().stats()
+    /// One record per answered query, in query order.
+    ///
+    /// # Example
+    ///
+    /// Two properties asked of one encoding leave two records:
+    ///
+    /// ```
+    /// let src = "PTX MP\n{ x = 0; flag = 0; }\n\
+    /// P0@cta 0,gpu 0 | P1@cta 1,gpu 0 ;\n\
+    /// st.weak x, 1 | ld.weak r0, flag ;\n\
+    /// st.weak flag, 1 | ld.weak r1, x ;\n\
+    /// exists (P1:r0 == 1 /\\ P1:r1 == 0)";
+    /// let p = gpumc_litmus::parse(src).unwrap();
+    /// let g = gpumc_ir::compile(&gpumc_ir::unroll(&p, 1).unwrap());
+    /// let model = gpumc_models::ptx60();
+    /// let mut enc = gpumc_encode::encode(&g, &model, &Default::default()).unwrap();
+    /// assert!(enc.find_assertion_witness().unwrap().found);
+    /// assert!(!enc.find_liveness_violation().unwrap().found);
+    /// assert_eq!(enc.queries().len(), 2);
+    /// ```
+    pub fn queries(&self) -> &[QueryRecord] {
+        &self.queries
     }
 
     /// Microseconds spent on the relation analysis (bounds and active
@@ -1382,5 +1481,110 @@ impl<'g> Encoding<'g> {
     /// construction, excluding bounds analysis and solving).
     pub fn encode_time_us(&self) -> u64 {
         self.encode_us
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    const MP: &str = "PTX MP\n{ x = 0; flag = 0; }\n\
+P0@cta 0,gpu 0 | P1@cta 1,gpu 0 ;\n\
+st.weak x, 1 | ld.weak r0, flag ;\n\
+st.weak flag, 1 | ld.weak r1, x ;\n\
+exists (P1:r0 == 1 /\\ P1:r1 == 0)";
+
+    fn graph(src: &str, bound: u32) -> EventGraph {
+        let p = gpumc_litmus::parse(src).unwrap();
+        gpumc_ir::compile(&gpumc_ir::unroll(&p, bound).unwrap())
+    }
+
+    #[test]
+    fn session_answers_all_three_properties_from_one_encoding() {
+        let g = graph(MP, 1);
+        let model = gpumc_models::ptx60();
+        let mut enc = encode(&g, &model, &Default::default()).unwrap();
+        let vars_after_encode = enc.num_vars();
+        assert!(enc.find_assertion_witness().unwrap().found);
+        assert!(!enc.find_liveness_violation().unwrap().found);
+        assert!(enc.find_flag("dr").is_err(), "PTX models define no dr flag");
+        // All queries shared one formula: later queries only appended
+        // gated clauses, they never rebuilt the base encoding.
+        assert!(enc.num_vars() >= vars_after_encode);
+        assert_eq!(enc.queries().len(), 2, "failed flag query records nothing");
+        assert_eq!(enc.queries()[0].label, "assertion");
+        assert_eq!(enc.queries()[1].label, "liveness");
+    }
+
+    #[test]
+    fn later_queries_start_with_earlier_learning() {
+        // Use a bound-2 spinloop test so the assertion query actually
+        // learns something before liveness runs.
+        let spin: &str = "PTX spin\n{ flag = 0; }\n\
+P0@cta 0,gpu 0 | P1@cta 1,gpu 0 ;\n\
+st.relaxed.gpu flag, 1 | LC00: ;\n\
+ | ld.relaxed.gpu r0, flag ;\n\
+ | bne r0, 1, LC00 ;\n\
+exists (P1:r0 == 1)";
+        let g = graph(spin, 2);
+        let model = gpumc_models::ptx60();
+        let mut enc = encode(&g, &model, &Default::default()).unwrap();
+        let _ = enc.find_assertion_witness().unwrap();
+        let _ = enc.find_liveness_violation().unwrap();
+        let q = enc.queries();
+        assert_eq!(q.len(), 2);
+        assert_eq!(
+            q[1].stats.learnt_before, q[0].stats.learnt_after,
+            "liveness query must inherit the assertion query's learnt clauses"
+        );
+    }
+
+    #[test]
+    fn interrupted_query_reports_unknown_and_session_survives() {
+        let g = graph(MP, 1);
+        let model = gpumc_models::ptx60();
+        let mut enc = encode(&g, &model, &Default::default()).unwrap();
+        let token = gpumc_sat::CancelToken::new();
+        token.cancel();
+        enc.set_cancel_token(Some(token));
+        match enc.find_assertion_witness() {
+            Err(EncodeError::Unknown(reason)) => assert_eq!(reason, "cancelled"),
+            other => panic!("expected Unknown, got {other:?}"),
+        }
+        assert_eq!(enc.queries().len(), 0, "interrupted query records nothing");
+        // The encoding answers correctly once the token is cleared.
+        enc.set_cancel_token(None);
+        assert!(enc.find_assertion_witness().unwrap().found);
+        assert!(!enc.find_liveness_violation().unwrap().found);
+    }
+
+    #[test]
+    fn each_acyclic_axiom_is_checked_on_its_own() {
+        // `co` and `co^-1` are each acyclic in every execution, but their
+        // union has a cycle as soon as Vulkan's total `co` orders the two
+        // writes. The final value is reachable only if each axiom gets its
+        // own order.
+        let src = "VULKAN 2W\n{ x = 0; }\n\
+P0@sg 0,wg 0,qf 0 | P1@sg 0,wg 1,qf 0 ;\n\
+st.atom.dv.sc0 x, 1 | st.atom.dv.sc0 x, 2 ;\n\
+exists (x == 2)";
+        let g = graph(src, 1);
+        let model = gpumc_cat::parse("acyclic co as forward\nacyclic co^-1 as backward").unwrap();
+        let mut enc = encode(&g, &model, &Default::default()).unwrap();
+        assert!(enc.find_assertion_witness().unwrap().found);
+    }
+
+    #[test]
+    fn session_verdicts_match_fresh_encodings() {
+        let g = graph(MP, 1);
+        let model = gpumc_models::ptx60();
+        let opts = EncodeOptions::default();
+        let mut shared = encode(&g, &model, &opts).unwrap();
+        let a = shared.find_assertion_witness().unwrap().found;
+        let l = shared.find_liveness_violation().unwrap().found;
+        let mut fresh_a = encode(&g, &model, &opts).unwrap();
+        let mut fresh_l = encode(&g, &model, &opts).unwrap();
+        assert_eq!(a, fresh_a.find_assertion_witness().unwrap().found);
+        assert_eq!(l, fresh_l.find_liveness_violation().unwrap().found);
     }
 }

@@ -22,10 +22,10 @@
 //! * Queries — safety (`exists`/`forall` conditions), liveness (§6.4
 //!   co-maximal stuck spinloops), and flagged detectors (data races).
 //!   Every query is assumption-guarded (gated behind a fresh activation
-//!   literal), so several properties can be posed against one encoding.
-//! * [`SolverSession`] — the incremental query layer: owns one encoding,
-//!   answers all of a test's property queries from the single shared
-//!   solver, and records per-query [`QueryStats`] counter deltas.
+//!   literal), so all of a test's properties are posed against one
+//!   encoding and its single solver, whose learnt clauses carry over.
+//!   The encoding keeps a ledger of one [`QueryRecord`] per answered
+//!   query: its label and the solver's [`QueryStats`] counter deltas.
 //! * [`estimate_cost`] — a relative cost prediction (events² × bound ×
 //!   engine weight) the serving layer uses for lane placement in its
 //!   cost-aware scheduler.
@@ -38,9 +38,9 @@
 mod bounds;
 mod cost;
 mod encode;
-mod session;
 
 pub use bounds::RelationAnalysis;
 pub use cost::{engine_weight, estimate_cost};
-pub use encode::{encode, EncodeError, EncodeOptions, Encoding, QueryResult};
-pub use session::{QueryRecord, QueryStats, SolverSession};
+pub use encode::{
+    encode, EncodeError, EncodeOptions, Encoding, QueryRecord, QueryResult, QueryStats,
+};

@@ -7,7 +7,9 @@
 //!
 //! * a JSON-lines request/response protocol over TCP (or stdio), see
 //!   [`protocol`];
-//! * a bounded job queue with non-blocking backpressure ([`queue`]);
+//! * a bounded, cost-aware job scheduler with non-blocking backpressure
+//!   (`gpumc_fleet::sched::CostScheduler`): a full queue answers
+//!   `status: rejected` at once;
 //! * a worker pool sharing parsed models (`gpumc_models::load_shared`)
 //!   across requests;
 //! * per-request deadlines riding the cooperative cancellation layer in
@@ -35,7 +37,6 @@ pub mod client;
 pub mod metrics;
 pub mod overload;
 pub mod protocol;
-pub mod queue;
 pub mod server;
 
 pub use gpumc_fleet::json;
@@ -47,5 +48,4 @@ pub use overload::{next_level, DegradeLevel, Overload, OverloadPolicy};
 pub use protocol::{
     parse_request, verdict_json, Envelope, Request, VerifyRequest, PROTOCOL_VERSION,
 };
-pub use queue::{JobQueue, PushError};
 pub use server::{RetryPolicy, Server, ServerConfig, ShutdownHandle, WORKER_HARD_KILL_POINT};

@@ -6,7 +6,8 @@
 //!  TCP accept loop ──► per-connection reader threads
 //!                         │  ping/metrics/shutdown answered inline
 //!                         ▼  verify → CancelToken(deadline) + job
-//!                  bounded JobQueue (try_push; full ⇒ `rejected`)
+//!                  bounded CostScheduler (try_push; full ⇒ `rejected`):
+//!                  one fast lane, per-worker heavy lanes, stealing
 //!                         │
 //!                  worker pool (effective_jobs), shared warm state:
 //!                    · gpumc_models::load_shared (one parse per model)

@@ -1,12 +1,12 @@
-//! Differential conformance suite for the incremental query layer
+//! Differential conformance suite for the shared encoding
 //! (`Verifier::check_all`): for every catalog test, under every
-//! applicable model and under bounds 1 and 2, the three verdicts
-//! answered from one incremental [`SolverSession`] must be identical to
-//! the verdicts of three independent fresh encodings
-//! (`Verifier::with_incremental(false)`), including which error class a
-//! failing configuration produces.
+//! applicable model and under bounds 1 and 2, the three verdicts that
+//! `check_all` answers from one encoding must be identical to those of
+//! the three single-property checks (`check_assertion`,
+//! `check_liveness`, `check_data_races`), each with its own encoding,
+//! including which error class a failing configuration produces.
 //!
-//! This is the CI gate behind the incremental layer: learnt-clause
+//! This is the CI gate behind the shared encoding: learnt-clause
 //! carry-over across the assertion/liveness/data-race queries of a test
 //! is only admissible because it can never change an answer, and this
 //! suite checks that claim on the whole catalog rather than trusting
@@ -14,6 +14,7 @@
 
 use gpumc::{Verifier, VerifyError};
 use gpumc_catalog::Test;
+use gpumc_ir::Program;
 use gpumc_models::ModelKind;
 
 /// Coarse error class: two runs "agree" on failure when they fail the
@@ -22,7 +23,24 @@ fn err_class(e: &VerifyError) -> std::mem::Discriminant<VerifyError> {
     std::mem::discriminant(e)
 }
 
-/// Asserts that `check_all` and three fresh single-property checks give
+/// The verdicts of one program: assertion reachability and expectation,
+/// liveness violation, and the data-race verdict (`None` when the model
+/// flags no `dr`).
+type Verdicts = (bool, Option<bool>, bool, Option<bool>);
+
+/// The three single-property checks, each with its own encoding.
+fn single_checks(v: &Verifier, program: &Program) -> Result<Verdicts, VerifyError> {
+    let a = v.check_assertion(program)?;
+    let l = v.check_liveness(program)?;
+    let d = match v.check_data_races(program) {
+        Ok(d) => Some(d.violated),
+        Err(VerifyError::Unsupported(_)) => None,
+        Err(e) => return Err(e),
+    };
+    Ok((a.reachable, a.satisfied_expectation, l.violated, d))
+}
+
+/// Asserts that `check_all` and the three single-property checks give
 /// identical verdicts for one (test, model, bound) configuration.
 fn assert_agreement(t: &Test, model: ModelKind, bound: u32) {
     let program = match gpumc::parse_litmus(&t.source) {
@@ -30,44 +48,38 @@ fn assert_agreement(t: &Test, model: ModelKind, bound: u32) {
         Err(e) => panic!("{} does not parse: {e}", t.name),
     };
     let v = Verifier::new(gpumc_models::load_shared(model)).with_bound(bound);
-    let incremental = v.check_all(&program);
-    let fresh = v.clone().with_incremental(false).check_all(&program);
+    let shared = v.check_all(&program);
+    let single = single_checks(&v, &program);
     let ctx = format!("{} under {model:?} at bound {bound}", t.name);
-    match (incremental, fresh) {
-        (Ok(i), Ok(f)) => {
-            assert_eq!(
-                i.assertion.reachable, f.assertion.reachable,
-                "assertion reachability differs on {ctx}"
+    match (shared, single) {
+        (Ok(o), Ok(single)) => {
+            let verdicts = (
+                o.assertion.reachable,
+                o.assertion.satisfied_expectation,
+                o.liveness.violated,
+                o.data_races.as_ref().map(|d| d.violated),
             );
             assert_eq!(
-                i.assertion.satisfied_expectation, f.assertion.satisfied_expectation,
-                "assertion expectation verdict differs on {ctx}"
+                verdicts, single,
+                "check_all and single checks differ on {ctx} \
+                 (reachable, expectation, liveness, data races)"
             );
-            assert_eq!(
-                i.liveness.violated, f.liveness.violated,
-                "liveness verdict differs on {ctx}"
-            );
-            assert_eq!(
-                i.data_races.as_ref().map(|d| d.violated),
-                f.data_races.as_ref().map(|d| d.violated),
-                "data-race verdict differs on {ctx}"
-            );
-            // The incremental path answers everything from one session;
-            // its per-query ledger must cover every answered property.
+            // check_all answers everything from one encoding; its
+            // per-query ledger must cover every answered property.
             assert!(
-                i.queries.len() >= 2,
-                "incremental run recorded too few queries on {ctx}"
+                o.queries.len() >= 2,
+                "check_all recorded too few queries on {ctx}"
             );
         }
         (Err(a), Err(b)) => {
             assert_eq!(
                 err_class(&a),
                 err_class(&b),
-                "error classes differ on {ctx}: incremental={a} fresh={b}"
+                "error classes differ on {ctx}: check_all={a} single={b}"
             );
         }
-        (Ok(_), Err(e)) => panic!("only the fresh path fails on {ctx}: {e}"),
-        (Err(e), Ok(_)) => panic!("only the incremental path fails on {ctx}: {e}"),
+        (Ok(_), Err(e)) => panic!("only the single checks fail on {ctx}: {e}"),
+        (Err(e), Ok(_)) => panic!("only check_all fails on {ctx}: {e}"),
     }
 }
 

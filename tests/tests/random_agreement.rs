@@ -3,10 +3,11 @@
 //! three independent implementations must agree on the reachability of
 //! every final register value, under every model:
 //!
-//! 1. the SAT engine answering from one incremental [`SolverSession`]
+//! 1. the SAT engine answering every property from one encoding
 //!    (`Verifier::check_all`, learnt clauses shared across queries),
-//! 2. the SAT engine with a fresh encoding per property, and
-//! 3. the explicit-state enumeration oracle.
+//! 2. the SAT engine with an encoding of its own per property,
+//! 3. the explicit-state enumeration oracle, and
+//! 4. the pruned DPOR exploration engine.
 
 use gpumc::{EngineKind, Verifier};
 use gpumc_ir::{
@@ -228,22 +229,21 @@ fn build(arch: Arch, threads: &[Vec<I>]) -> (Program, Vec<(usize, Reg)>) {
 fn check_agreement(arch: Arch, model: ModelKind, threads: &[Vec<I>]) -> Result<(), TestCaseError> {
     let (template, reads) = build(arch, threads);
     // Probe reachability of a few (register, value) outcomes with four
-    // independent implementations: the incremental solver session, a
-    // fresh SAT encoding, the explicit-state oracle, and the pruned
-    // DPOR exploration engine.
+    // independent implementations: `check_all`'s shared encoding, a
+    // single-property SAT check, the explicit-state oracle, and the
+    // pruned DPOR exploration engine.
     for &(ti, reg) in reads.iter().take(2) {
         for value in [0u64, 1] {
             let mut p = template.clone();
             p.assertion = Some(Assertion::Exists(Condition::reg_eq(ti, reg, value)));
             let sat = Verifier::new(gpumc_models::load(model))
                 .with_bound(1)
-                .with_incremental(false)
                 .check_assertion(&p)
                 .expect("sat engine");
             let incr = Verifier::new(gpumc_models::load(model))
                 .with_bound(1)
                 .check_all(&p)
-                .expect("incremental sat engine");
+                .expect("sat engine, check_all");
             let enumr = match Verifier::new(gpumc_models::load(model))
                 .with_bound(1)
                 .with_engine(EngineKind::Enumerate {
@@ -271,7 +271,7 @@ fn check_agreement(arch: Arch, model: ModelKind, threads: &[Vec<I>]) -> Result<(
             prop_assert_eq!(
                 dpor.reachable,
                 sat.reachable,
-                "fresh SAT and dpor disagree on P{}:r{} == {} under {:?}\nprogram: {:?}",
+                "SAT and dpor disagree on P{}:r{} == {} under {:?}\nprogram: {:?}",
                 ti,
                 reg.0,
                 value,
@@ -281,7 +281,7 @@ fn check_agreement(arch: Arch, model: ModelKind, threads: &[Vec<I>]) -> Result<(
             prop_assert_eq!(
                 sat.reachable,
                 enumr.reachable,
-                "fresh SAT and enumeration disagree on P{}:r{} == {} under {:?}\nprogram: {:?}",
+                "SAT and enumeration disagree on P{}:r{} == {} under {:?}\nprogram: {:?}",
                 ti,
                 reg.0,
                 value,
@@ -291,7 +291,7 @@ fn check_agreement(arch: Arch, model: ModelKind, threads: &[Vec<I>]) -> Result<(
             prop_assert_eq!(
                 incr.assertion.reachable,
                 sat.reachable,
-                "incremental and fresh SAT disagree on P{}:r{} == {} under {:?}\nprogram: {:?}",
+                "check_all and check_assertion disagree on P{}:r{} == {} under {:?}\nprogram: {:?}",
                 ti,
                 reg.0,
                 value,
