@@ -1,107 +1,39 @@
-//! Benchmarks the fleet layer: content-addressed cache effectiveness
-//! (digest cost, cold/warm hit rates, persistent reload) and the
-//! two-level cost-aware scheduler against the old FIFO queue.
+//! Benchmarks the fleet layer's content-addressed cache: digest cost,
+//! cold/warm hit rates, and persistent reload.
 //!
 //! Run with: `cargo run --release -p gpumc-bench --bin fleet [-- --json]`
 //!
-//! The scheduler comparison is a deterministic discrete-event
-//! simulation in cost units (not wall clock): the same job mix is
-//! drained once in FIFO arrival order and once in the two-level pop
-//! order, and the report is the mean/worst completion time of the
-//! *cheap* jobs — the queries the fast lane exists for. `--json`
-//! additionally writes `BENCH_fleet.json` in the current directory.
+//! `--json` additionally writes `BENCH_fleet.json` in the current
+//! directory.
 
 use std::time::Instant;
 
-use gpumc_encode::{engine_weight, estimate_cost};
 use gpumc_fleet::cache::{CachedVerdict, ResultCache};
 use gpumc_fleet::digest::source_digest;
-use gpumc_fleet::sched::CostScheduler;
 use gpumc_serve::json::Json;
-use gpumc_serve::server::DEFAULT_FAST_LANE_MAX_COST;
 
-/// One simulated request: a digest, a predicted cost, and whether the
-/// fast lane would take it.
-struct SimJob {
-    digest: u128,
-    cost: u64,
-}
-
-fn workload() -> Vec<SimJob> {
+/// The digests of the catalog's safety, liveness and figure tests at
+/// bounds 1 and 2: one simulated request each.
+fn workload() -> Vec<u128> {
     let mut tests = gpumc_catalog::ptx_safety_suite();
     tests.extend(gpumc_catalog::vulkan_safety_suite());
     tests.extend(gpumc_catalog::liveness_suite());
     tests.extend(gpumc_catalog::figure_tests());
-    let mut jobs = Vec::new();
-    for (i, t) in tests.iter().enumerate() {
+    let mut digests = Vec::new();
+    for t in &tests {
         for bound in 1u32..=2 {
-            let digest = source_digest(&t.source, None, bound, "all", "sat", 1)
-                .expect("catalog test digests");
-            let program = gpumc::parse_litmus(&t.source).expect("catalog test parses");
-            let unrolled = gpumc::gpumc_ir::unroll(&program, bound).expect("unrolls");
-            let graph = gpumc::gpumc_ir::compile(&unrolled);
-            let mut cost = estimate_cost(graph.n_events(), bound, engine_weight("sat"));
-            // Every eighth job is promoted to a synthetic "encoding
-            // monster" (kernel-scale cost) so the simulation has the
-            // bimodal mix the fast lane is designed for.
-            if i % 8 == 0 {
-                cost = cost.saturating_mul(10_000);
-            }
-            jobs.push(SimJob { digest, cost });
+            digests.push(
+                source_digest(&t.source, None, bound, "all", "sat", 1)
+                    .expect("catalog test digests"),
+            );
         }
     }
-    jobs
-}
-
-/// Drains `costs` in FIFO order over `workers` simulated workers and
-/// returns each job's completion time in cost units (arrival index →
-/// completion). The next free worker always takes the next queued job.
-fn simulate_fifo(costs: &[u64], workers: usize) -> Vec<u64> {
-    let mut busy_until = vec![0u64; workers];
-    let mut done = Vec::with_capacity(costs.len());
-    for &c in costs {
-        let w = (0..workers).min_by_key(|&w| busy_until[w]).unwrap();
-        busy_until[w] += c;
-        done.push(busy_until[w]);
-    }
-    done
-}
-
-/// Drains the same jobs through the real [`CostScheduler`] pop order
-/// and returns completion times in arrival order.
-fn simulate_two_level(costs: &[u64], workers: usize) -> Vec<u64> {
-    let sched: CostScheduler<usize> =
-        CostScheduler::new(costs.len() + 1, workers, DEFAULT_FAST_LANE_MAX_COST);
-    for (i, &c) in costs.iter().enumerate() {
-        sched
-            .try_push(i, c)
-            .unwrap_or_else(|_| panic!("scheduler accepts the whole burst"));
-    }
-    sched.close();
-    let mut busy_until = vec![0u64; workers];
-    let mut done = vec![0u64; costs.len()];
-    // Lockstep simulation: the worker with the least accumulated busy
-    // time pops next, which is exactly what "next free worker" means.
-    loop {
-        let w = (0..workers).min_by_key(|&w| busy_until[w]).unwrap();
-        let Some(i) = sched.pop(w) else { break };
-        busy_until[w] += costs[i];
-        done[i] = busy_until[w];
-    }
-    done
-}
-
-fn mean(xs: &[u64]) -> f64 {
-    if xs.is_empty() {
-        0.0
-    } else {
-        xs.iter().sum::<u64>() as f64 / xs.len() as f64
-    }
+    digests
 }
 
 fn main() {
     let json_out = gpumc_bench::flag_from_args("--json");
-    let jobs = workload();
+    let digests = workload();
 
     // --- digest cost: how long canonicalization takes per request
     //     (the real pipeline — parse + canonical hash — not the
@@ -123,12 +55,12 @@ fn main() {
     //     inserted) followed by a warm pass (every lookup must hit).
     let cache = ResultCache::in_memory(4096);
     let mut cold_hits = 0u64;
-    for j in &jobs {
-        if cache.lookup(j.digest).is_some() {
+    for &digest in &digests {
+        if cache.lookup(digest).is_some() {
             cold_hits += 1;
         } else {
             cache.insert(
-                j.digest,
+                digest,
                 CachedVerdict {
                     test: "bench".into(),
                     reachable: false,
@@ -140,9 +72,9 @@ fn main() {
         }
     }
     let t0_warm = Instant::now();
-    let warm_hits = jobs
+    let warm_hits = digests
         .iter()
-        .filter(|j| cache.lookup(j.digest).is_some())
+        .filter(|&&digest| cache.lookup(digest).is_some())
         .count() as u64;
     let warm_ns = t0_warm.elapsed().as_nanos() as u64;
     // Duplicate digests in the workload (same test at the same bound
@@ -155,9 +87,9 @@ fn main() {
     let fingerprint = gpumc::verifier_fingerprint();
     let persistent =
         ResultCache::persistent(4096, &dir, &fingerprint).expect("open persistent cache");
-    for j in &jobs {
+    for &digest in &digests {
         persistent.insert(
-            j.digest,
+            digest,
             CachedVerdict {
                 test: "bench".into(),
                 reachable: false,
@@ -175,28 +107,10 @@ fn main() {
     drop(reopened);
     let _ = std::fs::remove_dir_all(&dir);
 
-    // --- scheduler: FIFO vs two-level on the same bimodal burst.
-    let workers = 2usize;
-    let costs: Vec<u64> = jobs.iter().map(|j| j.cost).collect();
-    let fifo = simulate_fifo(&costs, workers);
-    let two_level = simulate_two_level(&costs, workers);
-    let cheap: Vec<usize> = costs
-        .iter()
-        .enumerate()
-        .filter(|&(_, &c)| c <= DEFAULT_FAST_LANE_MAX_COST)
-        .map(|(i, _)| i)
-        .collect();
-    let fifo_cheap: Vec<u64> = cheap.iter().map(|&i| fifo[i]).collect();
-    let two_cheap: Vec<u64> = cheap.iter().map(|&i| two_level[i]).collect();
-    let fifo_mean = mean(&fifo_cheap);
-    let two_mean = mean(&two_cheap);
-    let improvement = if two_mean > 0.0 {
-        fifo_mean / two_mean
-    } else {
-        1.0
-    };
-
-    println!("fleet layer benchmark ({} simulated requests)", jobs.len());
+    println!(
+        "fleet layer benchmark ({} simulated requests)",
+        digests.len()
+    );
     println!(
         "  digest: {derived} canonicalizations in {digest_us} us \
          ({:.1} us each)",
@@ -205,28 +119,20 @@ fn main() {
     println!(
         "  cache: {unique} unique digests, cold hits {cold_hits}, \
          warm hits {warm_hits}/{} ({} ns/lookup warm)",
-        jobs.len(),
+        digests.len(),
         warm_ns / (warm_hits.max(1))
     );
     println!("  store: {reloaded} verdicts reloaded in {reload_us} us");
-    println!(
-        "  sched({workers} workers): cheap-job mean completion \
-         {fifo_mean:.0} (FIFO) vs {two_mean:.0} (two-level) cost units — {improvement:.1}x"
-    );
 
     assert_eq!(
         warm_hits,
-        jobs.len() as u64,
+        digests.len() as u64,
         "warm pass must hit every lookup"
-    );
-    assert!(
-        two_mean <= fifo_mean,
-        "two-level scheduling made cheap jobs slower: {two_mean:.0} > {fifo_mean:.0}"
     );
 
     if json_out {
         let doc = Json::Obj(vec![
-            ("requests".into(), Json::count(jobs.len() as u64)),
+            ("requests".into(), Json::count(digests.len() as u64)),
             (
                 "digest".into(),
                 Json::Obj(vec![
@@ -251,20 +157,6 @@ fn main() {
                 Json::Obj(vec![
                     ("reloaded".into(), Json::count(reloaded)),
                     ("reload_us".into(), Json::count(reload_us)),
-                ]),
-            ),
-            (
-                "sched".into(),
-                Json::Obj(vec![
-                    ("workers".into(), Json::count(workers as u64)),
-                    ("cheap_jobs".into(), Json::count(cheap.len() as u64)),
-                    (
-                        "fast_lane_max_cost".into(),
-                        Json::count(DEFAULT_FAST_LANE_MAX_COST),
-                    ),
-                    ("fifo_cheap_mean".into(), Json::num(fifo_mean)),
-                    ("two_level_cheap_mean".into(), Json::num(two_mean)),
-                    ("improvement".into(), Json::num(improvement)),
                 ]),
             ),
         ]);

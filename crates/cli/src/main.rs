@@ -53,8 +53,9 @@ OPTIONS (serve):
     --stdio              serve a single session on stdin/stdout instead
                          of TCP (same JSON-lines protocol)
     --jobs <n>           worker threads (default and 0: all cores)
-    --max-queue <n>      accepted-but-unstarted job limit; a full queue
-                         answers `status: rejected` (default: 64)
+    --max-queue <n>      accepted-but-unstarted job limit (one FIFO
+                         queue); a full queue answers `status:
+                         rejected` (default: 64)
     --default-timeout-ms <ms>
                          deadline for requests that carry no timeout_ms
     --metrics-every <secs>
@@ -68,16 +69,10 @@ OPTIONS (serve):
     --cache-dir <path>   persist verdicts to <path>/results.jsonl across
                          restarts; invalidated automatically when the
                          verifier fingerprint changes
-    --fast-lane-cost <n> predicted-cost threshold for the scheduler's
-                         fast lane (default: 8192); costlier jobs take
-                         per-worker heavy lanes with work stealing
     --degrade-level <l>  pin the brownout ladder at full | cache-only |
-                         shed (default: track queue pressure; see
-                         DESIGN.md section 18)
-    --cache-only-at / --shed-at <frac>
-                         queue-pressure thresholds (fractions of
-                         --max-queue) engaging each ladder level
-                         (defaults: 0.60 / 0.90)
+                         shed (default: track queue pressure, engaging
+                         at 0.60 / 0.90 of --max-queue; see DESIGN.md
+                         section 18)
 
 OPTIONS (route):
     --shards <a,b,...>   comma-separated serve addresses (required);
@@ -97,11 +92,8 @@ OPTIONS (route):
     --read-timeout-ms <ms>
                          per-attempt socket read timeout (default: none)
     --hedge-ms <ms>      fire a hedged duplicate at the next ring
-                         successor when a shard is slower than
-                         <ms> + predicted_cost/div; first definitive
-                         answer wins (default: off)
-    --hedge-cost-div <n> cost divisor in the hedge threshold
-                         (default: 0 = flat --hedge-ms threshold)
+                         successor when a shard is slower than <ms>;
+                         first definitive answer wins (default: off)
     --breaker-failures <n>
                          consecutive transport failures that trip a
                          shard's circuit breaker (default: 3)
@@ -129,7 +121,8 @@ EXIT CODES:
     1   property violated: expectation fails or suite has mismatches
     2   usage, parse, or I/O error
     3   verdict unknown: deadline, cancellation, conflict budget, or
-        memory budget
+        memory budget; for `client verify` also a job the server
+        refused (`rejected` or `shed`)
 
 Set GPUMC_FAULTS=\"point:kind[:arg][:p=..][:seed=..][:once],...\" to arm
 deterministic fault injection process-wide (testing only; see DESIGN.md
@@ -270,13 +263,6 @@ fn serve(args: &[String]) -> Result<ExitCode, String> {
                     it.next().ok_or("--cache-dir needs a value")?,
                 ))
             }
-            "--fast-lane-cost" => {
-                config.fast_lane_max_cost = it
-                    .next()
-                    .ok_or("--fast-lane-cost needs a value")?
-                    .parse()
-                    .map_err(|_| "bad --fast-lane-cost")?
-            }
             "--degrade-level" => {
                 config.force_degrade = Some(
                     gpumc_serve::DegradeLevel::parse(
@@ -284,20 +270,6 @@ fn serve(args: &[String]) -> Result<ExitCode, String> {
                     )
                     .map_err(|e| format!("bad --degrade-level: {e}"))?,
                 )
-            }
-            "--cache-only-at" => {
-                config.overload.cache_only_at = it
-                    .next()
-                    .ok_or("--cache-only-at needs a value")?
-                    .parse()
-                    .map_err(|_| "bad --cache-only-at")?
-            }
-            "--shed-at" => {
-                config.overload.shed_at = it
-                    .next()
-                    .ok_or("--shed-at needs a value")?
-                    .parse()
-                    .map_err(|_| "bad --shed-at")?
             }
             other => return Err(format!("unknown argument `{other}`")),
         }
@@ -383,13 +355,6 @@ fn route(args: &[String]) -> Result<ExitCode, String> {
                         .parse()
                         .map_err(|_| "bad --hedge-ms")?,
                 )
-            }
-            "--hedge-cost-div" => {
-                policy.hedge_cost_div = it
-                    .next()
-                    .ok_or("--hedge-cost-div needs a value")?
-                    .parse()
-                    .map_err(|_| "bad --hedge-cost-div")?
             }
             "--read-timeout-ms" => {
                 policy.read_timeout_ms = Some(

@@ -1,9 +1,13 @@
 //! The exit-code contract, asserted against the real binary:
 //! 0 = verified, 1 = property violated, 2 = usage/parse error,
-//! 3 = verdict unknown (deadline / cancellation / conflict budget).
+//! 3 = verdict unknown (deadline / cancellation / conflict budget), or
+//! for `gpumc client verify` a job the server refused (`rejected` /
+//! `shed`).
 
 use std::path::PathBuf;
 use std::process::{Command, Output};
+
+use gpumc_serve::{DegradeLevel, Server, ServerConfig};
 
 /// A load of an untouched zero location: the `exists` witness is always
 /// reachable, so the expectation holds.
@@ -122,4 +126,32 @@ fn exit_three_when_the_deadline_leaves_the_verdict_unknown() {
     );
     assert!(String::from_utf8_lossy(&out.stderr).contains("verdict unknown"));
     let _ = std::fs::remove_file(path);
+}
+
+#[test]
+fn exit_three_when_the_server_sheds_the_job() {
+    // An in-process server pinned at the shed rung refuses every job
+    // its (empty) cache cannot answer.
+    let server = Server::bind(&ServerConfig {
+        addr: "127.0.0.1:0".into(),
+        force_degrade: Some(DegradeLevel::Shed),
+        ..ServerConfig::default()
+    })
+    .expect("bind ephemeral port");
+    let addr = server.local_addr().unwrap().to_string();
+    let shutdown = server.shutdown_handle();
+    let handle = std::thread::spawn(move || server.run().expect("server run"));
+    let path = write_litmus("shed", PASS);
+    let out = gpumc(&["client", "verify", path.to_str().unwrap(), "--addr", &addr]);
+    shutdown.shutdown();
+    handle.join().unwrap();
+    let _ = std::fs::remove_file(path);
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert_eq!(
+        code(&out),
+        3,
+        "stdout: {stdout} stderr: {}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    assert!(stdout.contains(r#""status":"shed""#), "stdout: {stdout}");
 }

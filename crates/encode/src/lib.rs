@@ -26,9 +26,6 @@
 //!   encoding and its single solver, whose learnt clauses carry over.
 //!   The encoding keeps a ledger of one [`QueryRecord`] per answered
 //!   query: its label and the solver's [`QueryStats`] counter deltas.
-//! * [`estimate_cost`] — a relative cost prediction (events² × bound ×
-//!   engine weight) the serving layer uses for lane placement in its
-//!   cost-aware scheduler.
 //!
 //! Every satisfying assignment is decoded into a concrete
 //! [`gpumc_exec::Execution`] and *re-validated* with the explicit
@@ -36,11 +33,9 @@
 //! other on every witness (the paper's Table 5 validation, continuously).
 
 mod bounds;
-mod cost;
 mod encode;
 
 pub use bounds::RelationAnalysis;
-pub use cost::{engine_weight, estimate_cost};
 pub use encode::{
     encode, EncodeError, EncodeOptions, Encoding, QueryRecord, QueryResult, QueryStats,
 };

@@ -4,8 +4,8 @@
 //! The paper's whole evaluation (Tables 5–7) re-runs the same litmus
 //! and kernel queries across models, bounds, and properties; real
 //! verification traffic is overwhelmingly duplicate work. This crate
-//! provides the three pieces that turn `gpumc-serve` from "one daemon
-//! with warm caches" into fleet shape (DESIGN.md §16):
+//! provides the pieces that turn `gpumc-serve` from "one daemon with
+//! warm caches" into fleet shape (DESIGN.md §16):
 //!
 //! * [`digest`] — a canonical, persistable request identity: a stable
 //!   128-bit digest of (test AST × model source × bound × property ×
@@ -17,10 +17,6 @@
 //!   JSONL store ([`store`]) with versioned invalidation keyed on the
 //!   verifier fingerprint. Only definitive verdicts are cached — never
 //!   `unknown` or `failed`.
-//! * [`sched`] — a cost-aware two-level scheduler replacing the FIFO
-//!   job queue: a shared fast lane for cheap litmus queries plus
-//!   per-worker heavy lanes with work stealing, so a small query is
-//!   never stuck behind an encoding monster.
 //! * [`router`] — `gpumc route`: fan a suite over N serve instances by
 //!   digest over a consistent-hash ring ([`ring`]), merge responses
 //!   deterministically, and self-heal around trouble: per-shard
@@ -40,7 +36,6 @@ pub mod json;
 pub mod lru;
 pub mod ring;
 pub mod router;
-pub mod sched;
 pub mod store;
 
 pub use cache::{CachedVerdict, ResultCache};
@@ -51,4 +46,3 @@ pub use ring::{HashRing, DEFAULT_VNODES};
 pub use router::{
     home_shard, route, routing_digest, HedgeStats, RoutePolicy, RouteReport, RouteRequest,
 };
-pub use sched::{CostScheduler, PushError};

@@ -30,12 +30,11 @@
 //!   fleet was admission control. Nothing is ever silently dropped.
 //!
 //! With [`RoutePolicy::hedge_ms`] set, a request that a shard has held
-//! past the hedge threshold (base + predicted cost /
-//! [`RoutePolicy::hedge_cost_div`]) is *hedged*: the same digest is
-//! fired at the next ring successor and the first definitive answer
-//! wins. Both answers reduce to the same order-independent merged
-//! line; the router `debug_assert!`s that and counts duplicates and
-//! mismatches in [`HedgeStats`].
+//! that long is *hedged*: the same digest is fired at the next ring
+//! successor and the first definitive answer wins. Both answers reduce
+//! to the same order-independent merged line; the router
+//! `debug_assert!`s that and counts duplicates and mismatches in
+//! [`HedgeStats`].
 //!
 //! A per-request fault plan (the `faults` field) is a *node-local*
 //! injection: it rides the first attempt only and is stripped on
@@ -97,14 +96,9 @@ pub struct RoutePolicy {
     /// `failed(timeout)` with its attempt count. `None` waits forever
     /// (the node-side timeout still applies).
     pub deadline_ms: Option<u64>,
-    /// Base hedge threshold: an attempt outstanding this long fires a
+    /// Hedge threshold: an attempt outstanding this long fires a
     /// duplicate at the next ring successor. `None` disables hedging.
     pub hedge_ms: Option<u64>,
-    /// Scales the hedge threshold by predicted cost: threshold =
-    /// `hedge_ms + estimate_cost / hedge_cost_div` ms (0 disables the
-    /// scaled term), so an encoding monster is not hedged as eagerly
-    /// as a litmus query.
-    pub hedge_cost_div: u64,
     /// Per-attempt socket read timeout; `None` leaves reads unbounded
     /// (a stalled shard then only resolves via `deadline_ms`).
     pub read_timeout_ms: Option<u64>,
@@ -122,7 +116,6 @@ impl Default for RoutePolicy {
             proto: 1,
             deadline_ms: None,
             hedge_ms: None,
-            hedge_cost_div: 0,
             read_timeout_ms: None,
             breaker: BreakerConfig::default(),
             vnodes: DEFAULT_VNODES,
@@ -230,22 +223,6 @@ pub fn routing_digest(req: &RouteRequest, proto: u32) -> u128 {
         }
         h
     })
-}
-
-/// Predicted relative cost of a request (the hedge threshold's scale
-/// input); unparsable requests are trivially cheap.
-fn predicted_cost(req: &RouteRequest) -> u64 {
-    let Ok(program) = gpumc_litmus::parse(&req.source) else {
-        return 0;
-    };
-    match gpumc_ir::unroll(&program, req.bound) {
-        Ok(u) => gpumc_encode::estimate_cost(
-            gpumc_ir::compile(&u).n_events(),
-            req.bound,
-            gpumc_encode::engine_weight(&req.engine),
-        ),
-        Err(_) => 0,
-    }
 }
 
 /// What one attempt on one shard produced.
@@ -550,12 +527,7 @@ fn drive(cl: &Arc<ClusterState>, req: &RouteRequest, idx: usize) -> RouteOutcome
     let succ = cl.ring.successors(digest);
     let started = Instant::now();
     let deadline = cl.policy.deadline_ms.map(Duration::from_millis);
-    let hedge_after = cl.policy.hedge_ms.map(|base| {
-        let scaled = predicted_cost(req)
-            .checked_div(cl.policy.hedge_cost_div)
-            .unwrap_or(0);
-        Duration::from_millis(base.saturating_add(scaled))
-    });
+    let hedge_after = cl.policy.hedge_ms.map(Duration::from_millis);
     let remaining = |started: Instant| deadline.map(|d| d.saturating_sub(started.elapsed()));
     let expired = |started: Instant| remaining(started).is_some_and(|r| r.is_zero());
     let mut attempts: u32 = 0;

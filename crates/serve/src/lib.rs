@@ -7,9 +7,8 @@
 //!
 //! * a JSON-lines request/response protocol over TCP (or stdio), see
 //!   [`protocol`];
-//! * a bounded, cost-aware job scheduler with non-blocking backpressure
-//!   (`gpumc_fleet::sched::CostScheduler`): a full queue answers
-//!   `status: rejected` at once;
+//! * a bounded FIFO job queue with non-blocking backpressure (`sched`):
+//!   a full queue answers `status: rejected` at once;
 //! * a worker pool sharing parsed models (`gpumc_models::load_shared`)
 //!   across requests;
 //! * per-request deadlines riding the cooperative cancellation layer in
@@ -21,22 +20,22 @@
 //!   in the worker, retried with backoff, and ultimately answered
 //!   `status: "failed"` with an error class — see the supervision notes
 //!   in [`server`] and the failure taxonomy in DESIGN.md §13;
-//! * admission control and graceful degradation under overload
-//!   ([`overload`]): a deadline-aware load-shed gate ahead of the
-//!   scheduler plus a brownout ladder (full → cache-only → shed),
+//! * graceful degradation under overload ([`overload`]): a brownout
+//!   ladder (full → cache-only → shed) driven by queue pressure,
 //!   exported in responses as a `degraded` block — DESIGN.md §18.
 //!
 //! The JSON plumbing ([`json`]) is hand-rolled: the offline dependency
 //! set has no serde, and the protocol needs very little. It lives in
 //! `gpumc-fleet` (re-exported here) so the fleet router and persistent
 //! cache store can speak the wire format without a server dependency.
-//! The fleet layer itself — content-addressed result cache, cost-aware
-//! scheduling, sharded routing — is described in DESIGN.md §16.
+//! The fleet layer itself — content-addressed result cache and sharded
+//! routing — is described in DESIGN.md §16.
 
 pub mod client;
 pub mod metrics;
 pub mod overload;
 pub mod protocol;
+mod sched;
 pub mod server;
 
 pub use gpumc_fleet::json;
@@ -44,7 +43,7 @@ pub use gpumc_fleet::json;
 pub use client::Client;
 pub use json::Json;
 pub use metrics::Metrics;
-pub use overload::{next_level, DegradeLevel, Overload, OverloadPolicy};
+pub use overload::{next_level, DegradeLevel, Overload};
 pub use protocol::{
     parse_request, verdict_json, Envelope, Request, VerifyRequest, PROTOCOL_VERSION,
 };

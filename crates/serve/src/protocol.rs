@@ -510,22 +510,18 @@ pub fn rejected_response(id: Option<u64>, reason: &str) -> Json {
     ])
 }
 
-/// A `status: shed` response: admission control refused the job before
-/// accepting it — the server is at the `shed` ladder level, or the
-/// deadline gate predicted the job's `timeout_ms` would already be
-/// blown in the queue. The job never ran (and never will); resubmitting
-/// once pressure subsides is always safe. Carries the `degraded` block
-/// so clients can tell brownout shed from a deadline-gate shed at the
-/// `full` level.
-pub fn shed_response(id: Option<u64>, reason: &str, degraded: Option<DegradeLevel>) -> Json {
-    let mut fields = vec![
+/// A `status: shed` response: the server is at the `shed` ladder level
+/// and refused the job before accepting it. The job never ran (and
+/// never will); resubmitting once pressure subsides is always safe.
+/// Carries the `degraded` block like every degraded answer.
+pub fn shed_response(id: Option<u64>) -> Json {
+    Json::Obj(vec![
         ("id".into(), id_json(id)),
         ("proto".into(), proto_json()),
         ("status".into(), Json::str("shed")),
-        ("error".into(), Json::str(reason)),
-    ];
-    push_degraded(&mut fields, degraded);
-    Json::Obj(fields)
+        ("error".into(), Json::str("overloaded")),
+        ("degraded".into(), degraded_json(DegradeLevel::Shed)),
+    ])
 }
 
 /// A `status: failed` response: the job was accepted but crashed and
@@ -764,16 +760,13 @@ mod tests {
 
     #[test]
     fn shed_response_names_the_level() {
-        let r = shed_response(Some(5), "overloaded", Some(DegradeLevel::Shed));
+        let r = shed_response(Some(5));
         assert_eq!(r.get("status").unwrap().as_str(), Some("shed"));
         assert_eq!(r.get("error").unwrap().as_str(), Some("overloaded"));
         assert_eq!(
             r.get("degraded").unwrap().get("level").unwrap().as_str(),
             Some("shed")
         );
-        // A deadline-gate shed at the full level omits the block.
-        let r = shed_response(None, "deadline unmeetable", Some(DegradeLevel::Full));
-        assert_eq!(r.get("degraded"), None);
         assert_eq!(r.get("proto").unwrap().as_u64(), Some(1));
     }
 

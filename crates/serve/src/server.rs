@@ -6,8 +6,7 @@
 //!  TCP accept loop ──► per-connection reader threads
 //!                         │  ping/metrics/shutdown answered inline
 //!                         ▼  verify → CancelToken(deadline) + job
-//!                  bounded CostScheduler (try_push; full ⇒ `rejected`):
-//!                  one fast lane, per-worker heavy lanes, stealing
+//!                  bounded FIFO JobQueue (try_push; full ⇒ `rejected`)
 //!                         │
 //!                  worker pool (effective_jobs), shared warm state:
 //!                    · gpumc_models::load_shared (one parse per model)
@@ -58,18 +57,17 @@ use gpumc::fault::FaultPlan;
 use gpumc::{effective_jobs, Verifier, VerifyError};
 use gpumc_fleet::cache::ResultCache;
 use gpumc_fleet::digest::{request_digest, resolve_model, RequestKey};
-use gpumc_fleet::sched::{CostScheduler, PushError};
-use gpumc_models::ModelKind;
 use gpumc_sat::CancelToken;
 
 use crate::json::{self, Json};
 use crate::metrics::Metrics;
-use crate::overload::{DegradeLevel, Overload, OverloadPolicy};
+use crate::overload::{DegradeLevel, Overload};
 use crate::protocol::{
     cached_response, cached_verdict, engine_name, error_response, failed_response, parse_request,
     rejected_response, shed_response, unknown_response, verify_response, Envelope, Request,
     VerifyRequest, PROTOCOL_VERSION,
 };
+use crate::sched::{JobQueue, PushError};
 
 /// The injection point a worker probes when it picks up a job but
 /// before the `catch_unwind` guard is in place — arming `panic` here
@@ -107,23 +105,11 @@ pub struct ServerConfig {
     /// memory only when `None`. Invalidated when the verifier
     /// fingerprint changes.
     pub cache_dir: Option<PathBuf>,
-    /// Predicted-cost threshold at or below which a job takes the
-    /// scheduler's shared fast lane (`--fast-lane-cost`); costlier jobs
-    /// go to per-worker heavy lanes with work stealing.
-    pub fast_lane_max_cost: u64,
-    /// Queue-pressure thresholds driving the degradation ladder
-    /// (DESIGN.md §18).
-    pub overload: OverloadPolicy,
     /// Pin the ladder at a fixed level (`--degrade-level`); `None`
     /// tracks queue pressure. Pinning exists for operators staging a
     /// brownout drill and for deterministic tests.
     pub force_degrade: Option<DegradeLevel>,
 }
-
-/// Default [`ServerConfig::fast_lane_max_cost`]: comfortably above any
-/// bound-2 litmus test (≈20 events² × 2 × sat weight) and far below an
-/// unrolled kernel's cost.
-pub const DEFAULT_FAST_LANE_MAX_COST: u64 = 8192;
 
 impl Default for ServerConfig {
     fn default() -> ServerConfig {
@@ -138,8 +124,6 @@ impl Default for ServerConfig {
             cache_enabled: true,
             cache_capacity: 4096,
             cache_dir: None,
-            fast_lane_max_cost: DEFAULT_FAST_LANE_MAX_COST,
-            overload: OverloadPolicy::default(),
             force_degrade: None,
         }
     }
@@ -214,9 +198,6 @@ struct Job {
     /// state. `None` disables both lookup (already missed at dispatch)
     /// and insert.
     digest: Option<u128>,
-    /// Predicted relative cost ([`gpumc_encode::estimate_cost`]); the
-    /// scheduler's lane key. Re-pushes after a panic reuse it.
-    cost: u64,
     /// The ladder level active when the job was admitted; stamped into
     /// the response's `degraded` block (omitted at `Full`).
     degraded: DegradeLevel,
@@ -225,7 +206,7 @@ struct Job {
 /// State shared by the accept loop, connection threads, and workers.
 struct Shared {
     metrics: Metrics,
-    queue: CostScheduler<Job>,
+    queue: JobQueue<Job>,
     /// The content-addressed result cache; `None` with `--no-cache`.
     cache: Option<ResultCache>,
     shutdown: AtomicBool,
@@ -234,20 +215,15 @@ struct Shared {
     allow_faults: bool,
     /// Monotone job sequence for retry jitter.
     seq: AtomicU64,
-    /// Degradation ladder + deadline-admission service model.
+    /// The degradation ladder.
     overload: Overload,
-    /// Effective worker count, for spreading predicted queue cost.
-    workers: usize,
 }
 
 impl Shared {
-    /// `jobs` is the *effective* worker count — the scheduler sizes its
-    /// heavy lanes to it.
-    ///
     /// # Errors
     ///
     /// Filesystem errors opening the persistent cache store.
-    fn new(config: &ServerConfig, jobs: usize) -> std::io::Result<Arc<Shared>> {
+    fn new(config: &ServerConfig) -> std::io::Result<Arc<Shared>> {
         let cache = if config.cache_enabled {
             Some(match &config.cache_dir {
                 None => ResultCache::in_memory(config.cache_capacity),
@@ -262,15 +238,14 @@ impl Shared {
         };
         Ok(Arc::new(Shared {
             metrics: Metrics::new(),
-            queue: CostScheduler::new(config.max_queue, jobs, config.fast_lane_max_cost),
+            queue: JobQueue::new(config.max_queue),
             cache,
             shutdown: AtomicBool::new(false),
             default_timeout_ms: config.default_timeout_ms,
             retry: config.retry,
             allow_faults: config.allow_faults,
             seq: AtomicU64::new(0),
-            overload: Overload::new(config.overload, config.force_degrade),
-            workers: jobs,
+            overload: Overload::new(config.force_degrade),
         }))
     }
 }
@@ -294,7 +269,7 @@ impl Server {
     pub fn bind(config: &ServerConfig) -> std::io::Result<Server> {
         let listener = TcpListener::bind(&config.addr)?;
         let jobs = effective_jobs(config.jobs);
-        let shared = Shared::new(config, jobs)?;
+        let shared = Shared::new(config)?;
         shared.metrics.set_gauge("workers", jobs as i64);
         Ok(Server {
             listener,
@@ -364,7 +339,7 @@ impl Server {
     /// I/O errors reading stdin.
     pub fn run_stdio(config: &ServerConfig) -> std::io::Result<()> {
         let jobs = effective_jobs(config.jobs);
-        let shared = Shared::new(config, jobs)?;
+        let shared = Shared::new(config)?;
         shared.metrics.set_gauge("workers", jobs as i64);
         let supervisor = spawn_supervised_pool(Arc::clone(&shared), jobs);
         let out: Out = Arc::new(Mutex::new(Box::new(std::io::stdout())));
@@ -455,25 +430,9 @@ fn dispatch_line(line: &str, out: &Out, shared: &Arc<Shared>) -> std::ops::Contr
             shared
                 .metrics
                 .set_gauge("queue_depth", shared.queue.len() as i64);
-            let sched = shared.queue.stats();
-            shared
-                .metrics
-                .set_gauge("sched_fast_total", sched.fast as i64);
-            shared
-                .metrics
-                .set_gauge("sched_heavy_total", sched.heavy as i64);
-            shared
-                .metrics
-                .set_gauge("sched_steals_total", sched.steals as i64);
             shared
                 .metrics
                 .set_gauge("degraded_level", shared.overload.level() as i64);
-            shared
-                .metrics
-                .set_gauge("overload_ns_per_cost", shared.overload.ns_per_cost() as i64);
-            shared
-                .metrics
-                .set_gauge("queue_cost", shared.queue.total_cost() as i64);
             if let Some(cache) = &shared.cache {
                 let s = cache.stats();
                 shared
@@ -555,12 +514,11 @@ fn dispatch_line(line: &str, out: &Out, shared: &Arc<Shared>) -> std::ops::Contr
                 }
             }
             shared.metrics.set_gauge("degraded_level", level as i64);
-            // Content digest + predicted cost, both derived from the
-            // parsed request at dispatch time (microseconds against
-            // solve times in milliseconds-to-minutes). An unparsable
-            // request keeps digest `None` and flows to a worker, which
-            // answers `error` exactly as before the cache existed.
-            let (raw_digest, cost) = digest_and_cost(&req);
+            // The content digest, derived from the parsed request at
+            // dispatch time. An unparsable request keeps digest `None`
+            // and flows to a worker, which answers `error` exactly as
+            // before the cache existed.
+            let raw_digest = request_digest_of(&req);
             // Fault-armed jobs bypass the cache in *both* directions:
             // a verdict computed under injection must not be served to
             // clean requests, and a clean cached verdict must not mask
@@ -603,39 +561,10 @@ fn dispatch_line(line: &str, out: &Out, shared: &Arc<Shared>) -> std::ops::Contr
             // acceptance, so it can be resubmitted elsewhere.
             if level == DegradeLevel::Shed {
                 shared.metrics.inc("jobs_shed_total");
-                write_line(out, &shed_response(id, "overloaded", Some(level)));
+                write_line(out, &shed_response(id));
                 return ControlFlow::Continue(());
             }
-            let timeout_ms = req.timeout_ms.or(shared.default_timeout_ms);
-            // Deadline admission: when the service model has seen real
-            // work, a job predicted to blow its deadline while still
-            // queued is shed at the door instead of accepted, timed
-            // out, and answered `unknown` after burning a worker.
-            if let Some(deadline) = timeout_ms {
-                let predicted = shared.overload.predicted_completion_ms(
-                    shared.queue.total_cost(),
-                    cost,
-                    shared.workers,
-                );
-                if let Some(p) = predicted {
-                    if p > deadline {
-                        shared.metrics.inc("jobs_shed_total");
-                        shared.metrics.inc("jobs_shed_deadline_total");
-                        write_line(
-                            out,
-                            &shed_response(
-                                id,
-                                &format!(
-                                    "deadline unmeetable: predicted {p}ms exceeds timeout {deadline}ms"
-                                ),
-                                Some(level),
-                            ),
-                        );
-                        return ControlFlow::Continue(());
-                    }
-                }
-            }
-            let token = match timeout_ms {
+            let token = match req.timeout_ms.or(shared.default_timeout_ms) {
                 Some(ms) => CancelToken::with_timeout(Duration::from_millis(ms)),
                 None => CancelToken::new(),
             };
@@ -649,10 +578,9 @@ fn dispatch_line(line: &str, out: &Out, shared: &Arc<Shared>) -> std::ops::Contr
                 seq: shared.seq.fetch_add(1, Ordering::Relaxed),
                 faults,
                 digest,
-                cost,
                 degraded: level,
             };
-            match shared.queue.try_push(job, cost) {
+            match shared.queue.try_push(job) {
                 Ok(()) => {
                     shared.metrics.move_gauge("queue_depth", 1);
                 }
@@ -670,44 +598,28 @@ fn dispatch_line(line: &str, out: &Out, shared: &Arc<Shared>) -> std::ops::Contr
     }
 }
 
-/// Computes the request's content digest and predicted cost at
-/// dispatch. Unparsable source or unknown model → `(None, 0)`: the
-/// request is uncacheable and trivially cheap (the worker answers
-/// `error` without encoding anything).
-fn digest_and_cost(req: &VerifyRequest) -> (Option<u128>, u64) {
-    let Ok(program) = gpumc::parse_litmus(&req.source) else {
-        return (None, 0);
-    };
-    let engine = engine_name(req.engine);
-    let digest = resolve_model(req.model.as_deref(), program.arch).map(|kind| {
-        request_digest(&RequestKey {
-            program: &program,
-            model_source: kind.source(),
-            bound: req.bound,
-            property: "all",
-            engine,
-            proto: PROTOCOL_VERSION,
-        })
-    });
-    let cost = match gpumc_ir::unroll(&program, req.bound) {
-        Ok(u) => gpumc_encode::estimate_cost(
-            gpumc_ir::compile(&u).n_events(),
-            req.bound,
-            gpumc_encode::engine_weight(engine),
-        ),
-        // Unrolling failures reach the worker as errors; schedule them
-        // on the fast lane so they answer quickly.
-        Err(_) => 0,
-    };
-    (digest, cost)
+/// Computes the request's content digest at dispatch. Unparsable
+/// source or an unknown model gives `None`: the request is uncacheable
+/// (the worker answers `error`).
+fn request_digest_of(req: &VerifyRequest) -> Option<u128> {
+    let program = gpumc::parse_litmus(&req.source).ok()?;
+    let kind = resolve_model(req.model.as_deref(), program.arch)?;
+    Some(request_digest(&RequestKey {
+        program: &program,
+        model_source: kind.source(),
+        bound: req.bound,
+        property: "all",
+        engine: engine_name(req.engine),
+        proto: PROTOCOL_VERSION,
+    }))
 }
 
 /// Where a worker parks a copy of its in-flight job so the supervisor
 /// can recover it if the worker thread dies.
 type WorkerSlot = Arc<Mutex<Option<Job>>>;
 
-fn worker_loop(shared: &Arc<Shared>, slot: &WorkerSlot, worker: usize) {
-    while let Some(job) = shared.queue.pop(worker) {
+fn worker_loop(shared: &Arc<Shared>, slot: &WorkerSlot) {
+    while let Some(job) = shared.queue.pop() {
         shared.metrics.move_gauge("queue_depth", -1);
         *lock_unpoisoned(slot) = Some(job.clone());
         shared.metrics.move_gauge("in_flight", 1);
@@ -718,23 +630,12 @@ fn worker_loop(shared: &Arc<Shared>, slot: &WorkerSlot, worker: usize) {
         // thread.)
         let guard = job.faults.clone().map(gpumc::fault::scoped);
         let _ = gpumc::fault::hit(WORKER_HARD_KILL_POINT);
-        let started = Instant::now();
         let outcome = std::panic::catch_unwind(AssertUnwindSafe(|| run_verify_job(&job, shared)));
         drop(guard);
         shared.metrics.move_gauge("in_flight", -1);
         *lock_unpoisoned(slot) = None;
         match outcome {
-            Ok(response) => {
-                // Completed attempts (whatever the verdict) feed the
-                // deadline-admission service model; predicted-cost-0
-                // jobs (parse errors) would only pollute it.
-                if job.cost > 0 {
-                    shared
-                        .overload
-                        .observe_service(job.cost, started.elapsed().as_nanos() as u64);
-                }
-                write_line(&job.out, &response);
-            }
+            Ok(response) => write_line(&job.out, &response),
             Err(payload) => handle_job_panic(job, &panic_message(&*payload), shared),
         }
     }
@@ -778,8 +679,7 @@ fn handle_job_panic(mut job: Job, message: &str, shared: &Arc<Shared>) {
         job.attempt += 1;
         std::thread::sleep(shared.retry.backoff(job.seq, job.attempt));
         shared.metrics.inc("jobs_retried");
-        let cost = job.cost;
-        match shared.queue.try_push(job, cost) {
+        match shared.queue.try_push(job) {
             Ok(()) => {
                 shared.metrics.move_gauge("queue_depth", 1);
                 return;
@@ -806,22 +706,22 @@ fn handle_job_panic(mut job: Job, message: &str, shared: &Arc<Shared>) {
 /// queued jobs with `rejected` so nothing is silently dropped.
 fn spawn_supervised_pool(shared: Arc<Shared>, jobs: usize) -> JoinHandle<()> {
     std::thread::spawn(move || {
-        let spawn_worker = |shared: &Arc<Shared>, worker: usize| -> (WorkerSlot, JoinHandle<()>) {
+        let spawn_worker = |shared: &Arc<Shared>| -> (WorkerSlot, JoinHandle<()>) {
             let slot: WorkerSlot = Arc::new(Mutex::new(None));
             let shared = Arc::clone(shared);
             let slot2 = Arc::clone(&slot);
-            let handle = std::thread::spawn(move || worker_loop(&shared, &slot2, worker));
+            let handle = std::thread::spawn(move || worker_loop(&shared, &slot2));
             (slot, handle)
         };
         let mut pool: Vec<(WorkerSlot, Option<JoinHandle<()>>)> = (0..jobs.max(1))
-            .map(|worker| {
-                let (slot, h) = spawn_worker(&shared, worker);
+            .map(|_| {
+                let (slot, h) = spawn_worker(&shared);
                 (slot, Some(h))
             })
             .collect();
         loop {
             let mut alive = 0;
-            for (worker, entry) in pool.iter_mut().enumerate() {
+            for entry in &mut pool {
                 match &entry.1 {
                     None => {}
                     Some(h) if h.is_finished() => {
@@ -835,9 +735,7 @@ fn spawn_supervised_pool(shared: Arc<Shared>, jobs: usize) -> JoinHandle<()> {
                         }
                         if died && !shared.queue.is_closed() {
                             shared.metrics.inc("workers_respawned");
-                            // The replacement inherits the dead
-                            // worker's index (and so its heavy lane).
-                            let (slot, h) = spawn_worker(&shared, worker);
+                            let (slot, h) = spawn_worker(&shared);
                             *entry = (slot, Some(h));
                             alive += 1;
                         }
@@ -882,18 +780,10 @@ fn run_verify_job(job: &Job, shared: &Arc<Shared>) -> Json {
             return error_response(job.id, &e.to_string());
         }
     };
-    let kind = match &req.model {
-        Some(name) => match ModelKind::from_name(name) {
-            Some(k) => k,
-            None => {
-                shared.metrics.inc("verdict_error");
-                return error_response(job.id, &format!("unknown model `{name}`"));
-            }
-        },
-        None => match program.arch {
-            gpumc_ir::Arch::Ptx => ModelKind::Ptx75,
-            gpumc_ir::Arch::Vulkan => ModelKind::Vulkan,
-        },
+    let Some(kind) = resolve_model(req.model.as_deref(), program.arch) else {
+        shared.metrics.inc("verdict_error");
+        let name = req.model.as_deref().unwrap_or("");
+        return error_response(job.id, &format!("unknown model `{name}`"));
     };
     let mut verifier = Verifier::new(gpumc_models::load_shared(kind))
         .with_engine(req.engine)
