@@ -124,6 +124,7 @@ fn main() {
     );
     println!("  store: {reloaded} verdicts reloaded in {reload_us} us");
 
+    assert_eq!(reloaded, unique, "the store must hold each digest once");
     assert_eq!(
         warm_hits,
         digests.len() as u64,

@@ -15,7 +15,8 @@
 //!   base relation);
 //! * a compiled representation ([`CatModel`]) that downstream crates
 //!   interpret concretely (the enumeration engine) or encode symbolically
-//!   (the SAT engine).
+//!   (the SAT engine), with a post-order [`NodeTable`] of every
+//!   expression that both evaluate.
 //!
 //! # Example
 //!
@@ -36,13 +37,15 @@ mod lexer;
 mod model;
 mod parser;
 mod resolve;
+mod table;
 
 pub use ast::{AxiomKind, Expr, RawAxiom, RawDef, RawLet, RawModel, RawStatement};
-pub use env::{BaseEnv, Kind};
+pub use env::{BaseEnv, Kind, BUILTIN_RELS, BUILTIN_SETS};
 pub use lexer::{LexError, Token};
 pub use model::{Axiom, CatModel, Def, DefBody, DefId, RelExpr, SetExpr};
 pub use parser::ParseError;
 pub use resolve::ResolveError;
+pub use table::{BaseRel, Node, NodeId, NodeTable, Op};
 
 /// Parses and resolves a `.cat` model against the builtin GPU environment.
 ///

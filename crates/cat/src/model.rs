@@ -1,6 +1,7 @@
 //! Resolved (kind-checked) consistency models.
 
 pub use crate::ast::AxiomKind;
+use crate::table::NodeTable;
 
 /// Index of a `let` definition within a [`CatModel`].
 pub type DefId = usize;
@@ -127,11 +128,24 @@ pub struct CatModel {
     name: String,
     defs: Vec<Def>,
     axioms: Vec<Axiom>,
+    /// The compiled node table, built once at resolve time.
+    nodes: NodeTable,
 }
 
 impl CatModel {
     pub(crate) fn new(name: String, defs: Vec<Def>, axioms: Vec<Axiom>) -> CatModel {
-        CatModel { name, defs, axioms }
+        let nodes = NodeTable::compile(&defs, &axioms);
+        CatModel {
+            name,
+            defs,
+            axioms,
+            nodes,
+        }
+    }
+
+    /// The compiled node table every evaluator of the model walks.
+    pub fn nodes(&self) -> &NodeTable {
+        &self.nodes
     }
 
     /// The model title (empty string if the source had none).

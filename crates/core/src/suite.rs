@@ -452,7 +452,6 @@ mod tests {
         let names: Vec<_> = report.results.iter().map(|r| r.name.as_str()).collect();
         let expect: Vec<_> = tests.iter().map(|t| t.name.as_str()).collect();
         assert_eq!(names, expect);
-        assert!(report.cpu >= report.wall || report.jobs == 1 || report.results.len() <= 1);
     }
 
     #[test]

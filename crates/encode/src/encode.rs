@@ -4,7 +4,8 @@ use std::collections::BTreeMap;
 use std::fmt::Display;
 use std::time::Instant;
 
-use gpumc_cat::{AxiomKind, CatModel};
+use gpumc_cat::{AxiomKind, BaseRel, CatModel, NodeId, Op};
+use gpumc_exec::arena::RelView;
 use gpumc_exec::{Execution, Interpreter, Relation, ThreadOutcome};
 use gpumc_ir::{
     Arch, BlockId, CondAtom, Condition, EventGraph, EventId, EventKind, Tag, UTerm, Val,
@@ -12,7 +13,7 @@ use gpumc_ir::{
 use gpumc_sat::bv::BitVec;
 use gpumc_sat::{Formula, Lit};
 
-use crate::bounds::{NodeId, Op, RelationAnalysis};
+use crate::bounds::RelationAnalysis;
 
 /// Options controlling the encoding.
 #[derive(Debug, Clone)]
@@ -189,6 +190,7 @@ pub fn encode<'g>(
         bounds_us,
         encode_us: 0,
         queries: Vec::new(),
+        interpreter: None,
     };
     let t0 = Instant::now();
     enc.build(&analysis)?;
@@ -253,6 +255,8 @@ pub struct Encoding<'g> {
     encode_us: u64,
     /// One record per answered query, in query order.
     queries: Vec<QueryRecord>,
+    /// Re-validates every witness, made at the first one.
+    interpreter: Option<Interpreter<'g>>,
 }
 
 impl<'g> Encoding<'g> {
@@ -515,9 +519,7 @@ impl<'g> Encoding<'g> {
     }
 
     fn encode_rf(&mut self, an: &RelationAnalysis<'g>) {
-        let Some(upper) = an.base_upper("rf") else {
-            return;
-        };
+        let upper = an.upper_of(BaseRel::Rf);
         let mut per_read: BTreeMap<u32, Vec<EventId>> = BTreeMap::new();
         for (w, r) in upper.iter() {
             per_read.entry(r.0).or_default().push(w);
@@ -551,9 +553,7 @@ impl<'g> Encoding<'g> {
     }
 
     fn encode_co(&mut self, an: &RelationAnalysis<'g>) {
-        let Some(upper) = an.base_upper("co") else {
-            return;
-        };
+        let upper = an.upper_of(BaseRel::Co);
         for (a, b) in upper.iter() {
             let v = self.f.new_lit();
             self.co.pairs.insert((a.0, b.0), v);
@@ -605,12 +605,10 @@ impl<'g> Encoding<'g> {
     }
 
     fn encode_sync_fence(&mut self, an: &RelationAnalysis<'g>) {
-        if !an.mentions("sync_fence") {
+        if !an.mentions(BaseRel::SyncFence) {
             return;
         }
-        let Some(upper) = an.base_upper("sync_fence") else {
-            return;
-        };
+        let upper = an.upper_of(BaseRel::SyncFence);
         for (a, b) in upper.iter() {
             let v = self.f.new_lit();
             self.sync_fence.pairs.insert((a.0, b.0), v);
@@ -650,19 +648,19 @@ impl<'g> Encoding<'g> {
     // the model: definitions and axioms
     // ------------------------------------------------------------------
 
-    /// Literal of base relation `name` at a pair of its upper bound
+    /// Literal of base relation `rel` at a pair of its upper bound
     /// (`None` when it is false).
-    fn base_lit(&mut self, name: &str, a: EventId, b: EventId) -> Option<Lit> {
-        match name {
-            "rf" => self.rf.get(a, b),
-            "co" => self.co.get(a, b),
-            "sync_fence" => self.sync_fence.get(a, b),
-            "loc" | "vloc" => {
+    fn base_lit(&mut self, rel: BaseRel, a: EventId, b: EventId) -> Option<Lit> {
+        match rel {
+            BaseRel::Rf => self.rf.get(a, b),
+            BaseRel::Co => self.co.get(a, b),
+            BaseRel::SyncFence => self.sync_fence.get(a, b),
+            BaseRel::Loc | BaseRel::Vloc => {
                 let both = self.pair_exec(a, b);
                 let ae = self.addr_eq(a, b);
                 Some(self.f.and2(both, ae))
             }
-            "syncbar" | "sync_barrier" => {
+            BaseRel::Syncbar | BaseRel::SyncBarrier => {
                 let both = self.pair_exec(a, b);
                 let ideq = self.value_eq(a, b);
                 Some(self.f.and2(both, ideq))
@@ -883,9 +881,12 @@ impl<'g> Encoding<'g> {
         let op = an.op(id);
         let [a, b] = an.kids(id);
         match op {
-            Op::Base(name) => {
+            // A relation of a custom environment has an empty upper
+            // bound, so it is never active.
+            Op::Base(rel) => {
+                let rel = rel.expect("builtin base relation");
                 for (x, y) in active.iter() {
-                    if let Some(l) = self.base_lit(name, x, y) {
+                    if let Some(l) = self.base_lit(rel, x, y) {
                         out.insert(x, y, l);
                     }
                 }
@@ -957,7 +958,7 @@ impl<'g> Encoding<'g> {
 
     /// `a ; b` on the active pairs: per row `x` of `a`, one disjunction
     /// per target `c` over the midpoints `m` of `a(x, m) ∧ b(m, c)`.
-    fn encode_seq(&mut self, active: &Relation, a: NodeId, b: NodeId, out: &mut EncRel) {
+    fn encode_seq(&mut self, active: RelView<'_>, a: NodeId, b: NodeId, out: &mut EncRel) {
         let (ra, rb) = (&self.rels[a], &self.rels[b]);
         let mut row: Vec<(u32, Lit)> = Vec::new();
         let mut lits = Vec::new();
@@ -991,7 +992,7 @@ impl<'g> Encoding<'g> {
     /// docs). `r*` encodes its diagonal as true.
     fn encode_closure(
         &mut self,
-        active: &Relation,
+        active: RelView<'_>,
         body: NodeId,
         reflexive: bool,
         out: &mut EncRel,
@@ -1344,7 +1345,11 @@ impl<'g> Encoding<'g> {
         let exec = self.decode();
         // Defense in depth: the witness must satisfy the model according
         // to the explicit interpreter.
-        let verdict = Interpreter::new(self.model).check(&exec);
+        let (model, graph) = (self.model, self.graph);
+        let verdict = self
+            .interpreter
+            .get_or_insert_with(|| Interpreter::new(model, graph))
+            .check(&exec);
         if !verdict.consistent {
             return Err(EncodeError::WitnessMismatch(format!(
                 "SAT witness violates axiom {:?}\n{}",

@@ -1,356 +1,226 @@
 //! Concrete interpretation of base sets and relations over an execution.
 
-use std::collections::HashMap;
+use gpumc_cat::{BaseRel, BUILTIN_SETS};
+use gpumc_ir::{EventGraph, EventId, Tag, UTerm};
 
-use gpumc_ir::{Arch, EventId, EventKind, Scope, Tag, UTerm};
-
-use crate::bitrel::{EventSet, Relation};
+use crate::arena::{self, Dims, RelView, SetView};
 use crate::execution::Execution;
+use crate::facts::{GraphFacts, FIXED_RELS};
 
 /// The concrete values of every base set and base relation of the `.cat`
-/// environment, computed from one [`Execution`].
+/// environment over one execution, as arena slots: the relations in
+/// [`BaseRel`] order, then the sets in [`BUILTIN_SETS`] order, then `_`,
+/// the executed events.
+///
+/// The relations and tags the graph fixes are taken once, by
+/// [`BaseInterpretation::new`]; [`BaseInterpretation::fill`] restricts
+/// them to an execution's events and adds the ones it chooses (`rf`,
+/// `co`, `loc`, `vloc`, the barrier relations and `sync_fence`), so one
+/// value serves every execution of a graph without allocating.
 #[derive(Debug, Clone)]
 pub struct BaseInterpretation {
-    sets: HashMap<String, EventSet>,
-    rels: HashMap<String, Relation>,
-    n: usize,
+    facts: GraphFacts,
+    words: Vec<u64>,
+    /// [`BUILTIN_SETS`] position of `B`, the barriers.
+    barriers: usize,
+    /// Executed memory events with a resolved address (scratch).
+    accesses: Vec<u32>,
 }
 
+/// Slot of `_` after the relations and the named sets.
+const UNIVERSE: usize = BUILTIN_SETS.len();
+
 impl BaseInterpretation {
+    /// The fixed part of the base values of graph `g`; every value is
+    /// empty until [`BaseInterpretation::fill`].
+    pub fn new(g: &EventGraph) -> BaseInterpretation {
+        let facts = GraphFacts::new(g);
+        let d = facts.dims();
+        BaseInterpretation {
+            facts,
+            words: vec![0; BaseRel::ALL.len() * d.rel_len() + (UNIVERSE + 1) * d.w],
+            barriers: GraphFacts::set_index("B"),
+            accesses: Vec::with_capacity(d.n),
+        }
+    }
+
     /// Computes all base sets and relations for an execution.
     pub fn compute(exec: &Execution<'_>) -> BaseInterpretation {
-        let g = exec.graph;
-        let n = g.n_events();
-        let mut sets = HashMap::new();
-        let mut rels = HashMap::new();
+        let mut base = BaseInterpretation::new(exec.graph);
+        base.fill(exec);
+        base
+    }
 
-        // --- Sets: one per tag, restricted to executed events.
-        for tag in Tag::ALL {
-            let mut s = EventSet::empty(n);
-            for e in exec.executed.iter() {
-                if g.event(e).tags.contains(tag) {
-                    s.insert(e);
+    /// The arena shape.
+    pub fn dims(&self) -> Dims {
+        self.facts.dims()
+    }
+
+    /// All slots, for evaluators that read them in place (see
+    /// [`BaseInterpretation::rel_at`] and [`BaseInterpretation::set_at`]).
+    pub(crate) fn words(&self) -> &[u64] {
+        &self.words
+    }
+
+    /// Fixed relation `r` of the graph, before any restriction to an
+    /// execution (see [`GraphFacts::rel`]).
+    pub(crate) fn fixed(&self, r: BaseRel) -> RelView<'_> {
+        RelView::new(self.dims(), self.facts.rel(r))
+    }
+
+    /// Offset of the slot of base relation `r`.
+    pub(crate) fn rel_at(&self, r: BaseRel) -> usize {
+        r.index() * self.dims().rel_len()
+    }
+
+    /// Offset of the slot of the set at [`BUILTIN_SETS`] position `i`
+    /// (`BUILTIN_SETS.len()` is `_`).
+    pub(crate) fn set_at(&self, i: usize) -> usize {
+        BaseRel::ALL.len() * self.dims().rel_len() + i * self.dims().w
+    }
+
+    /// Recomputes every value for `exec`, an execution of the graph this
+    /// value was made for.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `exec` has a different number of events.
+    pub fn fill(&mut self, exec: &Execution<'_>) {
+        let d = self.dims();
+        assert_eq!(exec.graph.n_events(), d.n, "execution of another graph");
+        let x = exec.executed.words();
+        let (rels, sets) = self.words.split_at_mut(BaseRel::ALL.len() * d.rel_len());
+        let slot = |r: BaseRel| r.index() * d.rel_len()..(r.index() + 1) * d.rel_len();
+
+        // Sets: each tag restricted to the executed events; `_` is the
+        // executed events.
+        for i in 0..UNIVERSE {
+            arena::inter(&mut sets[i * d.w..(i + 1) * d.w], self.facts.set(i), x);
+        }
+        sets[UNIVERSE * d.w..].copy_from_slice(x);
+
+        // Fixed relations, restricted to executed pairs.
+        for r in FIXED_RELS {
+            let fixed = self.facts.rel(r);
+            let out = &mut rels[slot(r)];
+            for a in 0..d.n {
+                let row = &mut out[a * d.w..(a + 1) * d.w];
+                if x[a / 64] >> (a % 64) & 1 == 1 {
+                    arena::inter(row, &fixed[a * d.w..(a + 1) * d.w], x);
+                } else {
+                    row.fill(0);
                 }
             }
-            sets.insert(tag.name().to_string(), s);
         }
-        // Aliases and derived basics.
-        let m = sets["R"].union(&sets["W"]);
-        sets.insert("M".into(), m);
-        sets.insert("CBAR".into(), sets["B"].clone());
-        sets.insert("I".into(), sets["IW"].clone());
-        // The universe `_` is the set of *executed* events.
-        sets.insert("_".into(), exec.executed.clone());
 
-        // --- po: same real thread, increasing po index.
-        let mut po = Relation::empty(n);
-        let mut int = Relation::empty(n);
-        let mut ext = Relation::empty(n);
-        for a in exec.executed.iter() {
-            for b in exec.executed.iter() {
-                if a == b {
+        // rf / co.
+        let range = slot(BaseRel::Rf);
+        let rf = &mut rels[range];
+        rf.fill(0);
+        for (r, w) in exec.rf.iter().enumerate() {
+            if let Some(w) = w {
+                if exec.executed.contains(EventId(r as u32)) && exec.executed.contains(*w) {
+                    rf[w.index() * d.w + r / 64] |= 1 << (r % 64);
+                }
+            }
+        }
+        let range = slot(BaseRel::Co);
+        rels[range].copy_from_slice(exec.co.words());
+
+        // loc / vloc over resolved addresses.
+        self.accesses.clear();
+        self.accesses.extend(
+            exec.executed
+                .iter()
+                .filter(|e| exec.addrs[e.index()].is_some())
+                .map(|e| e.0),
+        );
+        let (loc, vloc) = (slot(BaseRel::Loc), slot(BaseRel::Vloc));
+        rels[loc.clone()].fill(0);
+        rels[vloc.clone()].fill(0);
+        for &a in &self.accesses {
+            let a = a as usize;
+            for &b in &self.accesses {
+                let b = b as usize;
+                if a == b || exec.addrs[a] != exec.addrs[b] {
                     continue;
                 }
-                let (ea, eb) = (g.event(a), g.event(b));
-                match (ea.thread, eb.thread) {
-                    (Some(ta), Some(tb)) if ta == tb => {
-                        int.insert(a, b);
-                        if ea.po_index < eb.po_index {
-                            po.insert(a, b);
-                        }
-                    }
-                    (None, None) => {
-                        int.insert(a, b);
-                    }
-                    _ => {
-                        ext.insert(a, b);
-                    }
+                let at = a * d.w + b / 64;
+                rels[loc.start + at] |= 1 << (b % 64);
+                let iw =
+                    self.facts.tags[a].contains(Tag::IW) || self.facts.tags[b].contains(Tag::IW);
+                if iw || exec.vaddrs[a] == exec.vaddrs[b] {
+                    rels[vloc.start + at] |= 1 << (b % 64);
                 }
             }
         }
-        rels.insert("po".into(), po);
-        rels.insert("int".into(), int);
-        rels.insert("ext".into(), ext);
 
-        // --- rf / co.
-        let mut rf = Relation::empty(n);
-        for (ri, slot) in exec.rf.iter().enumerate() {
-            if let Some(w) = slot {
-                let r = EventId(ri as u32);
-                if exec.executed.contains(r) && exec.executed.contains(*w) {
-                    rf.insert(*w, r);
+        // Barriers with equal (runtime) ids; `sync_barrier` keeps the
+        // pairs of one CTA.
+        let (bar, sync_bar, scta) = (
+            slot(BaseRel::Syncbar),
+            slot(BaseRel::SyncBarrier),
+            slot(BaseRel::Scta),
+        );
+        rels[bar.clone()].fill(0);
+        let barriers = &sets[self.barriers * d.w..][..d.w];
+        for a in arena::set_bits(barriers) {
+            let Some(va) = exec.values[a] else { continue };
+            for b in arena::set_bits(barriers) {
+                if a != b && exec.values[b] == Some(va) {
+                    rels[bar.start + a * d.w + b / 64] |= 1 << (b % 64);
                 }
             }
         }
-        rels.insert("rf".into(), rf);
-        rels.insert("co".into(), exec.co.clone());
-
-        // --- loc / vloc over resolved addresses.
-        let mut loc = Relation::empty(n);
-        let mut vloc = Relation::empty(n);
-        for a in exec.executed.iter() {
-            for b in exec.executed.iter() {
-                if a == b {
-                    continue;
+        for a in 0..d.n {
+            for k in 0..d.w {
+                let mut scta_row = rels[scta.start + a * d.w + k];
+                if k == a / 64 {
+                    scta_row |= 1 << (a % 64);
                 }
-                if let (Some(pa), Some(pb)) = (exec.addrs[a.index()], exec.addrs[b.index()]) {
-                    if pa == pb {
-                        loc.insert(a, b);
-                        let iw =
-                            g.event(a).tags.contains(Tag::IW) || g.event(b).tags.contains(Tag::IW);
-                        let va = exec.vaddrs[a.index()];
-                        let vb = exec.vaddrs[b.index()];
-                        if iw || va == vb {
-                            vloc.insert(a, b);
-                        }
-                    }
+                rels[sync_bar.start + a * d.w + k] = rels[bar.start + a * d.w + k] & scta_row;
+            }
+        }
+
+        // sync_fence: the chosen order over SC fences, on `sr` pairs.
+        let (fence, sr) = (slot(BaseRel::SyncFence), slot(BaseRel::Sr));
+        rels[fence.clone()].fill(0);
+        for (i, &a) in exec.fence_order.iter().enumerate() {
+            for &b in &exec.fence_order[i + 1..] {
+                let at = a.index() * d.w + b.index() / 64;
+                if rels[sr.start + at] >> (b.index() % 64) & 1 == 1 {
+                    rels[fence.start + at] |= 1 << (b.index() % 64);
                 }
             }
         }
-        rels.insert("loc".into(), loc);
-        rels.insert("vloc".into(), vloc);
-
-        // --- rmw pairs.
-        let mut rmw = Relation::empty(n);
-        for e in exec.executed.iter() {
-            if let EventKind::RmwStore { read, .. } = &g.event(e).kind {
-                if exec.executed.contains(*read) {
-                    rmw.insert(*read, e);
-                }
-            }
-        }
-        rels.insert("rmw".into(), rmw);
-
-        // --- Dependencies.
-        let (addr, data, ctrl) = dependencies(exec);
-        rels.insert("addr".into(), addr);
-        rels.insert("data".into(), data);
-        rels.insert("ctrl".into(), ctrl);
-
-        // --- Scope relations.
-        rels.insert("sr".into(), scoped_sr(exec));
-        rels.insert("scta".into(), structural_scope(exec, Scope::Cta));
-        rels.insert("ssg".into(), structural_scope(exec, Scope::Sg));
-        rels.insert("swg".into(), structural_scope(exec, Scope::Wg));
-        rels.insert("sqf".into(), structural_scope(exec, Scope::Qf));
-        rels.insert("ssw".into(), ssw(exec));
-
-        // --- Barrier synchronization.
-        let syncbar = syncbar(exec);
-        let sync_barrier = syncbar.inter(&rels["scta"].refl_closure());
-        rels.insert("syncbar".into(), syncbar);
-        rels.insert("sync_barrier".into(), sync_barrier);
-        rels.insert("sync_fence".into(), sync_fence(exec));
-
-        BaseInterpretation { sets, rels, n }
     }
 
     /// Universe size.
     pub fn universe(&self) -> usize {
-        self.n
+        self.dims().n
     }
 
-    /// A base set by `.cat` name.
-    pub fn set(&self, name: &str) -> Option<&EventSet> {
-        self.sets.get(name)
+    /// A base set by `.cat` name (`_` is the executed events).
+    pub fn set(&self, name: &str) -> Option<SetView<'_>> {
+        let i = match name {
+            "_" => UNIVERSE,
+            _ => BUILTIN_SETS.iter().position(|&s| s == name)?,
+        };
+        let at = self.set_at(i);
+        Some(SetView::new(
+            self.dims(),
+            &self.words[at..at + self.dims().w],
+        ))
     }
 
     /// A base relation by `.cat` name.
-    pub fn rel(&self, name: &str) -> Option<&Relation> {
-        self.rels.get(name)
+    pub fn rel(&self, name: &str) -> Option<RelView<'_>> {
+        let at = self.rel_at(BaseRel::from_name(name)?);
+        Some(RelView::new(
+            self.dims(),
+            &self.words[at..at + self.dims().rel_len()],
+        ))
     }
-}
-
-/// addr/data/ctrl dependencies: reads feeding addresses, stored values,
-/// and branch guards.
-fn dependencies(exec: &Execution<'_>) -> (Relation, Relation, Relation) {
-    let g = exec.graph;
-    let n = g.n_events();
-    let mut addr = Relation::empty(n);
-    let mut data = Relation::empty(n);
-    let mut ctrl = Relation::empty(n);
-    for e in exec.executed.iter() {
-        let ev = g.event(e);
-        if let Some(a) = ev.kind.addr() {
-            let mut rs = Vec::new();
-            a.index.reads(&mut rs);
-            for r in rs {
-                if exec.executed.contains(r) {
-                    addr.insert(r, e);
-                }
-            }
-        }
-        match &ev.kind {
-            EventKind::Store { value, .. } | EventKind::RmwStore { value, .. } => {
-                let mut rs = Vec::new();
-                value.reads(&mut rs);
-                if let EventKind::RmwStore {
-                    cas_expected: Some(c),
-                    ..
-                } = &ev.kind
-                {
-                    c.reads(&mut rs);
-                }
-                for r in rs {
-                    if exec.executed.contains(r) {
-                        data.insert(r, e);
-                    }
-                }
-            }
-            _ => {}
-        }
-        // Control dependencies: reads in the guards dominating the block.
-        for (guard, _) in g.guard_chain(ev.block) {
-            let mut rs = Vec::new();
-            guard.a.reads(&mut rs);
-            guard.b.reads(&mut rs);
-            for r in rs {
-                if exec.executed.contains(r) && r != e {
-                    ctrl.insert(r, e);
-                }
-            }
-        }
-    }
-    (addr, data, ctrl)
-}
-
-/// The scope tag of an event, if it has one.
-fn event_scope(tags: gpumc_ir::TagSet, arch: Arch) -> Option<Scope> {
-    match arch {
-        Arch::Ptx => [
-            (Tag::CTA, Scope::Cta),
-            (Tag::GPU, Scope::Gpu),
-            (Tag::SYS, Scope::Sys),
-        ]
-        .into_iter()
-        .find(|(t, _)| tags.contains(*t))
-        .map(|(_, s)| s),
-        Arch::Vulkan => [
-            (Tag::SG, Scope::Sg),
-            (Tag::WG, Scope::Wg),
-            (Tag::QF, Scope::Qf),
-            (Tag::DV, Scope::Dv),
-        ]
-        .into_iter()
-        .find(|(t, _)| tags.contains(*t))
-        .map(|(_, s)| s),
-    }
-}
-
-/// PTX `sr`: each event's thread lies inside the other event's scope
-/// instance (Table 3). Also used by the DPOR engine to decide which SC
-/// fences commute (only `sr`-related fences contribute to `sync_fence`).
-///
-/// Like every base relation, `sr` relates distinct events only: its
-/// diagonal is empty (DESIGN.md §4).
-pub(crate) fn scoped_sr(exec: &Execution<'_>) -> Relation {
-    let g = exec.graph;
-    let n = g.n_events();
-    let mut sr = Relation::empty(n);
-    if g.arch != Arch::Ptx {
-        return sr;
-    }
-    for a in exec.executed.iter() {
-        for b in exec.executed.iter() {
-            if a == b {
-                continue;
-            }
-            let (ea, eb) = (g.event(a), g.event(b));
-            let (Some(ta), Some(tb)) = (ea.thread, eb.thread) else {
-                continue;
-            };
-            let (Some(sa), Some(sb)) = (event_scope(ea.tags, g.arch), event_scope(eb.tags, g.arch))
-            else {
-                continue;
-            };
-            let pa = &g.threads()[ta].pos;
-            let pb = &g.threads()[tb].pos;
-            // thread(b) within scope instance of a, and vice versa.
-            if pa.same_scope(pb, sa) && pb.same_scope(pa, sb) {
-                sr.insert(a, b);
-            }
-        }
-    }
-    sr
-}
-
-/// Structural same-scope relation over events of threads sharing a scope
-/// instance (used for `scta`, `ssg`, `swg`, `sqf`).
-fn structural_scope(exec: &Execution<'_>, scope: Scope) -> Relation {
-    let g = exec.graph;
-    let n = g.n_events();
-    let mut rel = Relation::empty(n);
-    if scope.arch() != g.arch {
-        return rel;
-    }
-    for a in exec.executed.iter() {
-        for b in exec.executed.iter() {
-            if a == b {
-                continue;
-            }
-            let (Some(ta), Some(tb)) = (g.event(a).thread, g.event(b).thread) else {
-                continue;
-            };
-            if g.threads()[ta].pos.same_scope(&g.threads()[tb].pos, scope) {
-                rel.insert(a, b);
-            }
-        }
-    }
-    rel
-}
-
-/// Vulkan `ssw`: events of thread pairs marked system-synchronizes-with.
-fn ssw(exec: &Execution<'_>) -> Relation {
-    let g = exec.graph;
-    let mut rel = Relation::empty(g.n_events());
-    for &(t1, t2) in &g.ssw_pairs {
-        for a in exec.executed.iter() {
-            for b in exec.executed.iter() {
-                if g.event(a).thread == Some(t1) && g.event(b).thread == Some(t2) {
-                    rel.insert(a, b);
-                }
-            }
-        }
-    }
-    rel
-}
-
-/// Distinct barriers with equal (runtime) ids.
-fn syncbar(exec: &Execution<'_>) -> Relation {
-    let g = exec.graph;
-    let mut rel = Relation::empty(g.n_events());
-    let barriers: Vec<EventId> = exec
-        .executed
-        .iter()
-        .filter(|&e| g.event(e).tags.contains(Tag::B))
-        .collect();
-    for &a in &barriers {
-        for &b in &barriers {
-            if a != b
-                && exec.values[a.index()].is_some()
-                && exec.values[a.index()] == exec.values[b.index()]
-            {
-                rel.insert(a, b);
-            }
-        }
-    }
-    rel
-}
-
-/// PTX `sync_fence`: the chosen total order over SC fences, restricted to
-/// `sr`-related pairs (Table 4).
-fn sync_fence(exec: &Execution<'_>) -> Relation {
-    let g = exec.graph;
-    let mut rel = Relation::empty(g.n_events());
-    let sr = scoped_sr(exec);
-    for (i, &a) in exec.fence_order.iter().enumerate() {
-        for &b in exec.fence_order.iter().skip(i + 1) {
-            if sr.contains(a, b) {
-                rel.insert(a, b);
-            }
-        }
-    }
-    rel
 }
 
 /// Lists the thread leaves an execution committed to (utility shared with

@@ -1,25 +1,16 @@
 //! Dense bit-set sets of events and binary relations over them.
+//!
+//! The owned counterparts of the arena slots of [`crate::arena`]: every
+//! operator here runs the same word-parallel kernel as the evaluators.
 
 use gpumc_ir::EventId;
+
+use crate::arena::{self, set_bits, CycleScratch, Dims, RelView, SetView};
 
 const WORD: usize = 64;
 
 fn words_for(bits: usize) -> usize {
     bits.div_ceil(WORD)
-}
-
-/// Positions of the set bits of `words`, in increasing order.
-fn set_bits(words: &[u64]) -> impl Iterator<Item = usize> + '_ {
-    words.iter().enumerate().flat_map(|(wi, &w)| {
-        let mut bits = w;
-        std::iter::from_fn(move || {
-            (bits != 0).then(|| {
-                let b = bits.trailing_zeros() as usize;
-                bits &= bits - 1;
-                wi * WORD + b
-            })
-        })
-    })
 }
 
 /// A set of events over a fixed universe of `n` events.
@@ -41,15 +32,28 @@ impl EventSet {
     /// The full set over a universe of `n` events.
     pub fn full(n: usize) -> EventSet {
         let mut s = EventSet::empty(n);
-        for i in 0..n {
-            s.insert(EventId(i as u32));
-        }
+        arena::full_set(Dims::new(n), &mut s.words);
         s
+    }
+
+    pub(crate) fn from_words(n: usize, words: Vec<u64>) -> EventSet {
+        debug_assert_eq!(words.len(), words_for(n));
+        EventSet { n, words }
     }
 
     /// Universe size.
     pub fn universe(&self) -> usize {
         self.n
+    }
+
+    /// The words of the set, one bit per event.
+    pub fn words(&self) -> &[u64] {
+        &self.words
+    }
+
+    /// A borrowed view of the set.
+    pub fn view(&self) -> SetView<'_> {
+        SetView::new(Dims::new(self.n), &self.words)
     }
 
     /// Inserts an event.
@@ -62,6 +66,11 @@ impl EventSet {
         self.words[e.index() / WORD] |= 1 << (e.index() % WORD);
     }
 
+    /// Removes every event.
+    pub fn clear(&mut self) {
+        self.words.fill(0);
+    }
+
     /// Removes an event.
     pub fn remove(&mut self, e: EventId) {
         if e.index() < self.n {
@@ -71,17 +80,17 @@ impl EventSet {
 
     /// Tests membership.
     pub fn contains(&self, e: EventId) -> bool {
-        e.index() < self.n && self.words[e.index() / WORD] >> (e.index() % WORD) & 1 == 1
+        self.view().contains(e)
     }
 
     /// Number of events in the set.
     pub fn len(&self) -> usize {
-        self.words.iter().map(|w| w.count_ones() as usize).sum()
+        arena::count(&self.words)
     }
 
     /// Whether the set is empty.
     pub fn is_empty(&self) -> bool {
-        self.words.iter().all(|&w| w == 0)
+        arena::is_empty(&self.words)
     }
 
     /// Iterates over members in increasing id order.
@@ -91,9 +100,7 @@ impl EventSet {
 
     /// In-place union.
     pub fn union_with(&mut self, other: &EventSet) {
-        for (a, b) in self.words.iter_mut().zip(&other.words) {
-            *a |= b;
-        }
+        arena::union_with(&mut self.words, &other.words);
     }
 
     /// Set union.
@@ -105,9 +112,7 @@ impl EventSet {
 
     /// In-place intersection.
     pub fn inter_with(&mut self, other: &EventSet) {
-        for (a, b) in self.words.iter_mut().zip(&other.words) {
-            *a &= b;
-        }
+        arena::inter_with(&mut self.words, &other.words);
     }
 
     /// Set intersection.
@@ -119,9 +124,7 @@ impl EventSet {
 
     /// In-place difference.
     pub fn diff_with(&mut self, other: &EventSet) {
-        for (a, b) in self.words.iter_mut().zip(&other.words) {
-            *a &= !b;
-        }
+        arena::diff_with(&mut self.words, &other.words);
     }
 
     /// Set difference.
@@ -168,21 +171,30 @@ impl Relation {
         }
     }
 
+    pub(crate) fn from_words(n: usize, words: Vec<u64>) -> Relation {
+        debug_assert_eq!(words.len(), words_for(n) * n);
+        Relation {
+            n,
+            row_words: words_for(n),
+            words,
+        }
+    }
+
+    fn dims(&self) -> Dims {
+        Dims::new(self.n)
+    }
+
     /// The identity relation over `n` events.
     pub fn identity(n: usize) -> Relation {
         let mut r = Relation::empty(n);
-        for i in 0..n {
-            r.insert(EventId(i as u32), EventId(i as u32));
-        }
+        arena::identity(r.dims(), &mut r.words);
         r
     }
 
     /// The identity restricted to a set.
     pub fn identity_on(s: &EventSet) -> Relation {
         let mut r = Relation::empty(s.universe());
-        for e in s.iter() {
-            r.insert(e, e);
-        }
+        arena::identity_on(r.dims(), &mut r.words, &s.words);
         r
     }
 
@@ -194,12 +206,7 @@ impl Relation {
     pub fn cross(a: &EventSet, b: &EventSet) -> Relation {
         assert_eq!(a.universe(), b.universe(), "universe mismatch");
         let mut r = Relation::empty(a.universe());
-        for i in a.iter() {
-            let row = &mut r.words[i.index() * r.row_words..(i.index() + 1) * r.row_words];
-            for (w, bw) in row.iter_mut().zip(&b.words) {
-                *w |= bw;
-            }
-        }
+        arena::cross(r.dims(), &mut r.words, &a.words, &b.words);
         r
     }
 
@@ -215,6 +222,16 @@ impl Relation {
     /// Universe size.
     pub fn universe(&self) -> usize {
         self.n
+    }
+
+    /// The words of the matrix, row by row.
+    pub fn words(&self) -> &[u64] {
+        &self.words
+    }
+
+    /// A borrowed view of the relation.
+    pub fn view(&self) -> RelView<'_> {
+        RelView::new(self.dims(), &self.words)
     }
 
     /// Clears to the empty relation over `n` events, reusing the word
@@ -241,49 +258,33 @@ impl Relation {
 
     /// Tests membership.
     pub fn contains(&self, a: EventId, b: EventId) -> bool {
-        a.index() < self.n
-            && b.index() < self.n
-            && self.words[a.index() * self.row_words + b.index() / WORD] >> (b.index() % WORD) & 1
-                == 1
+        self.view().contains(a, b)
     }
 
     /// Number of pairs.
     pub fn len(&self) -> usize {
-        self.words.iter().map(|w| w.count_ones() as usize).sum()
+        arena::count(&self.words)
     }
 
     /// Whether the relation is empty.
     pub fn is_empty(&self) -> bool {
-        self.words.iter().all(|&w| w == 0)
+        arena::is_empty(&self.words)
     }
 
     /// Iterates over all pairs, row by row, each row in increasing
     /// order of the second event.
     pub fn iter(&self) -> impl Iterator<Item = (EventId, EventId)> + '_ {
-        (0..self.n).flat_map(move |i| {
-            set_bits(self.row(i)).map(move |j| (EventId(i as u32), EventId(j as u32)))
-        })
+        self.view().iter()
     }
 
     /// The events `b` with `(a, b)` in the relation, in increasing order.
     pub fn successors(&self, a: EventId) -> impl Iterator<Item = EventId> + '_ {
-        let row: &[u64] = if a.index() < self.n {
-            self.row(a.index())
-        } else {
-            &[]
-        };
-        set_bits(row).map(|j| EventId(j as u32))
-    }
-
-    fn row(&self, i: usize) -> &[u64] {
-        &self.words[i * self.row_words..(i + 1) * self.row_words]
+        self.view().successors(a)
     }
 
     /// In-place union.
     pub fn union_with(&mut self, other: &Relation) {
-        for (a, b) in self.words.iter_mut().zip(&other.words) {
-            *a |= b;
-        }
+        arena::union_with(&mut self.words, &other.words);
     }
 
     /// Relation union.
@@ -295,9 +296,7 @@ impl Relation {
 
     /// In-place intersection.
     pub fn inter_with(&mut self, other: &Relation) {
-        for (a, b) in self.words.iter_mut().zip(&other.words) {
-            *a &= b;
-        }
+        arena::inter_with(&mut self.words, &other.words);
     }
 
     /// Relation intersection.
@@ -309,9 +308,7 @@ impl Relation {
 
     /// In-place difference.
     pub fn diff_with(&mut self, other: &Relation) {
-        for (a, b) in self.words.iter_mut().zip(&other.words) {
-            *a &= !b;
-        }
+        arena::diff_with(&mut self.words, &other.words);
     }
 
     /// Relation difference.
@@ -325,30 +322,14 @@ impl Relation {
     pub fn compose(&self, other: &Relation) -> Relation {
         assert_eq!(self.n, other.n, "universe mismatch");
         let mut out = Relation::empty(self.n);
-        for i in 0..self.n {
-            let row_i = self.row(i);
-            let out_row = &mut out.words[i * out.row_words..(i + 1) * out.row_words];
-            for (wi, &w) in row_i.iter().enumerate() {
-                let mut bits = w;
-                while bits != 0 {
-                    let j = wi * WORD + bits.trailing_zeros() as usize;
-                    bits &= bits - 1;
-                    let row_j = other.row(j);
-                    for (o, &b) in out_row.iter_mut().zip(row_j) {
-                        *o |= b;
-                    }
-                }
-            }
-        }
+        arena::compose(self.dims(), &mut out.words, &self.words, &other.words);
         out
     }
 
     /// Relation inverse.
     pub fn inverse(&self) -> Relation {
         let mut out = Relation::empty(self.n);
-        for (a, b) in self.iter() {
-            out.insert(b, a);
-        }
+        arena::inverse(self.dims(), &mut out.words, &self.words);
         out
     }
 
@@ -359,124 +340,46 @@ impl Relation {
         tc
     }
 
-    /// Closes the relation transitively in place.
-    ///
-    /// Word-level Warshall: for each intermediate `k`, rows reaching
-    /// `k` absorb row `k` with one bulk OR. Unlike the former
-    /// repeated-squaring implementation this allocates only a single
-    /// scratch row, regardless of density.
+    /// Closes the relation transitively in place (word-level Warshall).
     pub fn transitive_close(&mut self) {
-        let mut via = vec![0u64; self.row_words];
-        for k in 0..self.n {
-            via.copy_from_slice(self.row(k));
-            let (kw, kb) = (k / WORD, k % WORD);
-            for i in 0..self.n {
-                let row = &mut self.words[i * self.row_words..(i + 1) * self.row_words];
-                if row[kw] >> kb & 1 == 1 {
-                    for (o, &b) in row.iter_mut().zip(&via) {
-                        *o |= b;
-                    }
-                }
-            }
-        }
+        arena::close(self.dims(), &mut self.words);
     }
 
     /// Reflexive-transitive closure (`r*`) over the full universe.
     pub fn refl_transitive_closure(&self) -> Relation {
-        self.transitive_closure().union(&Relation::identity(self.n))
+        let mut out = self.transitive_closure();
+        arena::reflexive(self.dims(), &mut out.words);
+        out
     }
 
     /// Reflexive closure (`r?`).
     pub fn refl_closure(&self) -> Relation {
-        self.union(&Relation::identity(self.n))
+        let mut out = self.clone();
+        arena::reflexive(self.dims(), &mut out.words);
+        out
     }
 
     /// Whether the relation contains a pair `(e, e)`.
     pub fn has_reflexive_pair(&self) -> bool {
-        (0..self.n).any(|i| self.contains(EventId(i as u32), EventId(i as u32)))
+        arena::has_diagonal(self.dims(), &self.words)
     }
 
-    /// Whether the relation contains a cycle.
-    ///
-    /// Three-colour DFS over the adjacency rows — `O(n + edges)` and
-    /// allocation-light, versus the `O(n³/64)` closure this used to
-    /// build. Acyclicity axioms sit on the exploration hot path, so
-    /// the difference is measurable on large executions.
+    /// Whether the relation contains a cycle (see [`arena::is_cyclic`]).
     pub fn is_cyclic(&self) -> bool {
-        const WHITE: u8 = 0;
-        const GREY: u8 = 1;
-        const BLACK: u8 = 2;
-        let mut colour = vec![WHITE; self.n];
-        let mut stack: Vec<(usize, usize)> = Vec::new();
-        for start in 0..self.n {
-            if colour[start] != WHITE {
-                continue;
-            }
-            colour[start] = GREY;
-            stack.push((start, 0));
-            while let Some(top) = stack.last_mut() {
-                let (u, from) = *top;
-                match self.next_successor(u, from) {
-                    Some(v) => {
-                        top.1 = v + 1;
-                        match colour[v] {
-                            GREY => return true,
-                            WHITE => {
-                                colour[v] = GREY;
-                                stack.push((v, 0));
-                            }
-                            _ => {}
-                        }
-                    }
-                    None => {
-                        colour[u] = BLACK;
-                        stack.pop();
-                    }
-                }
-            }
-        }
-        false
-    }
-
-    /// First successor of `u` with id `>= from`, scanning whole words.
-    fn next_successor(&self, u: usize, from: usize) -> Option<usize> {
-        if from >= self.n {
-            return None;
-        }
-        let row = self.row(u);
-        let mut wi = from / WORD;
-        let mut w = row[wi] & (!0u64 << (from % WORD));
-        loop {
-            if w != 0 {
-                return Some(wi * WORD + w.trailing_zeros() as usize);
-            }
-            wi += 1;
-            if wi >= self.row_words {
-                return None;
-            }
-            w = row[wi];
-        }
+        arena::is_cyclic(self.dims(), &self.words, &mut CycleScratch::default())
     }
 
     /// The domain of the relation.
     pub fn domain(&self) -> EventSet {
         let mut s = EventSet::empty(self.n);
-        for i in 0..self.n {
-            if self.row(i).iter().any(|&w| w != 0) {
-                s.insert(EventId(i as u32));
-            }
-        }
+        arena::domain(self.dims(), &mut s.words, &self.words);
         s
     }
 
     /// The range of the relation: the OR of every row.
     pub fn range(&self) -> EventSet {
         let mut s = EventSet::empty(self.n);
-        for i in 0..self.n {
-            for (o, &w) in s.words.iter_mut().zip(self.row(i)) {
-                *o |= w;
-            }
-        }
+        arena::range(self.dims(), &mut s.words, &self.words);
         s
     }
 }

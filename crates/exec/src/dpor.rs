@@ -42,10 +42,10 @@
 
 use std::ops::ControlFlow;
 
-use gpumc_cat::{CatModel, DefBody, RelExpr, SetExpr};
+use gpumc_cat::{BaseRel, CatModel, DefBody, RelExpr, SetExpr};
 use gpumc_ir::{Arch, BlockId, EventGraph, EventId, EventKind, Guard, LocId, Tag, UTerm, Val};
 
-use crate::base::{outcome_of, scoped_sr};
+use crate::base::outcome_of;
 use crate::enumerate::{location_orders, permute, Behavior, ValCtx};
 use crate::execution::Execution;
 use crate::interp::Interpreter;
@@ -182,7 +182,7 @@ pub fn dpor_explore_interruptible<'g>(
         .collect();
     let mut explorer = Explorer {
         graph,
-        interp: Interpreter::new(model),
+        interp: Interpreter::new(model, graph),
         needs_fence_order: graph.arch == Arch::Ptx
             && model
                 .referenced_base_rels()
@@ -202,6 +202,7 @@ pub fn dpor_explore_interruptible<'g>(
         leaf: vec![None; n_threads],
         rf: vec![None; graph.n_events()],
         scratch: Some(Scratch::new(graph)),
+        probe: Execution::new(graph),
         visit: &mut visit,
     };
     match explorer.explore_thread(0) {
@@ -284,6 +285,8 @@ struct Explorer<'g, 'a> {
     rf: Vec<Option<EventId>>,
     /// `Some` except while [`Explorer::complete`] is on the stack.
     scratch: Option<Scratch<'g>>,
+    /// The partial execution of a co-prune check, refilled each time.
+    probe: Execution<'g>,
     visit: &'a mut dyn FnMut(&Behavior<'g>) -> ControlFlow<()>,
 }
 
@@ -719,8 +722,8 @@ impl<'g> Explorer<'g, '_> {
                 for (j, &cj) in chosen.iter().enumerate() {
                     partial.union_with(&per_loc[j][cj]);
                 }
-                let exec = self.build_execution(cand, partial, &[]);
-                if !self.interp.check_axioms(&exec, &self.prunable_axioms) {
+                fill_execution(self.graph, &mut self.probe, cand, partial, &[]);
+                if !self.interp.check_axioms(&self.probe, &self.prunable_axioms) {
                     self.stats.pruned_co += 1;
                     chosen.pop();
                     continue;
@@ -759,9 +762,9 @@ impl<'g> Explorer<'g, '_> {
         // only then does their relative order show up in `sync_fence`.
         // Independent fences commute, so sleep sets keep exactly one
         // linearization per trace — every distinct `sync_fence` is still
-        // produced once.
-        let exec = self.build_execution(cand, co, &[]);
-        let sr = scoped_sr(&exec);
+        // produced once. The fences all executed, so the graph's `sr`
+        // decides.
+        let sr = self.interp.fixed(BaseRel::Sr);
         let m = sc_fences.len();
         let mut dep = vec![0u16; m];
         for i in 0..m {
@@ -843,25 +846,39 @@ impl<'g> Explorer<'g, '_> {
         co: &Relation,
         fence_order: &[EventId],
     ) -> Execution<'g> {
-        let g = self.graph;
-        let mut execution = Execution::new(g);
-        execution.leaf = cand.leaves.to_vec();
-        for &e in cand.final_events {
-            execution.executed.insert(e);
-        }
-        execution.rf = cand.rf.to_vec();
-        execution.co = co.clone();
-        execution.fence_order = fence_order.to_vec();
-        execution.values = cand.values.to_vec();
-        execution.addrs = cand.addrs.to_vec();
-        execution.vaddrs = cand.vaddrs.to_vec();
-        execution.outcomes = cand
-            .leaves
-            .iter()
-            .map(|&l| outcome_of(&g.block(l).term))
-            .collect();
+        let mut execution = Execution::new(self.graph);
+        fill_execution(self.graph, &mut execution, cand, co, fence_order);
         execution
     }
+}
+
+/// Writes a candidate into `execution`, reusing its buffers.
+fn fill_execution<'g>(
+    g: &'g EventGraph,
+    execution: &mut Execution<'g>,
+    cand: &Candidate<'_>,
+    co: &Relation,
+    fence_order: &[EventId],
+) {
+    fn copy<T: Clone>(to: &mut Vec<T>, from: &[T]) {
+        to.clear();
+        to.extend_from_slice(from);
+    }
+    copy(&mut execution.leaf, cand.leaves);
+    execution.executed.clear();
+    for &e in cand.final_events {
+        execution.executed.insert(e);
+    }
+    copy(&mut execution.rf, cand.rf);
+    execution.co.clone_from(co);
+    copy(&mut execution.fence_order, fence_order);
+    copy(&mut execution.values, cand.values);
+    copy(&mut execution.addrs, cand.addrs);
+    copy(&mut execution.vaddrs, cand.vaddrs);
+    execution.outcomes.clear();
+    execution
+        .outcomes
+        .extend(cand.leaves.iter().map(|&l| outcome_of(&g.block(l).term)));
 }
 
 /// Indices of axioms usable for partial-coherence pruning: non-flagged,
@@ -870,7 +887,7 @@ impl<'g> Explorer<'g, '_> {
 /// relation is fixed once the candidate's events and rf are, so a
 /// monotone `empty`/`irreflexive`/`acyclic` axiom failing on a partial
 /// order fails on all of its refinements.
-fn monotone_axioms(model: &CatModel) -> Vec<usize> {
+pub fn monotone_axioms(model: &CatModel) -> Vec<usize> {
     let defs = model.defs();
     // Per definition: does its value mention an unknown (`co` or
     // `sync_fence`) in positive / negative position?

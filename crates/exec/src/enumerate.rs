@@ -174,7 +174,7 @@ pub fn enumerate<'g>(
 ) -> Result<EnumStats, EnumerateError> {
     let mut e = Enumerator {
         graph,
-        interp: Interpreter::new(model),
+        interp: Interpreter::new(model, graph),
         needs_fence_order: graph.arch == Arch::Ptx
             && model
                 .referenced_base_rels()

@@ -2,15 +2,18 @@
 //!
 //! This crate gives concrete semantics to programs and `.cat` models:
 //!
-//! * [`EventSet`] / [`Relation`] — dense bit-set sets of events and
-//!   binary relations over them, with the full `.cat` operator algebra
-//!   (union, intersection, difference, composition, inverse, closures);
+//! * [`arena`] — the word-parallel kernels of the `.cat` operator
+//!   algebra (union, intersection, difference, composition, inverse,
+//!   closures, the cycle check) over flat bit arenas, shared by every
+//!   evaluator; [`EventSet`] / [`Relation`] are their owned values;
+//! * [`GraphFacts`] — the per-event attributes and fixed base relations
+//!   of one event graph, taken once;
 //! * [`Execution`] — a candidate behaviour `(X, rf, co)` of §2.2: the
 //!   executed events, the read-from relation, the coherence order, plus
 //!   the runtime-chosen `sync_fence` order of PTX;
-//! * [`Interpreter`] — evaluates a resolved [`gpumc_cat::CatModel`] over
-//!   an execution, checking consistency axioms and flagged detectors
-//!   (data races);
+//! * [`Interpreter`] — evaluates a resolved [`gpumc_cat::CatModel`]'s
+//!   node table over an execution, checking consistency axioms and
+//!   flagged detectors (data races);
 //! * [`enumerate`] — the explicit-state engine: enumerates all
 //!   well-defined executions of an event graph and filters them through
 //!   the interpreter. This is our stand-in for the Alloy-based tools the
@@ -25,16 +28,21 @@
 //! The SAT engine in `gpumc-encode` must agree with these engines on
 //! every behaviour — that cross-validation mirrors the paper's Table 5.
 
+pub mod arena;
 mod base;
 mod bitrel;
 mod dpor;
 mod enumerate;
 mod execution;
+mod facts;
 mod interp;
 
 pub use base::BaseInterpretation;
 pub use bitrel::{EventSet, Relation};
-pub use dpor::{dpor_explore, dpor_explore_interruptible, DporError, DporOptions, DporStats};
+pub use dpor::{
+    dpor_explore, dpor_explore_interruptible, monotone_axioms, DporError, DporOptions, DporStats,
+};
 pub use enumerate::{enumerate, enumerate_consistent, Behavior, EnumerateError, EnumerateOptions};
 pub use execution::{Execution, ThreadOutcome};
+pub use facts::{GraphFacts, FIXED_RELS};
 pub use interp::{ConsistencyVerdict, DefValue, FlagHit, Interpreter};

@@ -16,6 +16,7 @@
 //! [`CachedVerdict`] from a definitive outcome; the server enforces the
 //! fault rule by bypassing the cache entirely for fault-armed jobs.
 
+use std::collections::HashSet;
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
@@ -41,7 +42,7 @@ pub struct CacheStats {
     pub hits: u64,
     pub misses: u64,
     pub inserts: u64,
-    /// Entries loaded from the persistent store at open.
+    /// Distinct digests loaded from the persistent store at open.
     pub loaded: u64,
     /// Whether the persistent store was truncated at open because its
     /// fingerprint mismatched.
@@ -51,11 +52,19 @@ pub struct CacheStats {
     pub recovered_tail_bytes: u64,
 }
 
+/// The persistent layer: the store and the digests it already holds,
+/// so that each digest is written once.
+#[derive(Debug)]
+struct Persisted {
+    store: Store,
+    on_disk: HashSet<u128>,
+}
+
 /// The cache. Thread-safe; shared across the server behind an `Arc`.
 #[derive(Debug)]
 pub struct ResultCache {
     lru: Mutex<LruMap<u128, CachedVerdict>>,
-    store: Option<Mutex<Store>>,
+    store: Option<Mutex<Persisted>>,
     hits: AtomicU64,
     misses: AtomicU64,
     inserts: AtomicU64,
@@ -101,15 +110,18 @@ impl ResultCache {
             ..
         } = report;
         let mut lru = LruMap::new(capacity);
-        let loaded = entries.len() as u64;
+        let mut on_disk = HashSet::with_capacity(entries.len());
         // File order is oldest-first; inserting in order leaves the
-        // newest entries resident when the store exceeds capacity.
+        // newest entries resident when the store exceeds capacity, and
+        // the last line of a digest wins.
         for (digest, verdict) in entries {
+            on_disk.insert(digest);
             lru.insert(digest, verdict);
         }
+        let loaded = on_disk.len() as u64;
         Ok(ResultCache {
             lru: Mutex::new(lru),
-            store: Some(Mutex::new(store)),
+            store: Some(Mutex::new(Persisted { store, on_disk })),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
             inserts: AtomicU64::new(0),
@@ -129,13 +141,19 @@ impl ResultCache {
         found
     }
 
-    /// Records a definitive verdict, appending to the persistent store
-    /// when there is one. Store write errors are swallowed (the disk
-    /// layer is an optimization; the in-memory layer stays correct).
+    /// Records a definitive verdict, appending it to the persistent
+    /// store when there is one and the digest is not on disk yet (a
+    /// digest's verdict never changes under one fingerprint). Store
+    /// write errors are swallowed (the disk layer is an optimization;
+    /// the in-memory layer stays correct), and a failed write is retried
+    /// by the next insert of the digest.
     pub fn insert(&self, digest: u128, verdict: CachedVerdict) {
         self.inserts.fetch_add(1, Ordering::Relaxed);
-        if let Some(store) = &self.store {
-            let _ = store.lock().unwrap().append(digest, &verdict);
+        if let Some(persisted) = &self.store {
+            let mut p = persisted.lock().unwrap();
+            if p.on_disk.insert(digest) && p.store.append(digest, &verdict).is_err() {
+                p.on_disk.remove(&digest);
+            }
         }
         self.lru.lock().unwrap().insert(digest, verdict);
     }
@@ -218,6 +236,30 @@ mod tests {
             assert!(c.stats().invalidated);
             assert_eq!(c.lookup(42), None);
         }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_digest_is_written_once() {
+        let dir = std::env::temp_dir().join(format!("gpumc-fleet-once-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        {
+            let c = ResultCache::persistent(16, &dir, "fp").unwrap();
+            c.insert(7, verdict("first"));
+            c.insert(7, verdict("first"));
+            assert_eq!(c.stats().inserts, 2);
+        }
+        let text = std::fs::read_to_string(dir.join(STORE_FILE)).unwrap();
+        // The header line plus one entry line.
+        assert_eq!(text.lines().count(), 2, "{text}");
+        {
+            let c = ResultCache::persistent(16, &dir, "fp").unwrap();
+            assert_eq!(c.stats().loaded, 1);
+            // A digest already on disk is not appended again.
+            c.insert(7, verdict("first"));
+        }
+        let text = std::fs::read_to_string(dir.join(STORE_FILE)).unwrap();
+        assert_eq!(text.lines().count(), 2, "{text}");
         let _ = std::fs::remove_dir_all(&dir);
     }
 

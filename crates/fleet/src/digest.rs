@@ -12,10 +12,9 @@
 //!                    hash(parsed Program) )
 //! ```
 //!
-//! `EventGraph::fingerprint` is explicitly process-local (`DefaultHasher`
-//! is randomized across std versions and must never be persisted), so
-//! this module hashes with FNV-1a over a canonical text rendering
-//! instead: the same request digests identically across processes,
+//! `DefaultHasher` may change across std versions and must never be
+//! persisted, so this module hashes with FNV-1a over a canonical text
+//! rendering instead: the same request digests identically across processes,
 //! machines, and restarts. Anything that changes what a digest *means*
 //! — the AST `Debug` shape, the hash mixing, field order — must bump
 //! [`DIGEST_SCHEME_VERSION`], which invalidates persistent stores (see

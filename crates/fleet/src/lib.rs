@@ -9,9 +9,9 @@
 //!
 //! * [`digest`] — a canonical, persistable request identity: a stable
 //!   128-bit digest of (test AST × model source × bound × property ×
-//!   engine × protocol version). Unlike `EventGraph::fingerprint`
-//!   (process-local `DefaultHasher`), this digest is FNV-1a over a
-//!   canonical rendering and safe to write to disk or route on.
+//!   engine × protocol version). It is FNV-1a over a canonical
+//!   rendering, not a process-local `DefaultHasher`, so it is safe to
+//!   write to disk or route on.
 //! * [`cache`] — a content-addressed result cache keyed by that digest:
 //!   a bounded in-memory LRU ([`lru`]) plus an optional persistent
 //!   JSONL store ([`store`]) with versioned invalidation keyed on the

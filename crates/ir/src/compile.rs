@@ -111,25 +111,6 @@ pub fn compile(u: &UnrolledProgram) -> EventGraph {
 }
 
 impl EventGraph {
-    /// A structural fingerprint of the graph, stable within a process.
-    ///
-    /// Two graphs compiled from the same program at the same unrolling
-    /// bound hash equal; any structural difference (events, blocks,
-    /// threads, memory, assertion, …) perturbs the hash. Used as a cache
-    /// key for per-graph derived data such as relation-analysis bounds.
-    /// Not stable across compiler or library versions — never persist it.
-    pub fn fingerprint(&self) -> u64 {
-        use std::hash::{Hash, Hasher};
-        // DefaultHasher::new() is deterministic (unkeyed SipHash), unlike
-        // RandomState-built hashers, so equal graphs agree across threads.
-        let mut h = std::collections::hash_map::DefaultHasher::new();
-        // EventGraph derives Eq but not Hash (some leaves don't); the Debug
-        // rendering is a faithful structural serialization of every field,
-        // so hashing it preserves `a == b => fp(a) == fp(b)`.
-        format!("{self:?}").hash(&mut h);
-        h.finish()
-    }
-
     /// All events, indexed by [`EventId`].
     pub fn events(&self) -> &[Event] {
         &self.events

@@ -14,6 +14,7 @@
 
 use gpumc_cat::{BaseEnv, CatModel, DefBody};
 use gpumc_encode::RelationAnalysis;
+use gpumc_exec::arena::{RelView, SetView};
 use gpumc_exec::{
     enumerate, BaseInterpretation, DefValue, EnumerateOptions, EventSet, Interpreter, Relation,
 };
@@ -47,9 +48,9 @@ impl Sweep {
     fn check_rel(
         &mut self,
         what: &str,
-        value: &Relation,
-        upper: &Relation,
-        lower: &Relation,
+        value: RelView<'_>,
+        upper: RelView<'_>,
+        lower: RelView<'_>,
         executed: &EventSet,
     ) {
         for (a, b) in value.iter() {
@@ -74,9 +75,9 @@ impl Sweep {
     fn check_set(
         &mut self,
         what: &str,
-        value: &EventSet,
-        upper: &EventSet,
-        lower: &EventSet,
+        value: SetView<'_>,
+        upper: SetView<'_>,
+        lower: SetView<'_>,
         executed: &EventSet,
     ) {
         for e in value.iter() {
@@ -98,16 +99,16 @@ fn sweep(g: &EventGraph, model: &CatModel) -> Sweep {
     let defs: Vec<DefBounds> = (0..model.defs().len())
         .map(|i| match model.def(i).body {
             DefBody::Rel(_) => DefBounds::Rel {
-                upper: analysis.def_upper(i).expect("relation").clone(),
-                lower: analysis.def_lower(i).expect("relation").clone(),
+                upper: analysis.def_upper(i).expect("relation").to_relation(),
+                lower: analysis.def_lower(i).expect("relation").to_relation(),
             },
             DefBody::Set(_) => DefBounds::Set {
-                upper: analysis.def_set(i).expect("set").clone(),
-                lower: analysis.def_set_lower(i).expect("set").clone(),
+                upper: analysis.def_set(i).expect("set").to_set(),
+                lower: analysis.def_set_lower(i).expect("set").to_set(),
             },
         })
         .collect();
-    let interpreter = Interpreter::new(model);
+    let mut interpreter = Interpreter::new(model, g);
     let mut out = Sweep::default();
     let enumerated = enumerate(g, model, &EnumerateOptions::default(), |b| {
         out.executions += 1;
@@ -135,10 +136,10 @@ fn sweep(g: &EventGraph, model: &CatModel) -> Sweep {
             let what = format!("definition {}", model.def(i).name);
             match (value, &defs[i]) {
                 (DefValue::Rel(r), DefBounds::Rel { upper, lower }) => {
-                    out.check_rel(&what, r, upper, lower, &exec.executed)
+                    out.check_rel(&what, r.view(), upper.view(), lower.view(), &exec.executed)
                 }
                 (DefValue::Set(s), DefBounds::Set { upper, lower }) => {
-                    out.check_set(&what, s, upper, lower, &exec.executed)
+                    out.check_set(&what, s.view(), upper.view(), lower.view(), &exec.executed)
                 }
                 _ => out.report(format!("{what}: kind differs from its bounds")),
             }
