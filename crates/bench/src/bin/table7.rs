@@ -16,8 +16,9 @@ use gpumc_models::ModelKind;
 fn main() {
     let jobs = gpumc_bench::jobs_from_args();
     let all = gpumc_bench::flag_from_args("--all");
-    // `FAST=1` skips the slowest correct-case row (ttaslock base, ~15
-    // minutes on the reference machine) for quick harness runs.
+    // `FAST=1` skips the slowest correct-case row (ttaslock base: ~16 s
+    // of the whole table's ~28 s at `--jobs 1` on a 2-vCPU Xeon host)
+    // for quick harness runs.
     let fast = std::env::var("FAST").is_ok();
     let batch = Instant::now();
     let benches: Vec<_> = gpumc_catalog::primitive_benchmarks()

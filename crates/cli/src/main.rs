@@ -55,7 +55,8 @@ OPTIONS (serve):
     --jobs <n>           worker threads (default and 0: all cores)
     --max-queue <n>      accepted-but-unstarted job limit (one FIFO
                          queue); a full queue answers `status:
-                         rejected` (default: 64)
+                         rejected`, the server's one overload answer
+                         (default: 64)
     --default-timeout-ms <ms>
                          deadline for requests that carry no timeout_ms
     --metrics-every <secs>
@@ -69,10 +70,6 @@ OPTIONS (serve):
     --cache-dir <path>   persist verdicts to <path>/results.jsonl across
                          restarts; invalidated automatically when the
                          verifier fingerprint changes
-    --degrade-level <l>  pin the brownout ladder at full | cache-only |
-                         shed (default: track queue pressure, engaging
-                         at 0.60 / 0.90 of --max-queue; see DESIGN.md
-                         section 18)
 
 OPTIONS (route):
     --shards <a,b,...>   comma-separated serve addresses (required);
@@ -103,9 +100,9 @@ OPTIONS (route):
 
     Merged verdict lines go to stdout in suite order — byte-identical
     for any shard count or mid-run node death, as long as some shard
-    survives. Unanswerable requests are still classified (`failed` or
-    `shed`), never dropped. Per-shard routing stats, breaker trips, and
-    hedge counts go to stderr.
+    survives. Unanswerable requests are still answered `failed`, never
+    dropped. Per-shard routing stats, breaker trips, and hedge counts
+    go to stderr.
 
 OPTIONS (client):
     --addr <host:port>   server address (default: 127.0.0.1:7878)
@@ -122,7 +119,7 @@ EXIT CODES:
     2   usage, parse, or I/O error
     3   verdict unknown: deadline, cancellation, conflict budget, or
         memory budget; for `client verify` also a job the server
-        refused (`rejected` or `shed`)
+        refused (`rejected`)
 
 Set GPUMC_FAULTS=\"point:kind[:arg][:p=..][:seed=..][:once],...\" to arm
 deterministic fault injection process-wide (testing only; see DESIGN.md
@@ -262,14 +259,6 @@ fn serve(args: &[String]) -> Result<ExitCode, String> {
                 config.cache_dir = Some(std::path::PathBuf::from(
                     it.next().ok_or("--cache-dir needs a value")?,
                 ))
-            }
-            "--degrade-level" => {
-                config.force_degrade = Some(
-                    gpumc_serve::DegradeLevel::parse(
-                        it.next().ok_or("--degrade-level needs a value")?,
-                    )
-                    .map_err(|e| format!("bad --degrade-level: {e}"))?,
-                )
             }
             other => return Err(format!("unknown argument `{other}`")),
         }
@@ -571,9 +560,9 @@ fn client(args: &[String]) -> Result<ExitCode, String> {
                 ExitCode::SUCCESS
             }
         }
-        // `rejected` and `shed` carry no verdict either way — like a
-        // timeout; resubmitting later is safe.
-        "unknown" | "rejected" | "shed" => ExitCode::from(3),
+        // `rejected` carries no verdict either way — like a timeout;
+        // resubmitting later is safe.
+        "unknown" | "rejected" => ExitCode::from(3),
         _ => ExitCode::from(2),
     })
 }

@@ -1,13 +1,14 @@
 //! The exit-code contract, asserted against the real binary:
 //! 0 = verified, 1 = property violated, 2 = usage/parse error,
 //! 3 = verdict unknown (deadline / cancellation / conflict budget), or
-//! for `gpumc client verify` a job the server refused (`rejected` /
-//! `shed`).
+//! for `gpumc client verify` a job the server refused (`rejected`).
 
+use std::io::{BufRead, BufReader};
+use std::net::TcpListener;
 use std::path::PathBuf;
 use std::process::{Command, Output};
 
-use gpumc_serve::{DegradeLevel, Server, ServerConfig};
+use gpumc_serve::json::{self, Json};
 
 /// A load of an untouched zero location: the `exists` witness is always
 /// reachable, so the expectation holds.
@@ -130,20 +131,28 @@ fn exit_three_when_the_deadline_leaves_the_verdict_unknown() {
 
 #[test]
 fn exit_three_when_the_server_sheds_the_job() {
-    // An in-process server pinned at the shed rung refuses every job
-    // its (empty) cache cannot answer.
-    let server = Server::bind(&ServerConfig {
-        addr: "127.0.0.1:0".into(),
-        force_degrade: Some(DegradeLevel::Shed),
-        ..ServerConfig::default()
-    })
-    .expect("bind ephemeral port");
-    let addr = server.local_addr().unwrap().to_string();
-    let shutdown = server.shutdown_handle();
-    let handle = std::thread::spawn(move || server.run().expect("server run"));
-    let path = write_litmus("shed", PASS);
+    // A one-connection server whose queue is always full: it answers
+    // every request line `{"id":<its id>,"status":"rejected",...}`.
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind ephemeral port");
+    let addr = listener.local_addr().unwrap().to_string();
+    let handle = std::thread::spawn(move || {
+        let (stream, _) = listener.accept().expect("accept the client");
+        let mut writer = stream.try_clone().unwrap();
+        for line in BufReader::new(stream).lines() {
+            let Ok(line) = line else { break };
+            let id = Json::parse(&line).ok().and_then(|r| r.get("id")?.as_u64());
+            let resp = Json::Obj(vec![
+                ("id".into(), id.map_or(Json::Null, Json::count)),
+                ("status".into(), Json::str("rejected")),
+                ("error".into(), Json::str("queue full")),
+            ]);
+            if json::write_line(&mut writer, &resp).is_err() {
+                break;
+            }
+        }
+    });
+    let path = write_litmus("rejected", PASS);
     let out = gpumc(&["client", "verify", path.to_str().unwrap(), "--addr", &addr]);
-    shutdown.shutdown();
     handle.join().unwrap();
     let _ = std::fs::remove_file(path);
     let stdout = String::from_utf8_lossy(&out.stdout);
@@ -153,5 +162,8 @@ fn exit_three_when_the_server_sheds_the_job() {
         "stdout: {stdout} stderr: {}",
         String::from_utf8_lossy(&out.stderr)
     );
-    assert!(stdout.contains(r#""status":"shed""#), "stdout: {stdout}");
+    assert!(
+        stdout.contains(r#""status":"rejected""#),
+        "stdout: {stdout}"
+    );
 }

@@ -357,7 +357,6 @@ pub struct Verifier {
     model: Arc<CatModel>,
     engine: EngineKind,
     bound: u32,
-    bv_width: usize,
     use_bounds: bool,
     enum_cap: Option<u64>,
     cancel: Option<gpumc_sat::CancelToken>,
@@ -375,7 +374,6 @@ impl Verifier {
             model: model.into(),
             engine: EngineKind::Sat,
             bound: 2,
-            bv_width: 8,
             use_bounds: true,
             enum_cap: None,
             cancel: None,
@@ -408,12 +406,6 @@ impl Verifier {
     pub fn with_bound(mut self, bound: u32) -> Verifier {
         assert!(bound >= 1, "bound must be at least 1");
         self.bound = bound;
-        self
-    }
-
-    /// Sets the bit-vector width of the SAT engine (builder style).
-    pub fn with_bv_width(mut self, width: usize) -> Verifier {
-        self.bv_width = width;
         self
     }
 
@@ -692,7 +684,6 @@ impl Verifier {
     /// the memory budget.
     fn encode<'g>(&'g self, graph: &'g EventGraph) -> Result<Encoding<'g>, VerifyError> {
         let opts = EncodeOptions {
-            bv_width: self.bv_width,
             use_bounds: self.use_bounds,
             cancel: self.cancel.clone(),
             mem_budget_bytes: self.mem_budget_mb.map(|mb| {

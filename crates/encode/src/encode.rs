@@ -15,11 +15,12 @@ use gpumc_sat::{Formula, Lit};
 
 use crate::bounds::RelationAnalysis;
 
+/// Bit-vector width for data values and array indices.
+const BV_WIDTH: usize = 8;
+
 /// Options controlling the encoding.
 #[derive(Debug, Clone)]
 pub struct EncodeOptions {
-    /// Bit-vector width for data values and array indices.
-    pub bv_width: usize,
     /// Whether to prune the encoding with the relation analysis: alias
     /// pruning of the Table 3 bounds and active sets (disable for the
     /// ablation benchmark).
@@ -38,7 +39,6 @@ pub struct EncodeOptions {
 impl Default for EncodeOptions {
     fn default() -> EncodeOptions {
         EncodeOptions {
-            bv_width: 8,
             use_bounds: true,
             cancel: None,
             mem_budget_bytes: None,
@@ -356,7 +356,7 @@ impl<'g> Encoding<'g> {
     }
 
     fn encode_data_flow(&mut self) {
-        let w = self.opts.bv_width;
+        let w = BV_WIDTH;
         let n = self.graph.n_events();
         self.values = vec![None; n];
         self.addr_bv = vec![None; n];
@@ -453,7 +453,7 @@ impl<'g> Encoding<'g> {
     }
 
     fn val_bv(&mut self, v: &Val) -> BitVec {
-        let w = self.opts.bv_width;
+        let w = BV_WIDTH;
         match v {
             Val::Const(c) => BitVec::constant(&mut self.f, w, *c),
             Val::Read(e) => self.values[e.index()].clone().expect("read value exists"),
@@ -1050,7 +1050,7 @@ impl<'g> Encoding<'g> {
         if let Some(bv) = self.final_reg_cache.get(&(thread, reg.0)) {
             return bv.clone();
         }
-        let w = self.opts.bv_width;
+        let w = BV_WIDTH;
         let mut acc = BitVec::constant(&mut self.f, w, 0);
         let leaves: Vec<(BlockId, Option<Val>)> = self
             .graph
@@ -1096,7 +1096,7 @@ impl<'g> Encoding<'g> {
     /// co-maximal writes.
     fn final_mem_bv(&mut self, loc: gpumc_ir::LocId, index: u32) -> BitVec {
         let root = self.graph.physical_root(loc);
-        let w = self.opts.bv_width;
+        let w = BV_WIDTH;
         let mut acc = BitVec::constant(&mut self.f, w, 0);
         let idx_bv = BitVec::constant(&mut self.f, w, u64::from(index));
         let writes: Vec<EventId> = self
@@ -1124,7 +1124,7 @@ impl<'g> Encoding<'g> {
     }
 
     fn atom_bv(&mut self, a: &CondAtom) -> BitVec {
-        let w = self.opts.bv_width;
+        let w = BV_WIDTH;
         match a {
             CondAtom::Const(c) => BitVec::constant(&mut self.f, w, *c),
             CondAtom::Register { thread, reg } => self.final_reg_bv(*thread, *reg),

@@ -42,7 +42,7 @@
 
 use std::ops::ControlFlow;
 
-use gpumc_cat::{BaseRel, CatModel, DefBody, RelExpr, SetExpr};
+use gpumc_cat::{BaseRel, CatModel, Node, NodeId, Op};
 use gpumc_ir::{Arch, BlockId, EventGraph, EventId, EventKind, Guard, LocId, Tag, UTerm, Val};
 
 use crate::base::outcome_of;
@@ -888,138 +888,122 @@ fn fill_execution<'g>(
 /// monotone `empty`/`irreflexive`/`acyclic` axiom failing on a partial
 /// order fails on all of its refinements.
 pub fn monotone_axioms(model: &CatModel) -> Vec<usize> {
-    let defs = model.defs();
-    // Per definition: does its value mention an unknown (`co` or
+    let t = model.nodes();
+    let nodes = t.nodes();
+    // Per node: does its value mention an unknown (`co` or
     // `sync_fence`) in positive / negative position?
-    let mut pol: Vec<(bool, bool)> = Vec::with_capacity(defs.len());
-    let mut i = 0;
-    while i < defs.len() {
-        match defs[i].rec_group {
-            None => {
-                let p = match &defs[i].body {
-                    DefBody::Set(s) => set_pol(s, &pol),
-                    DefBody::Rel(r) => rel_pol(r, &pol),
-                };
-                pol.push(p);
-                i += 1;
-            }
-            Some(group) => {
-                let start = i;
-                let mut end = i;
-                while end < defs.len() && defs[end].rec_group == Some(group) {
-                    end += 1;
-                }
-                // Non-monotone recursion (a group member referenced in
-                // negative position) poisons the whole group: its
-                // fixpoint need not be monotone in the unknowns.
-                let poisoned = (start..end).any(|j| match &defs[j].body {
-                    DefBody::Rel(body) => rel_refs_neg(body, start, end, false),
-                    DefBody::Set(_) => false,
-                });
-                for _ in start..end {
-                    pol.push(if poisoned {
-                        (true, true)
-                    } else {
-                        (false, false)
-                    });
-                }
-                if !poisoned {
-                    loop {
-                        let mut changed = false;
-                        for j in start..end {
-                            let DefBody::Rel(body) = &defs[j].body else {
-                                continue;
-                            };
-                            let p = rel_pol(body, &pol);
-                            let merged = (pol[j].0 || p.0, pol[j].1 || p.1);
-                            if merged != pol[j] {
-                                pol[j] = merged;
-                                changed = true;
-                            }
-                        }
-                        if !changed {
-                            break;
-                        }
-                    }
-                }
-                i = end;
-            }
+    let mut pol = vec![(false, false); nodes.len()];
+    let unknowns = |op: Op, pol: &[(bool, bool)]| match op {
+        Op::Base(r) => (matches!(r, Some(BaseRel::Co | BaseRel::SyncFence)), false),
+        Op::Ref(d) | Op::SetRef(d) => pol[t.def_root(d)],
+        _ => (false, false),
+    };
+    // Per node of a `let rec` group: does it name a member of its own
+    // group in positive / negative position?
+    let mut own = vec![(false, false); nodes.len()];
+    let mut next = 0;
+    for &(first, last) in t.groups() {
+        polarity(nodes, next..first, &mut pol, unknowns);
+        let members = first..last + 1;
+        polarity(nodes, members.clone(), &mut own, |op, _| match op {
+            Op::Ref(d) => (members.contains(&t.def_root(d)), false),
+            _ => (false, false),
+        });
+        // Non-monotone recursion (a member named in negative position)
+        // poisons the whole group: its fixpoint need not be monotone in
+        // the unknowns.
+        if members.clone().any(|id| t.is_rec_root(id) && own[id].1) {
+            pol[members].fill((true, true));
+        } else {
+            while polarity(nodes, members.clone(), &mut pol, unknowns) {}
         }
+        next = last + 1;
     }
+    polarity(nodes, next..nodes.len(), &mut pol, unknowns);
     model
         .axioms()
         .iter()
         .enumerate()
-        .filter(|(_, ax)| !ax.flagged && !ax.negated && !rel_pol(&ax.expr, &pol).1)
+        .filter(|&(i, ax)| !ax.flagged && !ax.negated && !pol[t.axiom_root(i)].1)
         .map(|(i, _)| i)
         .collect()
 }
 
-fn join(a: (bool, bool), b: (bool, bool)) -> (bool, bool) {
-    (a.0 || b.0, a.1 || b.1)
-}
-
-fn flip(p: (bool, bool)) -> (bool, bool) {
-    (p.1, p.0)
-}
-
-fn rel_pol(e: &RelExpr, pol: &[(bool, bool)]) -> (bool, bool) {
-    match e {
-        RelExpr::Base(name) => (name == "co" || name == "sync_fence", false),
-        RelExpr::Ref(id) => pol[*id],
-        RelExpr::Id => (false, false),
-        RelExpr::IdSet(s) => set_pol(s, pol),
-        RelExpr::Cross(a, b) => join(set_pol(a, pol), set_pol(b, pol)),
-        RelExpr::Union(a, b) | RelExpr::Inter(a, b) | RelExpr::Seq(a, b) => {
-            join(rel_pol(a, pol), rel_pol(b, pol))
-        }
-        RelExpr::Diff(a, b) => join(rel_pol(a, pol), flip(rel_pol(b, pol))),
-        RelExpr::Inverse(a) | RelExpr::Plus(a) | RelExpr::Star(a) | RelExpr::Opt(a) => {
-            rel_pol(a, pol)
-        }
+/// Joins into `pol` the polarity of every node in `range`, in post-order:
+/// `\` flips its right operand, and `leaf` gives the polarity of a leaf
+/// (a base relation, tag, reference, `id` or `_`). Returns whether any
+/// node changed.
+fn polarity(
+    nodes: &[Node],
+    range: std::ops::Range<NodeId>,
+    pol: &mut [(bool, bool)],
+    leaf: impl Fn(Op, &[(bool, bool)]) -> (bool, bool),
+) -> bool {
+    let join = |a: (bool, bool), b: (bool, bool)| (a.0 || b.0, a.1 || b.1);
+    let mut changed = false;
+    for id in range {
+        let Node { op, kids: [a, b] } = nodes[id];
+        let p = match op {
+            Op::Diff | Op::SetDiff => join(pol[a], (pol[b].1, pol[b].0)),
+            Op::Cross | Op::Union | Op::Inter | Op::Seq | Op::SetUnion | Op::SetInter => {
+                join(pol[a], pol[b])
+            }
+            Op::IdSet | Op::Inverse | Op::Plus | Op::Star | Op::Opt | Op::Domain | Op::Range => {
+                pol[a]
+            }
+            Op::Base(_) | Op::Ref(_) | Op::SetRef(_) | Op::Id | Op::Tag(_) | Op::Universe => {
+                leaf(op, pol)
+            }
+        };
+        let p = join(pol[id], p);
+        changed |= p != pol[id];
+        pol[id] = p;
     }
+    changed
 }
 
-fn set_pol(e: &SetExpr, pol: &[(bool, bool)]) -> (bool, bool) {
-    match e {
-        SetExpr::Base(_) | SetExpr::Universe => (false, false),
-        SetExpr::Ref(id) => pol[*id],
-        SetExpr::Union(a, b) | SetExpr::Inter(a, b) => join(set_pol(a, pol), set_pol(b, pol)),
-        SetExpr::Diff(a, b) => join(set_pol(a, pol), flip(set_pol(b, pol))),
-        SetExpr::Domain(r) | SetExpr::Range(r) => rel_pol(r, pol),
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn monotone_axioms_of_the_shipped_models() {
+        // PTX: atomicity, no-thin-air and causality. Vulkan: atomicity.
+        // Every other axiom reaches `co` or `sync_fence` under `\`, or
+        // is a flag.
+        assert_eq!(monotone_axioms(&gpumc_models::ptx60()), [3, 4, 5]);
+        assert_eq!(monotone_axioms(&gpumc_models::ptx75()), [3, 4, 5]);
+        assert_eq!(monotone_axioms(&gpumc_models::vulkan()), [3]);
     }
-}
 
-fn rel_refs_neg(e: &RelExpr, lo: usize, hi: usize, negated: bool) -> bool {
-    match e {
-        RelExpr::Base(_) | RelExpr::Id => false,
-        RelExpr::Ref(id) => negated && *id >= lo && *id < hi,
-        RelExpr::IdSet(s) => set_refs_neg(s, lo, hi, negated),
-        RelExpr::Cross(a, b) => {
-            set_refs_neg(a, lo, hi, negated) || set_refs_neg(b, lo, hi, negated)
-        }
-        RelExpr::Union(a, b) | RelExpr::Inter(a, b) | RelExpr::Seq(a, b) => {
-            rel_refs_neg(a, lo, hi, negated) || rel_refs_neg(b, lo, hi, negated)
-        }
-        RelExpr::Diff(a, b) => {
-            rel_refs_neg(a, lo, hi, negated) || rel_refs_neg(b, lo, hi, !negated)
-        }
-        RelExpr::Inverse(a) | RelExpr::Plus(a) | RelExpr::Star(a) | RelExpr::Opt(a) => {
-            rel_refs_neg(a, lo, hi, negated)
-        }
+    #[test]
+    fn co_under_a_difference_is_not_monotone() {
+        let model = gpumc_cat::parse(
+            "acyclic po \\ co as negative\n\
+             acyclic co as positive\n\
+             empty rf \\ (po \\ co) as double-negative\n\
+             irreflexive [W \\ domain(co)] as set-negative\n\
+             irreflexive sync_fence as fence\n\
+             flag ~empty co as flagged",
+        )
+        .unwrap();
+        assert_eq!(monotone_axioms(&model), [1, 2, 4]);
     }
-}
 
-fn set_refs_neg(e: &SetExpr, lo: usize, hi: usize, negated: bool) -> bool {
-    match e {
-        SetExpr::Base(_) | SetExpr::Universe => false,
-        SetExpr::Ref(id) => negated && *id >= lo && *id < hi,
-        SetExpr::Union(a, b) | SetExpr::Inter(a, b) => {
-            set_refs_neg(a, lo, hi, negated) || set_refs_neg(b, lo, hi, negated)
-        }
-        SetExpr::Diff(a, b) => {
-            set_refs_neg(a, lo, hi, negated) || set_refs_neg(b, lo, hi, !negated)
-        }
-        SetExpr::Domain(r) | SetExpr::Range(r) => rel_refs_neg(r, lo, hi, negated),
+    #[test]
+    fn recursive_groups_are_poisoned_or_iterated() {
+        let model = gpumc_cat::parse(
+            "let rec a = rf | (po \\ a) and b = a\n\
+             let rec c = rf | (c ; d) and d = po \\ co\n\
+             let rec e = rf | (e ; f) and f = co\n\
+             acyclic b as poisoned\n\
+             acyclic c as late-negative\n\
+             acyclic e as positive",
+        )
+        .unwrap();
+        // `b`'s group names `a` under `\`: poisoned although it never
+        // mentions `co`. `c` learns `d`'s negative `co` only on the
+        // second round of its group's fixpoint.
+        assert_eq!(monotone_axioms(&model), [2]);
     }
 }

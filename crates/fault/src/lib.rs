@@ -59,9 +59,6 @@ pub mod points {
     /// The fleet router, probed after connecting; arm with `delay_ms`
     /// to simulate a stalled link (exercises hedging and deadlines).
     pub const ROUTE_STALL: &str = "route.stall_ms";
-    /// The serve dispatch gate, probed per verify request; a firing
-    /// rule forces admission control to shed the request.
-    pub const SERVE_OVERLOAD: &str = "serve.overload";
     /// Every wired point, for matrix-style tests.
     pub const ALL: &[&str] = &[
         SAT_CONFLICT,
@@ -70,7 +67,6 @@ pub mod points {
         DPOR_EXPLORE,
         ROUTE_TRANSPORT,
         ROUTE_STALL,
-        SERVE_OVERLOAD,
     ];
 }
 

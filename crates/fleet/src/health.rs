@@ -8,7 +8,7 @@
 //! exactly one probe (`HalfOpen`); the probe's outcome either
 //! re-closes the breaker (the shard rejoined) or re-opens it for
 //! another cooldown. Only transport-level trouble counts as failure:
-//! a `rejected`/`shed` answer proves the shard is alive, so it resets
+//! a `rejected`/`failed` answer proves the shard is alive, so it resets
 //! the failure streak even though the request must fail over.
 //!
 //! Time is a caller-supplied millisecond counter (the router derives
@@ -121,7 +121,7 @@ impl CircuitBreaker {
         }
     }
 
-    /// The shard produced *any* response (even `rejected`/`shed`): the
+    /// The shard produced *any* response (even `rejected`/`failed`): the
     /// transport is healthy. Returns `true` when this was the half-open
     /// probe re-closing the breaker.
     pub fn on_success(&mut self) -> bool {
@@ -210,7 +210,7 @@ mod tests {
 
     #[test]
     fn shed_style_success_resets_the_streak() {
-        // rejected/shed answers prove liveness: two failures, an
+        // rejected/failed answers prove liveness: two failures, an
         // answer, two more failures must NOT trip a threshold of 3.
         let mut b = breaker(3, 100);
         b.on_failure(0);

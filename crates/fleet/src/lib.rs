@@ -22,7 +22,7 @@
 //!   deterministically, and self-heal around trouble: per-shard
 //!   circuit breakers ([`health`]) quarantine dead nodes, hedged
 //!   requests tame tail latency, and an exhausted request is always
-//!   *classified* (`failed`/`shed`), never dropped.
+//!   answered `failed` with its class, never dropped.
 //!
 //! Everything is std-only, like the rest of the serving stack. The JSON
 //! plumbing ([`json`]) lives here (moved from `gpumc-serve`, which

@@ -1,5 +1,5 @@
 //! Sharded routing: fan a suite over N serve instances, merge
-//! deterministically, survive node death, stalls, and overload.
+//! deterministically, survive node death, stalls, and full queues.
 //!
 //! Requests are assigned to shards by content digest over a
 //! consistent-hash ring ([`crate::ring`]), so identical queries always
@@ -11,14 +11,14 @@
 //! level is quarantined and probed again only after a cooldown,
 //! instead of burning a connect timeout per request.
 //!
-//! Failure semantics (DESIGN.md §16, §18):
+//! Failure semantics (DESIGN.md §16):
 //!
 //! * `done` / `unknown` / `error` responses are *answers* — final.
-//! * `rejected` (backpressure), `shed` (admission control), and
-//!   `failed` (the node's retry policy gave up) responses are
-//!   *node-level* trouble: the request fails over to the next ring
-//!   successor after a backoff. Any response proves the transport is
-//!   healthy, so these reset the shard's failure streak.
+//! * `rejected` (a full queue or a draining node) and `failed` (the
+//!   node's retry policy gave up) responses are *node-level* trouble:
+//!   the request fails over to the next ring successor after a
+//!   backoff. Any response proves the transport is healthy, so these
+//!   reset the shard's failure streak.
 //! * a transport failure (connect refused, connection died, read timed
 //!   out) counts against the shard's breaker; enough consecutive
 //!   failures trip it open and quarantine the shard until a half-open
@@ -26,8 +26,8 @@
 //! * when the attempt budget or the per-request deadline
 //!   ([`RoutePolicy::deadline_ms`]) is exhausted, the request answers
 //!   a *classified* line: `status:"failed"` (class `cluster`, with the
-//!   attempt count), or `status:"shed"` when the last word from the
-//!   fleet was admission control. Nothing is ever silently dropped.
+//!   attempt count and the last error). Nothing is ever silently
+//!   dropped.
 //!
 //! With [`RoutePolicy::hedge_ms`] set, a request that a shard has held
 //! that long is *hedged*: the same digest is fired at the next ring
@@ -157,7 +157,7 @@ pub struct HedgeStats {
 #[derive(Debug, Clone)]
 pub struct RouteOutcome {
     pub name: String,
-    /// `done`, `unknown`, `error`, `failed`, or `shed`.
+    /// `done`, `unknown`, `error`, or `failed`.
     pub status: String,
     /// The merged output line (order-independent fields only).
     pub line: String,
@@ -229,9 +229,8 @@ pub fn routing_digest(req: &RouteRequest, proto: u32) -> u128 {
 enum Attempt {
     /// A final answer (`done`/`unknown`/`error`).
     Final(Json),
-    /// A retryable answer; `shed` distinguishes admission control from
-    /// `rejected`/`failed` for the exhaustion classification.
-    Retry { why: String, shed: bool },
+    /// A retryable answer (`rejected`/`failed`), with its error text.
+    Retry(String),
     /// The connection failed or died: counts against the breaker.
     Transport(String),
 }
@@ -325,12 +324,12 @@ fn merged_line(name: &str, resp: &Json) -> (String, String) {
     }
 }
 
-/// A classified unanswered request: `failed` or `shed`, always with
-/// the attempt count.
-fn classified_line(name: &str, status: &str, error: &str, attempts: u32) -> String {
+/// The line of an unanswered request: `failed` (class `cluster`), with
+/// the error and the attempt count.
+fn classified_line(name: &str, error: &str, attempts: u32) -> String {
     Json::Obj(vec![
         ("test".into(), Json::str(name)),
-        ("status".into(), Json::str(status)),
+        ("status".into(), Json::str("failed")),
         ("class".into(), Json::str("cluster")),
         ("error".into(), Json::str(error)),
         ("attempts".into(), Json::count(u64::from(attempts))),
@@ -469,7 +468,7 @@ fn attempt_thread(
         cl.stats.lock().unwrap()[shard].sent += 1;
         let result = run_attempt(&cl.addrs[shard], &req_json, id, read_timeout);
         match &result {
-            Attempt::Final(_) | Attempt::Retry { .. } => {
+            Attempt::Final(_) | Attempt::Retry(_) => {
                 let readmitted = cl.breakers[shard].lock().unwrap().on_success();
                 let mut stats = cl.stats.lock().unwrap();
                 if readmitted {
@@ -504,17 +503,12 @@ fn run_attempt(addr: &str, req_json: &Json, id: u64, read_timeout: Option<Durati
     let _ = gpumc_fault::hit(gpumc_fault::points::ROUTE_STALL);
     match conn.roundtrip(id, req_json) {
         Ok(resp) => match resp.get("status").and_then(Json::as_str) {
-            Some(status @ ("rejected" | "failed" | "shed")) => {
-                let why = resp
-                    .get("error")
+            Some(status @ ("rejected" | "failed")) => Attempt::Retry(
+                resp.get("error")
                     .and_then(Json::as_str)
                     .unwrap_or(status)
-                    .to_string();
-                Attempt::Retry {
-                    why,
-                    shed: status == "shed",
-                }
-            }
+                    .to_string(),
+            ),
             _ => Attempt::Final(resp),
         },
         Err(e) => Attempt::Transport(e),
@@ -532,14 +526,13 @@ fn drive(cl: &Arc<ClusterState>, req: &RouteRequest, idx: usize) -> RouteOutcome
     let expired = |started: Instant| remaining(started).is_some_and(|r| r.is_zero());
     let mut attempts: u32 = 0;
     let mut last_error = String::new();
-    let mut last_shed = false;
     let mut stalls: u32 = 0;
     loop {
         if expired(started) {
             return timeout_outcome(req, attempts, &last_error, cl.policy.deadline_ms);
         }
         if attempts >= cl.max_attempts {
-            return exhausted_outcome(req, attempts, &last_error, last_shed);
+            return exhausted_outcome(req, attempts, &last_error);
         }
         let Some(primary) = pick_shard(cl, &succ, attempts as usize, &[], cl.now_ms()) else {
             // Everyone quarantined: wait for the earliest half-open
@@ -548,7 +541,7 @@ fn drive(cl: &Arc<ClusterState>, req: &RouteRequest, idx: usize) -> RouteOutcome
             stalls += 1;
             if stalls > cl.max_attempts.saturating_mul(8).max(16) {
                 let err = format!("all shards quarantined; last error: {last_error}");
-                return exhausted_outcome(req, attempts, &err, last_shed);
+                return exhausted_outcome(req, attempts, &err);
             }
             let now = cl.now_ms();
             let mut wait = cl.policy.backoff_ms.max(1);
@@ -641,13 +634,8 @@ fn drive(cl: &Arc<ClusterState>, req: &RouteRequest, idx: usize) -> RouteOutcome
                                 winner = Some((slot, shard, resp));
                             }
                         }
-                        Attempt::Retry { why, shed } => {
+                        Attempt::Retry(why) | Attempt::Transport(why) => {
                             last_error = format!("{}: {why}", cl.addrs[shard]);
-                            last_shed = shed;
-                        }
-                        Attempt::Transport(why) => {
-                            last_error = format!("{}: {why}", cl.addrs[shard]);
-                            last_shed = false;
                         }
                     }
                 }
@@ -713,19 +701,13 @@ fn timeout_outcome(
     RouteOutcome {
         name: req.name.clone(),
         status: "failed".to_string(),
-        line: classified_line(&req.name, "failed", &error, attempts),
+        line: classified_line(&req.name, &error, attempts),
         shard: None,
         attempts,
     }
 }
 
-fn exhausted_outcome(
-    req: &RouteRequest,
-    attempts: u32,
-    last_error: &str,
-    last_shed: bool,
-) -> RouteOutcome {
-    let status = if last_shed { "shed" } else { "failed" };
+fn exhausted_outcome(req: &RouteRequest, attempts: u32, last_error: &str) -> RouteOutcome {
     let error = if attempts == 0 {
         "no live shards".to_string()
     } else if last_error.starts_with("all shards quarantined") {
@@ -735,8 +717,8 @@ fn exhausted_outcome(
     };
     RouteOutcome {
         name: req.name.clone(),
-        status: status.to_string(),
-        line: classified_line(&req.name, status, &error, attempts),
+        status: "failed".to_string(),
+        line: classified_line(&req.name, &error, attempts),
         shard: None,
         attempts,
     }
@@ -854,8 +836,9 @@ exists (P0:r0 == 0 /\\ P1:r1 == 0)";
         addr
     }
 
-    /// A shard that answers `status:"shed"` to everything.
-    fn shedding_shard() -> String {
+    /// A shard whose queue is always full: it answers every request
+    /// `status:"rejected"`.
+    fn refusing_shard() -> String {
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap().to_string();
         std::thread::spawn(move || {
@@ -876,8 +859,8 @@ exists (P0:r0 == 0 /\\ P1:r1 == 0)";
                         let id = req.get("id").and_then(Json::as_u64).unwrap_or(0);
                         let resp = Json::Obj(vec![
                             ("id".into(), Json::count(id)),
-                            ("status".into(), Json::str("shed")),
-                            ("error".into(), Json::str("overloaded")),
+                            ("status".into(), Json::str("rejected")),
+                            ("error".into(), Json::str("queue full")),
                         ]);
                         if json::write_line(&mut writer, &resp).is_err() {
                             break;
@@ -1074,11 +1057,11 @@ exists (P0:r0 == 0 /\\ P1:r1 == 0)";
     }
 
     #[test]
-    fn every_shard_shedding_classifies_shed() {
+    fn every_shard_refusing_classifies_failed() {
         let reqs = vec![req("mp", MP)];
         let report = route(
             &reqs,
-            &[shedding_shard()],
+            &[refusing_shard()],
             &RoutePolicy {
                 backoff_ms: 1,
                 max_attempts: 2,
@@ -1086,12 +1069,20 @@ exists (P0:r0 == 0 /\\ P1:r1 == 0)";
             },
         );
         let r = &report.results[0];
-        assert_eq!(r.status, "shed");
+        assert_eq!(r.status, "failed");
         assert_eq!(r.attempts, 2);
         let line = Json::parse(&r.line).unwrap();
-        assert_eq!(line.get("status").and_then(Json::as_str), Some("shed"));
+        assert_eq!(line.get("status").and_then(Json::as_str), Some("failed"));
         assert_eq!(line.get("class").and_then(Json::as_str), Some("cluster"));
-        // A shedding shard is alive: its breaker must never have
+        assert!(
+            line.get("error")
+                .and_then(Json::as_str)
+                .unwrap()
+                .ends_with(": queue full"),
+            "line: {}",
+            r.line
+        );
+        // A refusing shard is alive: its breaker must never have
         // tripped.
         assert!(!report.shards[0].died);
         assert_eq!(report.shards[0].trips, 0);

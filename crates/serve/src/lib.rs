@@ -8,7 +8,8 @@
 //! * a JSON-lines request/response protocol over TCP (or stdio), see
 //!   [`protocol`];
 //! * a bounded FIFO job queue with non-blocking backpressure (`sched`):
-//!   a full queue answers `status: rejected` at once;
+//!   a full queue answers `status: rejected` at once, the server's one
+//!   answer to overload (DESIGN.md §18);
 //! * a worker pool sharing parsed models (`gpumc_models::load_shared`)
 //!   across requests;
 //! * per-request deadlines riding the cooperative cancellation layer in
@@ -19,10 +20,7 @@
 //! * panic isolation with supervised retry: a job that panics is caught
 //!   in the worker, retried with backoff, and ultimately answered
 //!   `status: "failed"` with an error class — see the supervision notes
-//!   in [`server`] and the failure taxonomy in DESIGN.md §13;
-//! * graceful degradation under overload ([`overload`]): a brownout
-//!   ladder (full → cache-only → shed) driven by queue pressure,
-//!   exported in responses as a `degraded` block — DESIGN.md §18.
+//!   in [`server`] and the failure taxonomy in DESIGN.md §13.
 //!
 //! The JSON plumbing ([`json`]) is hand-rolled: the offline dependency
 //! set has no serde, and the protocol needs very little. It lives in
@@ -33,7 +31,6 @@
 
 pub mod client;
 pub mod metrics;
-pub mod overload;
 pub mod protocol;
 mod sched;
 pub mod server;
@@ -43,7 +40,6 @@ pub use gpumc_fleet::json;
 pub use client::Client;
 pub use json::Json;
 pub use metrics::Metrics;
-pub use overload::{next_level, DegradeLevel, Overload};
 pub use protocol::{
     parse_request, verdict_json, Envelope, Request, VerifyRequest, PROTOCOL_VERSION,
 };

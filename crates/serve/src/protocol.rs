@@ -53,23 +53,17 @@
 //! `status`: `done` (verdict reached), `unknown` (budget/deadline/
 //! cancellation/memory — retrying with more budget is sound), `error`
 //! (the request itself was bad), `rejected` (backpressure or shutdown —
-//! resubmit later; the `reason` field distinguishes the two), `failed`
+//! resubmit later; the `error` field distinguishes the two), `failed`
 //! (the job crashed and exhausted its retries; the `class` field is one
-//! of `panic`/`oom`/`timeout`), `shed` (admission control refused the
-//! job before accepting it — overload or an unmeetable deadline;
-//! resubmit when pressure subsides), plus `ok` for ping/metrics/
-//! shutdown. A `done` response answered while the server is operating
-//! degraded additionally carries a `degraded` block naming the active
-//! ladder level (DESIGN.md §18); the block is omitted entirely at the
-//! `full` level, so un-degraded responses are byte-identical to
-//! pre-brownout builds. See DESIGN.md §13 for the complete failure
-//! taxonomy.
+//! of `panic`/`oom`/`timeout`), plus `ok` for ping/metrics/shutdown.
+//! `rejected` is the server's one answer to overload (DESIGN.md §18):
+//! the job never ran, so resubmitting it is always safe. See DESIGN.md
+//! §13 for the complete failure taxonomy.
 
 use gpumc::FullOutcome;
 use gpumc_fleet::cache::CachedVerdict;
 
 use crate::json::Json;
-use crate::overload::DegradeLevel;
 
 /// The protocol version this build speaks. Part of the request digest,
 /// so a wire-format change can never alias a cached verdict from an
@@ -374,61 +368,28 @@ pub fn cached_verdict_json(v: &CachedVerdict) -> Json {
     )
 }
 
-/// The `degraded` block a response carries when the server answered it
-/// while operating below the `full` ladder level.
-fn degraded_json(level: DegradeLevel) -> Json {
-    Json::Obj(vec![("level".into(), Json::str(level.name()))])
-}
-
-/// Appends a `degraded` block when `degraded` names a level below
-/// `full`; `None` (and `Full`) leave the response byte-identical to a
-/// pre-brownout build.
-fn push_degraded(fields: &mut Vec<(String, Json)>, degraded: Option<DegradeLevel>) {
-    match degraded {
-        Some(level) if level != DegradeLevel::Full => {
-            fields.push(("degraded".into(), degraded_json(level)));
-        }
-        _ => {}
-    }
-}
-
 /// A `status: done` response served from the result cache. Carries the
 /// same verdict object a fresh verification would, plus `"cached":true`
 /// in place of the per-run phase/solver detail (which the cache
 /// deliberately does not store — timings of a run that didn't happen
-/// would be fiction). `degraded` names the active ladder level when the
-/// server is browning out (omitted at `full`).
-pub fn cached_response(
-    id: Option<u64>,
-    v: &CachedVerdict,
-    wall_us: u64,
-    degraded: Option<DegradeLevel>,
-) -> Json {
-    let mut fields = vec![
+/// would be fiction).
+pub fn cached_response(id: Option<u64>, v: &CachedVerdict, wall_us: u64) -> Json {
+    Json::Obj(vec![
         ("id".into(), id_json(id)),
         ("proto".into(), proto_json()),
         ("status".into(), Json::str("done")),
         ("verdict".into(), cached_verdict_json(v)),
         ("cached".into(), Json::Bool(true)),
-    ];
-    push_degraded(&mut fields, degraded);
-    fields.push(("time_us".into(), Json::count(wall_us)));
-    Json::Obj(fields)
+        ("time_us".into(), Json::count(wall_us)),
+    ])
 }
 
-/// A successful (`status: done`) verify response. `degraded` names the
-/// active brownout level (omitted at `full`).
-pub fn verify_response(
-    id: Option<u64>,
-    test_name: &str,
-    o: &FullOutcome,
-    wall_us: u64,
-    degraded: Option<DegradeLevel>,
-) -> Json {
+/// A successful (`status: done`) verify response.
+pub fn verify_response(id: Option<u64>, test_name: &str, o: &FullOutcome, wall_us: u64) -> Json {
     let (conflicts, propagations) = o.queries.iter().fold((0u64, 0u64), |(c, p), q| {
         (c + q.stats.conflicts, p + q.stats.propagations)
     });
-    let mut fields = vec![
+    Json::Obj(vec![
         ("id".into(), id_json(id)),
         ("proto".into(), proto_json()),
         ("status".into(), Json::str("done")),
@@ -470,10 +431,8 @@ pub fn verify_response(
                 ]),
             },
         ),
-    ];
-    push_degraded(&mut fields, degraded);
-    fields.push(("time_us".into(), Json::count(wall_us)));
-    Json::Obj(fields)
+        ("time_us".into(), Json::count(wall_us)),
+    ])
 }
 
 /// A `status: unknown` response (deadline, cancellation, budget).
@@ -507,20 +466,6 @@ pub fn rejected_response(id: Option<u64>, reason: &str) -> Json {
         ("proto".into(), proto_json()),
         ("status".into(), Json::str("rejected")),
         ("error".into(), Json::str(reason)),
-    ])
-}
-
-/// A `status: shed` response: the server is at the `shed` ladder level
-/// and refused the job before accepting it. The job never ran (and
-/// never will); resubmitting once pressure subsides is always safe.
-/// Carries the `degraded` block like every degraded answer.
-pub fn shed_response(id: Option<u64>) -> Json {
-    Json::Obj(vec![
-        ("id".into(), id_json(id)),
-        ("proto".into(), proto_json()),
-        ("status".into(), Json::str("shed")),
-        ("error".into(), Json::str("overloaded")),
-        ("degraded".into(), degraded_json(DegradeLevel::Shed)),
     ])
 }
 
@@ -748,7 +693,7 @@ mod tests {
             liveness: "ok".into(),
             datarace: "n/a".into(),
         };
-        let r = cached_response(Some(3), &v, 12, None);
+        let r = cached_response(Some(3), &v, 12);
         assert_eq!(r.get("status").unwrap().as_str(), Some("done"));
         assert_eq!(r.get("cached").unwrap().as_bool(), Some(true));
         let verdict = r.get("verdict").unwrap();
@@ -756,48 +701,6 @@ mod tests {
             verdict.to_string(),
             r#"{"test":"MP","reachable":true,"expectation":"fails","liveness":"ok","datarace":"n/a"}"#,
         );
-    }
-
-    #[test]
-    fn shed_response_names_the_level() {
-        let r = shed_response(Some(5));
-        assert_eq!(r.get("status").unwrap().as_str(), Some("shed"));
-        assert_eq!(r.get("error").unwrap().as_str(), Some("overloaded"));
-        assert_eq!(
-            r.get("degraded").unwrap().get("level").unwrap().as_str(),
-            Some("shed")
-        );
-        assert_eq!(r.get("proto").unwrap().as_u64(), Some(1));
-    }
-
-    #[test]
-    fn degraded_block_is_omitted_at_full() {
-        let v = CachedVerdict {
-            test: "SB".into(),
-            reachable: false,
-            expectation: "holds".into(),
-            liveness: "ok".into(),
-            datarace: "none".into(),
-        };
-        let at_full = cached_response(None, &v, 9, Some(DegradeLevel::Full));
-        let unstated = cached_response(None, &v, 9, None);
-        assert_eq!(at_full.to_string(), unstated.to_string());
-        let browned = cached_response(None, &v, 9, Some(DegradeLevel::CacheOnly));
-        assert_eq!(
-            browned
-                .get("degraded")
-                .unwrap()
-                .get("level")
-                .unwrap()
-                .as_str(),
-            Some("cache-only")
-        );
-        // The block sits before `time_us`, so the response still ends
-        // with the timing field like every other `done` answer.
-        assert!(browned.to_string().ends_with("}"));
-        assert!(browned
-            .to_string()
-            .contains(r#""degraded":{"level":"cache-only"},"time_us""#));
     }
 
     /// The verify payload of a line that must parse.

@@ -108,15 +108,9 @@ impl<T> JobQueue<T> {
         self.lock().items.drain(..).collect()
     }
 
-    /// Jobs currently queued (the `queue_depth` gauge and the
-    /// degradation ladder's queue pressure).
+    /// Jobs currently queued (the `queue_depth` gauge).
     pub(crate) fn len(&self) -> usize {
         self.lock().items.len()
-    }
-
-    /// The configured queue capacity.
-    pub(crate) fn capacity(&self) -> usize {
-        self.capacity
     }
 }
 

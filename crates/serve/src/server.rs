@@ -61,11 +61,10 @@ use gpumc_sat::CancelToken;
 
 use crate::json::{self, Json};
 use crate::metrics::Metrics;
-use crate::overload::{DegradeLevel, Overload};
 use crate::protocol::{
     cached_response, cached_verdict, engine_name, error_response, failed_response, parse_request,
-    rejected_response, shed_response, unknown_response, verify_response, Envelope, Request,
-    VerifyRequest, PROTOCOL_VERSION,
+    rejected_response, unknown_response, verify_response, Envelope, Request, VerifyRequest,
+    PROTOCOL_VERSION,
 };
 use crate::sched::{JobQueue, PushError};
 
@@ -105,10 +104,6 @@ pub struct ServerConfig {
     /// memory only when `None`. Invalidated when the verifier
     /// fingerprint changes.
     pub cache_dir: Option<PathBuf>,
-    /// Pin the ladder at a fixed level (`--degrade-level`); `None`
-    /// tracks queue pressure. Pinning exists for operators staging a
-    /// brownout drill and for deterministic tests.
-    pub force_degrade: Option<DegradeLevel>,
 }
 
 impl Default for ServerConfig {
@@ -124,7 +119,6 @@ impl Default for ServerConfig {
             cache_enabled: true,
             cache_capacity: 4096,
             cache_dir: None,
-            force_degrade: None,
         }
     }
 }
@@ -198,9 +192,6 @@ struct Job {
     /// state. `None` disables both lookup (already missed at dispatch)
     /// and insert.
     digest: Option<u128>,
-    /// The ladder level active when the job was admitted; stamped into
-    /// the response's `degraded` block (omitted at `Full`).
-    degraded: DegradeLevel,
 }
 
 /// State shared by the accept loop, connection threads, and workers.
@@ -215,8 +206,6 @@ struct Shared {
     allow_faults: bool,
     /// Monotone job sequence for retry jitter.
     seq: AtomicU64,
-    /// The degradation ladder.
-    overload: Overload,
 }
 
 impl Shared {
@@ -245,7 +234,6 @@ impl Shared {
             retry: config.retry,
             allow_faults: config.allow_faults,
             seq: AtomicU64::new(0),
-            overload: Overload::new(config.force_degrade),
         }))
     }
 }
@@ -430,9 +418,6 @@ fn dispatch_line(line: &str, out: &Out, shared: &Arc<Shared>) -> std::ops::Contr
             shared
                 .metrics
                 .set_gauge("queue_depth", shared.queue.len() as i64);
-            shared
-                .metrics
-                .set_gauge("degraded_level", shared.overload.level() as i64);
             if let Some(cache) = &shared.cache {
                 let s = cache.stats();
                 shared
@@ -499,47 +484,21 @@ fn dispatch_line(line: &str, out: &Out, shared: &Arc<Shared>) -> std::ops::Contr
                     }
                 },
             };
-            // Re-evaluate the degradation ladder against queue
-            // occupancy; `serve.overload` (global or the request's own
-            // plan) forces this one request to the shed rung, which is
-            // how the chaos harness floods a shard deterministically.
-            let mut level = shared
-                .overload
-                .update(shared.queue.len(), shared.queue.capacity());
-            {
-                let _guard = faults.clone().map(gpumc::fault::scoped);
-                if gpumc::fault::hit(gpumc::fault::points::SERVE_OVERLOAD).is_some() {
-                    shared.metrics.inc("overload_injected_total");
-                    level = DegradeLevel::Shed;
-                }
-            }
-            shared.metrics.set_gauge("degraded_level", level as i64);
             // The content digest, derived from the parsed request at
             // dispatch time. An unparsable request keeps digest `None`
             // and flows to a worker, which answers `error` exactly as
-            // before the cache existed.
-            let raw_digest = request_digest_of(&req);
-            // Fault-armed jobs bypass the cache in *both* directions:
-            // a verdict computed under injection must not be served to
-            // clean requests, and a clean cached verdict must not mask
-            // the injection the client asked to exercise.
+            // before the cache existed. Fault-armed jobs bypass the
+            // cache in *both* directions: a verdict computed under
+            // injection must not be served to clean requests, and a
+            // clean cached verdict must not mask the injection the
+            // client asked to exercise. A `"cache":false` request is
+            // neither answered from nor recorded into the cache.
             let digest = if faults.is_none() && req.cache {
-                raw_digest
+                request_digest_of(&req)
             } else {
                 None
             };
-            // At cache-only and below, a `"cache":false` opt-out is
-            // overridden for *lookup* (a stale-tolerant answer beats no
-            // answer; the `degraded` block says it happened). The job's
-            // own digest stays gated by the opt-out, so a forced-fresh
-            // verdict is still never *recorded* against the client's
-            // wishes.
-            let lookup = if faults.is_none() && level >= DegradeLevel::CacheOnly {
-                raw_digest
-            } else {
-                digest
-            };
-            if let (Some(cache), Some(d)) = (&shared.cache, lookup) {
+            if let (Some(cache), Some(d)) = (&shared.cache, digest) {
                 if let Some(v) = cache.lookup(d) {
                     shared.metrics.inc("cache_hits");
                     // A cache hit is still a served verdict: the
@@ -551,18 +510,10 @@ fn dispatch_line(line: &str, out: &Out, shared: &Arc<Shared>) -> std::ops::Contr
                         .inc(if pass { "verdict_pass" } else { "verdict_fail" });
                     let wall_us = accepted.elapsed().as_micros() as u64;
                     shared.metrics.observe_us("verify_latency_us", wall_us);
-                    write_line(out, &cached_response(id, &v, wall_us, Some(level)));
+                    write_line(out, &cached_response(id, &v, wall_us));
                     return ControlFlow::Continue(());
                 }
                 shared.metrics.inc("cache_misses");
-            }
-            // The load-shed gate: at the shed rung only cache hits
-            // (above) are answered; everything else is refused *before*
-            // acceptance, so it can be resubmitted elsewhere.
-            if level == DegradeLevel::Shed {
-                shared.metrics.inc("jobs_shed_total");
-                write_line(out, &shed_response(id));
-                return ControlFlow::Continue(());
             }
             let token = match req.timeout_ms.or(shared.default_timeout_ms) {
                 Some(ms) => CancelToken::with_timeout(Duration::from_millis(ms)),
@@ -578,7 +529,6 @@ fn dispatch_line(line: &str, out: &Out, shared: &Arc<Shared>) -> std::ops::Contr
                 seq: shared.seq.fetch_add(1, Ordering::Relaxed),
                 faults,
                 digest,
-                degraded: level,
             };
             match shared.queue.try_push(job) {
                 Ok(()) => {
@@ -821,7 +771,7 @@ fn run_verify_job(job: &Job, shared: &Arc<Shared>) -> Json {
                 cache.insert(d, cached_verdict(&program.name, &o));
                 shared.metrics.inc("cache_inserts");
             }
-            verify_response(job.id, &program.name, &o, wall_us, Some(job.degraded))
+            verify_response(job.id, &program.name, &o, wall_us)
         }
         Err(VerifyError::Unknown(reason)) => {
             shared.metrics.inc("verdict_unknown");

@@ -1,13 +1,13 @@
 //! Cluster chaos matrix: the self-healing contract of the fleet layer
-//! under injected death, stalls, and overload (DESIGN.md §18).
+//! under injected death, stalls, and full queues (DESIGN.md §16).
 //!
 //! The invariants every scenario checks:
 //!
 //! * every *answered* verdict is byte-identical to a single-node
-//!   baseline run — failover, hedging, and brownout may change *who*
-//!   answers, never *what*;
-//! * every *unanswered* request is classified (`failed` or `shed`),
-//!   never silently dropped;
+//!   baseline run — failover and hedging may change *who* answers,
+//!   never *what*;
+//! * every *unanswered* request is answered `failed`, never silently
+//!   dropped;
 //! * a quarantined shard is readmitted by the half-open probe within
 //!   the run.
 //!
@@ -16,11 +16,12 @@
 //! every router in this test binary, so concurrent tests would bleed
 //! injections into each other.
 
-use std::io::Read;
+use std::io::{BufRead, BufReader, Read};
 use std::sync::{Mutex, MutexGuard};
 
 use gpumc_fleet::router::{route, RoutePolicy, RouteRequest};
-use gpumc_serve::{DegradeLevel, Server, ServerConfig};
+use gpumc_serve::json::{self, Json};
+use gpumc_serve::{Server, ServerConfig};
 
 /// Serializes every test in this file: global fault plans and real
 /// socket servers do not share a process gracefully.
@@ -30,11 +31,10 @@ fn lock() -> MutexGuard<'static, ()> {
     CHAOS.lock().unwrap_or_else(|e| e.into_inner())
 }
 
-fn spawn_shard(force: Option<DegradeLevel>) -> (String, std::thread::JoinHandle<()>) {
+fn spawn_shard() -> (String, std::thread::JoinHandle<()>) {
     let server = Server::bind(&ServerConfig {
         addr: "127.0.0.1:0".into(),
         jobs: 1,
-        force_degrade: force,
         ..ServerConfig::default()
     })
     .expect("bind ephemeral port");
@@ -79,6 +79,34 @@ fn stalled_addr() -> String {
     addr
 }
 
+/// A shard whose queue is always full: it answers every request line
+/// `{"id":<its id>,"status":"rejected","error":"queue full"}`.
+fn refusing_addr() -> String {
+    let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap().to_string();
+    std::thread::spawn(move || {
+        for conn in listener.incoming() {
+            let Ok(stream) = conn else { continue };
+            std::thread::spawn(move || {
+                let mut writer = stream.try_clone().unwrap();
+                for line in BufReader::new(stream).lines() {
+                    let Ok(line) = line else { break };
+                    let id = Json::parse(&line).ok().and_then(|r| r.get("id")?.as_u64());
+                    let resp = Json::Obj(vec![
+                        ("id".into(), id.map_or(Json::Null, Json::count)),
+                        ("status".into(), Json::str("rejected")),
+                        ("error".into(), Json::str("queue full")),
+                    ]);
+                    if json::write_line(&mut writer, &resp).is_err() {
+                        break;
+                    }
+                }
+            });
+        }
+    });
+    addr
+}
+
 fn suite() -> Vec<RouteRequest> {
     gpumc_catalog::figure_tests()
         .into_iter()
@@ -96,7 +124,7 @@ fn suite() -> Vec<RouteRequest> {
 
 /// Single-node ground truth (run with no faults installed).
 fn baseline(requests: &[RouteRequest]) -> String {
-    let (addr, handle) = spawn_shard(None);
+    let (addr, handle) = spawn_shard();
     let report = route(
         requests,
         std::slice::from_ref(&addr),
@@ -117,7 +145,7 @@ fn dead_and_stalled_shards_fail_over_byte_identically() {
     // Ring of three: one healthy shard, one dead, one wedged. The
     // wedged one is only survivable because the per-attempt read
     // timeout turns its silence into a transport failure.
-    let (healthy, handle) = spawn_shard(None);
+    let (healthy, handle) = spawn_shard();
     let shards = [healthy.clone(), dead_addr(), stalled_addr()];
     let policy = RoutePolicy {
         read_timeout_ms: Some(500),
@@ -147,30 +175,31 @@ fn shedding_shard_fails_over_byte_identically() {
     let requests = suite();
     let expected = baseline(&requests);
 
-    // One shard is browned out to the shed rung: it answers instantly
-    // with `status:"shed"`, which the router treats as "alive but
+    // One shard's queue is always full: it answers instantly with
+    // `status:"rejected"`, which the router treats as "alive but
     // refusing" — failover without a breaker trip.
-    let (healthy, h0) = spawn_shard(None);
-    let (shedding, h1) = spawn_shard(Some(DegradeLevel::Shed));
-    let shards = [healthy.clone(), shedding.clone()];
+    let (healthy, handle) = spawn_shard();
+    let shards = [healthy.clone(), refusing_addr()];
     let report = route(&requests, &shards, &RoutePolicy::default());
     assert!(report.all_done(), "failover must answer everything");
     assert_eq!(
         report.merged(),
         expected,
-        "merged results with a shedding shard diverged from single-node"
+        "merged results with a refusing shard diverged from single-node"
     );
     let trips: u64 = report.shards.iter().map(|s| s.trips).sum();
-    assert_eq!(trips, 0, "shed responses prove liveness; no breaker trips");
+    assert_eq!(
+        trips, 0,
+        "rejected responses prove liveness; no breaker trips"
+    );
     assert!(
         !report.shards.iter().any(|s| s.died),
-        "a shedding shard is not dead"
+        "a refusing shard is not dead"
     );
+    assert_eq!(report.shards[1].answered, 0, "a full queue answers nothing");
 
     shutdown(&healthy);
-    shutdown(&shedding);
-    h0.join().unwrap();
-    h1.join().unwrap();
+    handle.join().unwrap();
 }
 
 #[test]
@@ -178,10 +207,9 @@ fn cluster_wide_outage_classifies_every_request() {
     let _g = lock();
     let requests = suite();
 
-    // One shard shedding everything, one dead: no request can be
-    // answered, and every single one must still come back classified.
-    let (shedding, handle) = spawn_shard(Some(DegradeLevel::Shed));
-    let shards = [shedding.clone(), dead_addr()];
+    // One shard refusing everything, one dead: no request can be
+    // answered, and every single one must still come back `failed`.
+    let shards = [refusing_addr(), dead_addr()];
     let policy = RoutePolicy {
         max_attempts: 2,
         backoff_ms: 1,
@@ -191,17 +219,13 @@ fn cluster_wide_outage_classifies_every_request() {
     assert!(!report.all_done());
     assert_eq!(report.results.len(), requests.len(), "nothing dropped");
     for r in report.results.iter() {
-        assert!(
-            r.status == "shed" || r.status == "failed",
+        assert_eq!(
+            r.status, "failed",
             "{}: unclassified terminal status `{}`",
-            r.name,
-            r.status
+            r.name, r.status
         );
         assert!(r.attempts >= 1, "{}: no attempts recorded", r.name);
     }
-
-    shutdown(&shedding);
-    handle.join().unwrap();
 }
 
 #[test]
@@ -214,7 +238,7 @@ fn transport_blip_trips_the_breaker_and_the_half_open_probe_readmits() {
     // first attempt trips the breaker (threshold 1), quarantining the
     // only shard in the ring. The run can only complete if the
     // half-open probe readmits it — which is the assertion.
-    let (addr, handle) = spawn_shard(None);
+    let (addr, handle) = spawn_shard();
     let policy = RoutePolicy {
         breaker: gpumc_fleet::BreakerConfig {
             failure_threshold: 1,
@@ -273,8 +297,8 @@ fn injected_stalls_fire_hedges_whose_duplicates_agree() {
     // hedges to its ring successor. Both answers eventually arrive, so
     // the router's duplicate check gets real material: the winner is
     // merged, the loser must agree byte-for-byte.
-    let (a0, h0) = spawn_shard(None);
-    let (a1, h1) = spawn_shard(None);
+    let (a0, h0) = spawn_shard();
+    let (a1, h1) = spawn_shard();
     let shards = [a0.clone(), a1.clone()];
     gpumc::fault::install_global(std::sync::Arc::new(
         gpumc::fault::FaultPlan::parse("route.stall_ms:delay_ms:300").unwrap(),

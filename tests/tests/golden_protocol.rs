@@ -21,7 +21,7 @@ use std::net::TcpStream;
 use std::path::PathBuf;
 
 use gpumc_serve::json::{self, Json};
-use gpumc_serve::{DegradeLevel, Server, ServerConfig};
+use gpumc_serve::{Server, ServerConfig};
 
 const MP: &str = "PTX MP\\n{ x = 0; flag = 0; }\\nP0@cta 0,gpu 0 | P1@cta 1,gpu 0 ;\\nst.weak x, 1 | ld.weak r0, flag ;\\nst.weak flag, 1 | ld.weak r1, x ;\\nexists (P1:r0 == 1 /\\\\ P1:r1 == 0)";
 
@@ -90,31 +90,6 @@ fn corpus_requests() -> Vec<(&'static str, String)> {
     ]
 }
 
-/// One corpus phase: the pinned degradation level and its cases.
-type Phase = (Option<DegradeLevel>, Vec<(&'static str, String)>);
-
-/// Brownout cases (DESIGN.md §18), replayed against servers pinned to
-/// a degradation level: `status:"shed"` refusals and the `degraded`
-/// response block are wire protocol too, so their bytes are golden.
-fn degraded_phases() -> Vec<Phase> {
-    vec![
-        (
-            Some(DegradeLevel::CacheOnly),
-            vec![(
-                "degraded-cache-only",
-                format!(r#"{{"id":16,"verb":"verify","source":"{MP}","bound":1}}"#),
-            )],
-        ),
-        (
-            Some(DegradeLevel::Shed),
-            vec![(
-                "shed-overloaded",
-                format!(r#"{{"id":17,"verb":"verify","source":"{MP}","bound":1}}"#),
-            )],
-        ),
-    ]
-}
-
 /// Zeroes every `*_us` wall-clock field, recursively. Everything else
 /// in a response — verdicts, solver statistics, error strings — is
 /// deterministic and stays byte-comparable.
@@ -143,21 +118,14 @@ fn golden_path() -> PathBuf {
         .join("serve_protocol.jsonl")
 }
 
-/// Replays one phase — a request sequence against a freshly bound
-/// server pinned at `force` — and appends `(name, request, normalized
-/// response)` per case. The server is shut down out-of-band so pinned
-/// phases don't need a recorded shutdown case of their own.
-fn replay_phase(
-    force: Option<DegradeLevel>,
-    cases: Vec<(&'static str, String)>,
-    out: &mut Vec<(String, String, String)>,
-) {
-    let recorded_shutdown = cases.iter().any(|(name, _)| *name == "shutdown");
+/// Replays the corpus against a freshly bound server and returns
+/// `(name, request, normalized response)` per case. The corpus ends
+/// with the `shutdown` case, which stops the server.
+fn replay() -> Vec<(String, String, String)> {
     let server = Server::bind(&ServerConfig {
         addr: "127.0.0.1:0".into(),
         jobs: 1,
         metrics_every_secs: None,
-        force_degrade: force,
         ..ServerConfig::default()
     })
     .expect("bind ephemeral port");
@@ -167,29 +135,15 @@ fn replay_phase(
     let stream = TcpStream::connect(addr).expect("connect");
     let mut reader = BufReader::new(stream.try_clone().expect("clone"));
     let mut writer = stream;
-    for (name, request) in cases {
+    let mut out = Vec::new();
+    for (name, request) in corpus_requests() {
         json::write_line(&mut writer, &request).expect("send");
         let mut line = String::new();
         reader.read_line(&mut line).expect("recv");
         let response = Json::parse(line.trim_end()).expect("response parses");
         out.push((name.to_string(), request, normalize(response).to_string()));
     }
-    if !recorded_shutdown {
-        json::write_line(&mut writer, &r#"{"id":0,"verb":"shutdown"}"#).expect("send shutdown");
-        let mut line = String::new();
-        reader.read_line(&mut line).expect("recv shutdown");
-    }
     handle.join().expect("server thread");
-}
-
-/// Replays the full corpus (default phase, then the pinned brownout
-/// phases) and returns `(name, request, normalized response)` per case.
-fn replay() -> Vec<(String, String, String)> {
-    let mut out = Vec::new();
-    replay_phase(None, corpus_requests(), &mut out);
-    for (force, cases) in degraded_phases() {
-        replay_phase(force, cases, &mut out);
-    }
     out
 }
 
@@ -306,39 +260,4 @@ fn corpus_simplify_field_is_ignored() {
         without_id("verify-portfolio-field-ignored"),
         without_id("verify-mp-cache-off")
     );
-}
-
-/// The brownout cases must actually exercise the ladder: verdicts
-/// stamped with the right `degraded` level, shed refusals classified.
-#[test]
-fn corpus_brownout_cases_are_classified_and_stamped() {
-    let actual = replay();
-    let by_name = |n: &str| {
-        actual
-            .iter()
-            .find(|(name, ..)| name == n)
-            .map(|(_, _, r)| Json::parse(r).unwrap())
-            .unwrap()
-    };
-    let level = |v: &Json| {
-        v.get("degraded")
-            .and_then(|d| d.get("level"))
-            .and_then(Json::as_str)
-            .map(str::to_owned)
-    };
-
-    let cache_only = by_name("degraded-cache-only");
-    assert_eq!(
-        cache_only.get("status").and_then(Json::as_str),
-        Some("done")
-    );
-    assert_eq!(level(&cache_only).as_deref(), Some("cache-only"));
-
-    let shed = by_name("shed-overloaded");
-    assert_eq!(shed.get("status").and_then(Json::as_str), Some("shed"));
-    assert_eq!(shed.get("error").and_then(Json::as_str), Some("overloaded"));
-    assert_eq!(level(&shed).as_deref(), Some("shed"));
-
-    // The default-phase cases never degrade: no block anywhere.
-    assert_eq!(by_name("verify-mp-fresh").get("degraded"), None);
 }
