@@ -9,7 +9,7 @@
 use std::time::Instant;
 
 use gpumc_fleet::cache::{CachedVerdict, ResultCache};
-use gpumc_fleet::digest::source_digest;
+use gpumc_fleet::digest::{source_digest, PROTOCOL_VERSION};
 use gpumc_serve::json::Json;
 
 /// The digests of the catalog's safety, liveness and figure tests at
@@ -23,7 +23,7 @@ fn workload() -> Vec<u128> {
     for t in &tests {
         for bound in 1u32..=2 {
             digests.push(
-                source_digest(&t.source, None, bound, "all", "sat", 1)
+                source_digest(&t.source, None, bound, "all", "sat", PROTOCOL_VERSION)
                     .expect("catalog test digests"),
             );
         }
@@ -44,7 +44,8 @@ fn main() {
     for t in &tests {
         for bound in 1u32..=4 {
             std::hint::black_box(
-                source_digest(&t.source, None, bound, "all", "sat", 1).expect("digests"),
+                source_digest(&t.source, None, bound, "all", "sat", PROTOCOL_VERSION)
+                    .expect("digests"),
             );
             derived += 1;
         }

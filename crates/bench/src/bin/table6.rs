@@ -342,10 +342,7 @@ fn main() {
             Ok(p) => p,
             Err(e) => return Err(format!("parse: {e}")),
         };
-        let kind = match program.arch {
-            gpumc::gpumc_ir::Arch::Ptx => ModelKind::Ptx75,
-            gpumc::gpumc_ir::Arch::Vulkan => ModelKind::Vulkan,
-        };
+        let kind = gpumc_fleet::digest::default_model(program.arch);
         let v = Verifier::new(gpumc_models::load_shared(kind)).with_bound(t.bound);
         match v.check_all(&program) {
             Ok(_) => Ok(true),

@@ -16,8 +16,8 @@ use gpumc_models::ModelKind;
 fn main() {
     let jobs = gpumc_bench::jobs_from_args();
     let all = gpumc_bench::flag_from_args("--all");
-    // `FAST=1` skips the slowest correct-case row (ttaslock base: ~16 s
-    // of the whole table's ~28 s at `--jobs 1` on a 2-vCPU Xeon host)
+    // `FAST=1` skips the slowest correct-case row (ttaslock base: ~12.5 s
+    // of the whole table's ~20 s at `--jobs 1` on a 2-vCPU Xeon host)
     // for quick harness runs.
     let fast = std::env::var("FAST").is_ok();
     let batch = Instant::now();
@@ -71,7 +71,6 @@ fn main() {
         if all { "     Live" } else { "" },
         "Time (ms)"
     );
-    let mut csv = String::from("benchmark,grid,threads,events,correct,expected,time_ms\n");
     let mut aggregate_ms = 0u128;
     for (b, result) in benches.iter().zip(results) {
         match result {
@@ -101,24 +100,9 @@ fn main() {
                     eprintln!("{}:", b.name);
                     eprint!("{query_stats}");
                 }
-                csv.push_str(&format!(
-                    "{},{},{},{},{},{},{}\n",
-                    b.name,
-                    b.grid,
-                    b.grid.threads(),
-                    o.stats.events,
-                    correct,
-                    b.expect_correct,
-                    ms
-                ));
             }
             Err(e) => eprintln!("{}: {e}", b.name),
         }
-    }
-    if let Err(e) = std::fs::write("table7.csv", csv) {
-        eprintln!("could not write table7.csv: {e}");
-    } else {
-        eprintln!("wrote table7.csv");
     }
     eprintln!(
         "{}",

@@ -173,11 +173,6 @@ impl CatModel {
         &self.axioms
     }
 
-    /// The non-flagged axioms (those that define consistency).
-    pub fn consistency_axioms(&self) -> impl Iterator<Item = &Axiom> {
-        self.axioms.iter().filter(|a| !a.flagged)
-    }
-
     /// The flagged axioms (detectors such as data races).
     pub fn flagged_axioms(&self) -> impl Iterator<Item = &Axiom> {
         self.axioms.iter().filter(|a| a.flagged)

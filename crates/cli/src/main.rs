@@ -81,28 +81,21 @@ OPTIONS (route):
     --model <name>       model override (default: per-test, from dialect)
     --timeout-ms <ms>    forwarded per request
     --max-attempts <n>   cluster-wide attempts per request before a
-                         `status:\"failed\"` line (default: 2 x shards)
-    --backoff-ms <ms>    sleep between cluster retry rounds (default: 25)
+                         `status:\"failed\"` line (default: 2 x shards);
+                         attempt k goes to the k-th ring successor
+    --backoff-ms <ms>    sleep before each retry attempt (default: 25)
     --deadline-ms <ms>   per-request cluster deadline: when it expires
                          the request is answered `failed` (class
                          timeout) instead of retrying forever
     --read-timeout-ms <ms>
-                         per-attempt socket read timeout (default: none)
-    --hedge-ms <ms>      fire a hedged duplicate at the next ring
-                         successor when a shard is slower than <ms>;
-                         first definitive answer wins (default: off)
-    --breaker-failures <n>
-                         consecutive transport failures that trip a
-                         shard's circuit breaker (default: 3)
-    --breaker-cooldown-ms <ms>
-                         quarantine before a half-open probe readmits
-                         the shard (default: 500)
+                         per-attempt timeout on the connect, the write
+                         and the read, cut to the time left before the
+                         deadline (default: none)
 
     Merged verdict lines go to stdout in suite order — byte-identical
     for any shard count or mid-run node death, as long as some shard
     survives. Unanswerable requests are still answered `failed`, never
-    dropped. Per-shard routing stats, breaker trips, and hedge counts
-    go to stderr.
+    dropped. Per-shard routing stats go to stderr.
 
 OPTIONS (client):
     --addr <host:port>   server address (default: 127.0.0.1:7878)
@@ -337,14 +330,6 @@ fn route(args: &[String]) -> Result<ExitCode, String> {
                         .map_err(|_| "bad --deadline-ms")?,
                 )
             }
-            "--hedge-ms" => {
-                policy.hedge_ms = Some(
-                    it.next()
-                        .ok_or("--hedge-ms needs a value")?
-                        .parse()
-                        .map_err(|_| "bad --hedge-ms")?,
-                )
-            }
             "--read-timeout-ms" => {
                 policy.read_timeout_ms = Some(
                     it.next()
@@ -352,20 +337,6 @@ fn route(args: &[String]) -> Result<ExitCode, String> {
                         .parse()
                         .map_err(|_| "bad --read-timeout-ms")?,
                 )
-            }
-            "--breaker-failures" => {
-                policy.breaker.failure_threshold = it
-                    .next()
-                    .ok_or("--breaker-failures needs a value")?
-                    .parse()
-                    .map_err(|_| "bad --breaker-failures")?
-            }
-            "--breaker-cooldown-ms" => {
-                policy.breaker.cooldown_ms = it
-                    .next()
-                    .ok_or("--breaker-cooldown-ms needs a value")?
-                    .parse()
-                    .map_err(|_| "bad --breaker-cooldown-ms")?
             }
             other if !other.starts_with('-') && name.is_none() => name = Some(other.to_string()),
             other => return Err(format!("unknown argument `{other}`")),
@@ -394,27 +365,11 @@ fn route(args: &[String]) -> Result<ExitCode, String> {
     print!("{}", report.merged());
     for s in &report.shards {
         eprintln!(
-            "shard {}: {} sent, {} answered{}{}{}",
+            "shard {}: {} sent, {} answered{}",
             s.addr,
             s.sent,
             s.answered,
             if s.died { ", DIED" } else { "" },
-            if s.trips > 0 {
-                format!(", breaker tripped x{}", s.trips)
-            } else {
-                String::new()
-            },
-            if s.readmitted > 0 {
-                format!(", readmitted x{}", s.readmitted)
-            } else {
-                String::new()
-            },
-        );
-    }
-    if report.hedge.fired > 0 {
-        eprintln!(
-            "hedges: {} fired, {} won, {} duplicate answers ({} mismatched)",
-            report.hedge.fired, report.hedge.wins, report.hedge.duplicates, report.hedge.mismatches
         );
     }
     Ok(if report.all_done() {
@@ -666,10 +621,7 @@ fn verify(args: &[String]) -> Result<ExitCode, String> {
         Some(name) => {
             ModelKind::from_name(&name).ok_or_else(|| format!("unknown model `{name}`"))?
         }
-        None => match program.arch {
-            gpumc::gpumc_ir::Arch::Ptx => ModelKind::Ptx75,
-            gpumc::gpumc_ir::Arch::Vulkan => ModelKind::Vulkan,
-        },
+        None => gpumc::fleet::digest::default_model(program.arch),
     };
     let engine = parse_engine(&engine)?;
     let mut verifier = Verifier::new(gpumc_models::load(kind))

@@ -447,11 +447,6 @@ impl Verifier {
         &self.model
     }
 
-    /// A shared handle to the configured model (no deep copy).
-    pub fn shared_model(&self) -> Arc<CatModel> {
-        Arc::clone(&self.model)
-    }
-
     /// Compiles a program to its event graph with this verifier's bound.
     ///
     /// # Errors

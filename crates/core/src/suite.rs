@@ -326,10 +326,10 @@ impl SuiteRunner {
                 return result;
             }
         };
-        let kind = self.config.model.unwrap_or(match program.arch {
-            gpumc_ir::Arch::Ptx => ModelKind::Ptx75,
-            gpumc_ir::Arch::Vulkan => ModelKind::Vulkan,
-        });
+        let kind = self
+            .config
+            .model
+            .unwrap_or_else(|| gpumc_fleet::digest::default_model(program.arch));
         let mut v = Verifier::new(gpumc_models::load_shared(kind))
             .with_bound(t.bound)
             .with_engine(self.config.engine);

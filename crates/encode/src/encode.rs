@@ -1181,20 +1181,6 @@ impl<'g> Encoding<'g> {
         self.record("assertion", |enc| enc.condition_query(cond, negate))
     }
 
-    /// Searches for a consistent, complete behaviour where `cond` (or its
-    /// negation, with `negate`) holds. Recorded as `"condition"`.
-    ///
-    /// # Errors
-    ///
-    /// See [`Encoding::find_assertion_witness`].
-    pub fn find_condition(
-        &mut self,
-        cond: &Condition,
-        negate: bool,
-    ) -> Result<QueryResult<'g>, EncodeError> {
-        self.record("condition", |enc| enc.condition_query(cond, negate))
-    }
-
     fn condition_query(
         &mut self,
         cond: &Condition,

@@ -92,20 +92,6 @@ impl<'g> Execution<'g> {
             .all(|o| matches!(o, ThreadOutcome::Completed))
     }
 
-    /// Whether the execution is relevant for liveness: at least one
-    /// thread is stuck and every other thread is stuck or completed.
-    pub fn is_stuck_state(&self) -> bool {
-        let mut any_stuck = false;
-        for o in &self.outcomes {
-            match o {
-                ThreadOutcome::Stuck { .. } => any_stuck = true,
-                ThreadOutcome::Completed => {}
-                ThreadOutcome::Incomplete => return false,
-            }
-        }
-        any_stuck
-    }
-
     /// Whether this execution witnesses a liveness violation (§6.4): at
     /// least one thread is stuck in a spinloop whose final read observes a
     /// co-maximal write, and every other thread is either similarly stuck

@@ -216,19 +216,6 @@ impl<'a> Interpreter<'a> {
         indices.iter().all(|&i| self.axiom_holds(i))
     }
 
-    /// Evaluates a named definition (useful for tests and diagnostics).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the name is not defined or is set-kinded.
-    pub fn eval_named_rel(&mut self, name: &str, exec: &Execution<'_>) -> Relation {
-        let id = self.model.def_id(name).expect("unknown definition");
-        match self.def_values(exec).swap_remove(id) {
-            DefValue::Rel(r) => r,
-            DefValue::Set(_) => panic!("`{name}` is a set"),
-        }
-    }
-
     /// Evaluates every definition over an execution, indexed by
     /// [`gpumc_cat::DefId`].
     pub fn def_values(&mut self, exec: &Execution<'_>) -> Vec<DefValue> {

@@ -56,9 +56,6 @@ pub mod points {
     /// The fleet router, probed before each shard connection; a firing
     /// rule simulates a transport failure (node death).
     pub const ROUTE_TRANSPORT: &str = "route.transport";
-    /// The fleet router, probed after connecting; arm with `delay_ms`
-    /// to simulate a stalled link (exercises hedging and deadlines).
-    pub const ROUTE_STALL: &str = "route.stall_ms";
     /// Every wired point, for matrix-style tests.
     pub const ALL: &[&str] = &[
         SAT_CONFLICT,
@@ -66,7 +63,6 @@ pub mod points {
         SERVE_WORKER,
         DPOR_EXPLORE,
         ROUTE_TRANSPORT,
-        ROUTE_STALL,
     ];
 }
 
@@ -241,14 +237,6 @@ impl FaultPlan {
                 )
             })
             .collect()
-    }
-
-    /// Total number of fires across all rules.
-    pub fn total_fired(&self) -> u64 {
-        self.rules
-            .iter()
-            .map(|r| r.fired.load(Ordering::Relaxed))
-            .sum()
     }
 }
 

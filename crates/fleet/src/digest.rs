@@ -28,6 +28,11 @@ use gpumc_models::ModelKind;
 /// rendering or the hash mixing changes.
 pub const DIGEST_SCHEME_VERSION: u32 = 1;
 
+/// The wire protocol version this build speaks. Part of every request
+/// digest, so a wire-format change can never alias a cached verdict
+/// from an older dialect.
+pub const PROTOCOL_VERSION: u32 = 1;
+
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 
@@ -121,16 +126,23 @@ pub fn canonical_engine(name: &str) -> Result<&'static str, String> {
     }
 }
 
+/// The model a test of dialect `arch` is checked under when no model is
+/// named. This is the *one* place that default lives: the CLI, the
+/// suite runner, the server and the router all read it here, so they
+/// can never disagree on it.
+pub fn default_model(arch: Arch) -> ModelKind {
+    match arch {
+        Arch::Ptx => ModelKind::Ptx75,
+        Arch::Vulkan => ModelKind::Vulkan,
+    }
+}
+
 /// The model a request resolves to: an explicit name, or the dialect's
-/// default. This is the *one* place that default lives for digesting,
-/// so the server and the router can never disagree on it.
+/// [`default_model`].
 pub fn resolve_model(name: Option<&str>, arch: Arch) -> Option<ModelKind> {
     match name {
         Some(n) => ModelKind::from_name(n),
-        None => Some(match arch {
-            Arch::Ptx => ModelKind::Ptx75,
-            Arch::Vulkan => ModelKind::Vulkan,
-        }),
+        None => Some(default_model(arch)),
     }
 }
 

@@ -9,7 +9,9 @@
 //!
 //! * [`digest`] — a canonical, persistable request identity: a stable
 //!   128-bit digest of (test AST × model source × bound × property ×
-//!   engine × protocol version). It is FNV-1a over a canonical
+//!   engine × protocol version). The protocol version,
+//!   [`PROTOCOL_VERSION`], is defined there and re-exported by
+//!   `gpumc-serve`. The digest is FNV-1a over a canonical
 //!   rendering, not a process-local `DefaultHasher`, so it is safe to
 //!   write to disk or route on.
 //! * [`cache`] — a content-addressed result cache keyed by that digest:
@@ -18,11 +20,11 @@
 //!   verifier fingerprint. Only definitive verdicts are cached — never
 //!   `unknown` or `failed`.
 //! * [`router`] — `gpumc route`: fan a suite over N serve instances by
-//!   digest over a consistent-hash ring ([`ring`]), merge responses
-//!   deterministically, and self-heal around trouble: per-shard
-//!   circuit breakers ([`health`]) quarantine dead nodes, hedged
-//!   requests tame tail latency, and an exhausted request is always
-//!   answered `failed` with its class, never dropped.
+//!   digest over a consistent-hash ring ([`ring`]) and merge responses
+//!   deterministically. Each request walks its ring successors one
+//!   attempt at a time, failing over past dead, wedged and refusing
+//!   shards, and an exhausted request is always answered `failed`
+//!   with its class, never dropped.
 //!
 //! Everything is std-only, like the rest of the serving stack. The JSON
 //! plumbing ([`json`]) lives here (moved from `gpumc-serve`, which
@@ -31,7 +33,6 @@
 
 pub mod cache;
 pub mod digest;
-pub mod health;
 pub mod json;
 pub mod lru;
 pub mod ring;
@@ -39,10 +40,7 @@ pub mod router;
 pub mod store;
 
 pub use cache::{CachedVerdict, ResultCache};
-pub use digest::{request_digest, RequestKey, DIGEST_SCHEME_VERSION};
-pub use health::{Admission, BreakerConfig, BreakerState, CircuitBreaker};
+pub use digest::{request_digest, RequestKey, DIGEST_SCHEME_VERSION, PROTOCOL_VERSION};
 pub use json::Json;
 pub use ring::{HashRing, DEFAULT_VNODES};
-pub use router::{
-    home_shard, route, routing_digest, HedgeStats, RoutePolicy, RouteReport, RouteRequest,
-};
+pub use router::{home_shard, route, routing_digest, RoutePolicy, RouteReport, RouteRequest};

@@ -12,7 +12,7 @@
 //!
 //! Shards are identified by a caller-chosen string id and addressed by
 //! a dense index that stays stable across removals, so the router can
-//! keep per-shard state (stats, circuit breakers) in flat vectors.
+//! keep per-shard state (its stats) in flat vectors.
 
 /// Virtual nodes per shard. 128 points keeps the max/ideal load ratio
 /// under ~2× for small fleets (the bound `tests/ring_props.rs` locks).
@@ -105,7 +105,7 @@ impl HashRing {
 
     /// Every live shard in clockwise preference order for `digest`:
     /// the owner first, then each distinct shard as its first point is
-    /// passed. This is the failover (and hedging) order.
+    /// passed. This is the failover order.
     pub fn successors(&self, digest: u128) -> Vec<usize> {
         let mut order = Vec::with_capacity(self.len());
         if self.points.is_empty() {

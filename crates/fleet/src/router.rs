@@ -1,69 +1,58 @@
 //! Sharded routing: fan a suite over N serve instances, merge
-//! deterministically, survive node death, stalls, and full queues.
+//! deterministically, survive dead, wedged and refusing shards.
 //!
 //! Requests are assigned to shards by content digest over a
 //! consistent-hash ring ([`crate::ring`]), so identical queries always
 //! land on the same node and its result cache, and a topology change
 //! moves as few digests as possible. Each request is driven
-//! end-to-end by its own driver (a bounded pool), which walks the
-//! ring's successor order under per-shard circuit breakers
-//! ([`crate::health`]): a shard that keeps failing at the transport
-//! level is quarantined and probed again only after a cooldown,
-//! instead of burning a connect timeout per request.
+//! end-to-end by one driver thread from a bounded pool, which walks the
+//! ring's successor order one attempt at a time: attempt *k* goes to
+//! the *k*-th successor (mod the shard count), after a backoff.
 //!
 //! Failure semantics (DESIGN.md §16):
 //!
 //! * `done` / `unknown` / `error` responses are *answers* — final.
 //! * `rejected` (a full queue or a draining node) and `failed` (the
 //!   node's retry policy gave up) responses are *node-level* trouble:
-//!   the request fails over to the next ring successor after a
-//!   backoff. Any response proves the transport is healthy, so these
-//!   reset the shard's failure streak.
-//! * a transport failure (connect refused, connection died, read timed
-//!   out) counts against the shard's breaker; enough consecutive
-//!   failures trip it open and quarantine the shard until a half-open
-//!   probe readmits it.
-//! * when the attempt budget or the per-request deadline
-//!   ([`RoutePolicy::deadline_ms`]) is exhausted, the request answers
-//!   a *classified* line: `status:"failed"` (class `cluster`, with the
-//!   attempt count and the last error). Nothing is ever silently
-//!   dropped.
-//!
-//! With [`RoutePolicy::hedge_ms`] set, a request that a shard has held
-//! that long is *hedged*: the same digest is fired at the next ring
-//! successor and the first definitive answer wins. Both answers reduce
-//! to the same order-independent merged line; the router
-//! `debug_assert!`s that and counts duplicates and mismatches in
-//! [`HedgeStats`].
+//!   the request fails over to the next ring successor.
+//! * a transport failure (connect refused or timed out, connection
+//!   died, read timed out, a reply for another request id) marks the
+//!   shard `died` and fails over the same way. A failing shard is not
+//!   quarantined: every request that reaches it tries it again.
+//! * each attempt has one timeout, [`RoutePolicy::read_timeout_ms`] cut
+//!   to the time left before [`RoutePolicy::deadline_ms`]; it bounds
+//!   the connect, the write and the read, so no attempt outlives its
+//!   request.
+//! * when the attempt budget or the per-request deadline is exhausted,
+//!   the request answers a *classified* line: `status:"failed"` (class
+//!   `cluster`, with the attempt count and the last error). Nothing is
+//!   ever silently dropped.
 //!
 //! A per-request fault plan (the `faults` field) is a *node-local*
 //! injection: it rides the first attempt only and is stripped on
-//! failover and hedging, so an injected node death cannot chase the
-//! request across the fleet it was meant to test.
+//! failover, so an injected node death cannot chase the request across
+//! the fleet it was meant to test.
 //!
 //! The merged output is one line per request, *in input order*, each
 //! carrying only order-independent fields (no ids, no timings) — so a
 //! 2-shard run with a mid-run node death is byte-identical to a
 //! single-node run of the same suite.
 
-use std::io::{BufRead, BufReader};
-use std::net::TcpStream;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::mpsc::{self, RecvTimeoutError};
-use std::sync::{Arc, Mutex};
+use std::io::{self, BufRead, BufReader};
+use std::net::{TcpStream, ToSocketAddrs};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
-use crate::digest::source_digest;
-use crate::health::{Admission, BreakerConfig, CircuitBreaker};
+use crate::digest::{source_digest, PROTOCOL_VERSION};
 use crate::json::{self, Json};
 use crate::ring::{HashRing, DEFAULT_VNODES};
 
-/// Concurrent in-flight requests (each may add one hedge attempt).
+/// Requests driven concurrently, one driver thread each.
 const MAX_DRIVERS: usize = 16;
 
-/// How long a driver waits for a hedge loser's answer (for the
-/// duplicate check) when no deadline or read timeout bounds it.
-const LOSER_WAIT_MS: u64 = 2_000;
+/// Why a lock shared by the drivers can be poisoned.
+const DRIVER_PANICKED: &str = "a route driver panicked";
 
 /// One request of a routed suite.
 #[derive(Debug, Clone)]
@@ -82,30 +71,22 @@ pub struct RouteRequest {
     pub faults: Option<String>,
 }
 
-/// Cluster-wide retry, deadline, hedging, and health policy.
+/// Cluster-wide retry and deadline policy.
 #[derive(Debug, Clone, Copy)]
 pub struct RoutePolicy {
-    /// Total attempts per request across all shards (hedges included);
-    /// `0` means `2 × shards`.
+    /// Total attempts per request across all shards; `0` means
+    /// `2 × shards`.
     pub max_attempts: u32,
     /// Sleep before each retry attempt.
     pub backoff_ms: u64,
-    /// Protocol version stamped on every request.
-    pub proto: u32,
     /// Per-request deadline; past it the request answers
     /// `failed(timeout)` with its attempt count. `None` waits forever
     /// (the node-side timeout still applies).
     pub deadline_ms: Option<u64>,
-    /// Hedge threshold: an attempt outstanding this long fires a
-    /// duplicate at the next ring successor. `None` disables hedging.
-    pub hedge_ms: Option<u64>,
-    /// Per-attempt socket read timeout; `None` leaves reads unbounded
-    /// (a stalled shard then only resolves via `deadline_ms`).
+    /// Per-attempt timeout on the connect, the write and the read;
+    /// `None` leaves them unbounded (a stalled shard then only
+    /// resolves via `deadline_ms`).
     pub read_timeout_ms: Option<u64>,
-    /// Per-shard circuit-breaker tuning.
-    pub breaker: BreakerConfig,
-    /// Virtual nodes per shard on the hash ring.
-    pub vnodes: usize,
 }
 
 impl Default for RoutePolicy {
@@ -113,12 +94,8 @@ impl Default for RoutePolicy {
         RoutePolicy {
             max_attempts: 0,
             backoff_ms: 25,
-            proto: 1,
             deadline_ms: None,
-            hedge_ms: None,
             read_timeout_ms: None,
-            breaker: BreakerConfig::default(),
-            vnodes: DEFAULT_VNODES,
         }
     }
 }
@@ -129,28 +106,10 @@ pub struct ShardStats {
     pub addr: String,
     /// Requests sent (attempts, not unique requests).
     pub sent: u64,
-    /// Final answers produced (hedge losers included).
+    /// Final answers produced.
     pub answered: u64,
     /// Whether the shard ever failed at the transport level.
     pub died: bool,
-    /// Times the shard's breaker tripped open (quarantines).
-    pub trips: u64,
-    /// Times a half-open probe readmitted the shard.
-    pub readmitted: u64,
-}
-
-/// Fleet-wide hedging counters.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct HedgeStats {
-    /// Hedge attempts fired.
-    pub fired: u64,
-    /// Hedge attempts that produced the winning answer.
-    pub wins: u64,
-    /// Requests where both the primary and the hedge answered.
-    pub duplicates: u64,
-    /// Duplicate answers whose merged lines differed (must be 0; also
-    /// a `debug_assert!`).
-    pub mismatches: u64,
 }
 
 /// The final state of one routed request.
@@ -172,7 +131,6 @@ pub struct RouteReport {
     /// One outcome per request, in input order.
     pub results: Vec<RouteOutcome>,
     pub shards: Vec<ShardStats>,
-    pub hedge: HedgeStats,
 }
 
 impl RouteReport {
@@ -196,8 +154,8 @@ impl RouteReport {
 /// The shard a digest homes on in an `n`-shard fleet: the owner on the
 /// canonical ring (`s0..s{n-1}` ids), which is exactly how [`route`]
 /// assigns. Exported so tests and operators can predict placement.
-pub fn home_shard(digest: u128, shards: usize, vnodes: usize) -> usize {
-    HashRing::with_shards(shards, vnodes.max(1))
+pub fn home_shard(digest: u128, shards: usize) -> usize {
+    HashRing::with_shards(shards, DEFAULT_VNODES)
         .owner(digest)
         .unwrap_or(0)
 }
@@ -206,14 +164,14 @@ pub fn home_shard(digest: u128, shards: usize, vnodes: usize) -> usize {
 /// request parses, an FNV fallback over the raw source where it does
 /// not (the server will answer `error`; the request still needs *a*
 /// home).
-pub fn routing_digest(req: &RouteRequest, proto: u32) -> u128 {
+pub fn routing_digest(req: &RouteRequest) -> u128 {
     source_digest(
         &req.source,
         req.model.as_deref(),
         req.bound,
         "all",
         &req.engine,
-        proto,
+        PROTOCOL_VERSION,
     )
     .unwrap_or_else(|_| {
         let mut h: u128 = 0xcbf2_9ce4_8422_2325;
@@ -231,53 +189,74 @@ enum Attempt {
     Final(Json),
     /// A retryable answer (`rejected`/`failed`), with its error text.
     Retry(String),
-    /// The connection failed or died: counts against the breaker.
+    /// The connection failed, died, or answered another request.
     Transport(String),
 }
 
-/// One shard's connection for one attempt.
-struct ShardConn {
-    reader: BufReader<TcpStream>,
-    writer: TcpStream,
-}
-
-impl ShardConn {
-    fn connect(addr: &str, timeout: Option<Duration>) -> std::io::Result<ShardConn> {
-        let stream = TcpStream::connect(addr)?;
-        stream.set_nodelay(true)?;
-        stream.set_read_timeout(timeout)?;
-        Ok(ShardConn {
-            reader: BufReader::new(stream.try_clone()?),
-            writer: stream,
-        })
-    }
-
-    /// Sends one request, awaits its response (matched by id).
-    fn roundtrip(&mut self, id: u64, req: &Json) -> Result<Json, String> {
-        json::write_line(&mut self.writer, req).map_err(|e| format!("write: {e}"))?;
-        loop {
-            let mut line = String::new();
-            let n = self
-                .reader
-                .read_line(&mut line)
-                .map_err(|e| format!("read: {e}"))?;
-            if n == 0 {
-                return Err("connection closed mid-request".to_string());
-            }
-            let resp = Json::parse(line.trim_end()).map_err(|e| format!("bad response: {e}"))?;
-            if resp.get("id").and_then(Json::as_u64) == Some(id) {
-                return Ok(resp);
-            }
-            // Not ours (a stale pipelined answer): keep reading.
+/// Connects to `addr`, within `timeout` per resolved address when one
+/// is given.
+fn connect(addr: &str, timeout: Option<Duration>) -> io::Result<TcpStream> {
+    let Some(timeout) = timeout else {
+        return TcpStream::connect(addr);
+    };
+    let mut last = io::Error::new(io::ErrorKind::InvalidInput, "address resolves to nothing");
+    for a in addr.to_socket_addrs()? {
+        match TcpStream::connect_timeout(&a, timeout) {
+            Ok(stream) => return Ok(stream),
+            Err(e) => last = e,
         }
     }
+    Err(last)
 }
 
-fn request_json(req: &RouteRequest, id: u64, proto: u32, with_faults: bool) -> Json {
+/// Sends one request on a fresh connection and reads its one reply. A
+/// connection carries one request, so a reply with another id is a
+/// transport failure.
+fn roundtrip(addr: &str, req: &Json, id: u64, timeout: Option<Duration>) -> Result<Json, String> {
+    let stream = connect(addr, timeout).map_err(|e| format!("connect: {e}"))?;
+    stream
+        .set_nodelay(true)
+        .and_then(|()| stream.set_write_timeout(timeout))
+        .and_then(|()| stream.set_read_timeout(timeout))
+        .map_err(|e| format!("connect: {e}"))?;
+    json::write_line(&mut &stream, req).map_err(|e| format!("write: {e}"))?;
+    let mut line = String::new();
+    let n = BufReader::new(&stream)
+        .read_line(&mut line)
+        .map_err(|e| format!("read: {e}"))?;
+    if n == 0 {
+        return Err("connection closed mid-request".to_string());
+    }
+    let resp = Json::parse(line.trim_end()).map_err(|e| format!("bad response: {e}"))?;
+    match resp.get("id").and_then(Json::as_u64) {
+        Some(got) if got == id => Ok(resp),
+        got => Err(format!("reply for id {got:?}, expected {id}")),
+    }
+}
+
+fn run_attempt(addr: &str, req_json: &Json, id: u64, timeout: Option<Duration>) -> Attempt {
+    if gpumc_fault::hit(gpumc_fault::points::ROUTE_TRANSPORT).is_some() {
+        return Attempt::Transport("injected transport fault".to_string());
+    }
+    match roundtrip(addr, req_json, id, timeout) {
+        Ok(resp) => match resp.get("status").and_then(Json::as_str) {
+            Some(status @ ("rejected" | "failed")) => Attempt::Retry(
+                resp.get("error")
+                    .and_then(Json::as_str)
+                    .unwrap_or(status)
+                    .to_string(),
+            ),
+            _ => Attempt::Final(resp),
+        },
+        Err(e) => Attempt::Transport(e),
+    }
+}
+
+fn request_json(req: &RouteRequest, id: u64, with_faults: bool) -> Json {
     let mut fields = vec![
         ("id".into(), Json::count(id)),
         ("verb".into(), Json::str("verify")),
-        ("proto".into(), Json::count(u64::from(proto))),
+        ("proto".into(), Json::count(u64::from(PROTOCOL_VERSION))),
         ("source".into(), Json::str(&req.source)),
         ("bound".into(), Json::count(u64::from(req.bound))),
         ("engine".into(), Json::str(&req.engine)),
@@ -324,39 +303,32 @@ fn merged_line(name: &str, resp: &Json) -> (String, String) {
     }
 }
 
-/// The line of an unanswered request: `failed` (class `cluster`), with
-/// the error and the attempt count.
-fn classified_line(name: &str, error: &str, attempts: u32) -> String {
-    Json::Obj(vec![
-        ("test".into(), Json::str(name)),
+/// The outcome of an unanswered request: `failed` (class `cluster`),
+/// with the error and the attempt count.
+fn failed_outcome(req: &RouteRequest, error: &str, attempts: u32) -> RouteOutcome {
+    let line = Json::Obj(vec![
+        ("test".into(), Json::str(&req.name)),
         ("status".into(), Json::str("failed")),
         ("class".into(), Json::str("cluster")),
         ("error".into(), Json::str(error)),
         ("attempts".into(), Json::count(u64::from(attempts))),
-    ])
-    .to_string()
+    ]);
+    RouteOutcome {
+        name: req.name.clone(),
+        status: "failed".to_string(),
+        line: line.to_string(),
+        shard: None,
+        attempts,
+    }
 }
 
-/// State shared by every driver and attempt thread of one [`route`].
+/// State shared by every driver of one [`route`].
 struct ClusterState {
     addrs: Vec<String>,
     ring: HashRing,
-    breakers: Vec<Mutex<CircuitBreaker>>,
     stats: Mutex<Vec<ShardStats>>,
-    hedge_fired: AtomicU64,
-    hedge_wins: AtomicU64,
-    hedge_duplicates: AtomicU64,
-    hedge_mismatches: AtomicU64,
-    start: Instant,
     policy: RoutePolicy,
     max_attempts: u32,
-}
-
-impl ClusterState {
-    /// The run-scoped millisecond clock the breakers run on.
-    fn now_ms(&self) -> u64 {
-        u64::try_from(self.start.elapsed().as_millis()).unwrap_or(u64::MAX)
-    }
 }
 
 /// Fans `requests` over `shards` (serve addresses) and merges. See the
@@ -369,13 +341,9 @@ pub fn route(requests: &[RouteRequest], shards: &[String], policy: &RoutePolicy)
     } else {
         policy.max_attempts
     };
-    let cl = Arc::new(ClusterState {
+    let cl = ClusterState {
         addrs: shards.to_vec(),
-        ring: HashRing::with_shards(shards.len(), policy.vnodes.max(1)),
-        breakers: shards
-            .iter()
-            .map(|_| Mutex::new(CircuitBreaker::new(policy.breaker)))
-            .collect(),
+        ring: HashRing::with_shards(shards.len(), DEFAULT_VNODES),
         stats: Mutex::new(
             shards
                 .iter()
@@ -384,19 +352,12 @@ pub fn route(requests: &[RouteRequest], shards: &[String], policy: &RoutePolicy)
                     sent: 0,
                     answered: 0,
                     died: false,
-                    trips: 0,
-                    readmitted: 0,
                 })
                 .collect(),
         ),
-        hedge_fired: AtomicU64::new(0),
-        hedge_wins: AtomicU64::new(0),
-        hedge_duplicates: AtomicU64::new(0),
-        hedge_mismatches: AtomicU64::new(0),
-        start: Instant::now(),
         policy: *policy,
         max_attempts,
-    });
+    };
     let results: Mutex<Vec<Option<RouteOutcome>>> =
         Mutex::new((0..requests.len()).map(|_| None).collect());
     let next = AtomicUsize::new(0);
@@ -407,328 +368,93 @@ pub fn route(requests: &[RouteRequest], shards: &[String], policy: &RoutePolicy)
                 if i >= requests.len() {
                     break;
                 }
-                let outcome = drive(&cl, &requests[i], i);
-                results.lock().unwrap()[i] = Some(outcome);
+                let outcome = drive(&cl, &requests[i], i as u64);
+                results.lock().expect(DRIVER_PANICKED)[i] = Some(outcome);
             });
         }
     });
-    let shards = cl.stats.lock().unwrap().clone();
     RouteReport {
         results: results
             .into_inner()
-            .unwrap()
+            .expect(DRIVER_PANICKED)
             .into_iter()
             .map(|r| r.expect("every request resolved"))
             .collect(),
-        shards,
-        hedge: HedgeStats {
-            fired: cl.hedge_fired.load(Ordering::Relaxed),
-            wins: cl.hedge_wins.load(Ordering::Relaxed),
-            duplicates: cl.hedge_duplicates.load(Ordering::Relaxed),
-            mismatches: cl.hedge_mismatches.load(Ordering::Relaxed),
-        },
+        shards: cl.stats.into_inner().expect(DRIVER_PANICKED),
     }
 }
 
-/// The first breaker-admitted shard in `succ` order, starting at
-/// `offset` (so retries advance around the ring), skipping `exclude`.
-fn pick_shard(
-    cl: &ClusterState,
-    succ: &[usize],
-    offset: usize,
-    exclude: &[usize],
-    now_ms: u64,
-) -> Option<usize> {
-    for i in 0..succ.len() {
-        let s = succ[(offset + i) % succ.len()];
-        if exclude.contains(&s) {
-            continue;
-        }
-        match cl.breakers[s].lock().unwrap().admit(now_ms) {
-            Admission::Admit | Admission::Probe => return Some(s),
-            Admission::Quarantined => {}
-        }
-    }
-    None
-}
-
-/// Runs one attempt against one shard and reports its breaker/stat
-/// effects. Runs on a detached thread so a stalled read never wedges a
-/// driver past its deadline.
-fn attempt_thread(
-    cl: Arc<ClusterState>,
-    shard: usize,
-    req_json: Json,
-    id: u64,
-    read_timeout: Option<Duration>,
-    slot: usize,
-    tx: mpsc::Sender<(usize, usize, Attempt)>,
-) {
-    std::thread::spawn(move || {
-        cl.stats.lock().unwrap()[shard].sent += 1;
-        let result = run_attempt(&cl.addrs[shard], &req_json, id, read_timeout);
-        match &result {
-            Attempt::Final(_) | Attempt::Retry(_) => {
-                let readmitted = cl.breakers[shard].lock().unwrap().on_success();
-                let mut stats = cl.stats.lock().unwrap();
-                if readmitted {
-                    stats[shard].readmitted += 1;
-                }
-                if matches!(result, Attempt::Final(_)) {
-                    stats[shard].answered += 1;
-                }
-            }
-            Attempt::Transport(_) => {
-                let tripped = cl.breakers[shard].lock().unwrap().on_failure(cl.now_ms());
-                let mut stats = cl.stats.lock().unwrap();
-                stats[shard].died = true;
-                if tripped {
-                    stats[shard].trips += 1;
-                }
-            }
-        }
-        let _ = tx.send((slot, shard, result));
-    });
-}
-
-fn run_attempt(addr: &str, req_json: &Json, id: u64, read_timeout: Option<Duration>) -> Attempt {
-    if gpumc_fault::hit(gpumc_fault::points::ROUTE_TRANSPORT).is_some() {
-        return Attempt::Transport("injected transport fault".to_string());
-    }
-    let mut conn = match ShardConn::connect(addr, read_timeout) {
-        Ok(c) => c,
-        Err(e) => return Attempt::Transport(format!("connect: {e}")),
-    };
-    // An armed `route.stall_ms:delay_ms` sleeps here: a stalled link.
-    let _ = gpumc_fault::hit(gpumc_fault::points::ROUTE_STALL);
-    match conn.roundtrip(id, req_json) {
-        Ok(resp) => match resp.get("status").and_then(Json::as_str) {
-            Some(status @ ("rejected" | "failed")) => Attempt::Retry(
-                resp.get("error")
-                    .and_then(Json::as_str)
-                    .unwrap_or(status)
-                    .to_string(),
-            ),
-            _ => Attempt::Final(resp),
-        },
-        Err(e) => Attempt::Transport(e),
-    }
-}
-
-/// Drives one request to a final, always-classified outcome.
-fn drive(cl: &Arc<ClusterState>, req: &RouteRequest, idx: usize) -> RouteOutcome {
-    let digest = routing_digest(req, cl.policy.proto);
-    let succ = cl.ring.successors(digest);
+/// Drives one request to a final, always-classified outcome: attempt
+/// *k* goes to the *k*-th ring successor, until an answer, the attempt
+/// budget, or the deadline.
+fn drive(cl: &ClusterState, req: &RouteRequest, id: u64) -> RouteOutcome {
+    let succ = cl.ring.successors(routing_digest(req));
     let started = Instant::now();
     let deadline = cl.policy.deadline_ms.map(Duration::from_millis);
-    let hedge_after = cl.policy.hedge_ms.map(Duration::from_millis);
-    let remaining = |started: Instant| deadline.map(|d| d.saturating_sub(started.elapsed()));
-    let expired = |started: Instant| remaining(started).is_some_and(|r| r.is_zero());
-    let mut attempts: u32 = 0;
-    let mut last_error = String::new();
-    let mut stalls: u32 = 0;
-    loop {
-        if expired(started) {
-            return timeout_outcome(req, attempts, &last_error, cl.policy.deadline_ms);
-        }
-        if attempts >= cl.max_attempts {
-            return exhausted_outcome(req, attempts, &last_error);
-        }
-        let Some(primary) = pick_shard(cl, &succ, attempts as usize, &[], cl.now_ms()) else {
-            // Everyone quarantined: wait for the earliest half-open
-            // probe window (bounded, so a wedged probe cannot spin us
-            // forever without a deadline).
-            stalls += 1;
-            if stalls > cl.max_attempts.saturating_mul(8).max(16) {
-                let err = format!("all shards quarantined; last error: {last_error}");
-                return exhausted_outcome(req, attempts, &err);
-            }
-            let now = cl.now_ms();
-            let mut wait = cl.policy.backoff_ms.max(1);
-            for b in &cl.breakers {
-                if let Some(at) = b.lock().unwrap().next_probe_at() {
-                    wait = wait.min(at.saturating_sub(now)).max(1);
-                }
-            }
-            let mut wait = Duration::from_millis(wait.min(100));
-            if let Some(r) = remaining(started) {
-                wait = wait.min(r);
-            }
-            std::thread::sleep(wait);
-            continue;
-        };
-        stalls = 0;
-        if attempts > 0 && cl.policy.backoff_ms > 0 {
-            std::thread::sleep(Duration::from_millis(cl.policy.backoff_ms));
-        }
-        // Per-attempt read timeout: the policy cap, tightened by the
-        // remaining deadline.
-        let read_timeout = match (cl.policy.read_timeout_ms, remaining(started)) {
-            (Some(ms), Some(r)) => Some(Duration::from_millis(ms).min(r)),
-            (Some(ms), None) => Some(Duration::from_millis(ms)),
-            (None, Some(r)) => Some(r),
-            (None, None) => None,
-        };
-        let (tx, rx) = mpsc::channel();
-        let with_faults = attempts == 0;
-        attempt_thread(
-            Arc::clone(cl),
-            primary,
-            request_json(req, idx as u64, cl.policy.proto, with_faults),
-            idx as u64,
-            read_timeout,
-            0,
-            tx.clone(),
+    let read_timeout = cl.policy.read_timeout_ms.map(Duration::from_millis);
+    let time_left = || deadline.map(|d| d.saturating_sub(started.elapsed()));
+    let timed_out = |attempts: u32, last_error: &str| {
+        let mut error = format!(
+            "timeout: deadline {}ms exceeded",
+            cl.policy.deadline_ms.unwrap_or_default()
         );
-        let mut fired = vec![primary];
-        attempts += 1;
-        // Collect results from this wave (primary, plus at most one
-        // hedge) until a final answer wins or every attempt reported.
-        let mut winner: Option<(usize, usize, Json)> = None;
-        let mut outstanding = 1usize;
-        let mut hedged = false;
-        while outstanding > 0 {
-            let wait = if winner.is_some() {
-                // Only the duplicate check rides on the loser: bounded.
-                let cap = cl.policy.read_timeout_ms.unwrap_or(LOSER_WAIT_MS);
-                Some(match remaining(started) {
-                    Some(r) => Duration::from_millis(cap).min(r),
-                    None => Duration::from_millis(cap),
-                })
-            } else if !hedged && hedge_after.is_some() {
-                let h = hedge_after.unwrap();
-                Some(match remaining(started) {
-                    Some(r) => h.min(r),
-                    None => h,
-                })
-            } else {
-                remaining(started)
-            };
-            let received = match wait {
-                Some(w) => rx.recv_timeout(w),
-                None => rx.recv().map_err(|_| RecvTimeoutError::Disconnected),
-            };
-            match received {
-                Ok((slot, shard, attempt)) => {
-                    outstanding -= 1;
-                    match attempt {
-                        Attempt::Final(resp) => {
-                            if let Some((_, _, first)) = &winner {
-                                // The hedge loser also answered: both
-                                // merged lines must agree bytewise.
-                                cl.hedge_duplicates.fetch_add(1, Ordering::Relaxed);
-                                let a = merged_line(&req.name, first).1;
-                                let b = merged_line(&req.name, &resp).1;
-                                if a != b {
-                                    cl.hedge_mismatches.fetch_add(1, Ordering::Relaxed);
-                                    debug_assert_eq!(
-                                        a, b,
-                                        "hedged duplicates diverged for `{}`",
-                                        req.name
-                                    );
-                                }
-                            } else {
-                                if slot == 1 {
-                                    cl.hedge_wins.fetch_add(1, Ordering::Relaxed);
-                                }
-                                winner = Some((slot, shard, resp));
-                            }
-                        }
-                        Attempt::Retry(why) | Attempt::Transport(why) => {
-                            last_error = format!("{}: {why}", cl.addrs[shard]);
-                        }
-                    }
-                }
-                Err(RecvTimeoutError::Timeout) => {
-                    if winner.is_some() {
-                        break; // give up waiting on the loser
-                    }
-                    if expired(started) {
-                        return timeout_outcome(req, attempts, &last_error, cl.policy.deadline_ms);
-                    }
-                    if !hedged && hedge_after.is_some() && attempts < cl.max_attempts {
-                        hedged = true;
-                        if let Some(second) =
-                            pick_shard(cl, &succ, attempts as usize, &fired, cl.now_ms())
-                        {
-                            cl.hedge_fired.fetch_add(1, Ordering::Relaxed);
-                            attempt_thread(
-                                Arc::clone(cl),
-                                second,
-                                request_json(req, idx as u64, cl.policy.proto, false),
-                                idx as u64,
-                                read_timeout,
-                                1,
-                                tx.clone(),
-                            );
-                            fired.push(second);
-                            attempts += 1;
-                            outstanding += 1;
-                        }
-                    } else {
-                        hedged = true; // nothing else to do but wait
-                    }
-                }
-                Err(RecvTimeoutError::Disconnected) => break,
+        if !last_error.is_empty() {
+            error.push_str(&format!("; last error: {last_error}"));
+        }
+        failed_outcome(req, &error, attempts)
+    };
+    let mut last_error = String::new();
+    for attempt in 0..cl.max_attempts {
+        if attempt > 0 {
+            let pause = Duration::from_millis(cl.policy.backoff_ms);
+            std::thread::sleep(time_left().map_or(pause, |left| pause.min(left)));
+        }
+        let left = time_left();
+        if left.is_some_and(|l| l.is_zero()) {
+            return timed_out(attempt, &last_error);
+        }
+        // The policy's timeout, cut to the time left before the deadline.
+        let timeout = match (read_timeout, left) {
+            (Some(t), Some(l)) => Some(t.min(l)),
+            (t, l) => t.or(l),
+        };
+        let shard = succ[attempt as usize % succ.len()];
+        cl.stats.lock().expect(DRIVER_PANICKED)[shard].sent += 1;
+        let req_json = request_json(req, id, attempt == 0);
+        match run_attempt(&cl.addrs[shard], &req_json, id, timeout) {
+            Attempt::Final(resp) => {
+                cl.stats.lock().expect(DRIVER_PANICKED)[shard].answered += 1;
+                let (status, line) = merged_line(&req.name, &resp);
+                return RouteOutcome {
+                    name: req.name.clone(),
+                    status,
+                    line,
+                    shard: Some(shard),
+                    attempts: attempt + 1,
+                };
+            }
+            Attempt::Retry(why) => last_error = format!("{}: {why}", cl.addrs[shard]),
+            Attempt::Transport(why) => {
+                cl.stats.lock().expect(DRIVER_PANICKED)[shard].died = true;
+                last_error = format!("{}: {why}", cl.addrs[shard]);
             }
         }
-        if let Some((_, shard, resp)) = winner {
-            let (status, line) = merged_line(&req.name, &resp);
-            return RouteOutcome {
-                name: req.name.clone(),
-                status,
-                line,
-                shard: Some(shard),
-                attempts,
-            };
-        }
     }
-}
-
-fn timeout_outcome(
-    req: &RouteRequest,
-    attempts: u32,
-    last_error: &str,
-    deadline_ms: Option<u64>,
-) -> RouteOutcome {
-    let mut error = format!(
-        "timeout: deadline {}ms exceeded",
-        deadline_ms.unwrap_or_default()
-    );
-    if !last_error.is_empty() {
-        error.push_str(&format!("; last error: {last_error}"));
+    if time_left().is_some_and(|left| left.is_zero()) {
+        return timed_out(cl.max_attempts, &last_error);
     }
-    RouteOutcome {
-        name: req.name.clone(),
-        status: "failed".to_string(),
-        line: classified_line(&req.name, &error, attempts),
-        shard: None,
-        attempts,
-    }
-}
-
-fn exhausted_outcome(req: &RouteRequest, attempts: u32, last_error: &str) -> RouteOutcome {
-    let error = if attempts == 0 {
-        "no live shards".to_string()
-    } else if last_error.starts_with("all shards quarantined") {
-        last_error.to_string()
-    } else {
-        format!("retries exhausted; last error: {last_error}")
-    };
-    RouteOutcome {
-        name: req.name.clone(),
-        status: "failed".to_string(),
-        line: classified_line(&req.name, &error, attempts),
-        shard: None,
-        attempts,
-    }
+    failed_outcome(
+        req,
+        &format!("retries exhausted; last error: {last_error}"),
+        cl.max_attempts,
+    )
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use std::net::TcpListener;
-    use std::sync::atomic::{AtomicU64, Ordering};
+    use std::sync::atomic::AtomicU64;
     use std::sync::Arc;
 
     const MP: &str = "PTX MP\n{ x = 0; flag = 0; }\n\
@@ -756,15 +482,13 @@ exists (P0:r0 == 0 /\\ P1:r1 == 0)";
     }
 
     /// A fake shard: answers every verify with a canned `done` verdict
-    /// whose `test` field is the request id, counting requests served,
-    /// after an optional per-response delay.
-    fn fake_shard_delayed(
-        served: Arc<AtomicU64>,
-        delay_ms: u64,
-    ) -> (String, std::thread::JoinHandle<()>) {
+    /// whose `test` field is the request id, counting requests served.
+    /// Its replies carry the request id plus `id_skew`, so a non-zero
+    /// skew answers some other request.
+    fn fake_shard_skewed(served: Arc<AtomicU64>, id_skew: u64) -> String {
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap().to_string();
-        let handle = std::thread::spawn(move || {
+        std::thread::spawn(move || {
             for conn in listener.incoming() {
                 let Ok(stream) = conn else { break };
                 let served = Arc::clone(&served);
@@ -781,12 +505,9 @@ exists (P0:r0 == 0 /\\ P1:r1 == 0)";
                             break;
                         };
                         let id = req.get("id").and_then(Json::as_u64).unwrap_or(0);
-                        if delay_ms > 0 {
-                            std::thread::sleep(Duration::from_millis(delay_ms));
-                        }
                         served.fetch_add(1, Ordering::Relaxed);
                         let resp = Json::Obj(vec![
-                            ("id".into(), Json::count(id)),
+                            ("id".into(), Json::count(id + id_skew)),
                             ("status".into(), Json::str("done")),
                             (
                                 "verdict".into(),
@@ -800,11 +521,11 @@ exists (P0:r0 == 0 /\\ P1:r1 == 0)";
                 });
             }
         });
-        (addr, handle)
+        addr
     }
 
-    fn fake_shard(served: Arc<AtomicU64>) -> (String, std::thread::JoinHandle<()>) {
-        fake_shard_delayed(served, 0)
+    fn fake_shard(served: Arc<AtomicU64>) -> String {
+        fake_shard_skewed(served, 0)
     }
 
     /// A shard that accepts connections and immediately closes them.
@@ -872,57 +593,10 @@ exists (P0:r0 == 0 /\\ P1:r1 == 0)";
         addr
     }
 
-    /// A shard that kills its first `kill_first` connections, then
-    /// serves like [`fake_shard`] — the half-open readmission target.
-    fn flaky_shard(kill_first: u64, served: Arc<AtomicU64>) -> String {
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let addr = listener.local_addr().unwrap().to_string();
-        std::thread::spawn(move || {
-            let mut seen = 0u64;
-            for conn in listener.incoming() {
-                let Ok(stream) = conn else { break };
-                seen += 1;
-                if seen <= kill_first {
-                    drop(stream);
-                    continue;
-                }
-                let served = Arc::clone(&served);
-                std::thread::spawn(move || {
-                    let mut reader = BufReader::new(stream.try_clone().unwrap());
-                    let mut writer = stream;
-                    loop {
-                        let mut line = String::new();
-                        match reader.read_line(&mut line) {
-                            Ok(0) | Err(_) => break,
-                            Ok(_) => {}
-                        }
-                        let Ok(req) = Json::parse(line.trim_end()) else {
-                            break;
-                        };
-                        let id = req.get("id").and_then(Json::as_u64).unwrap_or(0);
-                        served.fetch_add(1, Ordering::Relaxed);
-                        let resp = Json::Obj(vec![
-                            ("id".into(), Json::count(id)),
-                            ("status".into(), Json::str("done")),
-                            (
-                                "verdict".into(),
-                                Json::Obj(vec![("test".into(), Json::count(id))]),
-                            ),
-                        ]);
-                        if json::write_line(&mut writer, &resp).is_err() {
-                            break;
-                        }
-                    }
-                });
-            }
-        });
-        addr
-    }
-
     #[test]
     fn merges_in_input_order_regardless_of_shard() {
         let served = Arc::new(AtomicU64::new(0));
-        let (addr, _h) = fake_shard(Arc::clone(&served));
+        let addr = fake_shard(Arc::clone(&served));
         let reqs = vec![req("mp", MP), req("sb", SB), req("mp2", MP)];
         let report = route(&reqs, &[addr], &RoutePolicy::default());
         assert!(report.all_done());
@@ -933,20 +607,16 @@ exists (P0:r0 == 0 /\\ P1:r1 == 0)";
             "{\"test\":0}\n{\"test\":1}\n{\"test\":2}\n"
         );
         assert_eq!(served.load(Ordering::Relaxed), 3);
-        assert_eq!(report.hedge, HedgeStats::default());
     }
 
     #[test]
     fn identical_requests_share_a_shard_and_distinct_spread() {
-        let d_mp = routing_digest(&req("a", MP), 1);
-        let d_mp2 = routing_digest(&req("b", MP), 1);
-        let d_sb = routing_digest(&req("c", SB), 1);
+        let d_mp = routing_digest(&req("a", MP));
+        let d_mp2 = routing_digest(&req("b", MP));
+        let d_sb = routing_digest(&req("c", SB));
         assert_eq!(d_mp, d_mp2, "same content, same digest, same shard");
         assert_ne!(d_mp, d_sb);
-        assert_eq!(
-            home_shard(d_mp, 4, DEFAULT_VNODES),
-            home_shard(d_mp2, 4, DEFAULT_VNODES)
-        );
+        assert_eq!(home_shard(d_mp, 4), home_shard(d_mp2, 4));
     }
 
     /// Picks `per_home` requests homed on each of the two shards by
@@ -957,7 +627,7 @@ exists (P0:r0 == 0 /\\ P1:r1 == 0)";
         for b in 1u32..64 {
             let mut r = req(&format!("t{b}"), MP);
             r.bound = b;
-            let home = home_shard(routing_digest(&r, 1), 2, DEFAULT_VNODES);
+            let home = home_shard(routing_digest(&r), 2);
             if homes[home] < per_home {
                 homes[home] += 1;
                 reqs.push(r);
@@ -977,7 +647,7 @@ exists (P0:r0 == 0 /\\ P1:r1 == 0)";
     #[test]
     fn dead_shard_fails_over_to_the_ring_successor() {
         let served = Arc::new(AtomicU64::new(0));
-        let (alive, _h) = fake_shard(Arc::clone(&served));
+        let alive = fake_shard(Arc::clone(&served));
         let dead = dead_shard();
         let reqs = requests_covering_two_shards(3);
         let report = route(&reqs, &[dead, alive], &RoutePolicy::default());
@@ -1016,7 +686,7 @@ exists (P0:r0 == 0 /\\ P1:r1 == 0)";
             l.local_addr().unwrap().to_string()
         };
         let served = Arc::new(AtomicU64::new(0));
-        let (alive, _h) = fake_shard(Arc::clone(&served));
+        let alive = fake_shard(Arc::clone(&served));
         let reqs: Vec<RouteRequest> = (0..4).map(|i| req(&format!("t{i}"), SB)).collect();
         let report = route(&reqs, &[free, alive], &RoutePolicy::default());
         assert!(report.all_done());
@@ -1082,67 +752,35 @@ exists (P0:r0 == 0 /\\ P1:r1 == 0)";
             "line: {}",
             r.line
         );
-        // A refusing shard is alive: its breaker must never have
-        // tripped.
+        // A refusing shard is alive: it is never marked dead.
         assert!(!report.shards[0].died);
-        assert_eq!(report.shards[0].trips, 0);
     }
 
     #[test]
-    fn hedge_fires_wins_and_duplicates_agree() {
-        let slow_served = Arc::new(AtomicU64::new(0));
-        let fast_served = Arc::new(AtomicU64::new(0));
-        let (slow, _h1) = fake_shard_delayed(Arc::clone(&slow_served), 400);
-        let (fast, _h2) = fake_shard(Arc::clone(&fast_served));
-        // Only requests homed on the slow shard (index 0) are hedged.
-        let reqs: Vec<RouteRequest> = requests_covering_two_shards(3)
-            .into_iter()
-            .filter(|r| home_shard(routing_digest(r, 1), 2, DEFAULT_VNODES) == 0)
-            .collect();
-        assert_eq!(reqs.len(), 3);
-        let report = route(
-            &reqs,
-            &[slow, fast],
-            &RoutePolicy {
-                hedge_ms: Some(40),
-                ..RoutePolicy::default()
-            },
-        );
-        assert!(report.all_done());
-        assert_eq!(report.hedge.fired, 3, "every slow-homed request hedged");
-        assert_eq!(report.hedge.wins, 3, "the fast successor always won");
-        assert_eq!(
-            report.hedge.duplicates, 3,
-            "the slow losers still answered within the wait window"
-        );
-        assert_eq!(report.hedge.mismatches, 0);
-        assert_eq!(fast_served.load(Ordering::Relaxed), 3);
-    }
-
-    #[test]
-    fn breaker_quarantines_then_half_open_probe_readmits() {
+    fn a_reply_for_another_id_fails_over_to_the_ring_successor() {
+        let skewed_served = Arc::new(AtomicU64::new(0));
         let served = Arc::new(AtomicU64::new(0));
-        let addr = flaky_shard(2, Arc::clone(&served));
-        let reqs = vec![req("mp", MP)];
-        let report = route(
-            &reqs,
-            &[addr],
-            &RoutePolicy {
-                max_attempts: 10,
-                backoff_ms: 5,
-                breaker: BreakerConfig {
-                    failure_threshold: 2,
-                    cooldown_ms: 60,
-                },
-                ..RoutePolicy::default()
-            },
+        let skewed = fake_shard_skewed(Arc::clone(&skewed_served), 1);
+        let alive = fake_shard(Arc::clone(&served));
+        // Only requests homed on the skewed shard (index 0).
+        let reqs: Vec<RouteRequest> = requests_covering_two_shards(2)
+            .into_iter()
+            .filter(|r| home_shard(routing_digest(r), 2) == 0)
+            .collect();
+        assert_eq!(reqs.len(), 2);
+        let report = route(&reqs, &[skewed, alive], &RoutePolicy::default());
+        assert!(report.all_done(), "answered by the successor");
+        assert_eq!(report.merged(), "{\"test\":0}\n{\"test\":1}\n");
+        for r in &report.results {
+            assert_eq!(r.shard, Some(1), "{}: answered by the successor", r.name);
+            assert_eq!(r.attempts, 2, "{}: one failover", r.name);
+        }
+        assert_eq!(skewed_served.load(Ordering::Relaxed), 2);
+        assert_eq!(served.load(Ordering::Relaxed), 2);
+        assert!(
+            report.shards[0].died,
+            "a mismatched reply is a transport failure"
         );
-        assert!(report.all_done(), "answered after readmission");
-        assert_eq!(report.results[0].attempts, 3);
-        let s = &report.shards[0];
-        assert!(s.died);
-        assert_eq!(s.trips, 1, "two kills tripped the breaker once");
-        assert_eq!(s.readmitted, 1, "the half-open probe readmitted it");
-        assert_eq!(served.load(Ordering::Relaxed), 1);
+        assert_eq!(report.shards[0].answered, 0);
     }
 }

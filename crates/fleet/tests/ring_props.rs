@@ -1,5 +1,5 @@
-//! Properties of the consistent-hash ring (ISSUE 10 satellite): the
-//! two guarantees the router's self-healing story rests on.
+//! Properties of the consistent-hash ring: the two guarantees the
+//! router's placement and failover rest on.
 //!
 //! * **Load balance**: with the default 128 virtual nodes, no shard
 //!   owns more than 2× its ideal share of ≥1000 uniformly-hashed

@@ -397,13 +397,6 @@ pub struct Event {
     pub label: String,
 }
 
-impl Event {
-    /// Whether this is a memory access (read or write).
-    pub fn is_memory(&self) -> bool {
-        self.tags.contains(Tag::R) || self.tags.contains(Tag::W)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

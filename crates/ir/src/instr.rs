@@ -173,12 +173,6 @@ impl AccessAttrs {
         self
     }
 
-    /// Marks the access non-private (builder style).
-    pub fn with_nonpriv(mut self) -> AccessAttrs {
-        self.nonpriv = true;
-        self
-    }
-
     /// Sets the per-access availability flag (builder style).
     pub fn with_avail(mut self) -> AccessAttrs {
         self.avail = true;
@@ -186,22 +180,9 @@ impl AccessAttrs {
         self
     }
 
-    /// Sets the per-access visibility flag (builder style).
-    pub fn with_visible(mut self) -> AccessAttrs {
-        self.visible = true;
-        self.nonpriv = true;
-        self
-    }
-
     /// Sets availability semantics (builder style).
     pub fn with_sem_av(mut self) -> AccessAttrs {
         self.sem_av = true;
-        self
-    }
-
-    /// Sets visibility semantics (builder style).
-    pub fn with_sem_vis(mut self) -> AccessAttrs {
-        self.sem_vis = true;
         self
     }
 }
@@ -263,12 +244,6 @@ impl FenceAttrs {
     /// Sets availability semantics (builder style).
     pub fn with_sem_av(mut self) -> FenceAttrs {
         self.sem_av = true;
-        self
-    }
-
-    /// Sets visibility semantics (builder style).
-    pub fn with_sem_vis(mut self) -> FenceAttrs {
-        self.sem_vis = true;
         self
     }
 }

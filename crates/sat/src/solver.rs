@@ -274,11 +274,6 @@ impl Solver {
         self.cancel = token;
     }
 
-    /// The installed cancellation token, if any.
-    pub fn cancel_token(&self) -> Option<&CancelToken> {
-        self.cancel.as_ref()
-    }
-
     /// Creates a fresh variable.
     pub fn new_var(&mut self) -> Var {
         let v = Var(self.assigns.len() as u32);

@@ -52,11 +52,6 @@ impl Formula {
         &mut self.solver
     }
 
-    /// Consumes the formula, returning the underlying solver.
-    pub fn into_solver(self) -> Solver {
-        self.solver
-    }
-
     /// A literal constrained to be true (created lazily, shared).
     pub fn lit_true(&mut self) -> Lit {
         if let Some(t) = self.true_lit {
@@ -206,11 +201,6 @@ impl Formula {
         let out = self.or(&[a, b]);
         self.or_cache.insert(key, out);
         out
-    }
-
-    /// Returns a literal equivalent to `a ∧ ¬b`.
-    pub fn and_not(&mut self, a: Lit, b: Lit) -> Lit {
-        self.and(&[a, !b])
     }
 
     /// Returns a literal equivalent to `a ↔ b` (hash-consed).

@@ -65,10 +65,7 @@ use gpumc_fleet::cache::CachedVerdict;
 
 use crate::json::Json;
 
-/// The protocol version this build speaks. Part of the request digest,
-/// so a wire-format change can never alias a cached verdict from an
-/// older dialect.
-pub const PROTOCOL_VERSION: u32 = 1;
+pub use gpumc_fleet::PROTOCOL_VERSION;
 
 /// A parsed request envelope: the echoed id plus the verb payload.
 #[derive(Debug, Clone, PartialEq)]

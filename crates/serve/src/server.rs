@@ -186,11 +186,11 @@ struct Job {
     /// object rides through retries, so its hit counters persist and a
     /// `panic:once` rule panics attempt 1 and lets the retry through.
     faults: Option<Arc<FaultPlan>>,
-    /// Content digest of the request, when it is cacheable: parsable,
-    /// cache not opted out, and *no fault plan armed* — a verdict
-    /// computed under injected faults must never leak into steady
-    /// state. `None` disables both lookup (already missed at dispatch)
-    /// and insert.
+    /// Content digest of the request, when the server has a cache and
+    /// the request is cacheable: parsable, cache not opted out, and *no
+    /// fault plan armed* — a verdict computed under injected faults
+    /// must never leak into steady state. `None` disables both lookup
+    /// (already missed at dispatch) and insert.
     digest: Option<u128>,
 }
 
@@ -493,7 +493,8 @@ fn dispatch_line(line: &str, out: &Out, shared: &Arc<Shared>) -> std::ops::Contr
             // clean cached verdict must not mask the injection the
             // client asked to exercise. A `"cache":false` request is
             // neither answered from nor recorded into the cache.
-            let digest = if faults.is_none() && req.cache {
+            // Without a cache there is nothing to key, so no digest.
+            let digest = if shared.cache.is_some() && faults.is_none() && req.cache {
                 request_digest_of(&req)
             } else {
                 None

@@ -7,7 +7,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use gpumc::Verifier;
-use gpumc_models::ModelKind;
+use gpumc_fleet::digest::default_model;
 use gpumc_serve::json::{self, Json};
 use gpumc_serve::protocol::verdict_json;
 use gpumc_serve::{Client, Server, ServerConfig};
@@ -28,15 +28,6 @@ fn spawn_server(config: ServerConfig) -> (String, std::thread::JoinHandle<()>) {
     let addr = server.local_addr().unwrap().to_string();
     let handle = std::thread::spawn(move || server.run().expect("server run"));
     (addr, handle)
-}
-
-/// The default model the server infers for a dialect, mirrored here so
-/// the expected verdict can be computed batch-style.
-fn default_kind(program: &gpumc::gpumc_ir::Program) -> ModelKind {
-    match program.arch {
-        gpumc::gpumc_ir::Arch::Ptx => ModelKind::Ptx75,
-        gpumc::gpumc_ir::Arch::Vulkan => ModelKind::Vulkan,
-    }
 }
 
 #[test]
@@ -62,7 +53,7 @@ fn concurrent_requests_match_batch_verdicts_and_metrics_add_up() {
         .iter()
         .map(|t| {
             let program = gpumc::parse_litmus(&t.source).unwrap();
-            let v = Verifier::new(gpumc_models::load_shared(default_kind(&program)))
+            let v = Verifier::new(gpumc_models::load_shared(default_model(program.arch)))
                 .with_bound(t.bound);
             let o = v.check_all(&program).unwrap();
             verdict_json(&program.name, &o).to_string()
@@ -367,7 +358,7 @@ fn huge_portfolio_on_a_sat_request_answers_and_the_server_survives() {
     );
     let expected = {
         let program = gpumc::parse_litmus(&t.source).unwrap();
-        let v = Verifier::new(gpumc_models::load(default_kind(&program))).with_bound(t.bound);
+        let v = Verifier::new(gpumc_models::load(default_model(program.arch))).with_bound(t.bound);
         verdict_json(&program.name, &v.check_all(&program).unwrap()).to_string()
     };
     assert_eq!(resp.get("verdict").unwrap().to_string(), expected);

@@ -6,7 +6,6 @@
 //! job; the merged bytes are the contract.
 
 use gpumc_fleet::router::{home_shard, route, routing_digest, RoutePolicy, RouteRequest};
-use gpumc_fleet::DEFAULT_VNODES;
 use gpumc_serve::{Server, ServerConfig, WORKER_HARD_KILL_POINT};
 
 fn spawn(allow_faults: bool) -> (String, std::thread::JoinHandle<()>) {
@@ -47,7 +46,7 @@ fn suite() -> Vec<RouteRequest> {
 /// Which of `n` shards a request homes on — the same ring placement the
 /// router computes internally.
 fn home_of(req: &RouteRequest, n: usize) -> usize {
-    home_shard(routing_digest(req, 1), n, DEFAULT_VNODES)
+    home_shard(routing_digest(req), n)
 }
 
 /// The single-node ground truth: the whole suite through one clean

@@ -25,7 +25,7 @@ use std::sync::Arc;
 use gpumc::fault::{points, FaultKind, FaultPlan};
 use gpumc::{EngineKind, Verifier, VerifyError};
 use gpumc_catalog::Test;
-use gpumc_models::ModelKind;
+use gpumc_fleet::digest::default_model;
 
 /// The verdict triple that must survive any non-failing fault run.
 #[derive(Debug, PartialEq, Eq, Clone)]
@@ -36,16 +36,9 @@ struct Verdict {
     data_race: Option<bool>,
 }
 
-fn default_kind(program: &gpumc::gpumc_ir::Program) -> ModelKind {
-    match program.arch {
-        gpumc::gpumc_ir::Arch::Ptx => ModelKind::Ptx75,
-        gpumc::gpumc_ir::Arch::Vulkan => ModelKind::Vulkan,
-    }
-}
-
 fn check_with(t: &Test, bound: u32, engine: EngineKind) -> Result<Verdict, VerifyError> {
     let program = gpumc::parse_litmus(&t.source).expect("catalog test parses");
-    let v = Verifier::new(gpumc_models::load_shared(default_kind(&program)))
+    let v = Verifier::new(gpumc_models::load_shared(default_model(program.arch)))
         .with_bound(bound)
         .with_engine(engine);
     v.check_all(&program).map(|o| Verdict {
@@ -168,7 +161,7 @@ fn dpor_budget_exhaustion_is_a_classified_unknown_not_a_verdict() {
     // engine must withhold its verdict as `Unknown`, never guess.
     for t in &gpumc_catalog::figure_tests() {
         let program = gpumc::parse_litmus(&t.source).unwrap();
-        let v = Verifier::new(gpumc_models::load_shared(default_kind(&program)))
+        let v = Verifier::new(gpumc_models::load_shared(default_model(program.arch)))
             .with_bound(t.bound.min(2))
             .with_engine(EngineKind::Dpor)
             .with_enumeration_cap(3);
@@ -215,7 +208,7 @@ fn tiny_memory_budget_answers_unknown_not_wrong() {
         let bound = t.bound.min(2);
         let baseline = check(t, bound).expect("baseline");
         let program = gpumc::parse_litmus(&t.source).unwrap();
-        let v = Verifier::new(gpumc_models::load_shared(default_kind(&program)))
+        let v = Verifier::new(gpumc_models::load_shared(default_model(program.arch)))
             .with_bound(bound)
             .with_mem_budget_mb(1);
         match v.check_all(&program) {
@@ -246,7 +239,7 @@ fn generous_memory_budget_is_verdict_neutral() {
         let bound = t.bound.min(2);
         let baseline = check(t, bound).expect("baseline");
         let program = gpumc::parse_litmus(&t.source).unwrap();
-        let v = Verifier::new(gpumc_models::load_shared(default_kind(&program)))
+        let v = Verifier::new(gpumc_models::load_shared(default_model(program.arch)))
             .with_bound(bound)
             .with_mem_budget_mb(1024);
         let o = v.check_all(&program).expect("generous budget must verify");
