@@ -59,8 +59,6 @@ OPTIONS (serve):
                          (default: 64)
     --default-timeout-ms <ms>
                          deadline for requests that carry no timeout_ms
-    --metrics-every <secs>
-                         dump a one-line metrics summary to stderr
     --enable-faults      honor the per-request `faults` field (testing
                          only; off by default)
     --no-cache           disable the content-addressed result cache
@@ -90,7 +88,7 @@ OPTIONS (route):
     --read-timeout-ms <ms>
                          per-attempt timeout on the connect, the write
                          and the read, cut to the time left before the
-                         deadline (default: none)
+                         deadline (at least 1; default: none)
 
     Merged verdict lines go to stdout in suite order — byte-identical
     for any shard count or mid-run node death, as long as some shard
@@ -231,14 +229,6 @@ fn serve(args: &[String]) -> Result<ExitCode, String> {
                         .map_err(|_| "bad --default-timeout-ms")?,
                 )
             }
-            "--metrics-every" => {
-                config.metrics_every_secs = Some(
-                    it.next()
-                        .ok_or("--metrics-every needs a value")?
-                        .parse()
-                        .map_err(|_| "bad --metrics-every")?,
-                )
-            }
             "--enable-faults" => config.allow_faults = true,
             "--no-cache" => config.cache_enabled = false,
             "--cache-cap" => {
@@ -331,12 +321,17 @@ fn route(args: &[String]) -> Result<ExitCode, String> {
                 )
             }
             "--read-timeout-ms" => {
-                policy.read_timeout_ms = Some(
-                    it.next()
-                        .ok_or("--read-timeout-ms needs a value")?
-                        .parse()
-                        .map_err(|_| "bad --read-timeout-ms")?,
-                )
+                let ms: u64 = it
+                    .next()
+                    .ok_or("--read-timeout-ms needs a value")?
+                    .parse()
+                    .map_err(|_| "bad --read-timeout-ms")?;
+                // std refuses a zero socket timeout, which would fail
+                // every attempt on every shard.
+                if ms == 0 {
+                    return Err("--read-timeout-ms must be at least 1".into());
+                }
+                policy.read_timeout_ms = Some(ms);
             }
             other if !other.starts_with('-') && name.is_none() => name = Some(other.to_string()),
             other => return Err(format!("unknown argument `{other}`")),

@@ -103,6 +103,17 @@ fn exit_two_on_usage_and_parse_errors() {
     // Bad flag value.
     let out = gpumc(&["verify", "x.litmus", "--bound", "banana"]);
     assert_eq!(code(&out), 2);
+    // A zero per-attempt timeout is refused before any connect.
+    let out = gpumc(&[
+        "route",
+        "figures",
+        "--shards",
+        "127.0.0.1:1",
+        "--read-timeout-ms",
+        "0",
+    ]);
+    assert_eq!(code(&out), 2);
+    assert!(String::from_utf8_lossy(&out.stderr).contains("--read-timeout-ms"));
 }
 
 #[test]

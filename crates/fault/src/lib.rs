@@ -383,9 +383,9 @@ impl Drop for ScopedPlan {
 /// Probes an injection point.
 ///
 /// With no plan installed this is a single relaxed atomic load. With a
-/// plan armed at `point`, `panic` panics here (unwind-safely caught by
-/// the serve supervisor), `delay_ms` sleeps here, and the remaining
-/// kinds are returned for the caller to interpret.
+/// plan armed at `point`, `panic` panics here (in serve, caught by the
+/// job's `catch_unwind` and answered `failed`), `delay_ms` sleeps here,
+/// and the remaining kinds are returned for the caller to interpret.
 #[inline]
 pub fn hit(point: &str) -> Option<FaultSignal> {
     if ACTIVE_PLANS.load(Ordering::Relaxed) == 0 {

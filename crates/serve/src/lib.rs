@@ -17,9 +17,9 @@
 //!   `status: unknown` and the worker lives on;
 //! * a metrics registry ([`metrics`]) exposed through the `metrics`
 //!   verb;
-//! * panic isolation with supervised retry: a job that panics is caught
-//!   in the worker, retried with backoff, and ultimately answered
-//!   `status: "failed"` with an error class — see the supervision notes
+//! * panic isolation: each job runs once under one `catch_unwind`, and
+//!   a job that panics is answered `status: "failed"` with an error
+//!   class while its worker takes the next job — see the pool invariant
 //!   in [`server`] and the failure taxonomy in DESIGN.md §13.
 //!
 //! The JSON plumbing ([`json`]) is hand-rolled: the offline dependency
@@ -43,4 +43,4 @@ pub use metrics::Metrics;
 pub use protocol::{
     parse_request, verdict_json, Envelope, Request, VerifyRequest, PROTOCOL_VERSION,
 };
-pub use server::{RetryPolicy, Server, ServerConfig, ShutdownHandle, WORKER_HARD_KILL_POINT};
+pub use server::{Server, ServerConfig, ShutdownHandle};

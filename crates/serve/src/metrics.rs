@@ -168,15 +168,6 @@ impl Metrics {
             ("histograms".into(), histograms),
         ])
     }
-
-    /// One-line human rendering for the `--metrics-every` stderr dump.
-    pub fn render_line(&self) -> String {
-        let c = self.counters.lock().unwrap();
-        let g = self.gauges.lock().unwrap();
-        let mut parts: Vec<String> = c.iter().map(|(k, v)| format!("{k}={v}")).collect();
-        parts.extend(g.iter().map(|(k, v)| format!("{k}={v}")));
-        parts.join(" ")
-    }
 }
 
 #[cfg(test)]

@@ -466,17 +466,18 @@ pub fn rejected_response(id: Option<u64>, reason: &str) -> Json {
     ])
 }
 
-/// A `status: failed` response: the job was accepted but crashed and
-/// exhausted its retry policy. `class` categorizes the crash (`panic`,
-/// `oom`, `timeout`); `attempts` is how many times the job ran.
-pub fn failed_response(id: Option<u64>, class: &str, message: &str, attempts: u32) -> Json {
+/// A `status: failed` response: the job was accepted but its run
+/// panicked. `class` categorizes the crash (`panic`, `oom`, `timeout`).
+/// A job runs once, so `attempts` is always 1; the key stays so the
+/// proto-1 response shape does not change.
+pub fn failed_response(id: Option<u64>, class: &str, message: &str) -> Json {
     Json::Obj(vec![
         ("id".into(), id_json(id)),
         ("proto".into(), proto_json()),
         ("status".into(), Json::str("failed")),
         ("class".into(), Json::str(class)),
         ("error".into(), Json::str(message)),
-        ("attempts".into(), Json::count(u64::from(attempts))),
+        ("attempts".into(), Json::count(1)),
     ])
 }
 
@@ -545,10 +546,10 @@ mod tests {
         let r = rejected_response(None, "queue full");
         assert_eq!(r.get("id"), Some(&Json::Null));
         assert_eq!(r.get("error").unwrap().as_str(), Some("queue full"));
-        let r = failed_response(Some(9), "panic", "injected fault", 3);
+        let r = failed_response(Some(9), "panic", "injected fault");
         assert_eq!(r.get("status").unwrap().as_str(), Some("failed"));
         assert_eq!(r.get("class").unwrap().as_str(), Some("panic"));
-        assert_eq!(r.get("attempts").unwrap().as_u64(), Some(3));
+        assert_eq!(r.get("attempts").unwrap().as_u64(), Some(1));
     }
 
     #[test]
@@ -638,7 +639,7 @@ mod tests {
         for r in [
             error_response(None, "x"),
             rejected_response(None, "x"),
-            failed_response(None, "panic", "x", 1),
+            failed_response(None, "panic", "x"),
             unknown_response(None, "x", 5),
         ] {
             assert_eq!(r.get("proto").unwrap().as_u64(), Some(1));

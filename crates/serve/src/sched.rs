@@ -24,7 +24,8 @@ pub(crate) enum PushError<T> {
 }
 
 /// No code panics while holding the queue's lock, so it is never
-/// poisoned.
+/// poisoned: a worker's `pop` cannot panic, which the server's pool
+/// invariant relies on.
 const POISONED: &str = "job queue lock poisoned";
 
 #[derive(Debug)]
@@ -95,19 +96,6 @@ impl<T> JobQueue<T> {
         self.available.notify_all();
     }
 
-    /// Whether [`JobQueue::close`] has been called.
-    pub(crate) fn is_closed(&self) -> bool {
-        self.lock().closed
-    }
-
-    /// Takes every queued job without blocking. The supervisor's
-    /// shutdown last resort: if the workers are gone, the leftover jobs
-    /// are handed back here so each can be answered `rejected` instead
-    /// of silently dropped.
-    pub(crate) fn drain_now(&self) -> Vec<T> {
-        self.lock().items.drain(..).collect()
-    }
-
     /// Jobs currently queued (the `queue_depth` gauge).
     pub(crate) fn len(&self) -> usize {
         self.lock().items.len()
@@ -160,7 +148,6 @@ mod tests {
         assert_eq!(q.pop(), Some(1));
         assert_eq!(q.pop(), Some(2));
         assert_eq!(q.pop(), None);
-        assert!(q.is_closed());
     }
 
     #[test]
@@ -176,18 +163,6 @@ mod tests {
         for h in handles {
             assert_eq!(h.join().unwrap(), None);
         }
-    }
-
-    #[test]
-    fn drain_now_takes_everything() {
-        let q = JobQueue::new(8);
-        q.try_push(1).unwrap();
-        q.try_push(2).unwrap();
-        q.try_push(3).unwrap();
-        q.close();
-        assert_eq!(q.drain_now(), vec![1, 2, 3]);
-        assert_eq!(q.pop(), None, "drain_now leaves nothing poppable");
-        assert_eq!(q.len(), 0);
     }
 
     #[test]
@@ -223,7 +198,7 @@ mod tests {
                     q.close();
                 });
             });
-            let mut drained = q.drain_now();
+            let mut drained: Vec<u32> = std::iter::from_fn(|| q.pop()).collect();
             drained.sort_unstable();
             let mut acc = accepted.lock().unwrap().clone();
             acc.sort_unstable();

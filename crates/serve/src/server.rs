@@ -5,10 +5,13 @@
 //! ```text
 //!  TCP accept loop ──► per-connection reader threads
 //!                         │  ping/metrics/shutdown answered inline
-//!                         ▼  verify → CancelToken(deadline) + job
+//!                         │  verify → parse + resolve the model (the
+//!                         │  request's one parse; `error` answered
+//!                         │  here), result-cache lookup
+//!                         ▼  miss → CancelToken(deadline) + job
 //!                  bounded FIFO JobQueue (try_push; full ⇒ `rejected`)
 //!                         │
-//!                  worker pool (effective_jobs), shared warm state:
+//!                  fixed pool of `--jobs` workers, shared warm state:
 //!                    · gpumc_models::load_shared (one parse per model)
 //!                         │
 //!                  responses written through the connection's shared
@@ -23,40 +26,44 @@
 //! (see the cancellation layer in `gpumc-sat`), the worker answers
 //! `status: unknown` and takes the next job.
 //!
-//! ## Panic isolation and supervision
+//! ## One job path
 //!
-//! Each job runs under `catch_unwind`: a panic anywhere in the
-//! verification stack is logged, counted (`worker_panics`), and turned
-//! into a retry (`jobs_retried`, exponential backoff with deterministic
-//! jitter per [`RetryPolicy`]) or, once attempts are exhausted, a
-//! `status:"failed"` response (`jobs_failed`) with an error class —
-//! the connection never just goes silent. As defense in depth a
-//! supervisor thread owns the worker pool: each worker parks a copy of
-//! its in-flight job in a shared slot, so if a worker thread dies
-//! *outside* the catch (however unlikely), the supervisor recovers the
-//! parked job — retrying or failing it like any other panic — and
-//! respawns the worker (`workers_respawned`). The daemon survives; only
-//! the job's attempt is lost.
+//! Each job runs once, under one `catch_unwind` inside which the job's
+//! fault plan is armed. A panic anywhere in the verification stack is
+//! logged, counted (`worker_panics`, `jobs_failed`) and answered at once
+//! with `status:"failed"` and an error class; `attempts` is always 1.
+//! The checker is deterministic, so a job that panicked would panic
+//! again on the same input: the server does not retry it (DESIGN.md
+//! §20). The router's ring walk is the one place that retries a
+//! `failed` job, on the next shard.
+//!
+//! **Pool invariant:** nothing a worker runs outside that catch can
+//! panic, so no worker thread dies and the pool needs no supervisor.
+//! Outside the catch a worker pops the queue, moves the `in_flight`
+//! gauge, logs to stderr without unwrapping, and writes the response
+//! line. No code panics while holding the queue's lock, so it is never
+//! poisoned (`sched`); the connection writer's lock covers only one
+//! `write_all` and one `flush`, whose errors are ignored.
 //!
 //! Shutdown (`shutdown` verb or [`Server::shutdown_handle`]) stops the
-//! accept loop, closes the queue, and drains: every accepted job still
-//! gets its response before [`Server::run`] returns. If the entire pool
-//! died at shutdown, leftover jobs are answered `rejected` rather than
-//! dropped.
+//! accept loop, closes the queue and joins the pool. The workers return
+//! only once the queue is closed and empty, so every accepted job gets
+//! its response before [`Server::run`] returns.
 
 use std::io::{BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::panic::AssertUnwindSafe;
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
-use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use gpumc::fault::FaultPlan;
+use gpumc::gpumc_ir::Program;
 use gpumc::{effective_jobs, Verifier, VerifyError};
 use gpumc_fleet::cache::ResultCache;
 use gpumc_fleet::digest::{request_digest, resolve_model, RequestKey};
+use gpumc_models::ModelKind;
 use gpumc_sat::CancelToken;
 
 use crate::json::{self, Json};
@@ -67,12 +74,6 @@ use crate::protocol::{
     PROTOCOL_VERSION,
 };
 use crate::sched::{JobQueue, PushError};
-
-/// The injection point a worker probes when it picks up a job but
-/// before the `catch_unwind` guard is in place — arming `panic` here
-/// kills the worker *thread* itself, exercising supervisor recovery
-/// (respawn + parked-job handover) rather than in-place retry.
-pub const WORKER_HARD_KILL_POINT: &str = "serve.worker.hard";
 
 /// Server configuration; see `gpumc serve --help` for the CLI mapping.
 #[derive(Debug, Clone)]
@@ -86,11 +87,6 @@ pub struct ServerConfig {
     pub max_queue: usize,
     /// Deadline applied to requests that carry no `timeout_ms`.
     pub default_timeout_ms: Option<u64>,
-    /// Dump a one-line metrics summary to stderr every this many
-    /// seconds.
-    pub metrics_every_secs: Option<u64>,
-    /// How crashed jobs are retried before a `status:"failed"` answer.
-    pub retry: RetryPolicy,
     /// Honor the per-request `"faults"` field (`--enable-faults`). Off
     /// by default: production servers must not let clients arm faults.
     pub allow_faults: bool,
@@ -113,8 +109,6 @@ impl Default for ServerConfig {
             jobs: 0,
             max_queue: 64,
             default_timeout_ms: None,
-            metrics_every_secs: None,
-            retry: RetryPolicy::default(),
             allow_faults: false,
             cache_enabled: true,
             cache_capacity: 4096,
@@ -123,73 +117,30 @@ impl Default for ServerConfig {
     }
 }
 
-/// Retry schedule for jobs whose attempt panicked.
-#[derive(Debug, Clone, Copy)]
-pub struct RetryPolicy {
-    /// Total attempts a job may consume, the first included. `1`
-    /// disables retries.
-    pub max_attempts: u32,
-    /// Base backoff; attempt `n`'s retry waits `base * 2^(n-2)` plus a
-    /// deterministic jitter in `[0, base)` derived from the job.
-    pub base_backoff_ms: u64,
-}
-
-impl Default for RetryPolicy {
-    fn default() -> RetryPolicy {
-        RetryPolicy {
-            max_attempts: 3,
-            base_backoff_ms: 10,
-        }
-    }
-}
-
-impl RetryPolicy {
-    /// Backoff before re-queuing attempt `attempt` (2-based: the first
-    /// retry is attempt 2). Deterministic in `(seq, attempt)`, so a
-    /// replayed workload schedules identically.
-    fn backoff(&self, seq: u64, attempt: u32) -> Duration {
-        let exp = self.base_backoff_ms << attempt.saturating_sub(2).min(10);
-        let jitter = if self.base_backoff_ms == 0 {
-            0
-        } else {
-            splitmix64(seq ^ u64::from(attempt)) % self.base_backoff_ms
-        };
-        Duration::from_millis(exp + jitter)
-    }
-}
-
-fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    let mut z = x;
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
-}
-
 /// A write end shared between the connection reader and the workers
 /// answering its jobs; each response line is one `write_all` under the
 /// lock.
 type Out = Arc<Mutex<Box<dyn Write + Send>>>;
 
-#[derive(Clone)]
+/// One accepted verify request, parsed at dispatch and run once by a
+/// worker.
 struct Job {
     id: Option<u64>,
     req: VerifyRequest,
+    /// The litmus test, parsed at dispatch: the request's one parse.
+    program: Program,
+    /// The model the request resolved to at dispatch.
+    kind: ModelKind,
     token: CancelToken,
     out: Out,
     accepted: Instant,
-    /// 1-based attempt counter; bumped on each panic-triggered retry.
-    attempt: u32,
-    /// Server-assigned sequence number — the deterministic jitter seed.
-    seq: u64,
-    /// Per-job fault plan (`--enable-faults` only). The *same* plan
-    /// object rides through retries, so its hit counters persist and a
-    /// `panic:once` rule panics attempt 1 and lets the retry through.
+    /// Per-job fault plan (`--enable-faults` only), armed inside the
+    /// job's `catch_unwind`.
     faults: Option<Arc<FaultPlan>>,
     /// Content digest of the request, when the server has a cache and
-    /// the request is cacheable: parsable, cache not opted out, and *no
-    /// fault plan armed* — a verdict computed under injected faults
-    /// must never leak into steady state. `None` disables both lookup
+    /// the request is cacheable: cache not opted out, and *no fault
+    /// plan armed* — a verdict computed under injected faults must
+    /// never leak into steady state. `None` disables both lookup
     /// (already missed at dispatch) and insert.
     digest: Option<u128>,
 }
@@ -202,10 +153,7 @@ struct Shared {
     cache: Option<ResultCache>,
     shutdown: AtomicBool,
     default_timeout_ms: Option<u64>,
-    retry: RetryPolicy,
     allow_faults: bool,
-    /// Monotone job sequence for retry jitter.
-    seq: AtomicU64,
 }
 
 impl Shared {
@@ -231,9 +179,7 @@ impl Shared {
             cache,
             shutdown: AtomicBool::new(false),
             default_timeout_ms: config.default_timeout_ms,
-            retry: config.retry,
             allow_faults: config.allow_faults,
-            seq: AtomicU64::new(0),
         }))
     }
 }
@@ -245,7 +191,6 @@ pub struct Server {
     listener: TcpListener,
     shared: Arc<Shared>,
     jobs: usize,
-    metrics_every: Option<Duration>,
 }
 
 impl Server {
@@ -263,7 +208,6 @@ impl Server {
             listener,
             shared,
             jobs,
-            metrics_every: config.metrics_every_secs.map(Duration::from_secs),
         })
     }
 
@@ -292,30 +236,24 @@ impl Server {
     /// I/O errors from the accept loop (per-connection errors are
     /// contained, not fatal).
     pub fn run(self) -> std::io::Result<()> {
-        let supervisor = spawn_supervised_pool(Arc::clone(&self.shared), self.jobs);
-        if let Some(every) = self.metrics_every {
-            let shared = Arc::clone(&self.shared);
-            std::thread::spawn(move || loop {
-                std::thread::sleep(every);
+        let local = self.listener.local_addr()?;
+        let shared = &self.shared;
+        std::thread::scope(|pool| {
+            for _ in 0..self.jobs {
+                pool.spawn(|| worker_loop(shared));
+            }
+            for conn in self.listener.incoming() {
                 if shared.shutdown.load(Ordering::SeqCst) {
                     break;
                 }
-                eprintln!("[gpumc-serve] {}", shared.metrics.render_line());
-            });
-        }
-        let local = self.listener.local_addr()?;
-        for conn in self.listener.incoming() {
-            if self.shared.shutdown.load(Ordering::SeqCst) {
-                break;
+                let Ok(stream) = conn else { continue };
+                let shared = Arc::clone(shared);
+                std::thread::spawn(move || handle_connection(stream, &shared, local));
             }
-            let Ok(stream) = conn else { continue };
-            let shared = Arc::clone(&self.shared);
-            std::thread::spawn(move || handle_connection(stream, &shared, local));
-        }
-        // Drain: no new jobs; the supervisor joins the workers (which
-        // finish everything accepted) and answers any leftovers.
-        self.shared.queue.close();
-        let _ = supervisor.join();
+            // Drain: no new jobs; the scope joins the workers once they
+            // have answered everything accepted.
+            shared.queue.close();
+        });
         Ok(())
     }
 
@@ -329,19 +267,28 @@ impl Server {
         let jobs = effective_jobs(config.jobs);
         let shared = Shared::new(config)?;
         shared.metrics.set_gauge("workers", jobs as i64);
-        let supervisor = spawn_supervised_pool(Arc::clone(&shared), jobs);
         let out: Out = Arc::new(Mutex::new(Box::new(std::io::stdout())));
-        let stdin = std::io::stdin();
-        for line in stdin.lock().lines() {
-            let line = line?;
-            if dispatch_line(&line, &out, &shared).is_break() {
-                break;
+        std::thread::scope(|pool| {
+            for _ in 0..jobs {
+                pool.spawn(|| worker_loop(&shared));
             }
-        }
-        shared.queue.close();
-        let _ = supervisor.join();
-        Ok(())
+            let read = read_stdin(&out, &shared);
+            // A read error still drains: the workers answer everything
+            // accepted before the scope joins them.
+            shared.queue.close();
+            read
+        })
     }
+}
+
+/// Dispatches stdin lines until EOF or the `shutdown` verb.
+fn read_stdin(out: &Out, shared: &Shared) -> std::io::Result<()> {
+    for line in std::io::stdin().lock().lines() {
+        if dispatch_line(&line?, out, shared).is_break() {
+            break;
+        }
+    }
+    Ok(())
 }
 
 /// See [`Server::shutdown_handle`].
@@ -361,7 +308,7 @@ impl ShutdownHandle {
     }
 }
 
-fn handle_connection(stream: TcpStream, shared: &Arc<Shared>, local: SocketAddr) {
+fn handle_connection(stream: TcpStream, shared: &Shared, local: SocketAddr) {
     // Responses are whole lines sent in one write each: nothing is
     // gained by Nagle holding a line back for the client's delayed ACK.
     let _ = stream.set_nodelay(true);
@@ -385,7 +332,7 @@ fn handle_connection(stream: TcpStream, shared: &Arc<Shared>, local: SocketAddr)
 
 /// Handles one request line: answers control verbs inline, enqueues
 /// verify jobs. `Break` means shutdown was requested.
-fn dispatch_line(line: &str, out: &Out, shared: &Arc<Shared>) -> std::ops::ControlFlow<()> {
+fn dispatch_line(line: &str, out: &Out, shared: &Shared) -> std::ops::ControlFlow<()> {
     use std::ops::ControlFlow;
     let envelope = match parse_request(line) {
         Ok(e) => e,
@@ -484,21 +431,33 @@ fn dispatch_line(line: &str, out: &Out, shared: &Arc<Shared>) -> std::ops::Contr
                     }
                 },
             };
-            // The content digest, derived from the parsed request at
-            // dispatch time. An unparsable request keeps digest `None`
-            // and flows to a worker, which answers `error` exactly as
-            // before the cache existed. Fault-armed jobs bypass the
-            // cache in *both* directions: a verdict computed under
-            // injection must not be served to clean requests, and a
-            // clean cached verdict must not mask the injection the
-            // client asked to exercise. A `"cache":false` request is
-            // neither answered from nor recorded into the cache.
-            // Without a cache there is nothing to key, so no digest.
-            let digest = if shared.cache.is_some() && faults.is_none() && req.cache {
-                request_digest_of(&req)
-            } else {
-                None
+            // Dispatch is the request's one parse: the job carries the
+            // parsed program and model to its worker.
+            let (program, kind) = match parse_job(&req) {
+                Ok(parsed) => parsed,
+                Err(msg) => {
+                    shared.metrics.inc("verdict_error");
+                    write_line(out, &error_response(id, &msg));
+                    return ControlFlow::Continue(());
+                }
             };
+            // Fault-armed jobs bypass the cache in *both* directions: a
+            // verdict computed under injection must not be served to
+            // clean requests, and a clean cached verdict must not mask
+            // the injection the client asked to exercise. A
+            // `"cache":false` request is neither answered from nor
+            // recorded into the cache. Without a cache there is nothing
+            // to key, so no digest.
+            let digest = (shared.cache.is_some() && faults.is_none() && req.cache).then(|| {
+                request_digest(&RequestKey {
+                    program: &program,
+                    model_source: kind.source(),
+                    bound: req.bound,
+                    property: "all",
+                    engine: engine_name(req.engine),
+                    proto: PROTOCOL_VERSION,
+                })
+            });
             if let (Some(cache), Some(d)) = (&shared.cache, digest) {
                 if let Some(v) = cache.lookup(d) {
                     shared.metrics.inc("cache_hits");
@@ -523,77 +482,50 @@ fn dispatch_line(line: &str, out: &Out, shared: &Arc<Shared>) -> std::ops::Contr
             let job = Job {
                 id,
                 req,
+                program,
+                kind,
                 token,
                 out: Arc::clone(out),
                 accepted,
-                attempt: 1,
-                seq: shared.seq.fetch_add(1, Ordering::Relaxed),
                 faults,
                 digest,
             };
-            match shared.queue.try_push(job) {
-                Ok(()) => {
-                    shared.metrics.move_gauge("queue_depth", 1);
-                }
-                Err(PushError::Full(job)) => {
-                    shared.metrics.inc("queue_rejected_total");
-                    write_line(&job.out, &rejected_response(job.id, "queue full"));
-                }
-                Err(PushError::Closed(job)) => {
-                    shared.metrics.inc("queue_rejected_total");
-                    write_line(&job.out, &rejected_response(job.id, "shutting down"));
-                }
+            if let Err(refused) = shared.queue.try_push(job) {
+                let (job, reason) = match refused {
+                    PushError::Full(job) => (job, "queue full"),
+                    PushError::Closed(job) => (job, "shutting down"),
+                };
+                shared.metrics.inc("queue_rejected_total");
+                write_line(&job.out, &rejected_response(job.id, reason));
             }
             ControlFlow::Continue(())
         }
     }
 }
 
-/// Computes the request's content digest at dispatch. Unparsable
-/// source or an unknown model gives `None`: the request is uncacheable
-/// (the worker answers `error`).
-fn request_digest_of(req: &VerifyRequest) -> Option<u128> {
-    let program = gpumc::parse_litmus(&req.source).ok()?;
-    let kind = resolve_model(req.model.as_deref(), program.arch)?;
-    Some(request_digest(&RequestKey {
-        program: &program,
-        model_source: kind.source(),
-        bound: req.bound,
-        property: "all",
-        engine: engine_name(req.engine),
-        proto: PROTOCOL_VERSION,
-    }))
+/// Parses the request's litmus source and resolves its model. The
+/// error is the `error` answer's message.
+fn parse_job(req: &VerifyRequest) -> Result<(Program, ModelKind), String> {
+    let program = gpumc::parse_litmus(&req.source).map_err(|e| e.to_string())?;
+    let kind = resolve_model(req.model.as_deref(), program.arch)
+        .ok_or_else(|| format!("unknown model `{}`", req.model.as_deref().unwrap_or("")))?;
+    Ok((program, kind))
 }
 
-/// Where a worker parks a copy of its in-flight job so the supervisor
-/// can recover it if the worker thread dies.
-type WorkerSlot = Arc<Mutex<Option<Job>>>;
-
-fn worker_loop(shared: &Arc<Shared>, slot: &WorkerSlot) {
+/// One pool worker: pops jobs until the queue is closed and empty, and
+/// runs each once. See the module docs for why it cannot die.
+fn worker_loop(shared: &Shared) {
     while let Some(job) = shared.queue.pop() {
-        shared.metrics.move_gauge("queue_depth", -1);
-        *lock_unpoisoned(slot) = Some(job.clone());
         shared.metrics.move_gauge("in_flight", 1);
-        // The job's fault plan is armed *outside* the catch so that the
-        // hard-kill hook below escapes the per-job catch and kills the
-        // worker thread itself — exactly what the supervisor-recovery
-        // path is for. (The guard still unwinds cleanly with the
-        // thread.)
-        let guard = job.faults.clone().map(gpumc::fault::scoped);
-        let _ = gpumc::fault::hit(WORKER_HARD_KILL_POINT);
-        let outcome = std::panic::catch_unwind(AssertUnwindSafe(|| run_verify_job(&job, shared)));
-        drop(guard);
+        let outcome = std::panic::catch_unwind(AssertUnwindSafe(|| {
+            let _faults = job.faults.clone().map(gpumc::fault::scoped);
+            run_verify_job(&job, shared)
+        }));
         shared.metrics.move_gauge("in_flight", -1);
-        *lock_unpoisoned(slot) = None;
-        match outcome {
-            Ok(response) => write_line(&job.out, &response),
-            Err(payload) => handle_job_panic(job, &panic_message(&*payload), shared),
-        }
+        let response = outcome
+            .unwrap_or_else(|payload| failed_answer(&job, &panic_message(&*payload), shared));
+        write_line(&job.out, &response);
     }
-}
-
-fn lock_unpoisoned(slot: &WorkerSlot) -> std::sync::MutexGuard<'_, Option<Job>> {
-    slot.lock().unwrap_or_else(|e| e.into_inner())
 }
 
 fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
@@ -616,102 +548,29 @@ fn classify_panic(message: &str) -> &'static str {
     }
 }
 
-/// A job's attempt panicked (caught in the worker, or recovered from a
-/// dead worker by the supervisor): log, count, and either retry with
-/// backoff or answer `status:"failed"`.
-fn handle_job_panic(mut job: Job, message: &str, shared: &Arc<Shared>) {
+/// The answer to a job whose run panicked: logged, counted, and
+/// answered `status:"failed"` with its class.
+fn failed_answer(job: &Job, message: &str, shared: &Shared) -> Json {
     shared.metrics.inc("worker_panics");
-    eprintln!(
-        "[gpumc-serve] job {:?} attempt {} panicked: {message}",
-        job.id, job.attempt
-    );
-    let retryable = job.attempt < shared.retry.max_attempts && job.token.check().is_none();
-    if retryable {
-        job.attempt += 1;
-        std::thread::sleep(shared.retry.backoff(job.seq, job.attempt));
-        shared.metrics.inc("jobs_retried");
-        match shared.queue.try_push(job) {
-            Ok(()) => {
-                shared.metrics.move_gauge("queue_depth", 1);
-                return;
-            }
-            Err(PushError::Full(j) | PushError::Closed(j)) => job = j,
-        }
-    }
     shared.metrics.inc("jobs_failed");
+    // Unlike `eprintln!`, a failed stderr write cannot panic here,
+    // outside the job's catch.
+    let _ = writeln!(
+        std::io::stderr(),
+        "[gpumc-serve] job {:?} panicked: {message}",
+        job.id
+    );
     let class = if job.token.check().is_some() {
         "timeout"
     } else {
         classify_panic(message)
     };
-    write_line(
-        &job.out,
-        &failed_response(job.id, class, message, job.attempt),
-    );
-}
-
-/// Spawns `jobs` workers under a supervisor thread. The supervisor
-/// recovers parked jobs from workers that died outside the per-job
-/// catch, respawns replacements while the queue is open, and — once the
-/// queue is closed and every worker has exited — answers any leftover
-/// queued jobs with `rejected` so nothing is silently dropped.
-fn spawn_supervised_pool(shared: Arc<Shared>, jobs: usize) -> JoinHandle<()> {
-    std::thread::spawn(move || {
-        let spawn_worker = |shared: &Arc<Shared>| -> (WorkerSlot, JoinHandle<()>) {
-            let slot: WorkerSlot = Arc::new(Mutex::new(None));
-            let shared = Arc::clone(shared);
-            let slot2 = Arc::clone(&slot);
-            let handle = std::thread::spawn(move || worker_loop(&shared, &slot2));
-            (slot, handle)
-        };
-        let mut pool: Vec<(WorkerSlot, Option<JoinHandle<()>>)> = (0..jobs.max(1))
-            .map(|_| {
-                let (slot, h) = spawn_worker(&shared);
-                (slot, Some(h))
-            })
-            .collect();
-        loop {
-            let mut alive = 0;
-            for entry in &mut pool {
-                match &entry.1 {
-                    None => {}
-                    Some(h) if h.is_finished() => {
-                        let died = entry.1.take().expect("checked Some").join().is_err();
-                        if let Some(job) = lock_unpoisoned(&entry.0).take() {
-                            // The worker died with a job in flight; the
-                            // gauge decrement it never reached happens
-                            // here.
-                            shared.metrics.move_gauge("in_flight", -1);
-                            handle_job_panic(job, "worker thread died mid-job", &shared);
-                        }
-                        if died && !shared.queue.is_closed() {
-                            shared.metrics.inc("workers_respawned");
-                            let (slot, h) = spawn_worker(&shared);
-                            *entry = (slot, Some(h));
-                            alive += 1;
-                        }
-                    }
-                    Some(_) => alive += 1,
-                }
-            }
-            if shared.queue.is_closed() && alive == 0 {
-                break;
-            }
-            std::thread::sleep(Duration::from_millis(10));
-        }
-        // All workers have exited and the queue is closed. Anything
-        // still queued (possible only if the pool died during drain)
-        // gets a `rejected` answer instead of silence.
-        for job in shared.queue.drain_now() {
-            shared.metrics.inc("queue_rejected_total");
-            write_line(&job.out, &rejected_response(job.id, "shutting down"));
-        }
-    })
+    failed_response(job.id, class, message)
 }
 
 /// Runs one verify job to a response. Never panics on budget/deadline/
 /// cancellation: those surface as `status: unknown`.
-fn run_verify_job(job: &Job, shared: &Arc<Shared>) -> Json {
+fn run_verify_job(job: &Job, shared: &Shared) -> Json {
     let req = &job.req;
     match gpumc::fault::hit(gpumc::fault::points::SERVE_WORKER) {
         Some(gpumc::fault::FaultSignal::SpuriousUnknown) => {
@@ -724,19 +583,7 @@ fn run_verify_job(job: &Job, shared: &Arc<Shared>) -> Json {
         }
         None => {}
     }
-    let program = match gpumc::parse_litmus(&req.source) {
-        Ok(p) => p,
-        Err(e) => {
-            shared.metrics.inc("verdict_error");
-            return error_response(job.id, &e.to_string());
-        }
-    };
-    let Some(kind) = resolve_model(req.model.as_deref(), program.arch) else {
-        shared.metrics.inc("verdict_error");
-        let name = req.model.as_deref().unwrap_or("");
-        return error_response(job.id, &format!("unknown model `{name}`"));
-    };
-    let mut verifier = Verifier::new(gpumc_models::load_shared(kind))
+    let mut verifier = Verifier::new(gpumc_models::load_shared(job.kind))
         .with_engine(req.engine)
         .with_bound(req.bound)
         .with_cancel_token(job.token.clone());
@@ -746,7 +593,7 @@ fn run_verify_job(job: &Job, shared: &Arc<Shared>) -> Json {
     if let Some(mb) = req.mem_budget_mb {
         verifier = verifier.with_mem_budget_mb(mb);
     }
-    let outcome = verifier.check_all(&program);
+    let outcome = verifier.check_all(&job.program);
     let wall_us = job.accepted.elapsed().as_micros() as u64;
     shared.metrics.observe_us("verify_latency_us", wall_us);
     match outcome {
@@ -769,10 +616,10 @@ fn run_verify_job(job: &Job, shared: &Arc<Shared>) -> Json {
             // jobs whose digest survived the dispatch-time gating
             // (cacheable request, no fault plan).
             if let (Some(cache), Some(d)) = (&shared.cache, job.digest) {
-                cache.insert(d, cached_verdict(&program.name, &o));
+                cache.insert(d, cached_verdict(&job.program.name, &o));
                 shared.metrics.inc("cache_inserts");
             }
-            verify_response(job.id, &program.name, &o, wall_us)
+            verify_response(job.id, &job.program.name, &o, wall_us)
         }
         Err(VerifyError::Unknown(reason)) => {
             shared.metrics.inc("verdict_unknown");

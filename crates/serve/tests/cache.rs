@@ -89,7 +89,6 @@ fn quiet_config() -> ServerConfig {
     ServerConfig {
         addr: "127.0.0.1:0".into(),
         jobs: 1,
-        metrics_every_secs: None,
         ..ServerConfig::default()
     }
 }

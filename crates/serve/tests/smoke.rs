@@ -37,7 +37,6 @@ fn concurrent_requests_match_batch_verdicts_and_metrics_add_up() {
         jobs: 4,
         max_queue: 256,
         default_timeout_ms: None,
-        metrics_every_secs: None,
         ..ServerConfig::default()
     });
 
@@ -142,7 +141,6 @@ fn one_ms_deadline_returns_unknown_and_the_worker_survives() {
         jobs: 1,
         max_queue: 16,
         default_timeout_ms: None,
-        metrics_every_secs: None,
         ..ServerConfig::default()
     });
     let mut client = Client::connect(&addr).unwrap();
@@ -231,7 +229,6 @@ fn full_queue_rejects_with_backpressure() {
         jobs: 1,
         max_queue: 1,
         default_timeout_ms: Some(10_000),
-        metrics_every_secs: None,
         ..ServerConfig::default()
     });
 
@@ -297,7 +294,6 @@ fn bad_requests_get_error_responses_not_disconnects() {
         jobs: 1,
         max_queue: 4,
         default_timeout_ms: None,
-        metrics_every_secs: None,
         ..ServerConfig::default()
     });
     let stream = TcpStream::connect(&addr).unwrap();
@@ -338,7 +334,6 @@ fn huge_portfolio_on_a_sat_request_answers_and_the_server_survives() {
         jobs: 1,
         max_queue: 4,
         default_timeout_ms: None,
-        metrics_every_secs: None,
         ..ServerConfig::default()
     });
     let mut client = Client::connect(&addr).unwrap();
@@ -382,7 +377,6 @@ fn sequential_round_trips_pay_no_per_response_stall() {
         jobs: 1,
         max_queue: 16,
         default_timeout_ms: None,
-        metrics_every_secs: None,
         ..ServerConfig::default()
     });
     // The test side sends each request in one write with Nagle off, so

@@ -73,7 +73,6 @@ fn cached_verdicts_agree_with_uncached_across_the_catalog() {
     let server = Server::bind(&ServerConfig {
         addr: "127.0.0.1:0".into(),
         jobs: 2,
-        metrics_every_secs: None,
         ..ServerConfig::default()
     })
     .expect("bind");

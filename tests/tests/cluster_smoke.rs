@@ -1,18 +1,18 @@
 //! Cluster smoke: the router fanning a suite over two real in-process
 //! serve shards must merge results byte-identically to a single-node
-//! run — including when one shard is hard-killed mid-run (the
-//! `serve.worker.hard` fault point murders its worker on every
-//! attempt) or is dead before the run starts. Failover is the router's
-//! job; the merged bytes are the contract.
+//! run — including when one shard's jobs all panic mid-run (the
+//! `serve.worker` fault point, armed with `panic`, makes it answer
+//! `failed`) or the shard is dead before the run starts. Failover is
+//! the router's job; the merged bytes are the contract.
 
+use gpumc::fault::points::SERVE_WORKER;
 use gpumc_fleet::router::{home_shard, route, routing_digest, RoutePolicy, RouteRequest};
-use gpumc_serve::{Server, ServerConfig, WORKER_HARD_KILL_POINT};
+use gpumc_serve::{Server, ServerConfig};
 
 fn spawn(allow_faults: bool) -> (String, std::thread::JoinHandle<()>) {
     let server = Server::bind(&ServerConfig {
         addr: "127.0.0.1:0".into(),
         jobs: 1,
-        metrics_every_secs: None,
         allow_faults,
         ..ServerConfig::default()
     })
@@ -65,31 +65,30 @@ fn single_node_merged(requests: &[RouteRequest]) -> String {
 }
 
 #[test]
-fn hard_killed_shard_fails_over_byte_identically() {
+fn panicking_shard_fails_over_byte_identically() {
     let requests = suite();
     let expected = single_node_merged(&requests);
 
-    // Shard 1 is the victim: every request homing on it arms the
-    // sustained worker hard-kill, so its worker thread dies on every
-    // attempt until the shard's retry policy exhausts and it answers
-    // `failed` — which the router treats as grounds for failover, and
-    // the fault spec is only sent on the first attempt, so the retry
-    // on shard 0 runs clean.
+    // Shard 1 is the victim: every request homing on it arms a worker
+    // panic, so the shard answers it `failed` after its one run —
+    // which the router treats as grounds for failover, and the fault
+    // spec is only sent on the first attempt, so the retry on shard 0
+    // runs clean.
     let (addr0, handle0) = spawn(false);
     let (addr1, handle1) = spawn(true);
     let shards = [addr0.clone(), addr1.clone()];
-    let killed: Vec<RouteRequest> = requests
+    let faulted: Vec<RouteRequest> = requests
         .iter()
         .map(|r| RouteRequest {
-            faults: (home_of(r, 2) == 1).then(|| format!("{WORKER_HARD_KILL_POINT}:panic")),
+            faults: (home_of(r, 2) == 1).then(|| format!("{SERVE_WORKER}:panic")),
             ..r.clone()
         })
         .collect();
-    let victims = killed.iter().filter(|r| r.faults.is_some()).count();
+    let victims = faulted.iter().filter(|r| r.faults.is_some()).count();
     assert!(victims > 0, "no requests homed on the victim shard");
-    assert!(victims < killed.len(), "every request homed on the victim");
+    assert!(victims < faulted.len(), "every request homed on the victim");
 
-    let report = route(&killed, &shards, &RoutePolicy::default());
+    let report = route(&faulted, &shards, &RoutePolicy::default());
     assert!(report.all_done(), "failover must answer everything");
     assert_eq!(
         report.merged(),
@@ -99,7 +98,7 @@ fn hard_killed_shard_fails_over_byte_identically() {
     // The victim shard kept answering (with `failed`), so it is not
     // marked dead — but every one of its homed requests took retries.
     for r in report.results.iter() {
-        let homed_on_victim = killed
+        let homed_on_victim = faulted
             .iter()
             .find(|k| k.name == r.name)
             .map(|k| k.faults.is_some())

@@ -125,7 +125,6 @@ fn replay() -> Vec<(String, String, String)> {
     let server = Server::bind(&ServerConfig {
         addr: "127.0.0.1:0".into(),
         jobs: 1,
-        metrics_every_secs: None,
         ..ServerConfig::default()
     })
     .expect("bind ephemeral port");
