@@ -25,9 +25,19 @@ use gpumc_serve::{Server, ServerConfig};
 
 const MP: &str = "PTX MP\\n{ x = 0; flag = 0; }\\nP0@cta 0,gpu 0 | P1@cta 1,gpu 0 ;\\nst.weak x, 1 | ld.weak r0, flag ;\\nst.weak flag, 1 | ld.weak r1, x ;\\nexists (P1:r0 == 1 /\\\\ P1:r1 == 0)";
 
+/// The catalog's Figure 13 ticket mutex as a JSON string literal.
+fn ticket_mutex_source() -> String {
+    let test = gpumc_catalog::figure_tests()
+        .into_iter()
+        .find(|t| t.name == "fig13-ticket-mutex")
+        .expect("catalog has the ticket mutex");
+    Json::str(test.source).to_string()
+}
+
 /// The canonical request sequence. Order matters: the second MP verify
 /// must be a cache hit, the `cache:false` ones deliberate misses.
 fn corpus_requests() -> Vec<(&'static str, String)> {
+    let ticket = ticket_mutex_source();
     vec![
         ("ping", r#"{"id":1,"verb":"ping"}"#.into()),
         (
@@ -84,6 +94,20 @@ fn corpus_requests() -> Vec<(&'static str, String)> {
             "verify-portfolio-field-ignored",
             format!(
                 r#"{{"id":20,"verb":"verify","source":"{MP}","bound":1,"portfolio":2,"cache":false}}"#
+            ),
+        ),
+        // The explicit engines: DPOR on a kernel whose search prunes,
+        // so the `dpor` block pins every counter, and enumeration on MP.
+        (
+            "verify-dpor-ticket-mutex",
+            format!(
+                r#"{{"id":21,"verb":"verify","source":{ticket},"engine":"dpor","bound":1,"cache":false}}"#
+            ),
+        ),
+        (
+            "verify-mp-enumerate",
+            format!(
+                r#"{{"id":22,"verb":"verify","source":"{MP}","engine":"enumerate","bound":1,"cache":false}}"#
             ),
         ),
         ("shutdown", r#"{"id":14,"verb":"shutdown"}"#.into()),
