@@ -44,8 +44,6 @@ OPTIONS (suite):
     --jobs <n>           worker threads (default and 0: all cores; 1 = serial)
     --engine <e>         sat | enumerate | alloy | dpor  (default: sat)
     --model <name>       model override (default: per-test, from dialect)
-    --thorough           also cross-check a secondary property per test,
-                         answered from the same encoding as the primary
 
 OPTIONS (serve):
     --addr <host:port>   listen address (default: 127.0.0.1:7878;
@@ -536,7 +534,6 @@ fn suite(args: &[String]) -> Result<ExitCode, String> {
                 config.model =
                     Some(ModelKind::from_name(m).ok_or_else(|| format!("unknown model `{m}`"))?);
             }
-            "--thorough" => config.thorough = true,
             other if !other.starts_with('-') && name.is_none() => name = Some(other.to_string()),
             other => return Err(format!("unknown argument `{other}`")),
         }

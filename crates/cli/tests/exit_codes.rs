@@ -2,11 +2,12 @@
 //! 0 = verified, 1 = property violated, 2 = usage/parse error,
 //! 3 = verdict unknown (deadline / cancellation / conflict budget), or
 //! for `gpumc client verify` a job the server refused (`rejected`).
+//! Also the `gpumc serve --stdio` transport, end to end.
 
-use std::io::{BufRead, BufReader};
+use std::io::{BufRead, BufReader, Write};
 use std::net::TcpListener;
 use std::path::PathBuf;
-use std::process::{Command, Output};
+use std::process::{Command, Output, Stdio};
 
 use gpumc_serve::json::{self, Json};
 
@@ -103,6 +104,9 @@ fn exit_two_on_usage_and_parse_errors() {
     // Bad flag value.
     let out = gpumc(&["verify", "x.litmus", "--bound", "banana"]);
     assert_eq!(code(&out), 2);
+    // A retired flag is an unknown argument.
+    let out = gpumc(&["suite", "figures", "--thorough"]);
+    assert_eq!(code(&out), 2);
     // A zero per-attempt timeout is refused before any connect.
     let out = gpumc(&[
         "route",
@@ -175,6 +179,54 @@ fn exit_three_when_the_server_sheds_the_job() {
     );
     assert!(
         stdout.contains(r#""status":"rejected""#),
+        "stdout: {stdout}"
+    );
+}
+
+#[test]
+fn serve_stdio_answers_every_request_line_and_skips_blank_ones() {
+    const MP: &str = "PTX MP\n{ x = 0; flag = 0; }\n\
+        P0@cta 0,gpu 0 | P1@cta 1,gpu 0 ;\n\
+        st.weak x, 1 | ld.weak r0, flag ;\n\
+        st.weak flag, 1 | ld.weak r1, x ;\n\
+        exists (P1:r0 == 1 /\\ P1:r1 == 0)";
+    let input = format!(
+        "{{\"id\":1,\"verb\":\"ping\"}}\n\
+         \n\
+         {{\"id\":2,\"verb\":\"verify\",\"source\":{},\"bound\":1}}\n\
+         {{\"id\":3,\"verb\":\"shutdown\"}}\n",
+        Json::str(MP)
+    );
+    let mut child = Command::new(env!("CARGO_BIN_EXE_gpumc"))
+        .args(["serve", "--stdio", "--jobs", "1"])
+        .stdin(Stdio::piped())
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("start gpumc serve --stdio");
+    child
+        .stdin
+        .take()
+        .unwrap()
+        .write_all(input.as_bytes())
+        .unwrap();
+    let out = child.wait_with_output().expect("serve exits");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert_eq!(code(&out), 0, "stdout: {stdout}");
+    // The verify may answer after shutdown's `ok`: match by id.
+    let mut statuses: Vec<(u64, String)> = stdout
+        .lines()
+        .map(|l| {
+            let r = Json::parse(l).expect("reply parses");
+            let id = r.get("id").and_then(Json::as_u64).expect("reply has an id");
+            let status = r.get("status").and_then(Json::as_str).unwrap_or("");
+            (id, status.to_string())
+        })
+        .collect();
+    statuses.sort();
+    assert_eq!(
+        statuses,
+        [(1, "ok".into()), (2, "done".into()), (3, "ok".into())],
         "stdout: {stdout}"
     );
 }

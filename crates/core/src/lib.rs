@@ -121,8 +121,8 @@ pub enum EngineKind {
     },
     /// Stateless DPOR: incremental exploration with rf/co-aware pruning
     /// and sleep sets over SC fences (`gpumc_exec::dpor_explore`).
-    /// Exact like [`EngineKind::Enumerate`], but scales further and
-    /// accepts branching programs.
+    /// Exact like [`EngineKind::Enumerate`], with which it shares one
+    /// candidate stage, but its prunes let it scale further.
     Dpor,
 }
 
@@ -182,22 +182,13 @@ impl std::fmt::Display for VerifyError {
 
 impl std::error::Error for VerifyError {}
 
-impl From<gpumc_exec::EnumerateError> for VerifyError {
-    fn from(e: gpumc_exec::EnumerateError) -> Self {
+impl From<gpumc_exec::ExploreError> for VerifyError {
+    fn from(e: gpumc_exec::ExploreError) -> Self {
         match e {
-            gpumc_exec::EnumerateError::Unsupported(m) => VerifyError::Unsupported(m),
-            gpumc_exec::EnumerateError::TooComplex(m) => VerifyError::TooComplex(m),
-        }
-    }
-}
-
-impl From<gpumc_exec::DporError> for VerifyError {
-    fn from(e: gpumc_exec::DporError) -> Self {
-        match e {
-            gpumc_exec::DporError::Unsupported(m) => VerifyError::Unsupported(m),
-            gpumc_exec::DporError::TooComplex(m) => VerifyError::TooComplex(m),
+            gpumc_exec::ExploreError::Unsupported(m) => VerifyError::Unsupported(m),
+            gpumc_exec::ExploreError::TooComplex(m) => VerifyError::TooComplex(m),
             // Budget exhaustion / cancellation: a withheld verdict.
-            gpumc_exec::DporError::Interrupted(m) => VerifyError::Unknown(m),
+            gpumc_exec::ExploreError::Interrupted(m) => VerifyError::Unknown(m),
         }
     }
 }
@@ -358,7 +349,7 @@ pub struct Verifier {
     engine: EngineKind,
     bound: u32,
     use_bounds: bool,
-    enum_cap: Option<u64>,
+    explore_cap: Option<u64>,
     cancel: Option<gpumc_sat::CancelToken>,
     conflict_budget: Option<u64>,
     mem_budget_mb: Option<u64>,
@@ -375,7 +366,7 @@ impl Verifier {
             engine: EngineKind::Sat,
             bound: 2,
             use_bounds: true,
-            enum_cap: None,
+            explore_cap: None,
             cancel: None,
             conflict_budget: None,
             mem_budget_mb: None,
@@ -388,7 +379,7 @@ impl Verifier {
     /// engine interprets the same cap as its exploration-step budget,
     /// whose exhaustion surfaces as [`VerifyError::Unknown`].
     pub fn with_enumeration_cap(mut self, cap: u64) -> Verifier {
-        self.enum_cap = Some(cap);
+        self.explore_cap = Some(cap);
         self
     }
 
@@ -609,7 +600,7 @@ impl Verifier {
                     straight_line_only,
                     ..EnumerateOptions::default()
                 };
-                if let Some(cap) = self.enum_cap {
+                if let Some(cap) = self.explore_cap {
                     opts.max_candidates = cap;
                 }
                 let start = Instant::now();
@@ -623,7 +614,7 @@ impl Verifier {
             }
             EngineKind::Dpor => {
                 let mut opts = gpumc_exec::DporOptions::default();
-                if let Some(cap) = self.enum_cap {
+                if let Some(cap) = self.explore_cap {
                     opts.max_steps = cap;
                 }
                 let poll = self
@@ -1097,13 +1088,10 @@ exists (P1:r0 == 1)
         let v = Verifier::new(gpumc_models::vulkan()).with_engine(EngineKind::Dpor);
         // The exhaustive search needs more than CAP steps...
         let g = v.compile(&p).unwrap();
-        let opts = gpumc_exec::DporOptions {
-            max_steps: CAP,
-            ..gpumc_exec::DporOptions::default()
-        };
+        let opts = gpumc_exec::DporOptions { max_steps: CAP };
         assert!(matches!(
             gpumc_exec::dpor_explore(&g, v.model(), &opts, |_| {}),
-            Err(gpumc_exec::DporError::Interrupted(_))
+            Err(gpumc_exec::ExploreError::Interrupted(_))
         ));
         // ...but the first race lies within them.
         let o = v.with_enumeration_cap(CAP).check_data_races(&p).unwrap();

@@ -4,10 +4,8 @@
 //! worker threads (plain `std::thread::scope`, no extra dependencies) and
 //! collects per-test outcomes **in input order**, so a suite's report is
 //! byte-identical no matter how many workers ran it. Workers share the
-//! process-wide compiled models ([`gpumc_models::load_shared`]); in
-//! thorough SAT mode the primary and secondary properties are answered
-//! from a single encoding ([`crate::Verifier::check_all`]) instead of
-//! separate ones.
+//! process-wide compiled models ([`gpumc_models::load_shared`]) and
+//! check each test's catalogued property only.
 //!
 //! Timing is reported as *wall-clock* (the batch, end to end) versus
 //! *aggregate CPU* (the sum of per-test times) — the ratio is the
@@ -80,13 +78,6 @@ pub struct SuiteConfig {
     /// Model override; `None` infers per test from its dialect
     /// (PTX → v7.5, Vulkan → vulkan), like `gpumc verify`.
     pub model: Option<ModelKind>,
-    /// Candidate cap for the enumeration engine.
-    pub enum_cap: Option<u64>,
-    /// Also check a secondary property per test (safety tests get a
-    /// liveness check and vice versa), answered from the same encoding
-    /// as the primary. SAT engine only;
-    /// secondary verdicts never affect pass/fail.
-    pub thorough: bool,
 }
 
 impl Default for SuiteConfig {
@@ -95,8 +86,6 @@ impl Default for SuiteConfig {
             jobs: 0,
             engine: EngineKind::Sat,
             model: None,
-            enum_cap: None,
-            thorough: false,
         }
     }
 }
@@ -114,16 +103,10 @@ pub struct TestResult {
     /// was the property violated. `Err` when the engine rejected the
     /// test.
     pub verdict: Result<bool, VerifyError>,
-    /// Thorough mode: a secondary property verdict answered from the
-    /// same encoding as the primary.
-    pub secondary: Option<(Property, bool)>,
-    /// Statistics of the primary check.
+    /// Statistics of the check.
     pub stats: Stats,
-    /// Total worker time spent on this test (parse + compile + checks).
+    /// Total worker time spent on this test (parse + compile + check).
     pub time: Duration,
-    /// Per-query solver-counter deltas when the test was answered
-    /// from one encoding (thorough SAT mode); empty otherwise.
-    pub queries: Vec<gpumc_encode::QueryRecord>,
 }
 
 impl TestResult {
@@ -313,10 +296,8 @@ impl SuiteRunner {
             property: t.property,
             expected: t.expected,
             verdict: Err(VerifyError::Internal("not run".into())),
-            secondary: None,
             stats: Stats::default(),
             time: Duration::ZERO,
-            queries: Vec::new(),
         };
         let program = match crate::parse_litmus(&t.source) {
             Ok(p) => p,
@@ -330,69 +311,23 @@ impl SuiteRunner {
             .config
             .model
             .unwrap_or_else(|| gpumc_fleet::digest::default_model(program.arch));
-        let mut v = Verifier::new(gpumc_models::load_shared(kind))
+        let v = Verifier::new(gpumc_models::load_shared(kind))
             .with_bound(t.bound)
             .with_engine(self.config.engine);
-        if let Some(cap) = self.config.enum_cap {
-            v = v.with_enumeration_cap(cap);
-        }
-        // Thorough SAT mode: all properties from one encoding
-        // ([`Verifier::check_all`]) — the test's own property is
-        // the primary verdict, another one becomes the secondary, and the
-        // per-query solver deltas are kept for diagnostics. Otherwise,
-        // only the catalogued property is checked.
-        if self.config.thorough && self.config.engine == EngineKind::Sat {
-            match v.check_all(&program) {
-                Ok(o) => {
-                    result.verdict = match t.property {
-                        Property::Safety => {
-                            result.stats = o.assertion.stats;
-                            Ok(o.assertion.reachable)
-                        }
-                        Property::Liveness => {
-                            result.stats = o.liveness.stats;
-                            Ok(o.liveness.violated)
-                        }
-                        Property::DataRaceFreedom => match &o.data_races {
-                            Some(d) => {
-                                result.stats = d.stats;
-                                Ok(d.violated)
-                            }
-                            None => Err(VerifyError::Unsupported(
-                                "model defines no flag `dr`".into(),
-                            )),
-                        },
-                    };
-                    result.secondary = match t.property {
-                        Property::Safety => Some((Property::Liveness, o.liveness.violated)),
-                        Property::Liveness | Property::DataRaceFreedom => {
-                            if program.assertion.is_some() {
-                                Some((Property::Safety, o.assertion.reachable))
-                            } else {
-                                None
-                            }
-                        }
-                    };
-                    result.queries = o.queries;
-                }
-                Err(e) => result.verdict = Err(e),
-            }
-        } else {
-            result.verdict = match t.property {
-                Property::Safety => v.check_assertion(&program).map(|o| {
-                    result.stats = o.stats;
-                    o.reachable
-                }),
-                Property::Liveness => v.check_liveness(&program).map(|o| {
-                    result.stats = o.stats;
-                    o.violated
-                }),
-                Property::DataRaceFreedom => v.check_data_races(&program).map(|o| {
-                    result.stats = o.stats;
-                    o.violated
-                }),
-            };
-        }
+        result.verdict = match t.property {
+            Property::Safety => v.check_assertion(&program).map(|o| {
+                result.stats = o.stats;
+                o.reachable
+            }),
+            Property::Liveness => v.check_liveness(&program).map(|o| {
+                result.stats = o.stats;
+                o.violated
+            }),
+            Property::DataRaceFreedom => v.check_data_races(&program).map(|o| {
+                result.stats = o.stats;
+                o.violated
+            }),
+        };
         result.time = start.elapsed();
         result
     }
@@ -468,59 +403,6 @@ mod tests {
             .render_table()
         };
         assert_eq!(run(1), run(8));
-    }
-
-    #[test]
-    fn thorough_mode_answers_secondary_from_one_session() {
-        let tests: Vec<Test> = tiny_suite()
-            .into_iter()
-            .filter(|t| t.property == Property::Safety)
-            .collect();
-        assert!(!tests.is_empty());
-        let report = SuiteRunner::new(SuiteConfig {
-            jobs: 2,
-            thorough: true,
-            ..SuiteConfig::default()
-        })
-        .run(&tests);
-        for r in &report.results {
-            assert!(r.secondary.is_some(), "{} has a secondary verdict", r.name);
-            // One encoding answered both properties: no
-            // re-encoding happened, and the per-query deltas were kept.
-            assert!(
-                r.queries.len() >= 2,
-                "{} recorded its assertion + liveness queries",
-                r.name
-            );
-            assert_eq!(r.queries[0].label, "assertion");
-            assert_eq!(r.queries[1].label, "liveness");
-        }
-    }
-
-    #[test]
-    fn thorough_and_plain_runs_agree_on_verdicts() {
-        // The differential contract at suite level: the shared-encoding
-        // path (thorough) and the single-property path must
-        // produce identical primary verdicts.
-        let tests = tiny_suite();
-        let run = |thorough| {
-            SuiteRunner::new(SuiteConfig {
-                jobs: 2,
-                thorough,
-                ..SuiteConfig::default()
-            })
-            .run(&tests)
-        };
-        let plain = run(false);
-        let thorough = run(true);
-        for (p, t) in plain.results.iter().zip(&thorough.results) {
-            assert_eq!(
-                p.verdict.as_ref().ok(),
-                t.verdict.as_ref().ok(),
-                "{} verdict differs between single-property and check_all paths",
-                p.name
-            );
-        }
     }
 
     #[test]

@@ -21,9 +21,12 @@
 //!   scaling, reproduced in Figure 15);
 //! * [`dpor_explore`] — the stateless DPOR engine: explores behaviours
 //!   incrementally and prunes redundant interleavings with rf/co-aware
-//!   partial-order reduction plus sleep sets over SC fences, accepting
-//!   the same behaviour set as [`enumerate`] while scaling past its toy
-//!   bounds and handling branching programs.
+//!   partial-order reduction plus sleep sets over SC fences, scaling
+//!   past the enumerator's toy bounds. Both engines complete and check
+//!   each candidate in one shared stage, so they accept the same
+//!   behaviour set; both handle branching programs, and only the
+//!   straight-line (`alloy`) configuration of [`enumerate`] rejects
+//!   them.
 //!
 //! The SAT engine in `gpumc-encode` must agree with these engines on
 //! every behaviour — that cross-validation mirrors the paper's Table 5.
@@ -31,6 +34,7 @@
 pub mod arena;
 mod base;
 mod bitrel;
+mod candidate;
 mod dpor;
 mod enumerate;
 mod execution;
@@ -39,10 +43,9 @@ mod interp;
 
 pub use base::BaseInterpretation;
 pub use bitrel::{EventSet, Relation};
-pub use dpor::{
-    dpor_explore, dpor_explore_interruptible, monotone_axioms, DporError, DporOptions, DporStats,
-};
-pub use enumerate::{enumerate, enumerate_consistent, Behavior, EnumerateError, EnumerateOptions};
+pub use candidate::{Behavior, ExploreError};
+pub use dpor::{dpor_explore, dpor_explore_interruptible, monotone_axioms, DporOptions, DporStats};
+pub use enumerate::{enumerate, enumerate_consistent, EnumerateOptions};
 pub use execution::{Execution, ThreadOutcome};
 pub use facts::{GraphFacts, FIXED_RELS};
 pub use interp::{ConsistencyVerdict, DefValue, FlagHit, Interpreter};

@@ -391,7 +391,7 @@ fn straight_line_restriction_rejects_loops() {
         ..EnumerateOptions::default()
     };
     let err = enumerate(&graph, &model, &opts, |_| {}).unwrap_err();
-    assert!(matches!(err, gpumc_exec::EnumerateError::Unsupported(_)));
+    assert!(matches!(err, gpumc_exec::ExploreError::Unsupported(_)));
 }
 
 #[test]

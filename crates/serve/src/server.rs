@@ -30,7 +30,7 @@
 //!
 //! Each job runs once, under one `catch_unwind` inside which the job's
 //! fault plan is armed. A panic anywhere in the verification stack is
-//! logged, counted (`worker_panics`, `jobs_failed`) and answered at once
+//! logged, counted (`jobs_failed`) and answered at once
 //! with `status:"failed"` and an error class; `attempts` is always 1.
 //! The checker is deterministic, so a job that panicked would panic
 //! again on the same input: the server does not retry it (DESIGN.md
@@ -272,23 +272,26 @@ impl Server {
             for _ in 0..jobs {
                 pool.spawn(|| worker_loop(&shared));
             }
-            let read = read_stdin(&out, &shared);
+            let read = serve_lines(std::io::stdin().lock(), &out, &shared);
             // A read error still drains: the workers answer everything
             // accepted before the scope joins them.
             shared.queue.close();
-            read
+            read.map(drop)
         })
     }
 }
 
-/// Dispatches stdin lines until EOF or the `shutdown` verb.
-fn read_stdin(out: &Out, shared: &Shared) -> std::io::Result<()> {
-    for line in std::io::stdin().lock().lines() {
-        if dispatch_line(&line?, out, shared).is_break() {
-            break;
+/// The one line loop of both transports: dispatches the request lines
+/// of `input`, skipping blank ones, until EOF, a read error or the
+/// `shutdown` verb. Returns whether `shutdown` ended it.
+fn serve_lines(input: impl BufRead, out: &Out, shared: &Shared) -> std::io::Result<bool> {
+    for line in input.lines() {
+        let line = line?;
+        if !line.trim().is_empty() && dispatch_line(&line, out, shared).is_break() {
+            return Ok(true);
         }
     }
-    Ok(())
+    Ok(false)
 }
 
 /// See [`Server::shutdown_handle`].
@@ -316,17 +319,9 @@ fn handle_connection(stream: TcpStream, shared: &Shared, local: SocketAddr) {
         return;
     };
     let out: Out = Arc::new(Mutex::new(Box::new(stream)));
-    let reader = BufReader::new(read_half);
-    for line in reader.lines() {
-        let Ok(line) = line else { break };
-        if line.trim().is_empty() {
-            continue;
-        }
-        if dispatch_line(&line, &out, shared).is_break() {
-            // Shutdown verb: wake the accept loop, stop reading.
-            let _ = TcpStream::connect(local);
-            break;
-        }
+    if let Ok(true) = serve_lines(BufReader::new(read_half), &out, shared) {
+        // Shutdown verb: wake the accept loop.
+        let _ = TcpStream::connect(local);
     }
 }
 
@@ -551,7 +546,6 @@ fn classify_panic(message: &str) -> &'static str {
 /// The answer to a job whose run panicked: logged, counted, and
 /// answered `status:"failed"` with its class.
 fn failed_answer(job: &Job, message: &str, shared: &Shared) -> Json {
-    shared.metrics.inc("worker_panics");
     shared.metrics.inc("jobs_failed");
     // Unlike `eprintln!`, a failed stderr write cannot panic here,
     // outside the job's catch.

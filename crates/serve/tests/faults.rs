@@ -136,18 +136,13 @@ fn fifty_concurrent_with_ten_percent_panics_all_answered_identically() {
 
     let c = counters(&addr);
     assert!(
-        count(&c, "worker_panics") >= 1,
+        failed >= 1,
         "deterministic seeds 0..50 at p=0.1 must fire at least once: {c}"
     );
     assert_eq!(
         count(&c, "jobs_failed"),
         failed,
-        "failed responses and the jobs_failed counter must agree"
-    );
-    assert_eq!(
-        count(&c, "worker_panics"),
-        failed,
-        "every panic is one failed response: {c}"
+        "every panic is one failed response, counted once: {c}"
     );
 
     let mut client = Client::connect(&addr).unwrap();
@@ -185,7 +180,6 @@ fn a_panicking_job_answers_failed_once_and_the_worker_lives_on() {
     assert!(error.contains("injected fault"), "error: {error}");
 
     let c = counters(&addr);
-    assert_eq!(count(&c, "worker_panics"), 1, "counters: {c}");
     assert_eq!(count(&c, "jobs_failed"), 1, "counters: {c}");
     // `jobs_failed` is the only job counter: nothing was retried.
     let Json::Obj(fields) = &c else {
