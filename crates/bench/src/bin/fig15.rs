@@ -1,6 +1,7 @@
 //! Regenerates Figure 15: scalability of the Dartagnan-style SAT engine
 //! vs the Alloy-style enumeration on MP/SB/LB/IRIW with growing thread
-//! counts. Produces one CSV per pattern (MP.csv, SB.csv, ...).
+//! counts. Prints one table per pattern (threads, events, and the two
+//! engines' milliseconds) on stdout and writes no file.
 //!
 //! Run with: `cargo run --release -p gpumc-bench --bin fig15 [-- --jobs N]`
 
@@ -49,7 +50,6 @@ fn main() {
     let mut aggregate_ms: f64 = sat_points.iter().map(|&(_, ms)| ms).sum();
 
     for pattern in patterns {
-        let mut csv = String::from("threads,events,dartagnan_ms,alloy_ms\n");
         println!("== {pattern} ==");
         println!(
             "{:>8} {:>7} {:>14} {:>12}",
@@ -100,20 +100,7 @@ fn main() {
                 sat_ms,
                 alloy_ms.map_or("OOM".to_string(), |m| format!("{m:.1}"))
             );
-            csv.push_str(&format!(
-                "{},{},{:.2},{}\n",
-                threads,
-                events,
-                sat_ms,
-                alloy_ms.map_or("OOM".to_string(), |m| format!("{m:.2}"))
-            ));
             std::io::stdout().flush().ok();
-        }
-        let file = format!("{pattern}.csv");
-        if let Err(e) = std::fs::write(&file, csv) {
-            eprintln!("could not write {file}: {e}");
-        } else {
-            eprintln!("wrote {file}");
         }
     }
     eprintln!(

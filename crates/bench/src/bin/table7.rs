@@ -16,8 +16,8 @@ use gpumc_models::ModelKind;
 fn main() {
     let jobs = gpumc_bench::jobs_from_args();
     let all = gpumc_bench::flag_from_args("--all");
-    // `FAST=1` skips the slowest correct-case row (ttaslock base: ~12.5 s
-    // of the whole table's ~20 s at `--jobs 1` on a 2-vCPU Xeon host)
+    // `FAST=1` skips the slowest correct-case row (ttaslock base: ~8.4 s
+    // of the whole table's ~14 s at `--jobs 1` on a 2-vCPU Xeon host)
     // for quick harness runs.
     let fast = std::env::var("FAST").is_ok();
     let batch = Instant::now();

@@ -230,3 +230,44 @@ fn serve_stdio_answers_every_request_line_and_skips_blank_ones() {
         "stdout: {stdout}"
     );
 }
+
+#[test]
+fn serve_reports_a_caught_job_panic_in_one_stderr_line() {
+    let input = format!(
+        "{{\"id\":1,\"verb\":\"verify\",\"source\":{},\"faults\":\"serve.worker:panic:once\"}}\n\
+         {{\"id\":2,\"verb\":\"shutdown\"}}\n",
+        Json::str(PASS)
+    );
+    let mut child = Command::new(env!("CARGO_BIN_EXE_gpumc"))
+        .args(["serve", "--stdio", "--jobs", "1", "--enable-faults"])
+        .env("RUST_BACKTRACE", "1")
+        .stdin(Stdio::piped())
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("start gpumc serve --stdio");
+    child
+        .stdin
+        .take()
+        .unwrap()
+        .write_all(input.as_bytes())
+        .unwrap();
+    let out = child.wait_with_output().expect("serve exits");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(code(&out), 0, "stdout: {stdout}\nstderr: {stderr}");
+    assert!(
+        stdout.contains(r#""status":"failed""#),
+        "the panicking job answers failed: {stdout}"
+    );
+    // Serve's own line, and no default-hook message or backtrace.
+    let panic_lines: Vec<&str> = stderr
+        .lines()
+        .filter(|l| l.contains("panicked") || l.contains("backtrace"))
+        .collect();
+    assert_eq!(panic_lines.len(), 1, "stderr: {stderr}");
+    assert!(
+        panic_lines[0].starts_with("[gpumc-serve] job Some(1) panicked"),
+        "stderr: {stderr}"
+    );
+}

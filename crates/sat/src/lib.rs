@@ -7,9 +7,15 @@
 //!
 //! * [`Solver`] — a MiniSat-style conflict-driven clause-learning solver
 //!   with two-watched-literal propagation, first-UIP learning, VSIDS
-//!   branching, phase saving, and Luby restarts.
+//!   branching, phase saving, and Luby restarts. Every clause lives in
+//!   one flat arena of `u32` words (a header, then the literals), and a
+//!   two-literal clause is decided from its tagged watcher without
+//!   reading the arena. Adding a clause and learning one allocate
+//!   nothing each beyond the arena's and watch lists' amortized growth.
 //! * [`Formula`] — a Tseitin-transformation layer for building circuits
-//!   (AND/OR/ITE/IFF gates, cardinality helpers) on top of raw clauses.
+//!   (AND/OR/ITE/IFF gates, cardinality helpers) on top of raw clauses;
+//!   a new gate builds its clauses in reused buffers, so it allocates no
+//!   vector of its own.
 //! * [`bv`] — fixed-width bit-vector terms (constants, variables, adders,
 //!   equality, multiplexers) bit-blasted onto the solver, replacing the
 //!   integer reasoning an SMT solver would provide.

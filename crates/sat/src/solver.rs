@@ -80,27 +80,46 @@ impl Stats {
     }
 }
 
-#[derive(Debug, Clone)]
-struct Clause {
-    lits: Vec<Lit>,
-    learnt: bool,
-    activity: f32,
-    deleted: bool,
-    /// Literal-block distance at learn time (0 for problem clauses):
-    /// the number of distinct decision levels in the clause. Low-glue
-    /// clauses connect few search levels and are empirically the ones
-    /// worth keeping forever (Audemard & Simon, IJCAI 2009).
-    glue: u32,
-}
-
+/// Offset of a clause's header in [`Solver`]'s arena.
+///
+/// A clause is [`HEADER`] words followed by its literals: the length, the
+/// flags word (learnt, deleted, glue), and the activity as `f32` bits.
 type ClauseRef = u32;
+
+/// Header words in front of every clause's literals.
+const HEADER: usize = 3;
+/// Flags-word bit: the clause was learnt from a conflict.
+const LEARNT: u32 = 1;
+/// Flags-word bit: the clause was deleted by database reduction and is
+/// waiting for garbage collection.
+const DELETED: u32 = 2;
+/// The glue sits in the flags word above the two flag bits.
+const GLUE_SHIFT: u32 = 2;
+/// Watcher tag: the clause has exactly two literals, so the blocker is
+/// the other literal and propagation never reads the clause. Offsets
+/// must stay below it.
+const BINARY: u32 = 1 << 31;
 
 #[derive(Debug, Clone, Copy)]
 struct Watcher {
+    /// The watched clause, with [`BINARY`] set for a two-literal clause.
     cref: ClauseRef,
     /// Cached "other" watched literal: if it is already true the clause is
-    /// satisfied and we can skip touching the clause memory.
+    /// satisfied and we can skip touching the clause memory. For a binary
+    /// clause it always is the other literal.
     blocker: Lit,
+}
+
+impl Watcher {
+    #[inline]
+    fn clause(self) -> ClauseRef {
+        self.cref & !BINARY
+    }
+
+    #[inline]
+    fn is_binary(self) -> bool {
+        self.cref & BINARY != 0
+    }
 }
 
 /// Base of the Luby restart schedule: restart after
@@ -119,7 +138,8 @@ const VAR_DECAY: f64 = 0.95;
 /// this to check safety and liveness over one program encoding).
 #[derive(Debug, Clone)]
 pub struct Solver {
-    clauses: Vec<Clause>,
+    /// Every clause, back to back: see [`ClauseRef`].
+    arena: Vec<u32>,
     watches: Vec<Vec<Watcher>>,
     assigns: Vec<LBool>,
     polarity: Vec<bool>,
@@ -151,6 +171,8 @@ pub struct Solver {
     cancel: Option<CancelToken>,
     /// Clause-activity increment (for learnt-clause deletion).
     cla_inc: f32,
+    /// Number of live problem clauses (never deleted).
+    n_problem: usize,
     /// Number of live learnt clauses.
     n_learnt: usize,
     /// Learnt-clause cap before a database reduction.
@@ -158,13 +180,22 @@ pub struct Solver {
     /// Number of tombstoned (deleted, not yet compacted) arena slots;
     /// the garbage-collection trigger.
     n_deleted: usize,
+    /// Reused buffers: the clause being added, the learnt clause before
+    /// and after minimization, and the levels of a learnt clause.
+    add_buf: Vec<Lit>,
+    analyze_buf: Vec<Lit>,
+    learnt: Vec<Lit>,
+    levels: Vec<u32>,
+    /// Garbage collections so far, for the arena invariant tests.
+    #[cfg(test)]
+    collections: usize,
 }
 
 impl Solver {
     /// Creates an empty solver.
     pub fn new() -> Solver {
         Solver {
-            clauses: Vec::new(),
+            arena: Vec::new(),
             watches: Vec::new(),
             assigns: Vec::new(),
             polarity: Vec::new(),
@@ -185,9 +216,16 @@ impl Solver {
             mem_ballast: 0,
             cancel: None,
             cla_inc: 1.0,
+            n_problem: 0,
             n_learnt: 0,
             max_learnt: 8_192,
             n_deleted: 0,
+            add_buf: Vec::new(),
+            analyze_buf: Vec::new(),
+            learnt: Vec::new(),
+            levels: Vec::new(),
+            #[cfg(test)]
+            collections: 0,
         }
     }
 
@@ -199,12 +237,8 @@ impl Solver {
     pub fn stats(&self) -> Stats {
         let mut s = self.stats;
         s.vars = self.assigns.len();
-        s.clauses = self.num_clauses();
-        s.learnt = self
-            .clauses
-            .iter()
-            .filter(|c| c.learnt && !c.deleted)
-            .count();
+        s.clauses = self.n_problem;
+        s.learnt = self.n_learnt;
         s
     }
 
@@ -246,20 +280,29 @@ impl Solver {
         self.mem_ballast = self.mem_ballast.saturating_add(bytes);
     }
 
-    /// Estimated per-clause bookkeeping outside the literal array:
-    /// `Clause` header plus the two watcher entries.
+    /// Estimated per-clause bookkeeping outside the literals. It dates
+    /// from a boxed clause (a header with its own literal vector plus two
+    /// watchers) and is kept so every memory-budget answer stays the same.
     const CLAUSE_OVERHEAD: usize = 56;
     /// Estimated bytes of per-variable state across all solver arrays.
     const PER_VAR_BYTES: usize = 96;
 
+    /// The budget charge of one clause of `len` literals.
+    fn clause_bytes(len: usize) -> usize {
+        len * std::mem::size_of::<Lit>() + Self::CLAUSE_OVERHEAD
+    }
+
     /// Recomputes the incremental arena estimate from the live clauses.
     fn recompute_lits_bytes(&mut self) {
-        self.lits_bytes = self
-            .clauses
-            .iter()
-            .filter(|c| !c.deleted)
-            .map(|c| c.lits.len() * std::mem::size_of::<Lit>() + Self::CLAUSE_OVERHEAD)
-            .sum();
+        let mut bytes = 0;
+        let mut c = 0;
+        while c < self.arena.len() {
+            if !self.is_deleted(c) {
+                bytes += Self::clause_bytes(self.clause_len(c));
+            }
+            c = self.next_clause(c);
+        }
+        self.lits_bytes = bytes;
     }
 
     #[inline]
@@ -303,10 +346,7 @@ impl Solver {
     /// Number of live problem (non-learnt, non-deleted) clauses. Always
     /// equals [`Solver::stats`]`().clauses`.
     pub fn num_clauses(&self) -> usize {
-        self.clauses
-            .iter()
-            .filter(|c| !c.learnt && !c.deleted)
-            .count()
+        self.n_problem
     }
 
     /// Adds a clause (a disjunction of literals).
@@ -320,78 +360,156 @@ impl Solver {
         if self.unsat {
             return false;
         }
-        let mut ls: Vec<Lit> = lits.into_iter().collect();
+        let mut ls = std::mem::take(&mut self.add_buf);
+        ls.clear();
+        ls.extend(lits);
         ls.sort_unstable();
         ls.dedup();
-        // Remove false literals, drop satisfied/tautological clauses.
-        let mut i = 0;
-        while i < ls.len() {
-            if i + 1 < ls.len() && ls[i] == !ls[i + 1] {
-                return true; // tautology: x | ~x
-            }
-            match self.lit_value(ls[i]) {
-                LBool::True => return true,
-                LBool::False => {
-                    ls.remove(i);
-                }
-                LBool::Undef => i += 1,
-            }
-        }
-        match ls.len() {
-            0 => {
-                self.unsat = true;
-                false
-            }
-            1 => {
-                self.unchecked_enqueue(ls[0], None);
-                if self.propagate().is_some() {
+        // Drop satisfied/tautological clauses; after sorting, `x` and
+        // `~x` are neighbours.
+        let satisfied = ls.windows(2).any(|p| p[0] == !p[1])
+            || ls.iter().any(|&l| self.lit_value(l) == LBool::True);
+        let ok = if satisfied {
+            true
+        } else {
+            // Remove false literals.
+            ls.retain(|&l| self.lit_value(l) != LBool::False);
+            match ls.len() {
+                0 => {
                     self.unsat = true;
+                    false
                 }
-                !self.unsat
+                1 => {
+                    self.unchecked_enqueue(ls[0], None);
+                    if self.propagate().is_some() {
+                        self.unsat = true;
+                    }
+                    !self.unsat
+                }
+                _ => {
+                    self.attach_clause(&ls, false, 0);
+                    true
+                }
             }
-            _ => {
-                self.attach_clause(ls, false, 0);
-                true
-            }
-        }
+        };
+        self.add_buf = ls;
+        ok
     }
 
-    fn attach_clause(&mut self, lits: Vec<Lit>, learnt: bool, glue: u32) -> ClauseRef {
+    /// Copies a clause into the arena and watches its first two
+    /// literals.
+    fn attach_clause(&mut self, lits: &[Lit], learnt: bool, glue: u32) -> ClauseRef {
         debug_assert!(lits.len() >= 2);
-        let cref = self.clauses.len() as ClauseRef;
-        let w0 = Watcher {
-            cref,
+        let cref = self.arena.len() as ClauseRef;
+        assert!(
+            self.arena.len() < BINARY as usize,
+            "clause arena outgrew its 31-bit offsets"
+        );
+        let tag = if lits.len() == 2 { BINARY } else { 0 };
+        self.watches[lits[0].index()].push(Watcher {
+            cref: cref | tag,
             blocker: lits[1],
-        };
-        let w1 = Watcher {
-            cref,
-            blocker: lits[0],
-        };
-        self.watches[lits[0].index()].push(w0);
-        self.watches[lits[1].index()].push(w1);
-        if learnt {
-            self.n_learnt += 1;
-        }
-        self.lits_bytes += lits.len() * std::mem::size_of::<Lit>() + Self::CLAUSE_OVERHEAD;
-        self.clauses.push(Clause {
-            lits,
-            learnt,
-            activity: if learnt { self.cla_inc } else { 0.0 },
-            deleted: false,
-            glue,
         });
+        self.watches[lits[1].index()].push(Watcher {
+            cref: cref | tag,
+            blocker: lits[0],
+        });
+        let activity = if learnt {
+            self.n_learnt += 1;
+            self.cla_inc
+        } else {
+            self.n_problem += 1;
+            0.0
+        };
+        self.lits_bytes += Self::clause_bytes(lits.len());
+        self.arena.extend([
+            lits.len() as u32,
+            glue << GLUE_SHIFT | if learnt { LEARNT } else { 0 },
+            activity.to_bits(),
+        ]);
+        self.arena.extend(lits.iter().map(|l| l.0));
         cref
     }
 
+    #[inline]
+    fn clause_len(&self, c: usize) -> usize {
+        self.arena[c] as usize
+    }
+
+    #[inline]
+    fn flags(&self, c: usize) -> u32 {
+        self.arena[c + 1]
+    }
+
+    #[inline]
+    fn is_deleted(&self, c: usize) -> bool {
+        self.flags(c) & DELETED != 0
+    }
+
+    #[inline]
+    fn is_learnt(&self, c: usize) -> bool {
+        self.flags(c) & LEARNT != 0
+    }
+
+    #[inline]
+    fn activity(&self, c: usize) -> f32 {
+        f32::from_bits(self.arena[c + 2])
+    }
+
+    #[inline]
+    fn set_activity(&mut self, c: usize, a: f32) {
+        self.arena[c + 2] = a.to_bits();
+    }
+
+    /// Literal `k` of the clause at `c`.
+    #[inline]
+    fn lit(&self, c: usize, k: usize) -> Lit {
+        Lit(self.arena[c + HEADER + k])
+    }
+
+    /// The literals of the clause at `c`.
+    fn lits(&self, c: usize) -> impl Iterator<Item = Lit> + '_ {
+        let start = c + HEADER;
+        self.arena[start..start + self.clause_len(c)]
+            .iter()
+            .map(|&l| Lit(l))
+    }
+
+    /// Offset of the clause after the one at `c`.
+    #[inline]
+    fn next_clause(&self, c: usize) -> usize {
+        c + HEADER + self.clause_len(c)
+    }
+
+    /// Whether the clause at `c` may go in a database reduction: a live
+    /// learnt clause of more than two literals and glue above two.
+    fn reducible(&self, c: usize) -> bool {
+        let flags = self.flags(c);
+        flags & (LEARNT | DELETED) == LEARNT && self.clause_len(c) > 2 && flags >> GLUE_SHIFT > 2
+    }
+
+    /// Whether a clause of more than two literals is the reason for an
+    /// assignment. It can only be the reason for its literal 0:
+    /// propagation enqueues literal 0 and never moves a true literal out
+    /// of that place.
+    fn locked(&self, c: usize) -> bool {
+        self.reason[self.lit(c, 0).var().index()] == Some(c as ClauseRef)
+    }
+
     fn bump_clause(&mut self, cref: ClauseRef) {
-        let c = &mut self.clauses[cref as usize];
-        if !c.learnt {
+        let c = cref as usize;
+        if !self.is_learnt(c) {
             return;
         }
-        c.activity += self.cla_inc;
-        if c.activity > 1e20 {
-            for cl in self.clauses.iter_mut().filter(|c| c.learnt) {
-                cl.activity *= 1e-20;
+        let a = self.activity(c) + self.cla_inc;
+        self.set_activity(c, a);
+        if a > 1e20 {
+            let mut c = 0;
+            while c < self.arena.len() {
+                if self.is_learnt(c) {
+                    self.set_activity(c, self.activity(c) * 1e-20);
+                }
+                c = self.next_clause(c);
             }
             self.cla_inc *= 1e-20;
         }
@@ -401,66 +519,86 @@ impl Solver {
     /// binary clauses, glue ≤ 2 clauses, and clauses currently used as
     /// reasons), then compacts the arena once half of it is tombstones.
     fn reduce_db(&mut self) {
-        let mut acts: Vec<f32> = self
-            .clauses
-            .iter()
-            .filter(|c| c.learnt && !c.deleted && c.lits.len() > 2 && c.glue > 2)
-            .map(|c| c.activity)
-            .collect();
+        let mut acts: Vec<f32> = Vec::new();
+        let mut c = 0;
+        while c < self.arena.len() {
+            if self.reducible(c) {
+                acts.push(self.activity(c));
+            }
+            c = self.next_clause(c);
+        }
         if acts.len() < 2 {
             return;
         }
         acts.sort_by(f32::total_cmp);
         let median = acts[acts.len() / 2];
-        let locked: std::collections::HashSet<ClauseRef> =
-            self.reason.iter().flatten().copied().collect();
-        for (i, c) in self.clauses.iter_mut().enumerate() {
-            if c.learnt
-                && !c.deleted
-                && c.lits.len() > 2
-                && c.glue > 2
-                && c.activity < median
-                && !locked.contains(&(i as ClauseRef))
-            {
-                c.deleted = true;
+        let mut c = 0;
+        while c < self.arena.len() {
+            if self.reducible(c) && self.activity(c) < median && !self.locked(c) {
+                self.arena[c + 1] |= DELETED;
                 self.n_learnt -= 1;
                 self.n_deleted += 1;
             }
+            c = self.next_clause(c);
         }
         self.max_learnt += self.max_learnt / 10;
-        if self.n_deleted * 2 >= self.clauses.len() {
+        if self.n_deleted * 2 >= self.n_problem + self.n_learnt + self.n_deleted {
             self.collect_garbage();
         }
     }
 
-    /// Compacts the clause arena: drops tombstoned clauses and remaps
-    /// every [`ClauseRef`] held by watcher lists and `reason[]`.
+    /// Compacts the clause arena in place: drops tombstoned clauses,
+    /// slides the live ones down in arena order, and remaps every
+    /// [`ClauseRef`] held by watcher lists (keeping the binary tag) and
+    /// `reason[]`.
     ///
     /// Sound mid-search because reason clauses are never tombstoned
     /// (`reduce_db` skips locked clauses).
     fn collect_garbage(&mut self) {
-        let mut map: Vec<ClauseRef> = vec![ClauseRef::MAX; self.clauses.len()];
-        let mut next: ClauseRef = 0;
-        for (i, c) in self.clauses.iter().enumerate() {
-            if !c.deleted {
-                map[i] = next;
-                next += 1;
+        // (old offset, new offset) of every live clause, both ascending.
+        let mut moves: Vec<(ClauseRef, ClauseRef)> =
+            Vec::with_capacity(self.n_problem + self.n_learnt);
+        let mut to = 0;
+        let mut c = 0;
+        while c < self.arena.len() {
+            let next = self.next_clause(c);
+            if !self.is_deleted(c) {
+                moves.push((c as ClauseRef, to as ClauseRef));
+                to += next - c;
             }
+            c = next;
         }
-        self.clauses.retain(|c| !c.deleted);
+        let relocate = |cref: ClauseRef| {
+            moves
+                .binary_search_by_key(&cref, |&(old, _)| old)
+                .ok()
+                .map(|i| moves[i].1)
+        };
         for ws in &mut self.watches {
-            ws.retain_mut(|w| {
-                let m = map[w.cref as usize];
-                w.cref = m;
-                m != ClauseRef::MAX
+            ws.retain_mut(|w| match relocate(w.clause()) {
+                Some(new) => {
+                    w.cref = new | (w.cref & BINARY);
+                    true
+                }
+                None => false,
             });
         }
         for cr in self.reason.iter_mut().flatten() {
-            debug_assert_ne!(map[*cr as usize], ClauseRef::MAX, "reason clause deleted");
-            *cr = map[*cr as usize];
+            *cr = relocate(*cr).expect("reason clause deleted");
         }
+        for &(old, new) in &moves {
+            let (old, new) = (old as usize, new as usize);
+            let end = self.next_clause(old);
+            self.arena.copy_within(old..end, new);
+        }
+        self.arena.truncate(to);
         self.n_deleted = 0;
         self.recompute_lits_bytes();
+        #[cfg(test)]
+        {
+            self.collections += 1;
+            self.check_arena();
+        }
     }
 
     /// Arena occupancy: `(total slots, tombstoned slots)`. Test hook for
@@ -468,8 +606,8 @@ impl Solver {
     #[doc(hidden)]
     pub fn arena_stats(&self) -> (usize, usize) {
         (
-            self.clauses.len(),
-            self.clauses.iter().filter(|c| c.deleted).count(),
+            self.n_problem + self.n_learnt + self.n_deleted,
+            self.n_deleted,
         )
     }
 
@@ -478,11 +616,15 @@ impl Solver {
     /// API.
     #[doc(hidden)]
     pub fn learnt_clauses(&self) -> Vec<Vec<Lit>> {
-        self.clauses
-            .iter()
-            .filter(|c| c.learnt && !c.deleted)
-            .map(|c| c.lits.clone())
-            .collect()
+        let mut out = Vec::new();
+        let mut c = 0;
+        while c < self.arena.len() {
+            if self.is_learnt(c) && !self.is_deleted(c) {
+                out.push(self.lits(c).collect());
+            }
+            c = self.next_clause(c);
+        }
+        out
     }
 
     /// Overrides the learnt-clause cap that triggers database
@@ -544,41 +686,57 @@ impl Solver {
                 let w = ws[i];
                 i += 1;
                 // Fast path: the blocker is already true.
-                if self.lit_value(w.blocker) == LBool::True {
+                let blocker = self.lit_value(w.blocker);
+                if blocker == LBool::True {
                     ws[keep] = w;
                     keep += 1;
                     continue;
                 }
-                let cref = w.cref as usize;
-                if self.clauses[cref].deleted {
-                    continue; // drop the watcher
-                }
-                // Ensure false_lit is at position 1.
-                if self.clauses[cref].lits[0] == false_lit {
-                    self.clauses[cref].lits.swap(0, 1);
-                }
-                debug_assert_eq!(self.clauses[cref].lits[1], false_lit);
-                let first = self.clauses[cref].lits[0];
-                if first != w.blocker && self.lit_value(first) == LBool::True {
-                    ws[keep] = Watcher {
-                        cref: w.cref,
-                        blocker: first,
-                    };
-                    keep += 1;
-                    continue;
-                }
-                // Look for a new literal to watch.
-                for k in 2..self.clauses[cref].lits.len() {
-                    if self.lit_value(self.clauses[cref].lits[k]) != LBool::False {
-                        self.clauses[cref].lits.swap(1, k);
-                        let new_watch = self.clauses[cref].lits[1];
-                        self.watches[new_watch.index()].push(Watcher {
+                let cref = w.clause();
+                let c = cref as usize;
+                let first = if w.is_binary() {
+                    // The blocker is the other literal: the clause is unit
+                    // or conflicting, decided without reading it.
+                    if blocker == LBool::False {
+                        // Conflict analysis reads the clause in the order
+                        // the general path below leaves it in.
+                        self.arena[c + HEADER] = w.blocker.0;
+                        self.arena[c + HEADER + 1] = false_lit.0;
+                    }
+                    w.blocker
+                } else {
+                    if self.is_deleted(c) {
+                        continue; // drop the watcher
+                    }
+                    // Ensure false_lit is at position 1.
+                    let lits = c + HEADER;
+                    if self.arena[lits] == false_lit.0 {
+                        self.arena.swap(lits, lits + 1);
+                    }
+                    debug_assert_eq!(self.lit(c, 1), false_lit);
+                    let first = self.lit(c, 0);
+                    if first != w.blocker && self.lit_value(first) == LBool::True {
+                        ws[keep] = Watcher {
                             cref: w.cref,
                             blocker: first,
-                        });
-                        continue 'next_watcher;
+                        };
+                        keep += 1;
+                        continue;
                     }
-                }
+                    // Look for a new literal to watch.
+                    for k in lits + 2..lits + self.clause_len(c) {
+                        let l = Lit(self.arena[k]);
+                        if self.lit_value(l) != LBool::False {
+                            self.arena.swap(lits + 1, k);
+                            self.watches[l.index()].push(Watcher {
+                                cref: w.cref,
+                                blocker: first,
+                            });
+                            continue 'next_watcher;
+                        }
+                    }
+                    first
+                };
                 // No new watch: clause is unit or conflicting.
                 ws[keep] = Watcher {
                     cref: w.cref,
@@ -586,7 +744,7 @@ impl Solver {
                 };
                 keep += 1;
                 if self.lit_value(first) == LBool::False {
-                    conflict = Some(w.cref);
+                    conflict = Some(cref);
                     self.qhead = self.trail.len();
                     // Copy remaining watchers back.
                     while i < ws.len() {
@@ -595,7 +753,7 @@ impl Solver {
                         i += 1;
                     }
                 } else {
-                    self.unchecked_enqueue(first, Some(w.cref));
+                    self.unchecked_enqueue(first, Some(cref));
                 }
             }
             ws.truncate(keep);
@@ -620,10 +778,12 @@ impl Solver {
 
     /// First-UIP conflict analysis.
     ///
-    /// Returns the learnt clause (asserting literal first) and the level to
-    /// backtrack to.
-    fn analyze(&mut self, mut conflict: ClauseRef) -> (Vec<Lit>, u32) {
-        let mut learnt: Vec<Lit> = vec![Lit::from_index(0)]; // placeholder for UIP
+    /// Leaves the learnt clause (asserting literal first) in
+    /// `self.learnt` and returns the level to backtrack to.
+    fn analyze(&mut self, mut conflict: ClauseRef) -> u32 {
+        let mut learnt = std::mem::take(&mut self.analyze_buf);
+        learnt.clear();
+        learnt.push(Lit::from_index(0)); // placeholder for UIP
         let mut counter = 0usize;
         let mut p: Option<Lit> = None;
         let mut index = self.trail.len();
@@ -631,12 +791,13 @@ impl Solver {
 
         loop {
             self.bump_clause(conflict);
-            let start = usize::from(p.is_some());
-            // Iterate over the literals of the conflicting/reason clause.
-            for k in start..self.clauses[conflict as usize].lits.len() {
-                let q = self.clauses[conflict as usize].lits[k];
+            // Iterate over the literals of the conflicting/reason clause,
+            // except the one a reason implied.
+            let c = conflict as usize;
+            for k in 0..self.clause_len(c) {
+                let q = self.lit(c, k);
                 let v = q.var();
-                if !self.seen[v.index()] && self.level[v.index()] > 0 {
+                if Some(q) != p && !self.seen[v.index()] && self.level[v.index()] > 0 {
                     self.seen[v.index()] = true;
                     self.bump_var(v);
                     if self.level[v.index()] >= cur_level {
@@ -670,15 +831,20 @@ impl Solver {
         for l in &learnt {
             self.seen[l.var().index()] = true;
         }
-        let mut minimized = vec![learnt[0]];
+        let mut minimized = std::mem::take(&mut self.learnt);
+        minimized.clear();
+        minimized.push(learnt[0]);
         'lits: for &l in &learnt[1..] {
             let Some(cr) = self.reason[l.var().index()] else {
                 minimized.push(l);
                 continue;
             };
-            for k in 1..self.clauses[cr as usize].lits.len() {
-                let q = self.clauses[cr as usize].lits[k];
-                if !self.seen[q.var().index()] && self.level[q.var().index()] > 0 {
+            // The reason implied `!l`; its other literals decide.
+            for q in self.lits(cr as usize) {
+                if q.var() != l.var()
+                    && !self.seen[q.var().index()]
+                    && self.level[q.var().index()] > 0
+                {
                     minimized.push(l);
                     continue 'lits;
                 }
@@ -687,31 +853,35 @@ impl Solver {
         for l in &learnt {
             self.seen[l.var().index()] = false;
         }
-        let mut learnt = minimized;
+        self.analyze_buf = learnt;
 
         // Find backtrack level: max level among learnt[1..].
         let mut bt_level = 0;
         let mut max_i = 1;
-        for (i, l) in learnt.iter().enumerate().skip(1) {
+        for (i, l) in minimized.iter().enumerate().skip(1) {
             let lv = self.level[l.var().index()];
             if lv > bt_level {
                 bt_level = lv;
                 max_i = i;
             }
         }
-        if learnt.len() > 1 {
-            learnt.swap(1, max_i);
+        if minimized.len() > 1 {
+            minimized.swap(1, max_i);
         }
-        (learnt, bt_level)
+        self.learnt = minimized;
+        bt_level
     }
 
-    /// Literal-block distance of a learnt clause: the number of distinct
-    /// decision levels among its literals (computed before backtracking).
-    fn compute_glue(&self, learnt: &[Lit]) -> u32 {
-        let mut levels: Vec<u32> = learnt.iter().map(|l| self.level[l.var().index()]).collect();
-        levels.sort_unstable();
-        levels.dedup();
-        levels.len() as u32
+    /// Literal-block distance of the learnt clause: the number of
+    /// distinct decision levels among its literals (computed before
+    /// backtracking).
+    fn compute_glue(&mut self) -> u32 {
+        self.levels.clear();
+        self.levels
+            .extend(self.learnt.iter().map(|l| self.level[l.var().index()]));
+        self.levels.sort_unstable();
+        self.levels.dedup();
+        self.levels.len() as u32
     }
 
     fn backtrack_to(&mut self, level: u32) {
@@ -783,33 +953,12 @@ impl Solver {
         let result = 'outer: loop {
             if let Some(confl) = self.propagate() {
                 self.stats.conflicts += 1;
-                let spent = self.stats.conflicts - entry_conflicts;
-                if self.conflict_budget.is_some_and(|budget| spent > budget) {
-                    break SolveResult::Unknown(Interrupt::ConflictBudget);
-                }
-                // The flag is polled every conflict (a relaxed load); the
-                // deadline clock read is amortized over 128 conflicts.
-                if let Some(i) = self
-                    .cancel
-                    .as_ref()
-                    .and_then(|c| c.should_stop(spent.is_multiple_of(128)))
-                {
+                if let Some(i) = self.conflict_interrupt(self.stats.conflicts - entry_conflicts) {
+                    // Propagation has moved past this conflict, so a root
+                    // conflict must be remembered here, or the next call
+                    // would search on as if the database were consistent.
+                    self.unsat |= self.decision_level() == 0;
                     break SolveResult::Unknown(i);
-                }
-                // The byte estimate is maintained incrementally, so the
-                // budget check is O(1) and safe to run every conflict.
-                if self.over_mem_budget() {
-                    break SolveResult::Unknown(Interrupt::MemBudget);
-                }
-                match gpumc_fault::hit(gpumc_fault::points::SAT_CONFLICT) {
-                    Some(gpumc_fault::FaultSignal::SpuriousUnknown) => {
-                        break SolveResult::Unknown(Interrupt::Injected);
-                    }
-                    Some(gpumc_fault::FaultSignal::AllocSpike(b)) => {
-                        let charged = gpumc_fault::materialize_spike(b);
-                        self.mem_ballast = self.mem_ballast.saturating_add(charged);
-                    }
-                    None => {}
                 }
                 if self.decision_level() == 0 {
                     self.unsat = true;
@@ -817,30 +966,32 @@ impl Solver {
                 }
                 // If the conflict is at or below the assumption levels we
                 // must check whether it depends only on assumptions.
-                let (learnt, bt) = self.analyze(confl);
-                let glue = self.compute_glue(&learnt);
+                let bt = self.analyze(confl);
+                let glue = self.compute_glue();
                 self.stats.max_glue = self.stats.max_glue.max(glue);
                 self.stats.glue_sum += u64::from(glue);
                 self.stats.glued += 1;
                 // Do not backtrack past the assumptions; if the learnt clause
                 // asserts below assumption depth, re-propagation decides.
                 self.backtrack_to(bt);
-                if learnt.len() == 1 {
+                let asserting = self.learnt[0];
+                if self.learnt.len() == 1 {
                     if self.decision_level() > 0 {
                         // learnt unit conflicts with assumption context:
                         // backtrack fully and enqueue at root.
                         self.backtrack_to(0);
                     }
-                    if self.lit_value(learnt[0]) == LBool::False {
+                    if self.lit_value(asserting) == LBool::False {
                         self.unsat = true;
                         break SolveResult::Unsat;
                     }
-                    if self.lit_value(learnt[0]) == LBool::Undef {
-                        self.unchecked_enqueue(learnt[0], None);
+                    if self.lit_value(asserting) == LBool::Undef {
+                        self.unchecked_enqueue(asserting, None);
                     }
                 } else {
-                    let asserting = learnt[0];
-                    let cref = self.attach_clause(learnt, true, glue);
+                    let learnt = std::mem::take(&mut self.learnt);
+                    let cref = self.attach_clause(&learnt, true, glue);
+                    self.learnt = learnt;
                     if self.lit_value(asserting) == LBool::Undef {
                         self.unchecked_enqueue(asserting, Some(cref));
                     } else if self.lit_value(asserting) == LBool::False {
@@ -916,6 +1067,37 @@ impl Solver {
         result
     }
 
+    /// Whether to stop at a conflict, `spent` conflicts into this call:
+    /// conflict budget, cancellation, memory budget or an injected fault.
+    fn conflict_interrupt(&mut self, spent: u64) -> Option<Interrupt> {
+        if self.conflict_budget.is_some_and(|budget| spent > budget) {
+            return Some(Interrupt::ConflictBudget);
+        }
+        // The flag is polled every conflict (a relaxed load); the
+        // deadline clock read is amortized over 128 conflicts.
+        if let Some(i) = self
+            .cancel
+            .as_ref()
+            .and_then(|c| c.should_stop(spent.is_multiple_of(128)))
+        {
+            return Some(i);
+        }
+        // The byte estimate is maintained incrementally, so the
+        // budget check is O(1) and safe to run every conflict.
+        if self.over_mem_budget() {
+            return Some(Interrupt::MemBudget);
+        }
+        match gpumc_fault::hit(gpumc_fault::points::SAT_CONFLICT) {
+            Some(gpumc_fault::FaultSignal::SpuriousUnknown) => Some(Interrupt::Injected),
+            Some(gpumc_fault::FaultSignal::AllocSpike(b)) => {
+                let charged = gpumc_fault::materialize_spike(b);
+                self.mem_ballast = self.mem_ballast.saturating_add(charged);
+                None
+            }
+            None => None,
+        }
+    }
+
     /// Prepares the solver for another `solve` after a `Sat` answer
     /// (clears the model assignment back to the root level).
     pub fn clear_model(&mut self) {
@@ -945,6 +1127,68 @@ impl Default for Solver {
 }
 
 #[cfg(test)]
+impl Solver {
+    /// `(problem, learnt, deleted)` clauses, counted by walking the arena.
+    fn scan_counts(&self) -> (usize, usize, usize) {
+        let mut counts = (0, 0, 0);
+        let mut c = 0;
+        while c < self.arena.len() {
+            if self.is_deleted(c) {
+                counts.2 += 1;
+            } else if self.is_learnt(c) {
+                counts.1 += 1;
+            } else {
+                counts.0 += 1;
+            }
+            c = self.next_clause(c);
+        }
+        counts
+    }
+
+    /// The arena's invariants after a garbage collection: the counters
+    /// match the arena, every watcher names a live clause and is tagged
+    /// binary iff that clause has two literals, and every clause is
+    /// watched on exactly its literals 0 and 1.
+    fn check_arena(&self) {
+        assert_eq!(
+            self.scan_counts(),
+            (self.n_problem, self.n_learnt, self.n_deleted)
+        );
+        let mut starts = std::collections::HashSet::new();
+        let mut c = 0;
+        while c < self.arena.len() {
+            starts.insert(c);
+            c = self.next_clause(c);
+        }
+        assert_eq!(c, self.arena.len(), "the last clause overruns the arena");
+        let mut watched = std::collections::HashSet::new();
+        for (l, ws) in self.watches.iter().enumerate() {
+            let l = Lit::from_index(l);
+            for w in ws {
+                let c = w.clause() as usize;
+                assert!(starts.contains(&c), "watcher of {l} names no clause");
+                assert!(!self.is_deleted(c), "watcher of {l} names a deleted clause");
+                assert_eq!(w.is_binary(), self.clause_len(c) == 2, "binary tag");
+                assert!(
+                    self.lits(c).any(|q| q == w.blocker),
+                    "blocker outside the clause"
+                );
+                assert!(watched.insert((l, c)), "{l} watches a clause twice");
+            }
+        }
+        for &c in &starts {
+            for k in 0..2 {
+                assert!(
+                    watched.remove(&(self.lit(c, k), c)),
+                    "clause at {c} is not watched on its literal {k}"
+                );
+            }
+        }
+        assert!(watched.is_empty(), "watchers on literals past 1");
+    }
+}
+
+#[cfg(test)]
 mod tests {
     use super::*;
 
@@ -960,42 +1204,42 @@ mod tests {
 
     #[test]
     fn clause_counts_exclude_deleted_clauses() {
-        // `stats().clauses` and `num_clauses()` must agree and count live
-        // clauses only — deletion (database reduction) removes a clause
-        // from both, whether problem or learnt.
-        let mut s = Solver::new();
-        let v = lits(&mut s, 3);
-        s.add_clause([v[0], v[1]]);
-        s.add_clause([!v[0], v[2]]);
-        s.add_clause([v[1], v[2]]);
-        assert_eq!(s.num_clauses(), 3);
-        assert_eq!(s.stats().clauses, 3);
-
-        // Simulate what reduce_db does to a clause.
-        s.clauses[1].deleted = true;
-        assert_eq!(s.num_clauses(), 2, "deleted clauses are not live");
-        assert_eq!(
-            s.stats().clauses,
-            s.num_clauses(),
-            "stats() and num_clauses() agree on live clauses"
-        );
-
-        // A deleted learnt clause disappears from the learnt count too.
-        s.clauses.push(Clause {
-            lits: vec![v[0], v[2]],
-            learnt: true,
-            activity: 0.0,
-            deleted: false,
-            glue: 0,
-        });
-        assert_eq!(s.stats().learnt, 1);
-        s.clauses.last_mut().unwrap().deleted = true;
-        assert_eq!(s.stats().learnt, 0);
-        assert_eq!(
-            s.num_clauses(),
-            2,
-            "learnt clauses never count as problem clauses"
-        );
+        // `stats()`, `num_clauses()`, `learnt_clauses()` and
+        // `arena_stats()` agree with the arena and count live clauses
+        // only: database reduction removes a learnt clause from all of
+        // them and never touches a problem clause.
+        let mut s = hard_unsat_instance();
+        let problem = s.num_clauses();
+        assert_eq!(problem, 7 + 6 * 21, "pigeon rows and hole pairs");
+        s.set_max_learnt(64);
+        s.set_conflict_budget(Some(25));
+        let (mut saw_tombstones, mut saw_fewer_learnt) = (false, false);
+        let mut prev_learnt = 0;
+        loop {
+            let r = s.solve();
+            let st = s.stats();
+            assert_eq!(
+                st.clauses, problem,
+                "learnt clauses never count as problem clauses"
+            );
+            assert_eq!(s.num_clauses(), problem);
+            assert_eq!(st.learnt, s.learnt_clauses().len());
+            let (slots, dead) = s.arena_stats();
+            assert_eq!((slots, dead), {
+                let (p, l, d) = s.scan_counts();
+                (p + l + d, d)
+            });
+            assert_eq!(slots, problem + st.learnt + dead);
+            saw_tombstones |= dead > 0;
+            saw_fewer_learnt |= st.learnt < prev_learnt;
+            prev_learnt = st.learnt;
+            if !r.is_unknown() {
+                assert!(r.is_unsat(), "{r:?} after {} conflicts", st.conflicts);
+                break;
+            }
+        }
+        assert!(saw_tombstones, "no reduction left a tombstone to count");
+        assert!(saw_fewer_learnt, "no reduction deleted a learnt clause");
     }
 
     #[test]
@@ -1331,6 +1575,28 @@ mod tests {
     }
 
     #[test]
+    fn budgeted_slices_of_an_unsat_search_stay_unsat() {
+        // Regression: a budget that ran out on a root-level conflict
+        // answered `Unknown` but forgot the conflict, which propagation had
+        // already moved past, so a later call answered this unsatisfiable
+        // instance `Sat` (after 1,820 conflicts in slices of 25).
+        let mut s = hard_unsat_instance();
+        s.set_max_learnt(64);
+        s.set_conflict_budget(Some(25));
+        let r = loop {
+            let r = s.solve();
+            if !r.is_unknown() {
+                break r;
+            }
+        };
+        assert!(
+            r.is_unsat(),
+            "{r:?} after {} conflicts",
+            s.stats().conflicts
+        );
+    }
+
+    #[test]
     fn assumptions_work_after_interrupt() {
         let mut s = hard_unsat_instance();
         let extra = s.new_lit();
@@ -1351,9 +1617,11 @@ mod tests {
         // trigger, and the arena must stay within a small factor of the
         // live clause count.
         let mut s = hard_unsat_instance();
-        // A tiny learnt cap forces many reduce_db cycles within the run.
+        // A tiny learnt cap forces many reduce_db cycles within the run;
+        // every garbage collection checks the arena's watch invariants.
         s.set_max_learnt(64);
         assert!(s.solve().is_unsat());
+        assert!(s.collections > 0, "the run never collected garbage");
         let (len, dead) = s.arena_stats();
         assert!(
             dead * 2 < len.max(1),

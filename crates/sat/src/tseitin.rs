@@ -34,6 +34,8 @@ pub struct Formula {
     and_cache: std::collections::HashMap<(Lit, Lit), Lit>,
     or_cache: std::collections::HashMap<(Lit, Lit), Lit>,
     iff_cache: std::collections::HashMap<(Lit, Lit), Lit>,
+    /// Reused buffer for the inputs of an `and`/`or` gate.
+    inputs: Vec<Lit>,
 }
 
 impl Formula {
@@ -110,35 +112,59 @@ impl Formula {
     /// Constant inputs are folded away, so building circuits over
     /// already-decided literals costs nothing.
     pub fn and(&mut self, lits: &[Lit]) -> Lit {
-        let mut inputs: Vec<Lit> = Vec::with_capacity(lits.len());
+        self.gate(lits, true)
+    }
+
+    /// An `and` gate (`conj`) or an `or` gate over `lits`. They are duals:
+    /// the `or` swaps which constant decides the gate and the polarities
+    /// its clauses give the inputs and the output.
+    fn gate(&mut self, lits: &[Lit], conj: bool) -> Lit {
+        // The input value that decides the gate: false for `and`, true
+        // for `or`.
+        let absorbing = !conj;
+        let mut inputs = std::mem::take(&mut self.inputs);
+        inputs.clear();
+        let mut decided = false;
         for &l in lits {
             match self.const_of(l) {
-                Some(true) => {}
-                Some(false) => return self.lit_false(),
+                Some(v) => decided = v == absorbing,
                 None => {
-                    if inputs.contains(&!l) {
-                        return self.lit_false();
-                    }
-                    if !inputs.contains(&l) {
+                    decided = inputs.contains(&!l);
+                    if !decided && !inputs.contains(&l) {
                         inputs.push(l);
                     }
                 }
             }
-        }
-        match inputs.as_slice() {
-            [] => self.lit_true(),
-            [l] => *l,
-            _ => {
-                let out = self.solver.new_lit();
-                for &l in &inputs {
-                    self.solver.add_clause([!out, l]);
-                }
-                let mut clause: Vec<Lit> = inputs.iter().map(|&l| !l).collect();
-                clause.push(out);
-                self.solver.add_clause(clause);
-                out
+            if decided {
+                break;
             }
         }
+        let out = if decided {
+            self.constant(absorbing)
+        } else {
+            match inputs.as_slice() {
+                [] => self.constant(conj),
+                [l] => *l,
+                _ => {
+                    // `out → l` (and) or `l → out` (or) per input, then
+                    // the long clause `∧ inputs → out` or `out → ∨ inputs`.
+                    let out = self.solver.new_lit();
+                    let o = if conj { !out } else { out };
+                    for &l in &inputs {
+                        self.solver.add_clause([o, if conj { l } else { !l }]);
+                    }
+                    self.solver.add_clause(
+                        inputs
+                            .iter()
+                            .map(|&l| if conj { !l } else { l })
+                            .chain([!o]),
+                    );
+                    out
+                }
+            }
+        };
+        self.inputs = inputs;
+        out
     }
 
     /// Binary conjunction (hash-consed).
@@ -158,35 +184,7 @@ impl Formula {
     /// Returns a literal equivalent to the disjunction of `lits`
     /// (constant-folding, like [`Formula::and`]).
     pub fn or(&mut self, lits: &[Lit]) -> Lit {
-        let mut inputs: Vec<Lit> = Vec::with_capacity(lits.len());
-        for &l in lits {
-            match self.const_of(l) {
-                Some(false) => {}
-                Some(true) => return self.lit_true(),
-                None => {
-                    if inputs.contains(&!l) {
-                        return self.lit_true();
-                    }
-                    if !inputs.contains(&l) {
-                        inputs.push(l);
-                    }
-                }
-            }
-        }
-        match inputs.as_slice() {
-            [] => self.lit_false(),
-            [l] => *l,
-            _ => {
-                let out = self.solver.new_lit();
-                for &l in &inputs {
-                    self.solver.add_clause([out, !l]);
-                }
-                let mut clause: Vec<Lit> = inputs.clone();
-                clause.push(!out);
-                self.solver.add_clause(clause);
-                out
-            }
-        }
+        self.gate(lits, false)
     }
 
     /// Binary disjunction (hash-consed).
@@ -290,7 +288,7 @@ impl Formula {
     /// contain a true one).
     pub fn assert_exactly_one(&mut self, lits: &[Lit]) {
         assert!(!lits.is_empty(), "exactly-one over empty set");
-        self.solver.add_clause(lits.to_vec());
+        self.solver.add_clause(lits.iter().copied());
         self.assert_at_most_one(lits);
     }
 

@@ -32,6 +32,8 @@
 //! fault plan is armed. A panic anywhere in the verification stack is
 //! logged, counted (`jobs_failed`) and answered at once
 //! with `status:"failed"` and an error class; `attempts` is always 1.
+//! Serve's panic hook keeps that log to one stderr line: it is silent on
+//! a thread running a job and defers to the previous hook elsewhere.
 //! The checker is deterministic, so a job that panicked would panic
 //! again on the same input: the server does not retry it (DESIGN.md
 //! §20). The router's ring walk is the one place that retries a
@@ -50,6 +52,7 @@
 //! only once the queue is closed and empty, so every accepted job gets
 //! its response before [`Server::run`] returns.
 
+use std::cell::Cell;
 use std::io::{BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::panic::AssertUnwindSafe;
@@ -507,15 +510,38 @@ fn parse_job(req: &VerifyRequest) -> Result<(Program, ModelKind), String> {
     Ok((program, kind))
 }
 
+thread_local! {
+    /// Whether this thread is running a job inside `worker_loop`'s catch.
+    static IN_JOB: Cell<bool> = const { Cell::new(false) };
+}
+
+/// Installs, once per process, a panic hook that stays silent on a
+/// thread running a job, whose panic `failed_answer` reports in one
+/// line, and defers to the previous hook everywhere else.
+fn install_panic_hook() {
+    static ONCE: std::sync::Once = std::sync::Once::new();
+    ONCE.call_once(|| {
+        let previous = std::panic::take_hook();
+        std::panic::set_hook(Box::new(move |info| {
+            if !IN_JOB.try_with(Cell::get).unwrap_or(false) {
+                previous(info);
+            }
+        }));
+    });
+}
+
 /// One pool worker: pops jobs until the queue is closed and empty, and
 /// runs each once. See the module docs for why it cannot die.
 fn worker_loop(shared: &Shared) {
+    install_panic_hook();
     while let Some(job) = shared.queue.pop() {
         shared.metrics.move_gauge("in_flight", 1);
+        IN_JOB.with(|j| j.set(true));
         let outcome = std::panic::catch_unwind(AssertUnwindSafe(|| {
             let _faults = job.faults.clone().map(gpumc::fault::scoped);
             run_verify_job(&job, shared)
         }));
+        IN_JOB.with(|j| j.set(false));
         shared.metrics.move_gauge("in_flight", -1);
         let response = outcome
             .unwrap_or_else(|payload| failed_answer(&job, &panic_message(&*payload), shared));
