@@ -7,6 +7,8 @@
 //! liveness (can a spinloop get stuck?) are answered from one encoding;
 //! the extra `Live` column reports the latter and the per-query solver
 //! deltas go to stderr.
+//!
+//! Exits 1 when a verdict differs from Table 7's or a row fails.
 
 use std::time::Instant;
 
@@ -16,8 +18,8 @@ use gpumc_models::ModelKind;
 fn main() {
     let jobs = gpumc_bench::jobs_from_args();
     let all = gpumc_bench::flag_from_args("--all");
-    // `FAST=1` skips the slowest correct-case row (ttaslock base: ~8.4 s
-    // of the whole table's ~14 s at `--jobs 1` on a 2-vCPU Xeon host)
+    // `FAST=1` skips the slowest correct-case row (ttaslock base: ~1.2 s
+    // of the whole table's ~2.8 s at `--jobs 1` on a 2-vCPU Xeon host)
     // for quick harness runs.
     let fast = std::env::var("FAST").is_ok();
     let batch = Instant::now();
@@ -72,11 +74,13 @@ fn main() {
         "Time (ms)"
     );
     let mut aggregate_ms = 0u128;
+    let mut failed = false;
     for (b, result) in benches.iter().zip(results) {
         match result {
             Ok((o, live, query_stats, ms)) => {
                 aggregate_ms += ms;
                 let correct = !o.reachable;
+                failed |= correct != b.expect_correct;
                 let live_col = match live {
                     Some(violated) => format!("{:>9}", if violated { "stuck" } else { "yes" }),
                     None => String::new(),
@@ -101,7 +105,10 @@ fn main() {
                     eprint!("{query_stats}");
                 }
             }
-            Err(e) => eprintln!("{}: {e}", b.name),
+            Err(e) => {
+                eprintln!("{}: {e}", b.name);
+                failed = true;
+            }
         }
     }
     eprintln!(
@@ -113,4 +120,7 @@ fn main() {
             std::time::Duration::from_millis(aggregate_ms as u64),
         )
     );
+    if failed {
+        std::process::exit(1);
+    }
 }

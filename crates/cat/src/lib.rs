@@ -45,7 +45,7 @@ pub use lexer::{LexError, Token};
 pub use model::{Axiom, CatModel, Def, DefBody, DefId, RelExpr, SetExpr};
 pub use parser::ParseError;
 pub use resolve::ResolveError;
-pub use table::{BaseRel, Node, NodeId, NodeTable, Op};
+pub use table::{BaseRel, Node, NodeId, NodeTable, Op, Polarity};
 
 /// Parses and resolves a `.cat` model against the builtin GPU environment.
 ///

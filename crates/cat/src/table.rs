@@ -6,7 +6,8 @@
 //! relations and tags resolve to fixed indices of [`BUILTIN_RELS`] and
 //! [`BUILTIN_SETS`], so evaluators index their values instead of looking
 //! names up. The table is built once, when the model is resolved; the
-//! relation analysis and the interpreter both evaluate it.
+//! relation analysis and the interpreter both evaluate it, and the SAT
+//! encoder reads each node's [`Polarity`] from it.
 
 use crate::env::{BUILTIN_RELS, BUILTIN_SETS};
 use crate::model::{Axiom, Def, DefBody, DefId, RelExpr, SetExpr};
@@ -148,6 +149,51 @@ impl Op {
     }
 }
 
+/// The implications between a node's value and its encoding that the
+/// node's readers need: the polarity of Plaisted and Greenbaum's
+/// structure-preserving normal form (J. Symbolic Computation, 1986).
+///
+/// A reader that forbids true pairs, such as an `empty`, `irreflexive` or
+/// `acyclic` axiom, needs only `value ⇒ literal` (the *lower* direction:
+/// the literal is at least the value). A flag, which asks for one true
+/// pair, needs only `literal ⇒ value` (the *upper* direction: the literal
+/// is at most the value). The right operand of a difference is read the
+/// other way round.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Polarity(u8);
+
+impl Polarity {
+    /// Read by nothing.
+    pub const NONE: Polarity = Polarity(0);
+    /// Read through `value ⇒ literal` only.
+    pub const LOWER: Polarity = Polarity(1);
+    /// Read through `literal ⇒ value` only.
+    pub const UPPER: Polarity = Polarity(2);
+    /// Read both ways: the encoding is an equivalence.
+    pub const BOTH: Polarity = Polarity(3);
+
+    /// Whether some reader needs `value ⇒ literal`.
+    pub fn lower(self) -> bool {
+        self.0 & Polarity::LOWER.0 != 0
+    }
+
+    /// Whether some reader needs `literal ⇒ value`.
+    pub fn upper(self) -> bool {
+        self.0 & Polarity::UPPER.0 != 0
+    }
+
+    /// The polarity of the right operand of a difference read in `self`.
+    fn flip(self) -> Polarity {
+        Polarity((self.0 & 1) << 1 | self.0 >> 1)
+    }
+}
+
+impl std::ops::BitOrAssign for Polarity {
+    fn bitor_assign(&mut self, other: Polarity) {
+        self.0 |= other.0;
+    }
+}
+
 /// One node: its operator and operands (unused slots are 0).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Node {
@@ -173,6 +219,8 @@ pub struct NodeTable {
     groups: Vec<(NodeId, NodeId)>,
     /// Per axiom: the nodes its value depends on, one bit per node.
     reach: Vec<Vec<u64>>,
+    /// The polarity each node is read in.
+    polarity: Vec<Polarity>,
 }
 
 impl NodeTable {
@@ -185,6 +233,7 @@ impl NodeTable {
             axiom_root: Vec::with_capacity(axioms.len()),
             groups: Vec::new(),
             reach: Vec::with_capacity(axioms.len()),
+            polarity: Vec::new(),
         };
         let mut i = 0;
         while i < defs.len() {
@@ -218,7 +267,66 @@ impl NodeTable {
             t.reach.push(reach);
             start = root + 1;
         }
+        t.polarity = t.polarities(axioms);
         t
+    }
+
+    /// Each node's polarity. A non-flagged axiom reads its root lower; a
+    /// flag reads its root upper, since a flag query asks for one true
+    /// pair. Every reader of a node comes after it, except inside a
+    /// `let rec` group, which is iterated to a fixpoint; so one backward
+    /// pass hands each node's final polarity to its operands.
+    fn polarities(&self, axioms: &[Axiom]) -> Vec<Polarity> {
+        let mut pol = vec![Polarity::NONE; self.nodes.len()];
+        for (axiom, &root) in axioms.iter().zip(&self.axiom_root) {
+            pol[root] |= if axiom.flagged {
+                Polarity::UPPER
+            } else {
+                Polarity::LOWER
+            };
+        }
+        let mut id = self.nodes.len();
+        while id > 0 {
+            id -= 1;
+            let Some(&(first, last)) = self.groups.iter().find(|g| g.1 == id) else {
+                self.pass_polarity(&mut pol, id);
+                continue;
+            };
+            loop {
+                let before = pol[first..=last].to_vec();
+                for k in (first..=last).rev() {
+                    self.pass_polarity(&mut pol, k);
+                }
+                if pol[first..=last] == before[..] {
+                    break;
+                }
+            }
+            id = first;
+        }
+        pol
+    }
+
+    /// Hands node `id`'s polarity to its operands: the right operand of
+    /// a difference gets the opposite one, and a reference hands it to
+    /// the root of the definition it names.
+    fn pass_polarity(&self, pol: &mut [Polarity], id: NodeId) {
+        let p = pol[id];
+        let Node { op, kids: [a, b] } = self.nodes[id];
+        match op {
+            Op::Base(_) | Op::Id | Op::Tag(_) | Op::Universe => {}
+            Op::Ref(d) | Op::SetRef(d) => pol[self.def_root[d]] |= p,
+            Op::Diff | Op::SetDiff => {
+                pol[a] |= p;
+                pol[b] |= p.flip();
+            }
+            Op::Cross | Op::Union | Op::Inter | Op::Seq | Op::SetUnion | Op::SetInter => {
+                pol[a] |= p;
+                pol[b] |= p;
+            }
+            Op::IdSet | Op::Inverse | Op::Plus | Op::Star | Op::Opt | Op::Domain | Op::Range => {
+                pol[a] |= p
+            }
+        }
     }
 
     fn rel(&mut self, e: &RelExpr) -> NodeId {
@@ -341,6 +449,11 @@ impl NodeTable {
         &self.reach[index]
     }
 
+    /// The polarity node `id` is read in (see [`Polarity`]).
+    pub fn polarity(&self, id: NodeId) -> Polarity {
+        self.polarity[id]
+    }
+
     /// Whether node `id` is the root of a recursive definition.
     pub fn is_rec_root(&self, id: NodeId) -> bool {
         self.rec_root[id]
@@ -443,6 +556,110 @@ mod tests {
             .filter(|&id| t.reach(0)[id / 64] >> (id % 64) & 1 == 1)
             .collect();
         assert_eq!(reached, vec![0, 1, 2, 3, 4, 5]);
+    }
+
+    /// The polarity of every node, in node order.
+    fn polarities(t: &NodeTable) -> Vec<Polarity> {
+        (0..t.len()).map(|id| t.polarity(id)).collect()
+    }
+
+    #[test]
+    fn difference_flips_its_right_operand() {
+        use Polarity as P;
+        // po, rf, \ — then [W], [R], \ on sets under [_], and ;.
+        let m = crate::parse("empty po \\ rf\nempty [W \\ R]").unwrap();
+        let t = m.nodes();
+        assert_eq!(t.node(2).op, Op::Diff);
+        assert_eq!(t.node(5).op, Op::SetDiff);
+        assert_eq!(
+            polarities(t),
+            [
+                P::LOWER,
+                P::UPPER,
+                P::LOWER,
+                P::LOWER,
+                P::UPPER,
+                P::LOWER,
+                P::LOWER
+            ]
+        );
+        // Two differences flip back; a flag reads its root upper.
+        let m = crate::parse("flag ~empty po \\ (rf \\ co) as f").unwrap();
+        assert_eq!(
+            polarities(m.nodes()),
+            [P::UPPER, P::LOWER, P::UPPER, P::LOWER, P::UPPER]
+        );
+    }
+
+    #[test]
+    fn a_flagged_axiom_reads_upper_and_an_axiom_lower() {
+        use Polarity as P;
+        // po, rf, | — then rf for the flag.
+        let m = crate::parse("acyclic po | rf\nflag ~empty rf as f").unwrap();
+        assert_eq!(
+            polarities(m.nodes()),
+            [P::LOWER, P::LOWER, P::LOWER, P::UPPER]
+        );
+        let mut p = P::LOWER;
+        p |= P::UPPER;
+        assert_eq!(p, P::BOTH);
+        assert_eq!(P::BOTH.flip(), P::BOTH);
+        assert_eq!(P::NONE.flip(), P::NONE);
+        assert!(P::BOTH.lower() && P::BOTH.upper() && !P::NONE.lower() && !P::NONE.upper());
+    }
+
+    #[test]
+    fn a_reference_hands_its_polarity_to_the_definition_root() {
+        use Polarity as P;
+        // a = po; (rf; co), nodes 0..=4; b = a, node 5; unread = co, node 6;
+        // axiom `acyclic b` = node 7; flag `po \ a` = nodes 8..=10.
+        let m = crate::parse(
+            "let a = po; (rf; co)\nlet b = a\nlet unread = co\nacyclic b\nflag ~empty po \\ a as f",
+        )
+        .unwrap();
+        let t = m.nodes();
+        assert_eq!(t.def_root(0), 4);
+        assert_eq!(t.polarity(7), P::LOWER);
+        // `b` is read lower by the axiom; the flag reads `a` lower too.
+        assert_eq!(t.polarity(t.def_root(1)), P::LOWER);
+        assert_eq!(t.polarity(10), P::UPPER);
+        assert_eq!(t.polarity(9), P::LOWER);
+        for id in 0..=4 {
+            assert_eq!(t.polarity(id), P::LOWER, "node {id} of `a`");
+        }
+        assert_eq!(t.polarity(t.def_root(2)), P::NONE);
+        // A second reader in the other direction makes `a` both.
+        let m = crate::parse("let a = po; rf\nacyclic a\nflag ~empty a as f").unwrap();
+        let t = m.nodes();
+        assert_eq!(t.polarity(t.def_root(0)), P::BOTH);
+        assert_eq!(t.polarity(0), P::BOTH);
+    }
+
+    #[test]
+    fn let_rec_members_read_through_other_members_get_their_polarity() {
+        use Polarity as P;
+        // `a` is read only through the later member `b`.
+        let m =
+            crate::parse("let rec a = rf | (a; po) and b = a | co\nflag ~empty b as f").unwrap();
+        let t = m.nodes();
+        assert_eq!(t.polarity(t.def_root(1)), P::UPPER);
+        assert_eq!(t.polarity(t.def_root(0)), P::UPPER);
+        let (first, last) = t.groups()[0];
+        for id in first..=last {
+            assert_eq!(t.polarity(id), P::UPPER, "node {id}");
+        }
+        // `b` is read only through the earlier member `a`, which the
+        // backward pass reaches after `b`: the group needs a second round.
+        let m = crate::parse("let rec a = rf | (b \\ po) and b = a; co\nempty a").unwrap();
+        let t = m.nodes();
+        assert_eq!(t.polarity(t.def_root(0)), P::LOWER);
+        assert_eq!(t.polarity(t.def_root(1)), P::LOWER);
+        // b's operands: Ref(a) and co.
+        let [ra, co] = t.node(t.def_root(1)).kids;
+        assert_eq!((t.polarity(ra), t.polarity(co)), (P::LOWER, P::LOWER));
+        // The `po` under `b \ po` is read upper.
+        let diff = t.node(t.def_root(0)).kids[1];
+        assert_eq!(t.polarity(t.node(diff).kids[1]), P::UPPER);
     }
 
     #[test]

@@ -1008,11 +1008,12 @@ impl<'g> RelationAnalysis<'g> {
 
     /// Sets the active set of closure node `id` and demands its body.
     ///
-    /// `r+` is encoded right-linearly, `var(x, y) ↔ r(x, y) ∨ ∃m ≠ x.
-    /// var(x, m) ∧ r(m, y)`. An active `(x, y)` needs `var(x, m)` for
-    /// every `m` on a path from `x` to `y`, and these variables are
-    /// closed under their own supports. `r*` encodes its diagonal as
-    /// true, so only its off-diagonal pairs need variables.
+    /// `r+` is encoded right-linearly, `var(x, y)` standing for `r(x, y)
+    /// ∨ ∃m ≠ x. var(x, m) ∧ r(m, y)` in the closure's polarity. An
+    /// active `(x, y)` needs `var(x, m)` for every `m` on a path from `x`
+    /// to `y`, and these variables are closed under their own supports.
+    /// `r*` encodes its diagonal as true, so only its off-diagonal pairs
+    /// need variables.
     fn closure_demand(&mut self, id: NodeId) {
         let d = self.d;
         let rel = d.rel_len();

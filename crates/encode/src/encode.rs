@@ -4,14 +4,14 @@ use std::collections::BTreeMap;
 use std::fmt::Display;
 use std::time::Instant;
 
-use gpumc_cat::{AxiomKind, BaseRel, CatModel, NodeId, Op};
+use gpumc_cat::{AxiomKind, BaseRel, CatModel, NodeId, Op, Polarity};
 use gpumc_exec::arena::RelView;
 use gpumc_exec::{Execution, Interpreter, Relation, ThreadOutcome};
 use gpumc_ir::{
     Arch, BlockId, CondAtom, Condition, EventGraph, EventId, EventKind, Tag, UTerm, Val,
 };
 use gpumc_sat::bv::BitVec;
-use gpumc_sat::{Formula, Lit};
+use gpumc_sat::{Dirs, Formula, Lit};
 
 use crate::bounds::RelationAnalysis;
 
@@ -51,8 +51,10 @@ impl Default for EncodeOptions {
 pub enum EncodeError {
     /// The program/model uses an unsupported feature.
     Unsupported(String),
-    /// A SAT witness failed re-validation by the interpreter — an
-    /// internal consistency bug, never expected.
+    /// A SAT witness failed re-validation by the interpreter: it is
+    /// inconsistent, or it does not show what its query asked for (a
+    /// complete execution, a liveness violation, a raised flag). An
+    /// internal bug, never expected.
     WitnessMismatch(String),
     /// The query was interrupted (budget, cancellation, or deadline)
     /// before the solver reached a verdict. Carries the reason; the
@@ -79,6 +81,18 @@ pub struct QueryResult<'g> {
     pub found: bool,
     /// The decoded (and interpreter-validated) witness, when found.
     pub witness: Option<Execution<'g>>,
+}
+
+/// What a query's witness must show beyond consistency, checked on the
+/// decoded execution.
+#[derive(Debug, Clone, Copy)]
+enum Goal<'a> {
+    /// Every thread completed (the assertion query).
+    Completed,
+    /// A liveness violation (§6.4).
+    Liveness,
+    /// Completed, and the interpreter raises this flag.
+    Flag(&'a str),
 }
 
 /// Deltas of the shared solver's cumulative statistics over one query.
@@ -150,6 +164,17 @@ struct EncSet {
 impl EncSet {
     fn get(&self, e: EventId) -> Option<Lit> {
         self.members.get(&e.0).copied()
+    }
+}
+
+/// Ties literal `var` to the literal `expr` of the expression it stands
+/// for in the directions `dirs`: `expr ⇒ var` (lower), `var ⇒ expr`
+/// (upper), or both.
+fn tie(f: &mut Formula, var: Lit, expr: Lit, dirs: Dirs) {
+    match dirs {
+        Dirs::LOWER => f.assert_implies(expr, var),
+        Dirs::UPPER => f.assert_implies(var, expr),
+        _ => f.assert_iff(var, expr),
     }
 }
 
@@ -648,6 +673,17 @@ impl<'g> Encoding<'g> {
     // the model: definitions and axioms
     // ------------------------------------------------------------------
 
+    /// The gate directions model node `id` needs: those of its polarity.
+    /// A node no axiom reads is built only in the relation-analysis
+    /// ablation, and keeps the full gate.
+    fn dirs(&self, id: NodeId) -> Dirs {
+        match self.model.nodes().polarity(id) {
+            Polarity::LOWER => Dirs::LOWER,
+            Polarity::UPPER => Dirs::UPPER,
+            _ => Dirs::BOTH,
+        }
+    }
+
     /// Literal of base relation `rel` at a pair of its upper bound
     /// (`None` when it is false).
     fn base_lit(&mut self, rel: BaseRel, a: EventId, b: EventId) -> Option<Lit> {
@@ -688,9 +724,9 @@ impl<'g> Encoding<'g> {
                     end += 1;
                 }
                 // Variables for the whole group first, so that members
-                // can use each other; each is tied to its body by cyclic
-                // iff gates below (see the crate docs on least-fixpoint
-                // soundness).
+                // can use each other; each is tied to its body below in
+                // its polarity's directions (see the crate docs on
+                // least-fixpoint soundness).
                 for d in i..end {
                     let root = an.def_root(d);
                     let mut vars = EncRel::default();
@@ -704,9 +740,11 @@ impl<'g> Encoding<'g> {
             for id in next..=last {
                 if defs[i].rec_group.is_some() && (i..end).any(|d| an.def_root(d) == id) {
                     let body = self.node_rel(an, id);
+                    let dirs = self.dirs(id);
                     for (&(a, b), &v) in &self.rels[id].pairs {
                         match body.pairs.get(&(a, b)) {
-                            Some(&l) => self.f.assert_iff(v, l),
+                            Some(&l) => tie(&mut self.f, v, l, dirs),
+                            // The body is false here in every fixpoint.
                             None => self.f.assert_lit(!v),
                         }
                     }
@@ -822,7 +860,7 @@ impl<'g> Encoding<'g> {
         let Some(active) = an.active_set(id) else {
             return out;
         };
-        let op = an.op(id);
+        let (op, dirs) = (an.op(id), self.dirs(id));
         let [a, b] = an.kids(id);
         match op {
             Op::Tag(_) | Op::Universe => {
@@ -834,10 +872,10 @@ impl<'g> Encoding<'g> {
                 let (sa, sb) = (&self.sets[an.value_node(a)], &self.sets[an.value_node(b)]);
                 for m in active.iter() {
                     let l = match (op, sa.get(m), sb.get(m)) {
-                        (Op::SetUnion, Some(la), Some(lb)) => self.f.or2(la, lb),
+                        (Op::SetUnion, Some(la), Some(lb)) => self.f.or2_dirs(la, lb, dirs),
                         (Op::SetUnion, Some(l), None) | (Op::SetUnion, None, Some(l)) => l,
-                        (Op::SetInter, Some(la), Some(lb)) => self.f.and2(la, lb),
-                        (Op::SetDiff, Some(la), Some(lb)) => self.f.and2(la, !lb),
+                        (Op::SetInter, Some(la), Some(lb)) => self.f.and2_dirs(la, lb, dirs),
+                        (Op::SetDiff, Some(la), Some(lb)) => self.f.and2_dirs(la, !lb, dirs),
                         (Op::SetDiff, Some(la), None) => la,
                         _ => continue,
                     };
@@ -851,7 +889,7 @@ impl<'g> Encoding<'g> {
                     lits.clear();
                     lits.extend(r.row(m.0).map(|(_, l)| l));
                     if !lits.is_empty() {
-                        out.members.insert(m.0, self.f.or(&lits));
+                        out.members.insert(m.0, self.f.or_dirs(&lits, dirs));
                     }
                 }
             }
@@ -863,7 +901,7 @@ impl<'g> Encoding<'g> {
                     }
                 }
                 for (m, lits) in cols {
-                    out.members.insert(m, self.f.or(&lits));
+                    out.members.insert(m, self.f.or_dirs(&lits, dirs));
                 }
             }
             _ => unreachable!("relation operator on a set node"),
@@ -878,7 +916,7 @@ impl<'g> Encoding<'g> {
         let Some(active) = an.active_rel(id) else {
             return out;
         };
-        let op = an.op(id);
+        let (op, dirs) = (an.op(id), self.dirs(id));
         let [a, b] = an.kids(id);
         match op {
             // A relation of a custom environment has an empty upper
@@ -912,7 +950,7 @@ impl<'g> Encoding<'g> {
                 let (sa, sb) = (&self.sets[an.value_node(a)], &self.sets[an.value_node(b)]);
                 for (x, y) in active.iter() {
                     if let (Some(lx), Some(ly)) = (sa.get(x), sb.get(y)) {
-                        out.insert(x, y, self.f.and2(lx, ly));
+                        out.insert(x, y, self.f.and2_dirs(lx, ly, dirs));
                     }
                 }
             }
@@ -920,17 +958,22 @@ impl<'g> Encoding<'g> {
                 let (ra, rb) = (&self.rels[an.value_node(a)], &self.rels[an.value_node(b)]);
                 for (x, y) in active.iter() {
                     let l = match (op, ra.get(x, y), rb.get(x, y)) {
-                        (Op::Union, Some(la), Some(lb)) => self.f.or2(la, lb),
+                        (Op::Union, Some(la), Some(lb)) => self.f.or2_dirs(la, lb, dirs),
                         (Op::Union, Some(l), None) | (Op::Union, None, Some(l)) => l,
-                        (Op::Inter, Some(la), Some(lb)) => self.f.and2(la, lb),
-                        (Op::Diff, Some(la), Some(lb)) => self.f.and2(la, !lb),
+                        (Op::Inter, Some(la), Some(lb)) => self.f.and2_dirs(la, lb, dirs),
+                        // `lb` is read in the opposite polarity, so `!lb`
+                        // gives the directions `dirs` of `¬b`.
+                        (Op::Diff, Some(la), Some(lb)) => self.f.and2_dirs(la, !lb, dirs),
                         (Op::Diff, Some(la), None) => la,
                         _ => continue,
                     };
                     out.insert(x, y, l);
                 }
             }
-            Op::Seq => self.encode_seq(active, an.value_node(a), an.value_node(b), &mut out),
+            Op::Seq => {
+                let (a, b) = (an.value_node(a), an.value_node(b));
+                self.encode_seq(active, a, b, dirs, &mut out)
+            }
             Op::Inverse => {
                 let r = &self.rels[an.value_node(a)];
                 for (x, y) in active.iter() {
@@ -949,24 +992,36 @@ impl<'g> Encoding<'g> {
                 }
             }
             Op::Plus | Op::Star => {
-                self.encode_closure(active, an.value_node(a), op == Op::Star, &mut out)
+                let star = op == Op::Star;
+                self.encode_closure(active, an.value_node(a), star, dirs, &mut out)
             }
             _ => unreachable!("set operator on a relation node"),
         }
         out
     }
 
-    /// `a ; b` on the active pairs: per row `x` of `a`, one disjunction
-    /// per target `c` over the midpoints `m` of `a(x, m) ∧ b(m, c)`.
-    fn encode_seq(&mut self, active: RelView<'_>, a: NodeId, b: NodeId, out: &mut EncRel) {
+    /// `a ; b` on the active pairs: per row `x` of `a`, one literal per
+    /// target `c` over the midpoints `m` of `a(x, m) ∧ b(m, c)`. The lower
+    /// direction is one clause `a(x, m) ∧ b(m, c) ⇒ out(x, c)` per
+    /// midpoint, with no literal per midpoint; the others build an `and`
+    /// gate per midpoint and an `or` gate over them.
+    fn encode_seq(
+        &mut self,
+        active: RelView<'_>,
+        a: NodeId,
+        b: NodeId,
+        dirs: Dirs,
+        out: &mut EncRel,
+    ) {
         let (ra, rb) = (&self.rels[a], &self.rels[b]);
-        let mut row: Vec<(u32, Lit)> = Vec::new();
+        let mut row: Vec<(u32, Lit, Lit)> = Vec::new();
+        let mut terms = Vec::new();
         let mut lits = Vec::new();
         let mut pairs = ra.pairs.iter().peekable();
         while let Some((&(x, m), &l1)) = pairs.next() {
             for (c, l2) in rb.row(m) {
                 if active.contains(EventId(x), EventId(c)) {
-                    row.push((c, self.f.and2(l1, l2)));
+                    row.push((c, l1, l2));
                 }
             }
             if pairs.peek().is_some_and(|(&(x2, _), _)| x2 == x) {
@@ -974,27 +1029,40 @@ impl<'g> Encoding<'g> {
             }
             // Row `x` is complete. The sort is stable, so each target's
             // midpoints stay in increasing order.
-            row.sort_by_key(|&(c, _)| c);
+            row.sort_by_key(|&(c, _, _)| c);
             for group in row.chunk_by(|p, q| p.0 == q.0) {
-                lits.clear();
-                lits.extend(group.iter().map(|&(_, l)| l));
-                out.insert(EventId(x), EventId(group[0].0), self.f.or(&lits));
+                let l = if dirs == Dirs::LOWER {
+                    terms.clear();
+                    terms.extend(group.iter().map(|&(_, l1, l2)| (l1, l2)));
+                    self.f.or_of_ands_lower(&terms)
+                } else {
+                    lits.clear();
+                    for &(_, l1, l2) in group {
+                        lits.push(self.f.and2_dirs(l1, l2, dirs));
+                    }
+                    self.f.or_dirs(&lits, dirs)
+                };
+                out.insert(EventId(x), EventId(group[0].0), l);
             }
             row.clear();
         }
     }
 
-    /// Transitive closure with cyclic iff-gates on the active pairs,
-    /// which the analysis closes under their supports. Every satisfying
-    /// model assigns a *superset* of the least fixpoint (the one-step
-    /// rules are Horn and force all derivable pairs), which is sound and
-    /// complete for the anti-monotone axiom shapes of cat (see crate
-    /// docs). `r*` encodes its diagonal as true.
+    /// Transitive closure on the active pairs, which the analysis closes
+    /// under their supports: `var(x, y)` stands for `body(x, y) ∨ ∃m ≠ x.
+    /// var(x, m) ∧ body(m, y)`. The lower direction is Horn clauses with
+    /// no gates, `body(x, y) ⇒ var(x, y)` and `var(x, m) ∧ body(m, y) ⇒
+    /// var(x, y)`, whose models assign a superset of the least fixpoint.
+    /// The upper direction, `var(x, y) ⇒ body(x, y) ∨ ⋁ₘ (var(x, m) ∧
+    /// body(m, y))`, is exact only when `body` is acyclic in every model
+    /// (DESIGN.md §8). Both directions are cyclic iff gates. `r*` encodes
+    /// its diagonal as true.
     fn encode_closure(
         &mut self,
         active: RelView<'_>,
         body: NodeId,
         reflexive: bool,
+        dirs: Dirs,
         out: &mut EncRel,
     ) {
         let t = self.f.lit_true();
@@ -1006,25 +1074,34 @@ impl<'g> Encoding<'g> {
             };
             out.insert(x, y, v);
         }
-        // var(x,y) ↔ body(x,y) ∨ ∃m ≠ x. var(x,m) ∧ body(m,y)
         let base = &self.rels[body];
         let mut supports = Vec::new();
         for (&(x, y), &v) in &out.pairs {
             if reflexive && x == y {
                 continue;
             }
-            supports.clear();
-            supports.extend(base.get(EventId(x), EventId(y)));
-            for (m, vm) in out.row(x) {
-                if m == x {
-                    continue; // covered by the direct body pair
+            let direct = base.get(EventId(x), EventId(y));
+            // The midpoints `m ≠ x` (the direct pair covers `m = x`).
+            let steps = out
+                .row(x)
+                .filter(|&(m, _)| m != x)
+                .filter_map(|(m, vm)| Some((vm, base.get(EventId(m), EventId(y))?)));
+            if dirs == Dirs::LOWER {
+                if let Some(bl) = direct {
+                    self.f.assert_implies(bl, v);
                 }
-                if let Some(bl) = base.get(EventId(m), EventId(y)) {
-                    supports.push(self.f.and2(vm, bl));
+                for (vm, bl) in steps {
+                    self.f.add_clause([!vm, !bl, v]);
                 }
+                continue;
             }
-            let rhs = self.f.or(&supports);
-            self.f.assert_iff(v, rhs);
+            supports.clear();
+            supports.extend(direct);
+            for (vm, bl) in steps {
+                supports.push(self.f.and2_dirs(vm, bl, dirs));
+            }
+            let rhs = self.f.or_dirs(&supports, dirs);
+            tie(&mut self.f, v, rhs, dirs);
         }
     }
 
@@ -1196,7 +1273,7 @@ impl<'g> Encoding<'g> {
             l = !l;
         }
         self.f.add_clause([!act, l]);
-        self.solve_and_decode(act)
+        self.solve_and_decode(act, Goal::Completed)
     }
 
     /// Searches for a liveness violation (§6.4): every thread completed
@@ -1261,7 +1338,7 @@ impl<'g> Encoding<'g> {
         let mut clause = vec![!act];
         clause.extend(any_stuck);
         self.f.add_clause(clause);
-        self.solve_and_decode(act)
+        self.solve_and_decode(act, Goal::Liveness)
     }
 
     /// Searches for a consistent, complete behaviour raising the given
@@ -1287,7 +1364,7 @@ impl<'g> Encoding<'g> {
             let mut clause = vec![!act];
             clause.extend(rel.pairs.values().copied());
             enc.f.add_clause(clause);
-            enc.solve_and_decode(act)
+            enc.solve_and_decode(act, Goal::Flag(name))
         })
     }
 
@@ -1317,7 +1394,11 @@ impl<'g> Encoding<'g> {
         Ok(result)
     }
 
-    fn solve_and_decode(&mut self, act: Lit) -> Result<QueryResult<'g>, EncodeError> {
+    fn solve_and_decode(
+        &mut self,
+        act: Lit,
+        goal: Goal<'_>,
+    ) -> Result<QueryResult<'g>, EncodeError> {
         let result = self.f.solve_with_assumptions(&[act]);
         if let Some(interrupt) = result.interrupt() {
             return Err(EncodeError::Unknown(interrupt.to_string()));
@@ -1340,6 +1421,20 @@ impl<'g> Encoding<'g> {
             return Err(EncodeError::WitnessMismatch(format!(
                 "SAT witness violates axiom {:?}\n{}",
                 verdict.failed_axiom,
+                exec.render()
+            )));
+        }
+        // It must also witness its query: a wrong literal in a flagged
+        // relation would otherwise report a race the interpreter does
+        // not see.
+        let witnessed = match goal {
+            Goal::Completed => exec.all_completed(),
+            Goal::Liveness => exec.is_liveness_violation(),
+            Goal::Flag(name) => exec.all_completed() && verdict.has_flag(name),
+        };
+        if !witnessed {
+            return Err(EncodeError::WitnessMismatch(format!(
+                "SAT witness does not show its query's goal ({goal:?})\n{}",
                 exec.render()
             )));
         }
@@ -1563,6 +1658,24 @@ exists (x == 2)";
         let model = gpumc_cat::parse("acyclic co as forward\nacyclic co^-1 as backward").unwrap();
         let mut enc = encode(&g, &model, &Default::default()).unwrap();
         assert!(enc.find_assertion_witness().unwrap().found);
+    }
+
+    #[test]
+    fn a_flag_witness_must_raise_its_flag() {
+        // `find_flag` asks for one true pair of the flagged relation, but
+        // `flag empty po` is raised only when `po` is empty: MP's witness
+        // is consistent yet does not raise the flag, so the query fails
+        // instead of reporting it.
+        let g = graph(MP, 1);
+        let model = gpumc_cat::parse("flag empty po as f").unwrap();
+        let mut enc = encode(&g, &model, &Default::default()).unwrap();
+        assert!(matches!(
+            enc.find_flag("f"),
+            Err(EncodeError::WitnessMismatch(_))
+        ));
+        let model = gpumc_cat::parse("flag ~empty po as f").unwrap();
+        let mut enc = encode(&g, &model, &Default::default()).unwrap();
+        assert!(enc.find_flag("f").unwrap().found);
     }
 
     #[test]

@@ -13,12 +13,18 @@
 //! * [`Encoding`] — the CNF encoding: guarded control flow, bit-blasted
 //!   data flow, decision variables for `rf`, the (partial for PTX, total
 //!   for Vulkan) coherence order `co`, the runtime `sync_fence` order,
-//!   gates for every derived relation of the model, and the axioms.
-//!   Recursive definitions and closures use cyclic iff-gates; every model
-//!   then satisfies `var ⊇ least fixpoint`, which is sound and complete
-//!   here because all cat axioms (`empty`/`irreflexive`/`acyclic`) are
-//!   anti-monotone in their relations and flags are asserted through
-//!   negations (see DESIGN.md §"closure encoding").
+//!   gates for every derived relation of the model, and the axioms. Each
+//!   model node is encoded only in the directions its readers need, its
+//!   [`gpumc_cat::Polarity`]: `value ⇒ literal` for what the axioms read
+//!   (they only forbid true pairs), `literal ⇒ value` for what a flag or
+//!   the right side of a `\` reads, and an equivalence only for a node
+//!   read both ways. For every accepted execution the exact values still
+//!   satisfy the CNF, so a "no witness" answer stays sound; in every SAT
+//!   model a lower literal is at least its relation's value and an upper
+//!   literal at most, which is all an axiom or a flag needs. Closures and
+//!   recursive definitions read lower are Horn rules whose models contain
+//!   the least fixpoint; read upper, they are exact only over a body that
+//!   is acyclic in every model (DESIGN.md §8).
 //! * Queries — safety (`exists`/`forall` conditions), liveness (§6.4
 //!   co-maximal stuck spinloops), and flagged detectors (data races).
 //!   Every query is assumption-guarded (gated behind a fresh activation
@@ -29,8 +35,10 @@
 //!
 //! Every satisfying assignment is decoded into a concrete
 //! [`gpumc_exec::Execution`] and *re-validated* with the explicit
-//! interpreter before being reported, so the two engines cross-check each
-//! other on every witness (the paper's Table 5 validation, continuously).
+//! interpreter before being reported: it must be consistent and show its
+//! query's goal (every thread completed, a liveness violation, or the
+//! flag raised). So the two engines cross-check each other on every
+//! witness (the paper's Table 5 validation, continuously).
 
 mod bounds;
 mod encode;

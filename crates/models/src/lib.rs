@@ -262,6 +262,48 @@ mod tests {
         assert_eq!(ModelKind::from_name("nope"), None);
     }
 
+    /// The SAT encoder builds a closure read upward, `v ⇒ r ∨ (v; r)`,
+    /// which is exact only when `r` is acyclic in every model of the
+    /// encoding (DESIGN.md §8). These are the reviewed ones: PTX's `co+`,
+    /// read both ways, and Vulkan's two `asmo+` (in `rs` and `hypors`),
+    /// read upper only; `co` and `asmo ⊆ co` are strict orders. A model
+    /// edit that reads another closure upward fails here until it is
+    /// reviewed against §8. Every `let rec` group is read lower only.
+    #[test]
+    fn upward_closures_and_let_rec_groups_are_the_reviewed_ones() {
+        use gpumc_cat::{Op, Polarity};
+        for kind in ModelKind::ALL {
+            let m = load(kind);
+            let t = m.nodes();
+            let upward: Vec<(String, Polarity)> = (0..t.len())
+                .filter(|&id| {
+                    matches!(t.node(id).op, Op::Plus | Op::Star) && t.polarity(id).upper()
+                })
+                .map(|id| {
+                    let body = match t.node(t.node(id).kids[0]).op {
+                        Op::Base(Some(r)) => r.name().to_string(),
+                        Op::Ref(d) => m.def(d).name.clone(),
+                        op => format!("{op:?}"),
+                    };
+                    (body, t.polarity(id))
+                })
+                .collect();
+            let expected: Vec<(String, Polarity)> = match kind {
+                ModelKind::Ptx60 | ModelKind::Ptx75 => vec![("co".into(), Polarity::BOTH)],
+                ModelKind::Vulkan => vec![
+                    ("asmo".into(), Polarity::UPPER),
+                    ("asmo".into(), Polarity::UPPER),
+                ],
+            };
+            assert_eq!(upward, expected, "{kind}: closures read upward");
+            for &(first, last) in t.groups() {
+                for id in first..=last {
+                    assert_eq!(t.polarity(id), Polarity::LOWER, "{kind}: let rec node {id}");
+                }
+            }
+        }
+    }
+
     #[test]
     fn axiom_labels_present() {
         let m = ptx75();

@@ -42,7 +42,7 @@ mod tseitin;
 
 pub use cancel::{CancelToken, Interrupt};
 pub use solver::{SolveResult, Solver, Stats};
-pub use tseitin::Formula;
+pub use tseitin::{Dirs, Formula};
 
 /// Sizes and wall time of a CNF simplification pass.
 ///

@@ -2,18 +2,51 @@
 
 use crate::{Lit, SolveResult, Solver};
 
+/// The implications a gate's clauses give between its output literal
+/// `out` and the expression `e` it stands for: [`Dirs::LOWER`] is
+/// `e ⇒ out` (`out` is at least `e`), [`Dirs::UPPER`] is `out ⇒ e` (`out`
+/// is at most `e`), and [`Dirs::BOTH`] is the full Tseitin equivalence.
+///
+/// A literal that a formula only ever asserts false, or only under
+/// negation, needs the lower direction alone; one it only asserts true
+/// needs the upper one (Plaisted and Greenbaum, J. Symbolic Computation,
+/// 1986).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Dirs(u8);
+
+impl Dirs {
+    /// `e ⇒ out`.
+    pub const LOWER: Dirs = Dirs(1);
+    /// `out ⇒ e`.
+    pub const UPPER: Dirs = Dirs(2);
+    /// `out ⇔ e`.
+    pub const BOTH: Dirs = Dirs(3);
+
+    /// Whether every direction of `other` is in `self`.
+    fn contains(self, other: Dirs) -> bool {
+        self.0 & other.0 == other.0
+    }
+
+    /// The other single direction (`BOTH` stays `BOTH`).
+    fn flip(self) -> Dirs {
+        Dirs((self.0 & 1) << 1 | self.0 >> 1)
+    }
+}
+
 /// A formula builder that owns a [`Solver`] and offers gate-level helpers.
 ///
-/// Every helper returns a literal that is *equivalent* to the described
-/// gate (full Tseitin encoding in both directions), so the returned
-/// literals can be used in both positive and negative positions — which the
-/// gpumc relation encoding relies on (derived relations appear under
-/// negation in axioms like `empty (r1 \ r2)`).
+/// A gate emits the clauses of the [`Dirs`] it is asked for. The plain
+/// helpers ([`Formula::and`], [`Formula::or2`], [`Formula::iff`], ...)
+/// return a literal *equivalent* to the gate (both directions), usable in
+/// positive and negative positions. The `_dirs` variants and
+/// [`Formula::or_of_ands_lower`] emit only the implications their
+/// caller's readers need, which is how gpumc-encode builds a model's
+/// relations (a relation under `empty` needs only `e ⇒ out`).
 ///
 /// # Example
 ///
 /// ```
-/// use gpumc_sat::Formula;
+/// use gpumc_sat::{Dirs, Formula};
 ///
 /// let mut f = Formula::new();
 /// let a = f.new_lit();
@@ -23,6 +56,11 @@ use crate::{Lit, SolveResult, Solver};
 /// assert!(f.solve().is_sat());
 /// assert_eq!(f.value(a), Some(true));
 /// assert_eq!(f.value(b), Some(true));
+///
+/// // Only `a ∧ b ⇒ lower`: asserting `¬lower` forbids `a ∧ b`.
+/// let lower = f.and2_dirs(a, b, Dirs::LOWER);
+/// f.assert_lit(!lower);
+/// assert!(f.solve().is_unsat());
 /// ```
 #[derive(Debug, Default)]
 pub struct Formula {
@@ -30,12 +68,16 @@ pub struct Formula {
     true_lit: Option<Lit>,
     /// Hash-consing caches: structurally identical binary gates share
     /// one output literal, which substantially shrinks the relational
-    /// encodings built by gpumc-encode.
-    and_cache: std::collections::HashMap<(Lit, Lit), Lit>,
-    or_cache: std::collections::HashMap<(Lit, Lit), Lit>,
+    /// encodings built by gpumc-encode. Each entry records the
+    /// directions the output already has; a gate folded to a constant
+    /// or an input is exact, so it has both.
+    and_cache: std::collections::HashMap<(Lit, Lit), (Lit, Dirs)>,
+    or_cache: std::collections::HashMap<(Lit, Lit), (Lit, Dirs)>,
     iff_cache: std::collections::HashMap<(Lit, Lit), Lit>,
     /// Reused buffer for the inputs of an `and`/`or` gate.
     inputs: Vec<Lit>,
+    /// Reused buffer for the terms of [`Formula::or_of_ands_lower`].
+    terms: Vec<(Lit, Lit)>,
 }
 
 impl Formula {
@@ -112,92 +154,194 @@ impl Formula {
     /// Constant inputs are folded away, so building circuits over
     /// already-decided literals costs nothing.
     pub fn and(&mut self, lits: &[Lit]) -> Lit {
-        self.gate(lits, true)
+        self.gate(lits, true, Dirs::BOTH)
     }
 
-    /// An `and` gate (`conj`) or an `or` gate over `lits`. They are duals:
-    /// the `or` swaps which constant decides the gate and the polarities
-    /// its clauses give the inputs and the output.
-    fn gate(&mut self, lits: &[Lit], conj: bool) -> Lit {
-        // The input value that decides the gate: false for `and`, true
-        // for `or`.
-        let absorbing = !conj;
+    /// An `and` gate (`conj`) or an `or` gate over `lits`, with the
+    /// clauses of `dirs`.
+    fn gate(&mut self, lits: &[Lit], conj: bool, dirs: Dirs) -> Lit {
         let mut inputs = std::mem::take(&mut self.inputs);
-        inputs.clear();
-        let mut decided = false;
-        for &l in lits {
-            match self.const_of(l) {
-                Some(v) => decided = v == absorbing,
-                None => {
-                    decided = inputs.contains(&!l);
-                    if !decided && !inputs.contains(&l) {
-                        inputs.push(l);
-                    }
-                }
-            }
-            if decided {
-                break;
-            }
-        }
-        let out = if decided {
-            self.constant(absorbing)
-        } else {
-            match inputs.as_slice() {
-                [] => self.constant(conj),
-                [l] => *l,
-                _ => {
-                    // `out → l` (and) or `l → out` (or) per input, then
-                    // the long clause `∧ inputs → out` or `out → ∨ inputs`.
-                    let out = self.solver.new_lit();
-                    let o = if conj { !out } else { out };
-                    for &l in &inputs {
-                        self.solver.add_clause([o, if conj { l } else { !l }]);
-                    }
-                    self.solver.add_clause(
-                        inputs
-                            .iter()
-                            .map(|&l| if conj { !l } else { l })
-                            .chain([!o]),
-                    );
-                    out
-                }
+        let out = match self.fold(lits, conj, &mut inputs) {
+            Some(l) => l,
+            None => {
+                let out = self.solver.new_lit();
+                self.gate_clauses(out, &inputs, conj, dirs);
+                out
             }
         };
         self.inputs = inputs;
         out
     }
 
-    /// Binary conjunction (hash-consed).
-    pub fn and2(&mut self, a: Lit, b: Lit) -> Lit {
+    /// The value of an `and` (`conj`) or `or` gate over `lits` when its
+    /// constant, repeated and complementary inputs decide it or leave at
+    /// most one input; otherwise `None`, with the remaining inputs in
+    /// `inputs`. The `or` is the dual: it swaps which constant decides
+    /// the gate.
+    fn fold(&mut self, lits: &[Lit], conj: bool, inputs: &mut Vec<Lit>) -> Option<Lit> {
+        // The input value that decides the gate: false for `and`, true
+        // for `or`.
+        let absorbing = !conj;
+        inputs.clear();
+        for &l in lits {
+            match self.const_of(l) {
+                Some(v) if v != absorbing => {}
+                None if !inputs.contains(&!l) => {
+                    if !inputs.contains(&l) {
+                        inputs.push(l);
+                    }
+                }
+                _ => return Some(self.constant(absorbing)),
+            }
+        }
+        match inputs.as_slice() {
+            [] => Some(self.constant(conj)),
+            [l] => Some(*l),
+            _ => None,
+        }
+    }
+
+    /// The clauses of `dirs` for gate output `out` over `inputs`: first
+    /// one binary clause per input (`out → l` of an `and`, the upper
+    /// direction; `l → out` of an `or`, the lower one), then the long
+    /// clause (`∧ inputs → out` or `out → ∨ inputs`).
+    fn gate_clauses(&mut self, out: Lit, inputs: &[Lit], conj: bool, dirs: Dirs) {
+        let o = if conj { !out } else { out };
+        let binary = if conj { Dirs::UPPER } else { Dirs::LOWER };
+        if dirs.contains(binary) {
+            for &l in inputs {
+                self.solver.add_clause([o, if conj { l } else { !l }]);
+            }
+        }
+        if dirs.contains(binary.flip()) {
+            self.solver.add_clause(
+                inputs
+                    .iter()
+                    .map(|&l| if conj { !l } else { l })
+                    .chain([!o]),
+            );
+        }
+    }
+
+    /// A hash-consed binary gate. A cached output asked for a direction
+    /// it lacks gets that direction's clauses on the same literal.
+    fn gate2(&mut self, a: Lit, b: Lit, conj: bool, dirs: Dirs) -> Lit {
         if a == b {
             return a;
         }
         let key = if a <= b { (a, b) } else { (b, a) };
-        if let Some(&l) = self.and_cache.get(&key) {
-            return l;
-        }
-        let out = self.and(&[a, b]);
-        self.and_cache.insert(key, out);
+        let cache = if conj {
+            &self.and_cache
+        } else {
+            &self.or_cache
+        };
+        let (out, has) = match cache.get(&key).copied() {
+            Some((out, has)) if has.contains(dirs) => return out,
+            Some((out, has)) => {
+                // A cached fresh output has two inputs, neither constant.
+                self.gate_clauses(out, &[key.0, key.1], conj, Dirs(dirs.0 & !has.0));
+                (out, Dirs(has.0 | dirs.0))
+            }
+            None => {
+                let mut inputs = std::mem::take(&mut self.inputs);
+                let folded = self.fold(&[a, b], conj, &mut inputs);
+                self.inputs = inputs;
+                match folded {
+                    Some(l) => (l, Dirs::BOTH),
+                    None => {
+                        let out = self.solver.new_lit();
+                        self.gate_clauses(out, &[a, b], conj, dirs);
+                        (out, dirs)
+                    }
+                }
+            }
+        };
+        let cache = if conj {
+            &mut self.and_cache
+        } else {
+            &mut self.or_cache
+        };
+        cache.insert(key, (out, has));
         out
+    }
+
+    /// Binary conjunction (hash-consed).
+    pub fn and2(&mut self, a: Lit, b: Lit) -> Lit {
+        self.gate2(a, b, true, Dirs::BOTH)
+    }
+
+    /// Binary conjunction in the directions `dirs` (hash-consed with
+    /// [`Formula::and2`]: a cached output asked for a missing direction
+    /// gets its clauses).
+    pub fn and2_dirs(&mut self, a: Lit, b: Lit, dirs: Dirs) -> Lit {
+        self.gate2(a, b, true, dirs)
     }
 
     /// Returns a literal equivalent to the disjunction of `lits`
     /// (constant-folding, like [`Formula::and`]).
     pub fn or(&mut self, lits: &[Lit]) -> Lit {
-        self.gate(lits, false)
+        self.gate(lits, false, Dirs::BOTH)
+    }
+
+    /// The disjunction of `lits` in the directions `dirs` (constant-folding,
+    /// like [`Formula::or`]; a folded gate is exact).
+    pub fn or_dirs(&mut self, lits: &[Lit], dirs: Dirs) -> Lit {
+        self.gate(lits, false, dirs)
     }
 
     /// Binary disjunction (hash-consed).
     pub fn or2(&mut self, a: Lit, b: Lit) -> Lit {
-        if a == b {
-            return a;
+        self.gate2(a, b, false, Dirs::BOTH)
+    }
+
+    /// Binary disjunction in the directions `dirs` (hash-consed, like
+    /// [`Formula::and2_dirs`]).
+    pub fn or2_dirs(&mut self, a: Lit, b: Lit, dirs: Dirs) -> Lit {
+        self.gate2(a, b, false, dirs)
+    }
+
+    /// A literal `out` with `a ∧ b ⇒ out` for every `(a, b)` of `terms`:
+    /// the lower direction of `⋁ (a ∧ b)` with one clause per term and no
+    /// literal per conjunction. Constants, repeated terms and a lone term
+    /// fold as in [`Formula::or`] over [`Formula::and2`] gates: a true
+    /// term gives the true literal, a lone term its literal or a lower
+    /// [`Formula::and2_dirs`] gate.
+    pub fn or_of_ands_lower(&mut self, terms: &[(Lit, Lit)]) -> Lit {
+        let mut kept = std::mem::take(&mut self.terms);
+        kept.clear();
+        let mut any_true = false;
+        for &(a, b) in terms {
+            // A term with one constant-true side is its other side,
+            // written `(l, l)`.
+            let term = match (self.const_of(a), self.const_of(b)) {
+                (Some(false), _) | (_, Some(false)) => continue,
+                _ if a == !b => continue,
+                (Some(true), Some(true)) => {
+                    any_true = true;
+                    break;
+                }
+                (Some(true), None) => (b, b),
+                (None, Some(true)) => (a, a),
+                (None, None) if a <= b => (a, b),
+                (None, None) => (b, a),
+            };
+            if !kept.contains(&term) {
+                kept.push(term);
+            }
         }
-        let key = if a <= b { (a, b) } else { (b, a) };
-        if let Some(&l) = self.or_cache.get(&key) {
-            return l;
-        }
-        let out = self.or(&[a, b]);
-        self.or_cache.insert(key, out);
+        let out = match kept.as_slice() {
+            _ if any_true => self.lit_true(),
+            [] => self.lit_false(),
+            &[(a, b)] => self.and2_dirs(a, b, Dirs::LOWER),
+            _ => {
+                let out = self.solver.new_lit();
+                for &(a, b) in &kept {
+                    self.solver.add_clause([!a, !b, out]);
+                }
+                out
+            }
+        };
+        self.terms = kept;
         out
     }
 
@@ -378,6 +522,150 @@ mod tests {
         f.assert_lit(a);
         assert!(f.solve().is_sat());
         assert_eq!(f.value(b), Some(false));
+    }
+
+    /// Which values gate output `g` can take with its inputs fixed: the
+    /// exact value `e` always, and `!e` where `dirs` leaves it free.
+    fn free_values(f: &mut Formula, g: Lit) -> (bool, bool) {
+        (
+            f.solve_with_assumptions(&[g]).is_sat(),
+            f.solve_with_assumptions(&[!g]).is_sat(),
+        )
+    }
+
+    #[test]
+    fn directional_gates_truth_tables() {
+        for dirs in [Dirs::LOWER, Dirs::UPPER, Dirs::BOTH] {
+            for conj in [true, false] {
+                for bits in 0..8u8 {
+                    let vals = [bits & 1 != 0, bits & 2 != 0, bits & 4 != 0];
+                    for n in [2, 3] {
+                        let mut f = Formula::new();
+                        let ins: Vec<Lit> = (0..n).map(|_| f.new_lit()).collect();
+                        let g = match (conj, n) {
+                            (true, 2) => f.and2_dirs(ins[0], ins[1], dirs),
+                            (false, 2) => f.or2_dirs(ins[0], ins[1], dirs),
+                            (true, _) => f.gate(&ins, true, dirs),
+                            (false, _) => f.or_dirs(&ins, dirs),
+                        };
+                        for (&l, &v) in ins.iter().zip(&vals) {
+                            f.assert_lit(if v { l } else { !l });
+                        }
+                        let e = if conj {
+                            vals[..n].iter().all(|&v| v)
+                        } else {
+                            vals[..n].iter().any(|&v| v)
+                        };
+                        // Lower: `e ⇒ g` forces a true `e`; upper: `g ⇒ e`
+                        // forces a false one.
+                        let forced = if e {
+                            dirs.contains(Dirs::LOWER)
+                        } else {
+                            dirs.contains(Dirs::UPPER)
+                        };
+                        let (can_true, can_false) = free_values(&mut f, g);
+                        let expect = if e { (true, !forced) } else { (!forced, true) };
+                        assert_eq!(
+                            (can_true, can_false),
+                            expect,
+                            "{} of {n} inputs {vals:?}, {dirs:?}",
+                            if conj { "and" } else { "or" }
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn directional_gates_fold_constants() {
+        for dirs in [Dirs::LOWER, Dirs::UPPER, Dirs::BOTH] {
+            let mut f = Formula::new();
+            let a = f.new_lit();
+            let (t, e) = (f.lit_true(), f.lit_false());
+            let vars = f.solver().num_vars();
+            assert_eq!(f.and2_dirs(a, t, dirs), a);
+            assert_eq!(f.and2_dirs(a, e, dirs), e);
+            assert_eq!(f.and2_dirs(a, !a, dirs), e);
+            assert_eq!(f.or2_dirs(a, e, dirs), a);
+            assert_eq!(f.or2_dirs(a, t, dirs), t);
+            assert_eq!(f.or2_dirs(a, !a, dirs), t);
+            assert_eq!(f.gate(&[t, a, a], true, dirs), a);
+            assert_eq!(f.or_dirs(&[e, e], dirs), e);
+            assert_eq!(f.or_dirs(&[], dirs), e);
+            // A folded gate is exact: asked again in any direction, it
+            // stays folded.
+            assert_eq!(f.and2(a, t), a);
+            assert_eq!(f.solver().num_vars(), vars, "{dirs:?}: no gate literal");
+        }
+    }
+
+    #[test]
+    fn a_cached_gate_gains_missing_directions_on_the_same_literal() {
+        for conj in [true, false] {
+            let mut f = Formula::new();
+            let a = f.new_lit();
+            let b = f.new_lit();
+            let gate = |f: &mut Formula, x, y, dirs| {
+                if conj {
+                    f.and2_dirs(x, y, dirs)
+                } else {
+                    f.or2_dirs(x, y, dirs)
+                }
+            };
+            let g = gate(&mut f, a, b, Dirs::LOWER);
+            let (vars, clauses) = (f.solver().num_vars(), f.solver().num_clauses());
+            // Lower again, either operand order: the same gate, no clause.
+            assert_eq!(gate(&mut f, b, a, Dirs::LOWER), g);
+            assert_eq!(f.solver().num_clauses(), clauses);
+            // Both directions: the same literal, with the upper clauses.
+            assert_eq!(gate(&mut f, a, b, Dirs::BOTH), g);
+            assert_eq!(f.solver().num_vars(), vars);
+            let added = f.solver().num_clauses() - clauses;
+            // An `and`'s upper direction is one clause per input; an
+            // `or`'s is the one long clause.
+            assert_eq!(added, if conj { 2 } else { 1 });
+            assert_eq!(gate(&mut f, a, b, Dirs::UPPER), g);
+            assert_eq!(f.solver().num_clauses(), clauses + added);
+            // Now exact: every input assignment fixes `g`.
+            for (va, vb) in [(false, false), (false, true), (true, false), (true, true)] {
+                let v = if conj { va && vb } else { va || vb };
+                let fix = [if va { a } else { !a }, if vb { b } else { !b }];
+                assert!(f
+                    .solve_with_assumptions(&[fix[0], fix[1], if v { g } else { !g }])
+                    .is_sat());
+                assert!(f
+                    .solve_with_assumptions(&[fix[0], fix[1], if v { !g } else { g }])
+                    .is_unsat());
+            }
+        }
+    }
+
+    #[test]
+    fn or_of_ands_lower_is_one_clause_per_term() {
+        let mut f = Formula::new();
+        let l: Vec<Lit> = (0..4).map(|_| f.new_lit()).collect();
+        let (t, e) = (f.lit_true(), f.lit_false());
+        let clauses = f.solver().num_clauses();
+        let out = f.or_of_ands_lower(&[(l[0], l[1]), (l[2], l[3]), (l[1], l[0])]);
+        // One fresh literal and two clauses: the repeated term folds.
+        assert_eq!(f.solver().num_vars(), 6);
+        assert_eq!(f.solver().num_clauses(), clauses + 2);
+        // Any true term forces `out`; nothing else constrains it.
+        for (a, b) in [(0, 1), (2, 3)] {
+            assert!(f.solve_with_assumptions(&[l[a], l[b], !out]).is_unsat());
+        }
+        assert!(f
+            .solve_with_assumptions(&[l[0], !l[1], l[2], !l[3], !out])
+            .is_sat());
+        assert!(f.solve_with_assumptions(&[!l[0], !l[2], out]).is_sat());
+        // Folding: a true term, false terms, a lone term.
+        assert_eq!(f.or_of_ands_lower(&[(l[0], e), (t, t)]), t);
+        assert_eq!(f.or_of_ands_lower(&[(l[0], e), (l[1], !l[1])]), e);
+        assert_eq!(f.or_of_ands_lower(&[]), e);
+        assert_eq!(f.or_of_ands_lower(&[(t, l[2]), (l[0], e)]), l[2]);
+        let lone = f.or_of_ands_lower(&[(l[1], l[3])]);
+        assert_eq!(lone, f.and2_dirs(l[3], l[1], Dirs::LOWER));
     }
 
     #[test]

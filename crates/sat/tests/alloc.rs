@@ -11,7 +11,7 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
-use gpumc_sat::{Formula, Lit, Solver};
+use gpumc_sat::{Dirs, Formula, Lit, Solver};
 
 struct CountingAlloc;
 
@@ -83,8 +83,11 @@ fn clauses_and_gates_do_not_allocate_each() {
     let mut clause = Vec::with_capacity(4);
     let mut inputs = Vec::with_capacity(4);
     // Each round adds one 2–4-literal clause and one gate: an n-ary
-    // `and` or `or` (a fresh output every time), or a hash-consed `iff`
-    // or an `ite` over the first variables.
+    // `and` or `or` (a fresh output every time), a hash-consed `iff`, an
+    // `ite` over the first variables, or a directional gate: one
+    // direction of an n-ary `or`, a lower `or_of_ands_lower`,
+    // or a lower `and2` asked again for both directions, which adds the
+    // upper clauses to the same literal.
     let (allocs, ()) = allocations(|| {
         for round in 0..ROUNDS {
             clause.clear();
@@ -96,11 +99,18 @@ fn clauses_and_gates_do_not_allocate_each() {
             for _ in 0..2 + rng.below(3) {
                 inputs.push(rng.lit(&vars));
             }
-            let _ = match round % 4 {
+            let _ = match round % 8 {
                 0 => f.and(&inputs),
                 1 => f.or(&inputs),
                 2 => f.iff(inputs[0], inputs[1]),
-                _ => f.ite(inputs[0], inputs[1], rng.lit(&vars)),
+                3 => f.ite(inputs[0], inputs[1], rng.lit(&vars)),
+                4 => f.or_dirs(&inputs, Dirs::LOWER),
+                5 => f.or_dirs(&inputs, Dirs::UPPER),
+                6 => f.or_of_ands_lower(&[(inputs[0], inputs[1]), (inputs[1], rng.lit(&vars))]),
+                _ => {
+                    let _ = f.and2_dirs(inputs[0], inputs[1], Dirs::LOWER);
+                    f.and2(inputs[0], inputs[1])
+                }
             };
         }
     });
@@ -110,10 +120,11 @@ fn clauses_and_gates_do_not_allocate_each() {
         "{ROUNDS} clauses and gates ({clauses} clauses in all): {allocs} allocations, \
          {per_round:.2} per round"
     );
-    // Each round adds about 2.2 clauses. Keeping every clause in its own
+    // Each round adds about 2.7 clauses. Keeping every clause in its own
     // vector, with two more vectors per `and`/`or` gate, read 8,112
-    // allocations (4.06 per round); the clause arena reads 1,179 (0.59):
-    // the watch lists of the gates' fresh outputs, and amortized growth.
+    // allocations (4.06 per round) over full gates only; the clause arena
+    // reads 1,395 (0.70) with the directional gates in the mix: the watch
+    // lists of the gates' fresh outputs, and amortized growth.
     assert!(
         per_round < 1.2,
         "{per_round:.2} allocations per clause-and-gate round (ceiling 1.2)"
