@@ -18,8 +18,8 @@ use gpumc_models::ModelKind;
 fn main() {
     let jobs = gpumc_bench::jobs_from_args();
     let all = gpumc_bench::flag_from_args("--all");
-    // `FAST=1` skips the slowest correct-case row (ttaslock base: ~1.2 s
-    // of the whole table's ~2.8 s at `--jobs 1` on a 2-vCPU Xeon host)
+    // `FAST=1` skips the slowest correct-case row (ttaslock base: ~0.9 s
+    // of the whole table's ~1.8 s at `--jobs 1` on a 2-vCPU Xeon host)
     // for quick harness runs.
     let fast = std::env::var("FAST").is_ok();
     let batch = Instant::now();

@@ -344,10 +344,10 @@ pub fn primitive_benchmarks() -> Vec<PrimitiveBench> {
         // EXPERIMENTS.md). The unroller makes only 242 events at 4.2;
         // the encoding was the cost. Since the polarity-aware encoding,
         // bound 2 answers at the paper's grids too (2-vCPU Xeon host):
-        // base 4.2 finds no witness in ~16 s with ~560 MB peak RSS,
-        // acq2rx and rel2rx 4.2 find the bug in ~2 s, dv2wg 4.2 in ~8 s,
+        // base 4.2 finds no witness in ~12 s with ~560 MB peak RSS,
+        // acq2rx and rel2rx 4.2 find the bug in ~1 s, dv2wg 4.2 in ~6 s,
         // and dv2wg 4.1 is correct in ~1 s. The 2.2 base row takes
-        // ~1.1 s of table7's ~2.8 s.
+        // ~0.9 s of table7's ~1.8 s.
         (Primitive::TtasLock, Variant::Base, Grid::new(2, 2), true),
         (
             Primitive::TtasLock,

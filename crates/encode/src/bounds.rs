@@ -367,6 +367,11 @@ impl<'g> RelationAnalysis<'g> {
         self.op(id).is_set()
     }
 
+    /// Whether node `id` is the root of a `let rec` definition.
+    pub(crate) fn is_rec_root(&self, id: NodeId) -> bool {
+        self.table.is_rec_root(id)
+    }
+
     /// The pairs of relation node `id` to encode: its active set, which
     /// lies within its upper bound (`None` while nothing is demanded).
     pub(crate) fn active_rel(&self, id: NodeId) -> Option<RelView<'_>> {

@@ -5,7 +5,7 @@ use std::fmt::Display;
 use std::time::Instant;
 
 use gpumc_cat::{AxiomKind, BaseRel, CatModel, NodeId, Op, Polarity};
-use gpumc_exec::arena::RelView;
+use gpumc_exec::arena::{self, RelView};
 use gpumc_exec::{Execution, Interpreter, Relation, ThreadOutcome};
 use gpumc_ir::{
     Arch, BlockId, CondAtom, Condition, EventGraph, EventId, EventKind, Tag, UTerm, Val,
@@ -14,6 +14,9 @@ use gpumc_sat::bv::BitVec;
 use gpumc_sat::{Dirs, Formula, Lit};
 
 use crate::bounds::RelationAnalysis;
+use crate::lits::{
+    self, Active, OwnedRel, PairCache, Reader, RelLits, SetLits, Slot, Store, ABSENT,
+};
 
 /// Bit-vector width for data values and array indices.
 const BV_WIDTH: usize = 8;
@@ -124,46 +127,31 @@ pub struct QueryRecord {
     pub stats: QueryStats,
 }
 
-/// A relation encoded as literals per pair; an absent pair is false.
-///
-/// This and every other encoder map is a `BTreeMap`. Gates and clauses
-/// are emitted while iterating these maps and the analysis' bit sets, and
-/// clause order steers the solver's search, so the iteration order must
-/// be a function of the input alone (DESIGN.md §12); a `HashMap` with the
-/// default `RandomState` iterates differently in every map and every
-/// process. The keys are event indices the compiler assigns, never
-/// values a client chooses.
-#[derive(Debug, Clone, Default)]
-struct EncRel {
-    pairs: BTreeMap<(u32, u32), Lit>,
+/// A flagged axiom: what `find_flag` needs after the build.
+#[derive(Debug)]
+struct Flag {
+    label: String,
+    /// The axiom's form, `~empty` for the detectors the encoder answers.
+    kind: AxiomKind,
+    negated: bool,
+    /// The literals of the root's active pairs, row by row (kept for
+    /// `flag ~empty` only).
+    lits: Vec<Lit>,
 }
 
-impl EncRel {
-    fn get(&self, a: EventId, b: EventId) -> Option<Lit> {
-        self.pairs.get(&(a.0, b.0)).copied()
-    }
-
-    fn insert(&mut self, a: EventId, b: EventId, l: Lit) {
-        self.pairs.insert((a.0, b.0), l);
-    }
-
-    /// The pairs `(a, _)`, in increasing order of the second event.
-    fn row(&self, a: u32) -> impl Iterator<Item = (u32, Lit)> + '_ {
-        self.pairs
-            .range((a, 0)..=(a, u32::MAX))
-            .map(|(&(_, b), &l)| (b, l))
-    }
-}
-
-/// A set encoded as literals per member; an absent member is false.
-#[derive(Debug, Clone, Default)]
-struct EncSet {
-    members: BTreeMap<u32, Lit>,
-}
-
-impl EncSet {
-    fn get(&self, e: EventId) -> Option<Lit> {
-        self.members.get(&e.0).copied()
+/// Transitivity of a decision order over its may-triples: `r(a, b) ∧
+/// r(b, c) ⇒ r(a, c)` for `a ≠ c`, pairs `(a, b)` row by row and each
+/// `c` in increasing order.
+fn transitivity(f: &mut Formula, r: RelLits<'_>) {
+    for (a, b, vab) in r.iter() {
+        for (c, vbc) in r.row(b) {
+            if a == c {
+                continue;
+            }
+            if let Some(vac) = r.get(a, c) {
+                f.add_clause([!vab, !vbc, vac]);
+            }
+        }
     }
 }
 
@@ -176,6 +164,44 @@ fn tie(f: &mut Formula, var: Lit, expr: Lit, dirs: Dirs) {
         Dirs::UPPER => f.assert_implies(var, expr),
         _ => f.assert_iff(var, expr),
     }
+}
+
+/// The literals node `id` owns in the model's [`Store`]: one per pair
+/// (member) of its active set, twice for a `let rec` root with a body of
+/// its own (its variables, then its body). A reference reads the node it
+/// names, and an undemanded node has none. `let rec` members are
+/// relations: the resolver rejects a set among them.
+fn slot_request<'a>(an: &'a RelationAnalysis<'_>, id: NodeId) -> Option<(Active<'a>, usize)> {
+    let rec = an.is_rec_root(id);
+    match an.op(id) {
+        Op::Ref(_) | Op::SetRef(_) if !rec => None,
+        _ if an.is_set(id) => Some((Active::Set(an.active_set(id)?), 1)),
+        Op::Ref(_) => Some((Active::Rel(an.active_rel(id)?), 1)),
+        _ => Some((Active::Rel(an.active_rel(id)?), if rec { 2 } else { 1 })),
+    }
+}
+
+/// The literals of relation node `id` (empty when it has no slot).
+fn node_rel_lits<'s>(reader: &Reader<'s>, an: &'s RelationAnalysis<'_>, id: NodeId) -> RelLits<'s> {
+    reader.rel(id, an.active_rel(id))
+}
+
+/// The literals of set node `id` (empty when it has no slot).
+fn node_set_lits<'s>(reader: &Reader<'s>, an: &'s RelationAnalysis<'_>, id: NodeId) -> SetLits<'s> {
+    reader.set(id, an.active_set(id))
+}
+
+/// Buffers the model build reuses across nodes, so that building a node
+/// allocates nothing.
+#[derive(Debug, Default)]
+struct Buffers {
+    /// The inputs of one `or` gate.
+    or: Vec<Lit>,
+    /// One row of `;`: target, left and right literal per midpoint.
+    row: Vec<(u32, Lit, Lit)>,
+    terms: Vec<(Lit, Lit)>,
+    /// The pairs of the axiom at hand that have a literal, row by row.
+    pairs: Vec<(u32, u32, Lit)>,
 }
 
 /// Builds the encoding of a graph under a model.
@@ -201,17 +227,16 @@ pub fn encode<'g>(
         exec_event: Vec::new(),
         values: Vec::new(),
         addr_bv: Vec::new(),
-        rf: EncRel::default(),
-        co: EncRel::default(),
-        sync_fence: EncRel::default(),
-        pair_exec_cache: BTreeMap::new(),
-        addr_eq_cache: BTreeMap::new(),
-        value_eq_cache: BTreeMap::new(),
-        rels: Vec::new(),
-        sets: Vec::new(),
+        rf: OwnedRel::default(),
+        co: OwnedRel::default(),
+        sync_fence: OwnedRel::default(),
+        pair_exec_cache: PairCache::new(graph.n_events()),
+        addr_eq_cache: PairCache::new(graph.n_events()),
+        value_eq_cache: PairCache::new(graph.n_events()),
         final_reg_cache: BTreeMap::new(),
         completed: Vec::new(),
-        flag_rels: BTreeMap::new(),
+        flags: Vec::new(),
+        buf: Vec::new(),
         bounds_us,
         encode_us: 0,
         queries: Vec::new(),
@@ -260,20 +285,22 @@ pub struct Encoding<'g> {
     exec_event: Vec<Lit>,
     values: Vec<Option<BitVec>>,
     addr_bv: Vec<Option<BitVec>>,
-    rf: EncRel,
-    co: EncRel,
-    sync_fence: EncRel,
-    pair_exec_cache: BTreeMap<(u32, u32), Lit>,
-    addr_eq_cache: BTreeMap<(u32, u32), Lit>,
-    value_eq_cache: BTreeMap<(u32, u32), Lit>,
-    /// Encoded model nodes, indexed by analysis node (during build only).
-    rels: Vec<EncRel>,
-    sets: Vec<EncSet>,
+    /// The decision relations, on their upper bounds. The model nodes'
+    /// literals live in a [`Store`] during the build only.
+    rf: OwnedRel,
+    co: OwnedRel,
+    sync_fence: OwnedRel,
+    /// Per unordered pair: both execute, same address, same value.
+    pair_exec_cache: PairCache,
+    addr_eq_cache: PairCache,
+    value_eq_cache: PairCache,
     final_reg_cache: BTreeMap<(usize, u32), BitVec>,
     /// Per-thread "reached an End leaf" literal.
     completed: Vec<Lit>,
-    /// Flagged-axiom label → encoded relation.
-    flag_rels: BTreeMap<String, EncRel>,
+    /// The flagged axioms, in model order.
+    flags: Vec<Flag>,
+    /// Reused buffer for the inputs of a gate or clause.
+    buf: Vec<Lit>,
     /// Time spent on the relation analysis, microseconds.
     bounds_us: u64,
     /// Time spent building the SAT encoding, microseconds.
@@ -465,8 +492,8 @@ impl<'g> Encoding<'g> {
                     cas_expected: Some(exp),
                     ..
                 } => {
-                    let read_val = self.values[read.index()].clone().expect("read value");
                     let exp_bv = self.val_bv(exp);
+                    let read_val = self.values[read.index()].as_ref().expect("read value");
                     let success = read_val.eq(&mut self.f, &exp_bv);
                     self.f.and2(block_lit, success)
                 }
@@ -499,8 +526,7 @@ impl<'g> Encoding<'g> {
 
     /// Literal for "events a and b access the same physical address".
     fn addr_eq(&mut self, a: EventId, b: EventId) -> Lit {
-        let key = if a.0 <= b.0 { (a.0, b.0) } else { (b.0, a.0) };
-        if let Some(&l) = self.addr_eq_cache.get(&key) {
+        if let Some(l) = self.addr_eq_cache.get(a.0, b.0) {
             return l;
         }
         let g = self.graph;
@@ -510,51 +536,51 @@ impl<'g> Encoding<'g> {
             self.f.lit_true()
         } else {
             // Same physical root is implied by may_alias; compare indices.
-            let ba = self.addr_bv[a.index()].clone().expect("memory event");
-            let bb = self.addr_bv[b.index()].clone().expect("memory event");
-            ba.eq(&mut self.f, &bb)
+            let ba = self.addr_bv[a.index()].as_ref().expect("memory event");
+            let bb = self.addr_bv[b.index()].as_ref().expect("memory event");
+            ba.eq(&mut self.f, bb)
         };
-        self.addr_eq_cache.insert(key, lit);
+        self.addr_eq_cache.insert(a.0, b.0, lit);
         lit
     }
 
     fn pair_exec(&mut self, a: EventId, b: EventId) -> Lit {
-        let key = if a.0 <= b.0 { (a.0, b.0) } else { (b.0, a.0) };
-        if let Some(&l) = self.pair_exec_cache.get(&key) {
+        if let Some(l) = self.pair_exec_cache.get(a.0, b.0) {
             return l;
         }
         let lit = self
             .f
             .and2(self.exec_event[a.index()], self.exec_event[b.index()]);
-        self.pair_exec_cache.insert(key, lit);
+        self.pair_exec_cache.insert(a.0, b.0, lit);
         lit
     }
 
     /// Literal for "events a and b carry equal values" (barrier ids).
     fn value_eq(&mut self, a: EventId, b: EventId) -> Lit {
-        let key = if a.0 <= b.0 { (a.0, b.0) } else { (b.0, a.0) };
-        if let Some(&l) = self.value_eq_cache.get(&key) {
+        if let Some(l) = self.value_eq_cache.get(a.0, b.0) {
             return l;
         }
-        let va = self.values[a.index()].clone().expect("barrier id");
-        let vb = self.values[b.index()].clone().expect("barrier id");
-        let lit = va.eq(&mut self.f, &vb);
-        self.value_eq_cache.insert(key, lit);
+        let va = self.values[a.index()].as_ref().expect("barrier id");
+        let vb = self.values[b.index()].as_ref().expect("barrier id");
+        let lit = va.eq(&mut self.f, vb);
+        self.value_eq_cache.insert(a.0, b.0, lit);
         lit
     }
 
+    /// `rf` on its upper bound. The variables are made read by read
+    /// (the bound's columns), each read's writers in increasing order.
     fn encode_rf(&mut self, an: &RelationAnalysis<'g>) {
         let upper = an.upper_of(BaseRel::Rf);
-        let mut per_read: BTreeMap<u32, Vec<EventId>> = BTreeMap::new();
-        for (w, r) in upper.iter() {
-            per_read.entry(r.0).or_default().push(w);
-        }
-        for (r_idx, writers) in per_read {
-            let r = EventId(r_idx);
-            let mut lits = Vec::new();
-            for w in writers {
+        let mut rf = OwnedRel::new(upper);
+        let mut lits = std::mem::take(&mut self.buf);
+        for r in (0..upper.universe() as u32).map(EventId) {
+            lits.clear();
+            for w in (0..upper.universe() as u32).map(EventId) {
+                if !upper.contains(w, r) {
+                    continue;
+                }
                 let v = self.f.new_lit();
-                self.rf.pairs.insert((w.0, r.0), v);
+                rf.set(w.0, r.0, v);
                 // rf(w,r) → exec ∧ same address ∧ same value (Table 4).
                 let ew = self.exec_event[w.index()];
                 let er = self.exec_event[r.index()];
@@ -562,31 +588,41 @@ impl<'g> Encoding<'g> {
                 self.f.assert_implies(v, er);
                 let ae = self.addr_eq(w, r);
                 self.f.assert_implies(v, ae);
-                let vw = self.values[w.index()].clone().expect("write value");
-                let vr = self.values[r.index()].clone().expect("read value");
-                let veq = vw.eq(&mut self.f, &vr);
+                let vw = self.values[w.index()].as_ref().expect("write value");
+                let vr = self.values[r.index()].as_ref().expect("read value");
+                let veq = vw.eq(&mut self.f, vr);
                 self.f.assert_implies(v, veq);
                 lits.push(v);
             }
+            if lits.is_empty() {
+                continue;
+            }
             // Some source when executed; at most one source.
             let er = self.exec_event[r.index()];
-            let mut clause = vec![!er];
-            clause.extend(&lits);
-            self.f.add_clause(clause);
+            self.f
+                .add_clause(std::iter::once(!er).chain(lits.iter().copied()));
             self.f.assert_at_most_one(&lits);
         }
+        self.buf = lits;
+        self.rf = rf;
+    }
+
+    /// A fresh variable for every pair of `upper`, row by row.
+    fn decision_rel(&mut self, upper: RelView<'_>) -> OwnedRel {
+        let mut rel = OwnedRel::new(upper);
+        for i in 0..rel.len() {
+            let v = self.f.new_lit();
+            rel.set_nth(i, v);
+        }
+        rel
     }
 
     fn encode_co(&mut self, an: &RelationAnalysis<'g>) {
-        let upper = an.upper_of(BaseRel::Co);
-        for (a, b) in upper.iter() {
-            let v = self.f.new_lit();
-            self.co.pairs.insert((a.0, b.0), v);
-        }
+        let co = self.decision_rel(an.upper_of(BaseRel::Co));
+        let view = co.view();
         let iw = an.set("IW").expect("IW set");
-        let pairs: Vec<(EventId, EventId)> = upper.iter().collect();
-        for &(a, b) in &pairs {
-            let v = self.co.get(a, b).expect("just created");
+        for (a, b, v) in view.iter() {
+            let (a, b) = (EventId(a), EventId(b));
             let ea = self.exec_event[a.index()];
             let eb = self.exec_event[b.index()];
             self.f.assert_implies(v, ea);
@@ -594,7 +630,7 @@ impl<'g> Encoding<'g> {
             let ae = self.addr_eq(a, b);
             self.f.assert_implies(v, ae);
             // Antisymmetry.
-            if let Some(v2) = self.co.get(b, a) {
+            if let Some(v2) = view.get(b.0, a.0) {
                 self.f.add_clause([!v, !v2]);
             }
             // Init writes come first (well-definedness (iv), §2.2).
@@ -606,45 +642,28 @@ impl<'g> Encoding<'g> {
             // Totality per location for Vulkan; PTX's co stays partial
             // (§4.1, Figure 6).
             if self.graph.arch == Arch::Vulkan && a.0 < b.0 && !iw.contains(a) && !iw.contains(b) {
-                if let Some(v2) = self.co.get(b, a) {
+                if let Some(v2) = view.get(b.0, a.0) {
                     let both = self.pair_exec(a, b);
                     let pre = self.f.and2(both, ae);
                     self.f.add_clause([!pre, v, v2]);
                 }
             }
         }
-        // Transitivity over may-triples.
-        for &(a, b) in &pairs {
-            for &(b2, c) in &pairs {
-                if b != b2 || a == c {
-                    continue;
-                }
-                let (Some(vab), Some(vbc), Some(vac)) =
-                    (self.co.get(a, b), self.co.get(b, c), self.co.get(a, c))
-                else {
-                    continue;
-                };
-                self.f.add_clause([!vab, !vbc, vac]);
-            }
-        }
+        transitivity(&mut self.f, view);
+        self.co = co;
     }
 
     fn encode_sync_fence(&mut self, an: &RelationAnalysis<'g>) {
         if !an.mentions(BaseRel::SyncFence) {
             return;
         }
-        let upper = an.upper_of(BaseRel::SyncFence);
-        for (a, b) in upper.iter() {
-            let v = self.f.new_lit();
-            self.sync_fence.pairs.insert((a.0, b.0), v);
-        }
-        let pairs: Vec<(EventId, EventId)> = upper.iter().collect();
-        for &(a, b) in &pairs {
-            let v = self.sync_fence.get(a, b).expect("created");
-            let both = self.pair_exec(a, b);
+        let sf = self.decision_rel(an.upper_of(BaseRel::SyncFence));
+        let view = sf.view();
+        for (a, b, v) in view.iter() {
+            let both = self.pair_exec(EventId(a), EventId(b));
             self.f.assert_implies(v, both);
-            if a.0 < b.0 {
-                if let Some(v2) = self.sync_fence.get(b, a) {
+            if a < b {
+                if let Some(v2) = view.get(b, a) {
                     // Orientation: executed sr-related SC fences are
                     // ordered one way or the other (Table 4, clocks).
                     self.f.add_clause([!both, v, v2]);
@@ -652,21 +671,8 @@ impl<'g> Encoding<'g> {
                 }
             }
         }
-        for &(a, b) in &pairs {
-            for &(b2, c) in &pairs {
-                if b != b2 || a == c {
-                    continue;
-                }
-                let (Some(vab), Some(vbc), Some(vac)) = (
-                    self.sync_fence.get(a, b),
-                    self.sync_fence.get(b, c),
-                    self.sync_fence.get(a, c),
-                ) else {
-                    continue;
-                };
-                self.f.add_clause([!vab, !vbc, vac]);
-            }
-        }
+        transitivity(&mut self.f, view);
+        self.sync_fence = sf;
     }
 
     // ------------------------------------------------------------------
@@ -688,9 +694,9 @@ impl<'g> Encoding<'g> {
     /// (`None` when it is false).
     fn base_lit(&mut self, rel: BaseRel, a: EventId, b: EventId) -> Option<Lit> {
         match rel {
-            BaseRel::Rf => self.rf.get(a, b),
-            BaseRel::Co => self.co.get(a, b),
-            BaseRel::SyncFence => self.sync_fence.get(a, b),
+            BaseRel::Rf => self.rf.view().get(a.0, b.0),
+            BaseRel::Co => self.co.view().get(a.0, b.0),
+            BaseRel::SyncFence => self.sync_fence.view().get(a.0, b.0),
             BaseRel::Loc | BaseRel::Vloc => {
                 let both = self.pair_exec(a, b);
                 let ae = self.addr_eq(a, b);
@@ -708,11 +714,12 @@ impl<'g> Encoding<'g> {
 
     /// Encodes the definitions and asserts the axioms. Every model node
     /// is built on its active set only, in node order, so a node's
-    /// operands are built before it (see [`RelationAnalysis`]).
+    /// operands are built before it (see [`RelationAnalysis`]). The
+    /// nodes' literals are slots of one [`Store`], sized here once.
     fn encode_model(&mut self, an: &RelationAnalysis<'g>) -> Result<(), EncodeError> {
         let model = self.model;
-        self.rels = vec![EncRel::default(); an.len()];
-        self.sets = vec![EncSet::default(); an.len()];
+        let mut st = Store::new(self.graph.n_events(), an.len(), |id| slot_request(an, id));
+        let mut bufs = Buffers::default();
         let defs = model.defs();
         let mut next: NodeId = 0;
         let mut i = 0;
@@ -728,28 +735,19 @@ impl<'g> Encoding<'g> {
                 // its polarity's directions (see the crate docs on
                 // least-fixpoint soundness).
                 for d in i..end {
-                    let root = an.def_root(d);
-                    let mut vars = EncRel::default();
-                    for (a, b) in an.active_rel(root).iter().flat_map(|r| r.iter()) {
-                        vars.insert(a, b, self.f.new_lit());
+                    if let Some(vars) = st.slots[an.def_root(d)] {
+                        for l in &mut st.lits[vars.at..vars.at + vars.len] {
+                            *l = self.f.new_lit();
+                        }
                     }
-                    self.rels[root] = vars;
                 }
             }
             let last = an.def_root(end - 1);
             for id in next..=last {
                 if defs[i].rec_group.is_some() && (i..end).any(|d| an.def_root(d) == id) {
-                    let body = self.node_rel(an, id);
-                    let dirs = self.dirs(id);
-                    for (&(a, b), &v) in &self.rels[id].pairs {
-                        match body.pairs.get(&(a, b)) {
-                            Some(&l) => tie(&mut self.f, v, l, dirs),
-                            // The body is false here in every fixpoint.
-                            None => self.f.assert_lit(!v),
-                        }
-                    }
+                    self.tie_rec_root(an, &mut st, &mut bufs, id);
                 } else {
-                    self.encode_node(an, id);
+                    self.encode_node(an, &mut st, &mut bufs, id);
                 }
             }
             next = last + 1;
@@ -761,20 +759,31 @@ impl<'g> Encoding<'g> {
             self.watchdog(format_args!("axiom {}", axiom.display_label(idx)))?;
             let root = an.axiom_root(idx);
             for id in next..=root {
-                self.encode_node(an, id);
+                self.encode_node(an, &mut st, &mut bufs, id);
             }
             next = root + 1;
-            let value = &self.rels[an.value_node(root)];
-            let rel = EncRel {
-                pairs: an
-                    .active_rel(root)
-                    .iter()
-                    .flat_map(|r| r.iter())
-                    .filter_map(|(a, b)| Some(((a.0, b.0), value.get(a, b)?)))
-                    .collect(),
-            };
+            // The root's value slot, read over the root's active pairs.
+            bufs.pairs.clear();
+            if let Some(active) = an.active_rel(root) {
+                let value = node_rel_lits(&st.reader(), an, an.value_node(root));
+                bufs.pairs.extend(
+                    active
+                        .iter()
+                        .filter_map(|(a, b)| Some((a.0, b.0, value.get(a.0, b.0)?))),
+                );
+            }
             if axiom.flagged {
-                self.flag_rels.insert(axiom.label(idx), rel);
+                let faithful = axiom.negated && axiom.kind == AxiomKind::Empty;
+                self.flags.push(Flag {
+                    label: axiom.label(idx),
+                    kind: axiom.kind,
+                    negated: axiom.negated,
+                    lits: if faithful {
+                        bufs.pairs.iter().map(|&(_, _, l)| l).collect()
+                    } else {
+                        Vec::new()
+                    },
+                });
                 continue;
             }
             if axiom.negated {
@@ -784,22 +793,18 @@ impl<'g> Encoding<'g> {
             }
             match axiom.kind {
                 AxiomKind::Empty => {
-                    for &l in rel.pairs.values() {
+                    for &(_, _, l) in &bufs.pairs {
                         self.f.assert_lit(!l);
                     }
                 }
                 AxiomKind::Irreflexive => {
-                    for (&(a, b), &l) in &rel.pairs {
-                        if a == b {
-                            self.f.assert_lit(!l);
-                        }
+                    for &(_, _, l) in bufs.pairs.iter().filter(|&&(a, b, _)| a == b) {
+                        self.f.assert_lit(!l);
                     }
                 }
-                AxiomKind::Acyclic => self.assert_acyclic(&rel),
+                AxiomKind::Acyclic => self.assert_acyclic(&bufs.pairs),
             }
         }
-        self.rels = Vec::new();
-        self.sets = Vec::new();
         Ok(())
     }
 
@@ -813,65 +818,123 @@ impl<'g> Encoding<'g> {
     /// the true pairs are acyclic, their transitive closure satisfies
     /// every clause. Unit propagation closes a cycle as soon as its last
     /// pair is set (DESIGN.md §8).
-    fn assert_acyclic(&mut self, rel: &EncRel) {
+    ///
+    /// `pairs` are the encoded pairs, row by row. The variables `t` are
+    /// ranked by the component pairs, like a node's literals.
+    fn assert_acyclic(&mut self, pairs: &[(u32, u32, Lit)]) {
         let n = self.graph.n_events();
         let reach =
-            Relation::from_pairs(n, rel.pairs.keys().map(|&(a, b)| (EventId(a), EventId(b))))
+            Relation::from_pairs(n, pairs.iter().map(|&(a, b, _)| (EventId(a), EventId(b))))
                 .transitive_closure();
         let same = reach.inter(&reach.inverse()).diff(&Relation::identity(n));
-        let mut t = EncRel::default();
-        for (x, z) in same.iter() {
-            t.insert(x, z, self.f.new_lit());
-        }
-        for (&(a, b), &l) in &rel.pairs {
+        let mut prefix = Vec::with_capacity(n);
+        lits::prefix_counts(same.view(), &mut prefix);
+        let vars: Vec<Lit> = (0..same.len()).map(|_| self.f.new_lit()).collect();
+        let t = RelLits::new(same.view(), &prefix, &vars);
+        for &(a, b, l) in pairs {
             if a == b {
                 self.f.assert_lit(!l);
                 continue;
             }
-            let (a, b) = (EventId(a), EventId(b));
             // Off every cycle: `b` does not reach `a`.
             let Some(ab) = t.get(a, b) else { continue };
             let ba = t.get(b, a).expect("one component");
             self.f.assert_implies(l, ab);
             self.f.add_clause([!l, !ba]);
-            for z in same.successors(b).filter(|&z| z != a) {
-                let bz = t.get(b, z).expect("one component");
+            for (z, bz) in t.row(b).filter(|&(z, _)| z != a) {
                 let az = t.get(a, z).expect("one component");
                 self.f.add_clause([!l, !bz, az]);
             }
         }
     }
 
-    /// Builds node `id` from the encodings of its operands.
-    fn encode_node(&mut self, an: &RelationAnalysis<'g>, id: NodeId) {
-        match an.op(id) {
-            // A reference has no encoding of its own: users read the
-            // definition's root (`RelationAnalysis::value_node`).
-            Op::Ref(_) | Op::SetRef(_) => {}
-            _ if an.is_set(id) => self.sets[id] = self.node_set(an, id),
-            _ => self.rels[id] = self.node_rel(an, id),
+    /// Builds node `id` from the encodings of its operands into its slot.
+    fn encode_node(
+        &mut self,
+        an: &RelationAnalysis<'g>,
+        st: &mut Store,
+        bufs: &mut Buffers,
+        id: NodeId,
+    ) {
+        // A reference has no encoding of its own: users read the
+        // definition's root (`RelationAnalysis::value_node`). An
+        // undemanded node has no slot.
+        let Some(at) = st.slots[id] else { return };
+        if an.is_set(id) {
+            self.node_set(an, st, bufs, id, at);
+        } else {
+            self.node_rel(an, st, bufs, id, at);
         }
     }
 
-    /// Set node `id` on its active members. An operand member without a
-    /// literal is false.
-    fn node_set(&mut self, an: &RelationAnalysis<'g>, id: NodeId) -> EncSet {
-        let mut out = EncSet::default();
+    /// Ties the variables of `let rec` root `id` to its body, pair by
+    /// pair in row order. A root that merely names another definition
+    /// reads that definition's slot as its body; any other builds its
+    /// body into the second half of its slot.
+    fn tie_rec_root(
+        &mut self,
+        an: &RelationAnalysis<'g>,
+        st: &mut Store,
+        bufs: &mut Buffers,
+        id: NodeId,
+    ) {
+        let Some(vars) = st.slots[id] else { return };
+        let dirs = self.dirs(id);
+        if let Op::Ref(_) = an.op(id) {
+            let reader = st.reader();
+            let body = node_rel_lits(&reader, an, an.value_node(id));
+            for (a, b, v) in node_rel_lits(&reader, an, id).iter() {
+                match body.get(a, b) {
+                    Some(l) => tie(&mut self.f, v, l, dirs),
+                    // The body is false here in every fixpoint.
+                    None => self.f.assert_lit(!v),
+                }
+            }
+            return;
+        }
+        let body = Slot {
+            at: vars.at + vars.len,
+            ..vars
+        };
+        self.node_rel(an, st, bufs, id, body);
+        for k in 0..vars.len {
+            let (v, l) = (st.lits[vars.at + k], st.lits[body.at + k]);
+            if l == ABSENT {
+                // The body is false here in every fixpoint.
+                self.f.assert_lit(!v);
+            } else {
+                tie(&mut self.f, v, l, dirs);
+            }
+        }
+    }
+
+    /// Set node `id` on its active members, into slot `at`. An operand
+    /// member without a literal is false.
+    fn node_set(
+        &mut self,
+        an: &RelationAnalysis<'g>,
+        st: &mut Store,
+        bufs: &mut Buffers,
+        id: NodeId,
+        at: Slot,
+    ) {
         let Some(active) = an.active_set(id) else {
-            return out;
+            return;
         };
         let (op, dirs) = (an.op(id), self.dirs(id));
         let [a, b] = an.kids(id);
+        let (out, _, reader) = st.split(at);
         match op {
             Op::Tag(_) | Op::Universe => {
-                for m in active.iter() {
-                    out.members.insert(m.0, self.exec_event[m.index()]);
+                for (o, m) in out.iter_mut().zip(active.iter()) {
+                    *o = self.exec_event[m.index()];
                 }
             }
             Op::SetUnion | Op::SetInter | Op::SetDiff => {
-                let (sa, sb) = (&self.sets[an.value_node(a)], &self.sets[an.value_node(b)]);
-                for m in active.iter() {
-                    let l = match (op, sa.get(m), sb.get(m)) {
+                let sa = node_set_lits(&reader, an, an.value_node(a));
+                let sb = node_set_lits(&reader, an, an.value_node(b));
+                for (o, m) in out.iter_mut().zip(active.iter()) {
+                    *o = match (op, sa.get(m.0), sb.get(m.0)) {
                         (Op::SetUnion, Some(la), Some(lb)) => self.f.or2_dirs(la, lb, dirs),
                         (Op::SetUnion, Some(l), None) | (Op::SetUnion, None, Some(l)) => l,
                         (Op::SetInter, Some(la), Some(lb)) => self.f.and2_dirs(la, lb, dirs),
@@ -879,85 +942,82 @@ impl<'g> Encoding<'g> {
                         (Op::SetDiff, Some(la), None) => la,
                         _ => continue,
                     };
-                    out.members.insert(m.0, l);
                 }
             }
-            Op::Domain => {
-                let r = &self.rels[an.value_node(a)];
-                let mut lits = Vec::new();
-                for m in active.iter() {
-                    lits.clear();
-                    lits.extend(r.row(m.0).map(|(_, l)| l));
-                    if !lits.is_empty() {
-                        out.members.insert(m.0, self.f.or_dirs(&lits, dirs));
+            // One `or` per member over its row, or its column for
+            // `range`, each in increasing event order.
+            Op::Domain | Op::Range => {
+                let r = node_rel_lits(&reader, an, an.value_node(a));
+                let n = self.graph.n_events() as u32;
+                for (o, m) in out.iter_mut().zip(active.iter()) {
+                    bufs.or.clear();
+                    if op == Op::Domain {
+                        bufs.or.extend(r.row(m.0).map(|(_, l)| l));
+                    } else {
+                        bufs.or.extend((0..n).filter_map(|x| r.get(x, m.0)));
                     }
-                }
-            }
-            Op::Range => {
-                let mut cols: BTreeMap<u32, Vec<Lit>> = BTreeMap::new();
-                for (&(_, y), &l) in &self.rels[an.value_node(a)].pairs {
-                    if active.contains(EventId(y)) {
-                        cols.entry(y).or_default().push(l);
+                    if !bufs.or.is_empty() {
+                        *o = self.f.or_dirs(&bufs.or, dirs);
                     }
-                }
-                for (m, lits) in cols {
-                    out.members.insert(m, self.f.or_dirs(&lits, dirs));
                 }
             }
             _ => unreachable!("relation operator on a set node"),
         }
-        out
     }
 
-    /// Relation node `id` on its active pairs. An operand pair without a
-    /// literal is false.
-    fn node_rel(&mut self, an: &RelationAnalysis<'g>, id: NodeId) -> EncRel {
-        let mut out = EncRel::default();
+    /// Relation node `id` on its active pairs, into slot `at` (the
+    /// node's own, or the body half of a `let rec` root's). An operand
+    /// pair without a literal is false. The active pairs are visited row
+    /// by row, so the `k`-th of them is the slot's `k`-th literal.
+    fn node_rel(
+        &mut self,
+        an: &RelationAnalysis<'g>,
+        st: &mut Store,
+        bufs: &mut Buffers,
+        id: NodeId,
+        at: Slot,
+    ) {
         let Some(active) = an.active_rel(id) else {
-            return out;
+            return;
         };
         let (op, dirs) = (an.op(id), self.dirs(id));
         let [a, b] = an.kids(id);
+        let (out, prefix, reader) = st.split(at);
+        let pairs = out.iter_mut().zip(active.iter());
         match op {
             // A relation of a custom environment has an empty upper
             // bound, so it is never active.
             Op::Base(rel) => {
                 let rel = rel.expect("builtin base relation");
-                for (x, y) in active.iter() {
+                for (o, (x, y)) in pairs {
                     if let Some(l) = self.base_lit(rel, x, y) {
-                        out.insert(x, y, l);
+                        *o = l;
                     }
                 }
             }
-            // Only the root of a `let rec` member that merely names
-            // another definition gets here: its body is that value.
-            Op::Ref(_) => return self.rels[an.value_node(id)].clone(),
-            Op::Id => {
-                let t = self.f.lit_true();
-                for (x, y) in active.iter() {
-                    out.insert(x, y, t);
-                }
-            }
+            Op::Id => out.fill(self.f.lit_true()),
             Op::IdSet => {
-                let s = &self.sets[an.value_node(a)];
-                for (x, y) in active.iter() {
-                    if let Some(l) = s.get(x) {
-                        out.insert(x, y, l);
+                let s = node_set_lits(&reader, an, an.value_node(a));
+                for (o, (x, _)) in pairs {
+                    if let Some(l) = s.get(x.0) {
+                        *o = l;
                     }
                 }
             }
             Op::Cross => {
-                let (sa, sb) = (&self.sets[an.value_node(a)], &self.sets[an.value_node(b)]);
-                for (x, y) in active.iter() {
-                    if let (Some(lx), Some(ly)) = (sa.get(x), sb.get(y)) {
-                        out.insert(x, y, self.f.and2_dirs(lx, ly, dirs));
+                let sa = node_set_lits(&reader, an, an.value_node(a));
+                let sb = node_set_lits(&reader, an, an.value_node(b));
+                for (o, (x, y)) in pairs {
+                    if let (Some(lx), Some(ly)) = (sa.get(x.0), sb.get(y.0)) {
+                        *o = self.f.and2_dirs(lx, ly, dirs);
                     }
                 }
             }
             Op::Union | Op::Inter | Op::Diff => {
-                let (ra, rb) = (&self.rels[an.value_node(a)], &self.rels[an.value_node(b)]);
-                for (x, y) in active.iter() {
-                    let l = match (op, ra.get(x, y), rb.get(x, y)) {
+                let ra = node_rel_lits(&reader, an, an.value_node(a));
+                let rb = node_rel_lits(&reader, an, an.value_node(b));
+                for (o, (x, y)) in pairs {
+                    *o = match (op, ra.get(x.0, y.0), rb.get(x.0, y.0)) {
                         (Op::Union, Some(la), Some(lb)) => self.f.or2_dirs(la, lb, dirs),
                         (Op::Union, Some(l), None) | (Op::Union, None, Some(l)) => l,
                         (Op::Inter, Some(la), Some(lb)) => self.f.and2_dirs(la, lb, dirs),
@@ -967,37 +1027,40 @@ impl<'g> Encoding<'g> {
                         (Op::Diff, Some(la), None) => la,
                         _ => continue,
                     };
-                    out.insert(x, y, l);
                 }
             }
             Op::Seq => {
-                let (a, b) = (an.value_node(a), an.value_node(b));
-                self.encode_seq(active, a, b, dirs, &mut out)
+                let ra = node_rel_lits(&reader, an, an.value_node(a));
+                let rb = node_rel_lits(&reader, an, an.value_node(b));
+                self.encode_seq(active, prefix, ra, rb, dirs, out, bufs)
             }
             Op::Inverse => {
-                let r = &self.rels[an.value_node(a)];
-                for (x, y) in active.iter() {
-                    if let Some(l) = r.get(y, x) {
-                        out.insert(x, y, l);
+                let r = node_rel_lits(&reader, an, an.value_node(a));
+                for (o, (x, y)) in pairs {
+                    if let Some(l) = r.get(y.0, x.0) {
+                        *o = l;
                     }
                 }
             }
             Op::Opt => {
                 let t = self.f.lit_true();
-                let r = &self.rels[an.value_node(a)];
-                for (x, y) in active.iter() {
-                    if let Some(l) = if x == y { Some(t) } else { r.get(x, y) } {
-                        out.insert(x, y, l);
+                let r = node_rel_lits(&reader, an, an.value_node(a));
+                for (o, (x, y)) in pairs {
+                    if let Some(l) = if x == y { Some(t) } else { r.get(x.0, y.0) } {
+                        *o = l;
                     }
                 }
             }
             Op::Plus | Op::Star => {
                 let star = op == Op::Star;
-                self.encode_closure(active, an.value_node(a), star, dirs, &mut out)
+                let body = node_rel_lits(&reader, an, an.value_node(a));
+                self.encode_closure(active, prefix, body, star, dirs, out, bufs)
             }
-            _ => unreachable!("set operator on a relation node"),
+            // Only the root of a `let rec` member that merely names
+            // another definition is a reference with a slot, and
+            // `tie_rec_root` reads its body in place.
+            _ => unreachable!("set operator or reference on a relation node"),
         }
-        out
     }
 
     /// `a ; b` on the active pairs: per row `x` of `a`, one literal per
@@ -1005,46 +1068,47 @@ impl<'g> Encoding<'g> {
     /// direction is one clause `a(x, m) ∧ b(m, c) ⇒ out(x, c)` per
     /// midpoint, with no literal per midpoint; the others build an `and`
     /// gate per midpoint and an `or` gate over them.
+    #[allow(clippy::too_many_arguments)]
     fn encode_seq(
         &mut self,
         active: RelView<'_>,
-        a: NodeId,
-        b: NodeId,
+        prefix: &[u32],
+        ra: RelLits<'_>,
+        rb: RelLits<'_>,
         dirs: Dirs,
-        out: &mut EncRel,
+        out: &mut [Lit],
+        bufs: &mut Buffers,
     ) {
-        let (ra, rb) = (&self.rels[a], &self.rels[b]);
-        let mut row: Vec<(u32, Lit, Lit)> = Vec::new();
-        let mut terms = Vec::new();
-        let mut lits = Vec::new();
-        let mut pairs = ra.pairs.iter().peekable();
-        while let Some((&(x, m), &l1)) = pairs.next() {
-            for (c, l2) in rb.row(m) {
-                if active.contains(EventId(x), EventId(c)) {
-                    row.push((c, l1, l2));
-                }
-            }
-            if pairs.peek().is_some_and(|(&(x2, _), _)| x2 == x) {
+        for x in 0..active.universe() as u32 {
+            let row = active.row(x as usize);
+            if arena::is_empty(row) {
                 continue;
             }
-            // Row `x` is complete. The sort is stable, so each target's
-            // midpoints stay in increasing order.
-            row.sort_by_key(|&(c, _, _)| c);
-            for group in row.chunk_by(|p, q| p.0 == q.0) {
-                let l = if dirs == Dirs::LOWER {
-                    terms.clear();
-                    terms.extend(group.iter().map(|&(_, l1, l2)| (l1, l2)));
-                    self.f.or_of_ands_lower(&terms)
-                } else {
-                    lits.clear();
-                    for &(_, l1, l2) in group {
-                        lits.push(self.f.and2_dirs(l1, l2, dirs));
+            for (m, l1) in ra.row(x) {
+                for (c, l2) in rb.row(m) {
+                    if row[c as usize / 64] >> (c % 64) & 1 == 1 {
+                        bufs.row.push((c, l1, l2));
                     }
-                    self.f.or_dirs(&lits, dirs)
-                };
-                out.insert(EventId(x), EventId(group[0].0), l);
+                }
             }
-            row.clear();
+            // The sort is stable, so each target's midpoints stay in
+            // increasing order.
+            bufs.row.sort_by_key(|&(c, _, _)| c);
+            for group in bufs.row.chunk_by(|p, q| p.0 == q.0) {
+                let l = if dirs == Dirs::LOWER {
+                    bufs.terms.clear();
+                    bufs.terms.extend(group.iter().map(|&(_, l1, l2)| (l1, l2)));
+                    self.f.or_of_ands_lower(&bufs.terms)
+                } else {
+                    bufs.or.clear();
+                    for &(_, l1, l2) in group {
+                        bufs.or.push(self.f.and2_dirs(l1, l2, dirs));
+                    }
+                    self.f.or_dirs(&bufs.or, dirs)
+                };
+                out[lits::index(active, prefix, x, group[0].0)] = l;
+            }
+            bufs.row.clear();
         }
     }
 
@@ -1057,35 +1121,36 @@ impl<'g> Encoding<'g> {
     /// body(m, y))`, is exact only when `body` is acyclic in every model
     /// (DESIGN.md §8). Both directions are cyclic iff gates. `r*` encodes
     /// its diagonal as true.
+    #[allow(clippy::too_many_arguments)]
     fn encode_closure(
         &mut self,
         active: RelView<'_>,
-        body: NodeId,
+        prefix: &[u32],
+        base: RelLits<'_>,
         reflexive: bool,
         dirs: Dirs,
-        out: &mut EncRel,
+        out: &mut [Lit],
+        bufs: &mut Buffers,
     ) {
         let t = self.f.lit_true();
-        for (x, y) in active.iter() {
-            let v = if reflexive && x == y {
+        for (o, (x, y)) in out.iter_mut().zip(active.iter()) {
+            *o = if reflexive && x == y {
                 t
             } else {
                 self.f.new_lit()
             };
-            out.insert(x, y, v);
         }
-        let base = &self.rels[body];
-        let mut supports = Vec::new();
-        for (&(x, y), &v) in &out.pairs {
+        let vars = RelLits::new(active, prefix, out);
+        for (x, y, v) in vars.iter() {
             if reflexive && x == y {
                 continue;
             }
-            let direct = base.get(EventId(x), EventId(y));
+            let direct = base.get(x, y);
             // The midpoints `m ≠ x` (the direct pair covers `m = x`).
-            let steps = out
+            let steps = vars
                 .row(x)
                 .filter(|&(m, _)| m != x)
-                .filter_map(|(m, vm)| Some((vm, base.get(EventId(m), EventId(y))?)));
+                .filter_map(|(m, vm)| Some((vm, base.get(m, y)?)));
             if dirs == Dirs::LOWER {
                 if let Some(bl) = direct {
                     self.f.assert_implies(bl, v);
@@ -1095,12 +1160,12 @@ impl<'g> Encoding<'g> {
                 }
                 continue;
             }
-            supports.clear();
-            supports.extend(direct);
+            bufs.or.clear();
+            bufs.or.extend(direct);
             for (vm, bl) in steps {
-                supports.push(self.f.and2_dirs(vm, bl, dirs));
+                bufs.or.push(self.f.and2_dirs(vm, bl, dirs));
             }
-            let rhs = self.f.or_dirs(&supports, dirs);
+            let rhs = self.f.or_dirs(&bufs.or, dirs);
             tie(&mut self.f, v, rhs, dirs);
         }
     }
@@ -1158,14 +1223,11 @@ impl<'g> Encoding<'g> {
 
     /// A literal saying write `w` is co-maximal.
     fn co_maximal(&mut self, w: EventId) -> Lit {
-        let succs: Vec<Lit> = self
-            .co
-            .pairs
-            .iter()
-            .filter(|(&(a, _), _)| a == w.0)
-            .map(|(_, &l)| l)
-            .collect();
+        let mut succs = std::mem::take(&mut self.buf);
+        succs.clear();
+        succs.extend(self.co.view().row(w.0).map(|(_, l)| l));
         let any = self.f.or(&succs);
+        self.buf = succs;
         !any
     }
 
@@ -1191,10 +1253,10 @@ impl<'g> Encoding<'g> {
         for wr in writes {
             let exec = self.exec_event[wr.index()];
             let comax = self.co_maximal(wr);
-            let addr = self.addr_bv[wr.index()].clone().expect("write addr");
+            let addr = self.addr_bv[wr.index()].as_ref().expect("write addr");
             let addr_ok = addr.eq(&mut self.f, &idx_bv);
             let sel = self.f.and(&[exec, comax, addr_ok]);
-            let val = self.values[wr.index()].clone().expect("write value");
+            let val = self.values[wr.index()].as_ref().expect("write value");
             acc = val.select(&mut self.f, sel, &acc);
         }
         acc
@@ -1306,12 +1368,9 @@ impl<'g> Encoding<'g> {
                 match spin {
                     Some(read) => {
                         // Stuck: the spin read observes a co-maximal write.
-                        let sources: Vec<(EventId, Lit)> = self
-                            .rf
-                            .pairs
-                            .iter()
-                            .filter(|(&(_, r), _)| r == read.0)
-                            .map(|(&(w, _), &l)| (EventId(w), l))
+                        let rf = self.rf.view();
+                        let sources: Vec<(EventId, Lit)> = (0..self.graph.n_events() as u32)
+                            .filter_map(|w| Some((EventId(w), rf.get(w, read.0)?)))
                             .collect();
                         let mut comax_src = Vec::new();
                         for (wr, rl) in sources {
@@ -1348,22 +1407,34 @@ impl<'g> Encoding<'g> {
     /// # Errors
     ///
     /// Fails with [`EncodeError::Unsupported`] when the model defines no
-    /// such flag, or see [`Encoding::find_assertion_witness`].
+    /// such flag, or a flag of another form than `flag ~empty r`, the
+    /// only one the query encodes (one true pair of `r`); the explicit
+    /// engines answer the others. See also
+    /// [`Encoding::find_assertion_witness`].
     pub fn find_flag(&mut self, name: &str) -> Result<QueryResult<'g>, EncodeError> {
-        let Some(rel) = self.flag_rels.get(name).cloned() else {
+        // A later flag of the same name shadows an earlier one.
+        let Some(flag) = self.flags.iter().rposition(|f| f.label == name) else {
             return Err(EncodeError::Unsupported(format!(
                 "model defines no flag `{name}`"
             )));
         };
+        let Flag { kind, negated, .. } = self.flags[flag];
+        if !(negated && kind == AxiomKind::Empty) {
+            let tilde = if negated { "~" } else { "" };
+            return Err(EncodeError::Unsupported(format!(
+                "flag `{name}` has the form `flag {tilde}{kind}`; the SAT encoding \
+                 answers only `flag ~empty`"
+            )));
+        }
         self.record(&format!("flag:{name}"), |enc| {
             let act = enc.f.new_lit();
             let completed = enc.completed.clone();
             for c in completed {
                 enc.f.add_clause([!act, c]);
             }
-            let mut clause = vec![!act];
-            clause.extend(rel.pairs.values().copied());
-            enc.f.add_clause(clause);
+            let lits = &enc.flags[flag].lits;
+            enc.f
+                .add_clause(std::iter::once(!act).chain(lits.iter().copied()));
             enc.solve_and_decode(act, Goal::Flag(name))
         })
     }
@@ -1454,12 +1525,12 @@ impl<'g> Encoding<'g> {
                 e.executed.insert(EventId(i as u32));
             }
         }
-        for (&(w, r), &l) in &self.rf.pairs {
+        for (w, r, l) in self.rf.view().iter() {
             if self.f.value_or_false(l) && e.executed.contains(EventId(r)) {
                 e.rf[r as usize] = Some(EventId(w));
             }
         }
-        for (&(a, b), &l) in &self.co.pairs {
+        for (a, b, l) in self.co.view().iter() {
             if self.f.value_or_false(l) {
                 e.co.insert(EventId(a), EventId(b));
             }
@@ -1503,12 +1574,12 @@ impl<'g> Encoding<'g> {
             .iter()
             .filter(|&x| g.event(x).tags.contains(Tag::F) && g.event(x).tags.contains(Tag::SC))
             .collect();
-        let sf = &self.sync_fence;
+        let sf = self.sync_fence.view();
         let f = &self.f;
         fences.sort_by(|&a, &b| {
-            if sf.get(a, b).is_some_and(|l| f.value_or_false(l)) {
+            if sf.get(a.0, b.0).is_some_and(|l| f.value_or_false(l)) {
                 std::cmp::Ordering::Less
-            } else if sf.get(b, a).is_some_and(|l| f.value_or_false(l)) {
+            } else if sf.get(b.0, a.0).is_some_and(|l| f.value_or_false(l)) {
                 std::cmp::Ordering::Greater
             } else {
                 a.cmp(&b)
@@ -1661,21 +1732,52 @@ exists (x == 2)";
     }
 
     #[test]
-    fn a_flag_witness_must_raise_its_flag() {
-        // `find_flag` asks for one true pair of the flagged relation, but
-        // `flag empty po` is raised only when `po` is empty: MP's witness
-        // is consistent yet does not raise the flag, so the query fails
-        // instead of reporting it.
+    fn a_flag_query_needs_the_form_it_encodes() {
+        // `find_flag` asks for one true pair of the flagged relation,
+        // which is what `flag ~empty r` raises on. `flag empty po` is
+        // raised only when `po` is empty, so the query refuses it before
+        // posing anything, and so it does every other form.
         let g = graph(MP, 1);
-        let model = gpumc_cat::parse("flag empty po as f").unwrap();
-        let mut enc = encode(&g, &model, &Default::default()).unwrap();
-        assert!(matches!(
-            enc.find_flag("f"),
-            Err(EncodeError::WitnessMismatch(_))
-        ));
+        for form in [
+            "empty",
+            "acyclic",
+            "irreflexive",
+            "~acyclic",
+            "~irreflexive",
+        ] {
+            let model = gpumc_cat::parse(&format!("flag {form} po as f")).unwrap();
+            let mut enc = encode(&g, &model, &Default::default()).unwrap();
+            match enc.find_flag("f") {
+                Err(EncodeError::Unsupported(m)) => {
+                    assert!(m.contains(&format!("`flag {form}`")), "{m}")
+                }
+                other => panic!("flag {form}: expected Unsupported, got {other:?}"),
+            }
+            assert!(enc.queries().is_empty(), "a refused flag records nothing");
+        }
         let model = gpumc_cat::parse("flag ~empty po as f").unwrap();
         let mut enc = encode(&g, &model, &Default::default()).unwrap();
         assert!(enc.find_flag("f").unwrap().found);
+    }
+
+    #[test]
+    fn a_flag_witness_must_raise_its_flag() {
+        // Pose a flag query whose witness cannot show the flag: the
+        // assertion's completed-execution goal, under the name of a flag
+        // the interpreter never raises. The witness check must fail it.
+        let g = graph(MP, 1);
+        let model = gpumc_models::ptx60();
+        let mut enc = encode(&g, &model, &Default::default()).unwrap();
+        let act = enc.f.new_lit();
+        for c in enc.completed.clone() {
+            enc.f.add_clause([!act, c]);
+        }
+        match enc.solve_and_decode(act, Goal::Flag("never-raised")) {
+            Err(EncodeError::WitnessMismatch(m)) => assert!(m.contains("never-raised"), "{m}"),
+            other => panic!("expected WitnessMismatch, got {other:?}"),
+        }
+        // The same query with its own goal stands.
+        assert!(enc.solve_and_decode(act, Goal::Completed).unwrap().found);
     }
 
     #[test]

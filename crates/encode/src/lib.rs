@@ -24,9 +24,13 @@
 //!   literal at most, which is all an axiom or a flag needs. Closures and
 //!   recursive definitions read lower are Horn rules whose models contain
 //!   the least fixpoint; read upper, they are exact only over a body that
-//!   is acyclic in every model (DESIGN.md §8).
+//!   is acyclic in every model (DESIGN.md §8). The literals of every
+//!   model node are slots of one flat store per encoding, ranked by the
+//!   analysis' active sets (`lits.rs`), so building a node allocates
+//!   nothing and iterates in the arena's row order.
 //! * Queries — safety (`exists`/`forall` conditions), liveness (§6.4
-//!   co-maximal stuck spinloops), and flagged detectors (data races).
+//!   co-maximal stuck spinloops), and flagged detectors of the form
+//!   `flag ~empty r` (data races).
 //!   Every query is assumption-guarded (gated behind a fresh activation
 //!   literal), so all of a test's properties are posed against one
 //!   encoding and its single solver, whose learnt clauses carry over.
@@ -42,6 +46,7 @@
 
 mod bounds;
 mod encode;
+mod lits;
 
 pub use bounds::RelationAnalysis;
 pub use encode::{

@@ -55,6 +55,13 @@ pub fn set_bits(words: &[u64]) -> impl Iterator<Item = usize> + '_ {
     })
 }
 
+/// Number of set bits of `words` before position `i`, which must lie
+/// within `words`: the index of bit `i` among the set bits, when set.
+pub fn rank(words: &[u64], i: usize) -> usize {
+    let (wi, b) = (i / WORD, i % WORD);
+    count(&words[..wi]) + (words[wi] & ((1 << b) - 1)).count_ones() as usize
+}
+
 fn bit(words: &[u64], i: usize) -> bool {
     words[i / WORD] >> (i % WORD) & 1 == 1
 }
@@ -80,6 +87,11 @@ impl<'a> RelView<'a> {
     /// Universe size.
     pub fn universe(&self) -> usize {
         self.d.n
+    }
+
+    /// The slot's words, row by row.
+    pub fn words(&self) -> &'a [u64] {
+        self.words
     }
 
     /// The row of event `a`: its successors.
@@ -146,6 +158,11 @@ impl<'a> SetView<'a> {
     pub fn new(d: Dims, words: &'a [u64]) -> SetView<'a> {
         debug_assert_eq!(words.len(), d.set_len());
         SetView { d, words }
+    }
+
+    /// The slot's words.
+    pub fn words(&self) -> &'a [u64] {
+        self.words
     }
 
     /// Tests membership.

@@ -245,3 +245,19 @@ fn cycle_check_on_chains_and_rings() {
     }
     assert!(!arena::is_cyclic(Dims::new(0), &[], &mut scratch));
 }
+
+#[test]
+fn rank_counts_the_members_before_a_position() {
+    let mut rng = Rng(0x7a4e);
+    for n in SIZES {
+        let d = Dims::new(n);
+        for _ in 0..4 {
+            let s = rng.members(n);
+            let w = set_words(d, &s);
+            for i in 0..n {
+                let want = s.range(..i as u32).count();
+                assert_eq!(arena::rank(&w, i), want, "n={n}, i={i}");
+            }
+        }
+    }
+}

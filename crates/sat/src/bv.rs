@@ -66,24 +66,29 @@ impl BitVec {
     /// Panics if the widths differ.
     pub fn eq(&self, f: &mut Formula, other: &BitVec) -> Lit {
         assert_eq!(self.width(), other.width(), "bit-vector width mismatch");
-        let per_bit: Vec<Lit> = self
-            .bits
-            .iter()
-            .zip(&other.bits)
-            .map(|(&a, &b)| f.iff(a, b))
-            .collect();
-        f.and(&per_bit)
+        let mut per_bit = std::mem::take(&mut f.bits);
+        per_bit.clear();
+        for (&a, &b) in self.bits.iter().zip(&other.bits) {
+            per_bit.push(f.iff(a, b));
+        }
+        let out = f.and(&per_bit);
+        f.bits = per_bit;
+        out
     }
 
     /// Returns a literal equivalent to `self == value` (constant compare).
     pub fn eq_const(&self, f: &mut Formula, value: u64) -> Lit {
-        let per_bit: Vec<Lit> = self
-            .bits
-            .iter()
-            .enumerate()
-            .map(|(i, &b)| if value >> i & 1 == 1 { b } else { !b })
-            .collect();
-        f.and(&per_bit)
+        let mut per_bit = std::mem::take(&mut f.bits);
+        per_bit.clear();
+        per_bit.extend(
+            self.bits
+                .iter()
+                .enumerate()
+                .map(|(i, &b)| if value >> i & 1 == 1 { b } else { !b }),
+        );
+        let out = f.and(&per_bit);
+        f.bits = per_bit;
+        out
     }
 
     /// Returns a literal equivalent to `self != other`.

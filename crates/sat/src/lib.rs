@@ -94,6 +94,10 @@ impl Var {
 pub struct Lit(u32);
 
 impl Lit {
+    /// A value no solver hands out (it would take 2^31 variables), which a
+    /// store of literals can use to mark a slot that holds none.
+    pub const UNDEF: Lit = Lit(u32::MAX);
+
     /// Creates a literal from a variable and a polarity (`true` = positive).
     #[inline]
     pub fn new(var: Var, positive: bool) -> Lit {

@@ -76,6 +76,8 @@ pub struct Formula {
     iff_cache: std::collections::HashMap<(Lit, Lit), Lit>,
     /// Reused buffer for the inputs of an `and`/`or` gate.
     inputs: Vec<Lit>,
+    /// Reused buffer for the per-bit literals of a bit-vector compare.
+    pub(crate) bits: Vec<Lit>,
     /// Reused buffer for the terms of [`Formula::or_of_ands_lower`].
     terms: Vec<(Lit, Lit)>,
 }

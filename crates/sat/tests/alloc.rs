@@ -11,6 +11,7 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
+use gpumc_sat::bv::BitVec;
 use gpumc_sat::{Dirs, Formula, Lit, Solver};
 
 struct CountingAlloc;
@@ -129,6 +130,26 @@ fn clauses_and_gates_do_not_allocate_each() {
         per_round < 1.2,
         "{per_round:.2} allocations per clause-and-gate round (ceiling 1.2)"
     );
+}
+
+#[test]
+fn bit_vector_compares_do_not_allocate_each() {
+    let mut f = Formula::new();
+    let x = BitVec::fresh(&mut f, 8);
+    let c = BitVec::constant(&mut f, 8, 42);
+    // Compares that fold to a constant make no gate, so what is left is
+    // the per-bit buffer. The first round fills the `iff` cache.
+    let _ = (x.eq(&mut f, &x), c.eq_const(&mut f, 42));
+    let (allocs, ()) = allocations(|| {
+        for round in 0..ROUNDS {
+            let _ = x.eq(&mut f, &x);
+            let _ = c.eq_const(&mut f, round as u64);
+        }
+    });
+    println!("{ROUNDS} rounds of two folded bit-vector compares: {allocs} allocations");
+    // A fresh vector of per-bit literals per compare read one allocation
+    // each, 2 per round.
+    assert_eq!(allocs, 0, "folded bit-vector compares allocated");
 }
 
 /// `n` pigeons into `n - 1` holes: unsatisfiable, and hard enough for
