@@ -14,7 +14,6 @@ USAGE:
     gpumc verify <test.litmus> [OPTIONS]
     gpumc suite <ptx|proxy|vulkan|drf|liveness|figures> [OPTIONS]
     gpumc serve [OPTIONS]
-    gpumc route <suite> --shards <addr,addr,...> [OPTIONS]
     gpumc client <ping|metrics|shutdown|verify <test.litmus>> [OPTIONS]
     gpumc cache <digest <test.litmus>|ls --dir <path>> [OPTIONS]
     gpumc models
@@ -31,7 +30,7 @@ OPTIONS (verify):
     --engine <e>         sat | enumerate | alloy | dpor  (default: sat;
                          `alloy` is the straight-line enumeration baseline,
                          `dpor` the pruned stateless exploration engine)
-    --bound <n>          loop unrolling bound (default: 2)
+    --bound <n>          loop unrolling bound, at least 1 (default: 2)
     --timeout-ms <ms>    deadline; an expired solve answers `unknown`
                          and exits 3 instead of blocking
     --budget <n>         solver conflict budget; exhaustion answers
@@ -66,32 +65,6 @@ OPTIONS (serve):
     --cache-dir <path>   persist verdicts to <path>/results.jsonl across
                          restarts; invalidated automatically when the
                          verifier fingerprint changes
-
-OPTIONS (route):
-    --shards <a,b,...>   comma-separated serve addresses (required);
-                         requests are placed on a consistent-hash ring
-                         by content digest, so identical queries always
-                         hit the same shard
-    --bound <n>          override every test's unrolling bound
-    --engine <e>         sat | enumerate | alloy | dpor  (default: sat)
-    --model <name>       model override (default: per-test, from dialect)
-    --timeout-ms <ms>    forwarded per request
-    --max-attempts <n>   cluster-wide attempts per request before a
-                         `status:\"failed\"` line (default: 2 x shards);
-                         attempt k goes to the k-th ring successor
-    --backoff-ms <ms>    sleep before each retry attempt (default: 25)
-    --deadline-ms <ms>   per-request cluster deadline: when it expires
-                         the request is answered `failed` (class
-                         timeout) instead of retrying forever
-    --read-timeout-ms <ms>
-                         per-attempt timeout on the connect, the write
-                         and the read, cut to the time left before the
-                         deadline (at least 1; default: none)
-
-    Merged verdict lines go to stdout in suite order — byte-identical
-    for any shard count or mid-run node death, as long as some shard
-    survives. Unanswerable requests are still answered `failed`, never
-    dropped. Per-shard routing stats go to stderr.
 
 OPTIONS (client):
     --addr <host:port>   server address (default: 127.0.0.1:7878)
@@ -135,7 +108,6 @@ fn run(args: &[String]) -> Result<ExitCode, String> {
         Some("verify") => verify(&args[1..]),
         Some("suite") => suite(&args[1..]),
         Some("serve") => serve(&args[1..]),
-        Some("route") => route(&args[1..]),
         Some("client") => client(&args[1..]),
         Some("cache") => cache(&args[1..]),
         Some("models") => {
@@ -173,6 +145,16 @@ fn suite_tests(name: &str) -> Result<Vec<gpumc_catalog::Test>, String> {
 
 fn parse_engine(name: &str) -> Result<EngineKind, String> {
     name.parse::<EngineKind>()
+}
+
+/// A `--bound` value: an unrolling bound of at least 1, the same rule
+/// serve applies to a request's `bound`.
+fn parse_bound(value: Option<&String>) -> Result<u32, String> {
+    match value.ok_or("--bound needs a value")?.parse() {
+        Ok(0) => Err("--bound must be at least 1".into()),
+        Ok(n) => Ok(n),
+        Err(_) => Err("bad --bound".into()),
+    }
 }
 
 /// Folds a verification error into the exit-code scheme: `Unknown`
@@ -255,126 +237,9 @@ fn serve(args: &[String]) -> Result<ExitCode, String> {
     Ok(ExitCode::SUCCESS)
 }
 
-/// `gpumc route <suite>`: fan a catalog suite over N serve shards by
-/// content digest and print the deterministic merge (DESIGN.md §16).
-fn route(args: &[String]) -> Result<ExitCode, String> {
-    use gpumc::fleet::router::{route, RoutePolicy, RouteRequest};
-    let mut name = None;
-    let mut shards: Vec<String> = Vec::new();
-    let mut bound: Option<u32> = None;
-    let mut engine = "sat".to_string();
-    let mut model: Option<String> = None;
-    let mut timeout_ms: Option<u64> = None;
-    let mut policy = RoutePolicy::default();
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--shards" => {
-                shards = it
-                    .next()
-                    .ok_or("--shards needs a value")?
-                    .split(',')
-                    .filter(|s| !s.is_empty())
-                    .map(str::to_string)
-                    .collect()
-            }
-            "--bound" => {
-                bound = Some(
-                    it.next()
-                        .ok_or("--bound needs a value")?
-                        .parse()
-                        .map_err(|_| "bad --bound")?,
-                )
-            }
-            "--engine" => engine = it.next().ok_or("--engine needs a value")?.clone(),
-            "--model" => model = Some(it.next().ok_or("--model needs a value")?.clone()),
-            "--timeout-ms" => {
-                timeout_ms = Some(
-                    it.next()
-                        .ok_or("--timeout-ms needs a value")?
-                        .parse()
-                        .map_err(|_| "bad --timeout-ms")?,
-                )
-            }
-            "--max-attempts" => {
-                policy.max_attempts = it
-                    .next()
-                    .ok_or("--max-attempts needs a value")?
-                    .parse()
-                    .map_err(|_| "bad --max-attempts")?
-            }
-            "--backoff-ms" => {
-                policy.backoff_ms = it
-                    .next()
-                    .ok_or("--backoff-ms needs a value")?
-                    .parse()
-                    .map_err(|_| "bad --backoff-ms")?
-            }
-            "--deadline-ms" => {
-                policy.deadline_ms = Some(
-                    it.next()
-                        .ok_or("--deadline-ms needs a value")?
-                        .parse()
-                        .map_err(|_| "bad --deadline-ms")?,
-                )
-            }
-            "--read-timeout-ms" => {
-                let ms: u64 = it
-                    .next()
-                    .ok_or("--read-timeout-ms needs a value")?
-                    .parse()
-                    .map_err(|_| "bad --read-timeout-ms")?;
-                // std refuses a zero socket timeout, which would fail
-                // every attempt on every shard.
-                if ms == 0 {
-                    return Err("--read-timeout-ms must be at least 1".into());
-                }
-                policy.read_timeout_ms = Some(ms);
-            }
-            other if !other.starts_with('-') && name.is_none() => name = Some(other.to_string()),
-            other => return Err(format!("unknown argument `{other}`")),
-        }
-    }
-    // Validate the engine spelling up front (the digest layer would
-    // reject it per-request otherwise).
-    parse_engine(&engine)?;
-    let name = name.ok_or("missing suite name (ptx|proxy|vulkan|drf|liveness|figures)")?;
-    if shards.is_empty() {
-        return Err("route needs --shards <addr,addr,...>".into());
-    }
-    let requests: Vec<RouteRequest> = suite_tests(&name)?
-        .into_iter()
-        .map(|t| RouteRequest {
-            name: t.name,
-            source: t.source,
-            model: model.clone(),
-            bound: bound.unwrap_or(t.bound),
-            engine: engine.clone(),
-            timeout_ms,
-            faults: None,
-        })
-        .collect();
-    let report = route(&requests, &shards, &policy);
-    print!("{}", report.merged());
-    for s in &report.shards {
-        eprintln!(
-            "shard {}: {} sent, {} answered{}",
-            s.addr,
-            s.sent,
-            s.answered,
-            if s.died { ", DIED" } else { "" },
-        );
-    }
-    Ok(if report.all_done() {
-        ExitCode::SUCCESS
-    } else {
-        ExitCode::from(1)
-    })
-}
-
 /// `gpumc cache`: inspect the content-addressed result cache layer —
-/// `digest` prints a request's canonical digest (what `route` shards
-/// on), `ls` lists a persistent store's entries.
+/// `digest` prints a request's canonical digest (what the result cache
+/// keys on), `ls` lists a persistent store's entries.
 fn cache(args: &[String]) -> Result<ExitCode, String> {
     use gpumc::fleet::digest::{digest_hex, source_digest};
     match args.first().map(String::as_str) {
@@ -387,13 +252,7 @@ fn cache(args: &[String]) -> Result<ExitCode, String> {
             while let Some(a) = it.next() {
                 match a.as_str() {
                     "--model" => model = Some(it.next().ok_or("--model needs a value")?.clone()),
-                    "--bound" => {
-                        bound = it
-                            .next()
-                            .ok_or("--bound needs a value")?
-                            .parse()
-                            .map_err(|_| "bad --bound")?
-                    }
+                    "--bound" => bound = parse_bound(it.next())?,
                     "--engine" => engine = it.next().ok_or("--engine needs a value")?.clone(),
                     other if !other.starts_with('-') && file.is_none() => {
                         file = Some(other.to_string())
@@ -568,13 +427,7 @@ fn verify(args: &[String]) -> Result<ExitCode, String> {
             "--model" => model = Some(it.next().ok_or("--model needs a value")?.clone()),
             "--property" => property = it.next().ok_or("--property needs a value")?.clone(),
             "--engine" => engine = it.next().ok_or("--engine needs a value")?.clone(),
-            "--bound" => {
-                bound = it
-                    .next()
-                    .ok_or("--bound needs a value")?
-                    .parse()
-                    .map_err(|_| "bad --bound")?
-            }
+            "--bound" => bound = parse_bound(it.next())?,
             "--timeout-ms" => {
                 timeout_ms = Some(
                     it.next()

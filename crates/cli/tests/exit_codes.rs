@@ -107,17 +107,31 @@ fn exit_two_on_usage_and_parse_errors() {
     // A retired flag is an unknown argument.
     let out = gpumc(&["suite", "figures", "--thorough"]);
     assert_eq!(code(&out), 2);
-    // A zero per-attempt timeout is refused before any connect.
-    let out = gpumc(&[
-        "route",
-        "figures",
-        "--shards",
-        "127.0.0.1:1",
-        "--read-timeout-ms",
-        "0",
-    ]);
+    // A retired subcommand falls through to the usage text.
+    let out = gpumc(&["route", "figures", "--shards", "127.0.0.1:1"]);
     assert_eq!(code(&out), 2);
-    assert!(String::from_utf8_lossy(&out.stderr).contains("--read-timeout-ms"));
+    assert!(String::from_utf8_lossy(&out.stdout).contains("EXIT CODES"));
+    // A zero unrolling bound is a usage error, not a panic.
+    let path = write_litmus("bound0", PASS);
+    let out = gpumc(&["verify", path.to_str().unwrap(), "--bound", "0"]);
+    assert_eq!(code(&out), 2);
+    assert!(String::from_utf8_lossy(&out.stderr).contains("--bound must be at least 1"));
+    let out = gpumc(&["cache", "digest", path.to_str().unwrap(), "--bound", "0"]);
+    assert_eq!(code(&out), 2);
+    assert!(out.stdout.is_empty(), "no digest for a refused bound");
+    // A fault plan naming a point that is not wired fires nothing.
+    let out = Command::new(env!("CARGO_BIN_EXE_gpumc"))
+        .args(["verify", path.to_str().unwrap()])
+        .env("GPUMC_FAULTS", "encode.biuld:panic")
+        .output()
+        .expect("run gpumc");
+    assert_eq!(code(&out), 2);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        stderr.contains("bad GPUMC_FAULTS") && stderr.contains("`encode.biuld`"),
+        "stderr: {stderr}"
+    );
+    let _ = std::fs::remove_file(path);
 }
 
 #[test]

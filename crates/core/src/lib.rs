@@ -69,8 +69,8 @@ pub use gpumc_exec;
 /// [`fault::install_global_from_env`] and the `GPUMC_FAULTS` variable.
 pub use gpumc_fault as fault;
 /// The fleet layer (`gpumc-fleet`), re-exported as `gpumc::fleet`:
-/// content-addressed result digests and cache, and the shard router
-/// behind `gpumc route` (DESIGN.md §16).
+/// content-addressed request digests and the result cache behind
+/// `gpumc serve` (DESIGN.md §16).
 pub use gpumc_fleet as fleet;
 pub use gpumc_ir;
 pub use gpumc_litmus;

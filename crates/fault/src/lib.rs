@@ -27,6 +27,7 @@
 //! ```text
 //! spec  := rule (',' rule)*
 //! rule  := point ':' kind (':' integer)? (':' option)*
+//! point := sat.conflict | encode.build | serve.worker | dpor.explore
 //! kind  := panic | delay_ms | alloc_spike | spurious_unknown
 //! option:= p=<float in (0,1]> | seed=<u64> | once
 //! ```
@@ -53,17 +54,8 @@ pub mod points {
     pub const SERVE_WORKER: &str = "serve.worker";
     /// The DPOR engine, probed per complete candidate execution.
     pub const DPOR_EXPLORE: &str = "dpor.explore";
-    /// The fleet router, probed before each shard connection; a firing
-    /// rule simulates a transport failure (node death).
-    pub const ROUTE_TRANSPORT: &str = "route.transport";
-    /// Every wired point, for matrix-style tests.
-    pub const ALL: &[&str] = &[
-        SAT_CONFLICT,
-        ENCODE_BUILD,
-        SERVE_WORKER,
-        DPOR_EXPLORE,
-        ROUTE_TRANSPORT,
-    ];
+    /// Every wired point: the only names a parsed spec may arm.
+    pub const ALL: &[&str] = &[SAT_CONFLICT, ENCODE_BUILD, SERVE_WORKER, DPOR_EXPLORE];
 }
 
 /// What an armed injection point does when it fires.
@@ -150,10 +142,11 @@ pub type RuleCount = (String, u64, u64);
 
 /// A set of armed injection points, shareable across threads.
 ///
-/// Counters live in the plan, so re-arming the *same* `Arc<FaultPlan>`
-/// (as a retried serve job does) continues the hit sequence instead of
-/// restarting it — a `panic:once` rule panics the first attempt and
-/// lets the retry through.
+/// Counters live in the plan: whoever keeps the `Arc<FaultPlan>` can
+/// read after a run whether each point was hit and fired
+/// ([`FaultPlan::counters`]), and re-arming the *same* plan continues
+/// the hit sequence instead of restarting it — a `panic:once` rule
+/// panics the first run and lets the next one through.
 #[derive(Debug, Default)]
 pub struct FaultPlan {
     rules: Vec<FaultRule>,
@@ -161,7 +154,9 @@ pub struct FaultPlan {
 
 impl FaultPlan {
     /// Parses a comma-separated fault spec (see the module docs for the
-    /// grammar).
+    /// grammar). Every rule must arm one of [`points::ALL`]: a misspelt
+    /// point would never fire, and a drill that injects nothing passes
+    /// without testing anything.
     ///
     /// # Errors
     ///
@@ -181,7 +176,8 @@ impl FaultPlan {
         Ok(FaultPlan { rules })
     }
 
-    /// Builds a single-rule plan programmatically (tests mostly).
+    /// Builds a single-rule plan programmatically (tests mostly). Unlike
+    /// [`FaultPlan::parse`], it takes any point name.
     #[must_use]
     pub fn single(point: &str, kind: FaultKind) -> FaultPlan {
         FaultPlan {
@@ -246,6 +242,12 @@ fn parse_rule(raw: &str) -> Result<FaultRule, String> {
         .next()
         .filter(|p| !p.is_empty())
         .ok_or_else(|| format!("fault rule `{raw}`: missing injection point"))?;
+    if !points::ALL.contains(&point) {
+        return Err(format!(
+            "fault rule `{raw}`: unknown injection point `{point}` (known: {})",
+            points::ALL.join(", ")
+        ));
+    }
     let kind_name = parts
         .next()
         .ok_or_else(|| format!("fault rule `{raw}`: missing kind"))?;
@@ -448,8 +450,12 @@ mod tests {
         assert_eq!(p.rules[0].seed, 42);
         assert_eq!(p.rules[1].kind, FaultKind::DelayMs(5));
 
-        let p = FaultPlan::parse("x:alloc_spike:2").unwrap();
+        let p = FaultPlan::parse("dpor.explore:alloc_spike:2").unwrap();
         assert_eq!(p.rules[0].kind, FaultKind::AllocSpike(2 << 20));
+
+        for point in points::ALL {
+            assert!(FaultPlan::parse(&format!("{point}:panic")).is_ok());
+        }
     }
 
     #[test]
@@ -457,10 +463,24 @@ mod tests {
         assert!(FaultPlan::parse("").is_err());
         assert!(FaultPlan::parse("sat.conflict").is_err());
         assert!(FaultPlan::parse("sat.conflict:frobnicate").is_err());
-        assert!(FaultPlan::parse("x:panic:p=2.0").is_err());
-        assert!(FaultPlan::parse("x:panic:p=0").is_err());
-        assert!(FaultPlan::parse("x:panic:seed=abc").is_err());
-        assert!(FaultPlan::parse("x:panic:wat").is_err());
+        assert!(FaultPlan::parse("sat.conflict:panic:p=2.0").is_err());
+        assert!(FaultPlan::parse("sat.conflict:panic:p=0").is_err());
+        assert!(FaultPlan::parse("sat.conflict:panic:seed=abc").is_err());
+        assert!(FaultPlan::parse("sat.conflict:panic:wat").is_err());
+        // A point nothing probes would never fire.
+        for (spec, point) in [
+            ("encode.biuld:panic", "encode.biuld"),
+            ("x:alloc_spike:2", "x"),
+            ("serve.overload:spurious_unknown:once", "serve.overload"),
+            ("SAT.CONFLICT:panic", "SAT.CONFLICT"),
+            ("sat.conflict:panic,serve.wokrer:panic", "serve.wokrer"),
+        ] {
+            let err = FaultPlan::parse(spec).unwrap_err();
+            assert!(
+                err.contains(&format!("unknown injection point `{point}`")),
+                "{spec}: {err}"
+            );
+        }
     }
 
     #[test]
@@ -529,8 +549,8 @@ mod tests {
 
     #[test]
     fn retried_plans_continue_the_hit_sequence() {
-        // A `panic:once` plan panics on the first attempt and lets the
-        // retry through — the serve retry loop depends on this.
+        // A `panic:once` plan panics on the first attempt and lets a
+        // second run of the same plan through.
         let plan = Arc::new(FaultPlan::single("p", FaultKind::Panic).once());
         let attempt = |plan: &Arc<FaultPlan>| {
             let _g = scoped(plan.clone());

@@ -128,8 +128,8 @@ pub fn canonical_engine(name: &str) -> Result<&'static str, String> {
 
 /// The model a test of dialect `arch` is checked under when no model is
 /// named. This is the *one* place that default lives: the CLI, the
-/// suite runner, the server and the router all read it here, so they
-/// can never disagree on it.
+/// suite runner and the server all read it here, so they can never
+/// disagree on it.
 pub fn default_model(arch: Arch) -> ModelKind {
     match arch {
         Arch::Ptx => ModelKind::Ptx75,
@@ -146,7 +146,7 @@ pub fn resolve_model(name: Option<&str>, arch: Arch) -> Option<ModelKind> {
     }
 }
 
-/// Digest a raw request as the router sees it: litmus source text plus
+/// Digest a raw request as a client holds it: litmus source text plus
 /// the wire-level fields. Parses and canonicalizes, so any two
 /// spellings of the same request agree with the server's own digest.
 ///

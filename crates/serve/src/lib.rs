@@ -24,10 +24,10 @@
 //!
 //! The JSON plumbing ([`json`]) is hand-rolled: the offline dependency
 //! set has no serde, and the protocol needs very little. It lives in
-//! `gpumc-fleet` (re-exported here) so the fleet router and persistent
-//! cache store can speak the wire format without a server dependency.
-//! The fleet layer itself — content-addressed result cache and sharded
-//! routing — is described in DESIGN.md §16.
+//! `gpumc-fleet` (re-exported here) so the persistent cache store can
+//! speak the wire format without a server dependency. The fleet layer
+//! itself — request digest and content-addressed result cache — is
+//! described in DESIGN.md §16.
 
 pub mod client;
 pub mod metrics;

@@ -275,7 +275,8 @@ fn id_json(id: Option<u64>) -> Json {
 
 /// The canonical wire name of an engine — the vocabulary the request
 /// digest is built from (`gpumc_fleet::digest::canonical_engine`
-/// accepts exactly these, so server and router digests agree).
+/// accepts exactly these, so the server's digest and `gpumc cache
+/// digest` agree).
 pub fn engine_name(e: gpumc::EngineKind) -> &'static str {
     match e {
         gpumc::EngineKind::Sat => "sat",

@@ -36,8 +36,7 @@
 //! a thread running a job and defers to the previous hook elsewhere.
 //! The checker is deterministic, so a job that panicked would panic
 //! again on the same input: the server does not retry it (DESIGN.md
-//! §20). The router's ring walk is the one place that retries a
-//! `failed` job, on the next shard.
+//! §20).
 //!
 //! **Pool invariant:** nothing a worker runs outside that catch can
 //! panic, so no worker thread dies and the pool needs no supervisor.

@@ -225,7 +225,8 @@ fn fault_field_is_refused_unless_enabled() {
     let error = resp.get("error").and_then(Json::as_str).unwrap();
     assert!(error.contains("disabled"), "error: {error}");
 
-    // A malformed spec on a fault-enabled server is an error too.
+    // A malformed spec on a fault-enabled server is an error too, and
+    // so is a spec naming a point that nothing probes.
     let (addr2, handle2) = spawn_server(ServerConfig {
         addr: "127.0.0.1:0".into(),
         jobs: 1,
@@ -235,20 +236,20 @@ fn fault_field_is_refused_unless_enabled() {
     });
     let resps = roundtrip(
         &addr2,
-        &[verify_request(
-            4,
-            &t.source,
-            t.bound,
-            Some("serve.worker:frobnicate"),
-        )],
+        &[
+            verify_request(4, &t.source, t.bound, Some("serve.worker:frobnicate")),
+            verify_request(5, &t.source, t.bound, Some("serve.wokrer:panic")),
+        ],
     );
-    let resp = &resps[&4];
-    assert_eq!(resp.get("status").and_then(Json::as_str), Some("error"));
-    assert!(resp
-        .get("error")
-        .and_then(Json::as_str)
-        .unwrap()
-        .contains("bad fault spec"));
+    for (id, named) in [(4, "frobnicate"), (5, "serve.wokrer")] {
+        let resp = &resps[&id];
+        assert_eq!(resp.get("status").and_then(Json::as_str), Some("error"));
+        let error = resp.get("error").and_then(Json::as_str).unwrap();
+        assert!(
+            error.contains("bad fault spec") && error.contains(named),
+            "error: {error}"
+        );
+    }
 
     for (addr, handle) in [(addr, handle), (addr2, handle2)] {
         let mut client = Client::connect(&addr).unwrap();

@@ -1,6 +1,7 @@
 //! Differential fault-injection gate: for every figure test and every
-//! (injection point × fault kind) combination, verification under an
-//! armed fault must end in one of exactly three ways:
+//! (injection point × fault kind) combination on the path a run takes,
+//! verification under an armed fault must end in one of exactly three
+//! ways:
 //!
 //! 1. the baseline verdict, byte-for-byte (the fault did not fire at
 //!    that point, or its kind — delay, alloc spike without a budget —
@@ -14,6 +15,10 @@
 //! "successfully" with a *different* verdict. A fault that flips
 //! `violated` into `verified` is a silent soundness hole, and this
 //! matrix is the CI tripwire for it.
+//!
+//! Each matrix also checks that its points fired at all: a probe moved
+//! off the path would otherwise leave every cell equal to the baseline
+//! and the matrix green.
 //!
 //! Triggers are deterministic (seeded splitmix64 per rule), so a red
 //! matrix entry replays exactly under `GPUMC_FAULTS` with the same
@@ -54,7 +59,8 @@ fn check(t: &Test, bound: u32) -> Result<Verdict, VerifyError> {
 }
 
 /// One matrix cell: run `t` under `engine` with `kind` armed at `point`
-/// and classify the outcome against `baseline`.
+/// and classify the outcome against `baseline`. Returns how often the
+/// point was hit and how often it fired.
 fn run_cell_with(
     t: &Test,
     bound: u32,
@@ -62,14 +68,14 @@ fn run_cell_with(
     point: &str,
     kind: FaultKind,
     baseline: &Verdict,
-) {
+) -> (u64, u64) {
     // `once` keeps delay faults from sleeping on every conflict; the
     // other kinds either end the run on first fire (panic, spurious
     // unknown) or are verdict-neutral (alloc spike with no budget).
-    let plan = FaultPlan::single(point, kind).with_seed(7).once();
+    let plan = Arc::new(FaultPlan::single(point, kind).with_seed(7).once());
     let ctx = format!("{} with {kind:?} at `{point}`", t.name);
     let outcome = {
-        let _g = gpumc::fault::scoped(Arc::new(plan));
+        let _g = gpumc::fault::scoped(plan.clone());
         std::panic::catch_unwind(AssertUnwindSafe(|| check_with(t, bound, engine)))
     };
     match outcome {
@@ -99,6 +105,16 @@ fn run_cell_with(
             );
         }
     }
+    let (_, hits, fired) = plan.counters().remove(0);
+    (hits, fired)
+}
+
+/// Asserts that `point` was hit and fired somewhere in its matrix.
+fn assert_fired(point: &str, (hits, fired): (u64, u64)) {
+    assert!(
+        fired > 0,
+        "`{point}` was hit {hits} times and fired {fired} times over the figure tests"
+    );
 }
 
 const KINDS: &[FaultKind] = &[
@@ -108,18 +124,30 @@ const KINDS: &[FaultKind] = &[
     FaultKind::SpuriousUnknown,
 ];
 
+/// The points SAT's `check_all` probes. `serve.worker` is gated by
+/// `crates/serve/tests/faults.rs` and `dpor.explore` by
+/// `dpor_engine_survives_explore_faults`.
+const SAT_POINTS: [&str; 2] = [points::SAT_CONFLICT, points::ENCODE_BUILD];
+
 #[test]
 fn figure_tests_survive_the_fault_matrix() {
     let tests = gpumc_catalog::figure_tests();
     assert!(!tests.is_empty());
+    let mut counts = [(0, 0); SAT_POINTS.len()];
     for t in &tests {
         let bound = t.bound.min(2);
         let baseline = check(t, bound).expect("baseline must verify cleanly");
-        for point in points::ALL {
+        for (point, count) in SAT_POINTS.iter().zip(&mut counts) {
             for &kind in KINDS {
-                run_cell_with(t, bound, EngineKind::Sat, point, kind, &baseline);
+                let (hits, fired) =
+                    run_cell_with(t, bound, EngineKind::Sat, point, kind, &baseline);
+                count.0 += hits;
+                count.1 += fired;
             }
         }
+    }
+    for (point, count) in SAT_POINTS.iter().zip(counts) {
+        assert_fired(point, count);
     }
 }
 
@@ -132,6 +160,7 @@ fn dpor_engine_survives_explore_faults() {
     // landed after the deciding candidate — the baseline verdict.
     let tests = gpumc_catalog::figure_tests();
     assert!(!tests.is_empty());
+    let mut count = (0, 0);
     for t in &tests {
         let bound = t.bound.min(2);
         let baseline =
@@ -143,7 +172,7 @@ fn dpor_engine_survives_explore_faults() {
             t.name
         );
         for &kind in KINDS {
-            run_cell_with(
+            let (hits, fired) = run_cell_with(
                 t,
                 bound,
                 EngineKind::Dpor,
@@ -151,8 +180,11 @@ fn dpor_engine_survives_explore_faults() {
                 kind,
                 &baseline,
             );
+            count.0 += hits;
+            count.1 += fired;
         }
     }
+    assert_fired(points::DPOR_EXPLORE, count);
 }
 
 #[test]
