@@ -21,10 +21,29 @@ use gpumc_models::ModelKind;
 use gpumc_serve::json::Json;
 use gpumc_spirv::{emit_spirv, gpuverify_corpus, lower, parse_spirv, Bucket};
 
+/// The `--bound` (default 2, at least 1) and `--tier` (default `dev`)
+/// arguments, or the message that refuses them.
+fn bound_and_tier() -> Result<(u32, gpumc_catalog::Tier), String> {
+    let bound = match gpumc_bench::value_from_args::<u32>("--bound")? {
+        Some(0) => return Err("--bound must be at least 1".into()),
+        b => b.unwrap_or(2),
+    };
+    let tier = match gpumc_bench::value_from_args::<String>("--tier")? {
+        None => gpumc_catalog::Tier::Dev,
+        Some(s) => gpumc_catalog::Tier::parse(&s)
+            .ok_or_else(|| format!("unknown tier `{s}` (expected dev, validation, or scale)"))?,
+    };
+    Ok((bound, tier))
+}
+
 fn main() {
+    // Refuse bad arguments before verifying anything.
+    let (bound, tier) = bound_and_tier().unwrap_or_else(|msg| {
+        eprintln!("error: {msg}");
+        std::process::exit(2);
+    });
     let jobs = gpumc_bench::jobs_from_args();
     let json_out = gpumc_bench::flag_from_args("--json");
-    let bound = gpumc_bench::value_from_args::<u32>("--bound").unwrap_or(2);
     let batch = Instant::now();
     let corpus = gpuverify_corpus();
     let compile_fail = corpus
@@ -327,14 +346,6 @@ fn main() {
     //     the wall clock against the tier's catalogued budget. The
     //     budget catches order-of-magnitude regressions; CI enforces it
     //     on multi-core hosts and only annotates on 1-core runners.
-    let tier_name = gpumc_bench::value_from_args::<String>("--tier");
-    let tier = match tier_name.as_deref() {
-        None => gpumc_catalog::Tier::Dev,
-        Some(s) => gpumc_catalog::Tier::parse(s).unwrap_or_else(|| {
-            eprintln!("unknown tier `{s}` (expected dev, validation, or scale)");
-            std::process::exit(2);
-        }),
-    };
     let tier_corpus = gpumc_catalog::tier_tests(tier);
     let tier_start = Instant::now();
     let tier_runs = gpumc::parallel_map_ordered(&tier_corpus, jobs, |_, t| {

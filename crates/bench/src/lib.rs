@@ -37,17 +37,22 @@ pub fn flag_from_args(name: &str) -> bool {
 }
 
 /// Parses a valued argument `name N` (e.g. `--bound 1`) from the process
-/// arguments; `None` when absent or unparsable. Unknown arguments are
-/// ignored, as in [`jobs_from_args`].
-pub fn value_from_args<T: std::str::FromStr>(name: &str) -> Option<T> {
+/// arguments: `Ok(None)` when absent, and an error naming the flag when
+/// its value is missing or unparsable. Unknown arguments are ignored, as
+/// in [`jobs_from_args`].
+pub fn value_from_args<T: std::str::FromStr>(name: &str) -> Result<Option<T>, String> {
     let args: Vec<String> = std::env::args().collect();
     let mut it = args.iter();
     while let Some(a) = it.next() {
         if a == name {
-            return it.next().and_then(|v| v.parse().ok());
+            let value = it.next().ok_or_else(|| format!("{name} needs a value"))?;
+            return match value.parse() {
+                Ok(v) => Ok(Some(v)),
+                Err(_) => Err(format!("bad {name} value `{value}`")),
+            };
         }
     }
-    None
+    Ok(None)
 }
 
 /// The standard batch timing footer: end-to-end wall clock versus the

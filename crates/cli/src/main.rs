@@ -15,7 +15,6 @@ USAGE:
     gpumc suite <ptx|proxy|vulkan|drf|liveness|figures> [OPTIONS]
     gpumc serve [OPTIONS]
     gpumc client <ping|metrics|shutdown|verify <test.litmus>> [OPTIONS]
-    gpumc cache <digest <test.litmus>|ls --dir <path>> [OPTIONS]
     gpumc models
     gpumc dump-model <ptx-v6.0|ptx-v7.5|vulkan>
     gpumc catalog [ptx|proxy|vulkan|drf|liveness|figures]
@@ -61,10 +60,8 @@ OPTIONS (serve):
     --no-cache           disable the content-addressed result cache
                          (on by default: duplicate definitive requests
                          answer without re-encoding or re-solving)
-    --cache-cap <n>      resident verdicts in the cache LRU (default: 4096)
-    --cache-dir <path>   persist verdicts to <path>/results.jsonl across
-                         restarts; invalidated automatically when the
-                         verifier fingerprint changes
+    --cache-cap <n>      resident verdicts in the cache LRU (default: 4096);
+                         the cache lives as long as the server process
 
 OPTIONS (client):
     --addr <host:port>   server address (default: 127.0.0.1:7878)
@@ -109,7 +106,6 @@ fn run(args: &[String]) -> Result<ExitCode, String> {
         Some("suite") => suite(&args[1..]),
         Some("serve") => serve(&args[1..]),
         Some("client") => client(&args[1..]),
-        Some("cache") => cache(&args[1..]),
         Some("models") => {
             for m in ModelKind::ALL {
                 println!("{m}\t({})", m.file_name());
@@ -218,11 +214,6 @@ fn serve(args: &[String]) -> Result<ExitCode, String> {
                     .parse()
                     .map_err(|_| "bad --cache-cap")?
             }
-            "--cache-dir" => {
-                config.cache_dir = Some(std::path::PathBuf::from(
-                    it.next().ok_or("--cache-dir needs a value")?,
-                ))
-            }
             other => return Err(format!("unknown argument `{other}`")),
         }
     }
@@ -235,72 +226,6 @@ fn serve(args: &[String]) -> Result<ExitCode, String> {
         server.run().map_err(|e| e.to_string())?;
     }
     Ok(ExitCode::SUCCESS)
-}
-
-/// `gpumc cache`: inspect the content-addressed result cache layer —
-/// `digest` prints a request's canonical digest (what the result cache
-/// keys on), `ls` lists a persistent store's entries.
-fn cache(args: &[String]) -> Result<ExitCode, String> {
-    use gpumc::fleet::digest::{digest_hex, source_digest};
-    match args.first().map(String::as_str) {
-        Some("digest") => {
-            let mut file = None;
-            let mut model: Option<String> = None;
-            let mut bound = 2u32;
-            let mut engine = "sat".to_string();
-            let mut it = args[1..].iter();
-            while let Some(a) = it.next() {
-                match a.as_str() {
-                    "--model" => model = Some(it.next().ok_or("--model needs a value")?.clone()),
-                    "--bound" => bound = parse_bound(it.next())?,
-                    "--engine" => engine = it.next().ok_or("--engine needs a value")?.clone(),
-                    other if !other.starts_with('-') && file.is_none() => {
-                        file = Some(other.to_string())
-                    }
-                    other => return Err(format!("unknown argument `{other}`")),
-                }
-            }
-            let file = file.ok_or("cache digest needs a test file")?;
-            let source = std::fs::read_to_string(&file).map_err(|e| format!("{file}: {e}"))?;
-            let d = source_digest(
-                &source,
-                model.as_deref(),
-                bound,
-                "all",
-                &engine,
-                gpumc_serve::PROTOCOL_VERSION,
-            )?;
-            println!("{}", digest_hex(d));
-            Ok(ExitCode::SUCCESS)
-        }
-        Some("ls") => {
-            let mut dir = None;
-            let mut it = args[1..].iter();
-            while let Some(a) = it.next() {
-                match a.as_str() {
-                    "--dir" => dir = Some(it.next().ok_or("--dir needs a value")?.clone()),
-                    other => return Err(format!("unknown argument `{other}`")),
-                }
-            }
-            let dir = dir.ok_or("cache ls needs --dir <path>")?;
-            let path = std::path::Path::new(&dir).join(gpumc::fleet::store::STORE_FILE);
-            let text =
-                std::fs::read_to_string(&path).map_err(|e| format!("{}: {e}", path.display()))?;
-            let mut lines = text.lines();
-            let header = lines.next().unwrap_or("");
-            eprintln!("{header}");
-            let mut n = 0u64;
-            for line in lines {
-                if Json::parse(line).is_ok() {
-                    println!("{line}");
-                    n += 1;
-                }
-            }
-            eprintln!("{n} entries");
-            Ok(ExitCode::SUCCESS)
-        }
-        _ => Err("cache needs a subcommand: digest <test.litmus> | ls --dir <path>".into()),
-    }
 }
 
 fn client(args: &[String]) -> Result<ExitCode, String> {

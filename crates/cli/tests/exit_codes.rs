@@ -111,14 +111,26 @@ fn exit_two_on_usage_and_parse_errors() {
     let out = gpumc(&["route", "figures", "--shards", "127.0.0.1:1"]);
     assert_eq!(code(&out), 2);
     assert!(String::from_utf8_lossy(&out.stdout).contains("EXIT CODES"));
-    // A zero unrolling bound is a usage error, not a panic.
     let path = write_litmus("bound0", PASS);
+    let out = gpumc(&["cache", "digest", path.to_str().unwrap()]);
+    assert_eq!(code(&out), 2);
+    assert!(String::from_utf8_lossy(&out.stdout).contains("EXIT CODES"));
+    // The retired persistent store's flag is refused before serve binds
+    // its socket.
+    let dir = std::env::temp_dir().join(format!("gpumc-exit-{}-cache", std::process::id()));
+    let out = gpumc(&["serve", "--cache-dir", dir.to_str().unwrap()]);
+    assert_eq!(code(&out), 2);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        stderr.contains("unknown argument `--cache-dir`"),
+        "stderr: {stderr}"
+    );
+    assert!(!stderr.contains("listening"), "stderr: {stderr}");
+    assert!(!dir.exists(), "serve created {}", dir.display());
+    // A zero unrolling bound is a usage error, not a panic.
     let out = gpumc(&["verify", path.to_str().unwrap(), "--bound", "0"]);
     assert_eq!(code(&out), 2);
     assert!(String::from_utf8_lossy(&out.stderr).contains("--bound must be at least 1"));
-    let out = gpumc(&["cache", "digest", path.to_str().unwrap(), "--bound", "0"]);
-    assert_eq!(code(&out), 2);
-    assert!(out.stdout.is_empty(), "no digest for a refused bound");
     // A fault plan naming a point that is not wired fires nothing.
     let out = Command::new(env!("CARGO_BIN_EXE_gpumc"))
         .args(["verify", path.to_str().unwrap()])

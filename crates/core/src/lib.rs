@@ -87,26 +87,6 @@ pub fn parse_litmus(source: &str) -> Result<Program, VerifyError> {
     gpumc_litmus::parse(source).map_err(|e| VerifyError::Parse(e.to_string()))
 }
 
-/// Revision counter for verdict-affecting verifier behavior. Bump this
-/// whenever the encoder, a solver, an engine, or a model changes in a
-/// way that could alter *any* verdict — it invalidates every persistent
-/// result cache (see `gpumc::fleet::store`), which is the sound
-/// default: a stale cached verdict is a wrong answer served fast.
-pub const VERIFIER_REVISION: u32 = 1;
-
-/// The fingerprint persistent result caches are keyed on: crate
-/// version, [`VERIFIER_REVISION`], and the digest scheme version. Two
-/// builds with equal fingerprints must produce identical verdicts for
-/// identical digests.
-pub fn verifier_fingerprint() -> String {
-    format!(
-        "gpumc={};rev={};scheme={}",
-        env!("CARGO_PKG_VERSION"),
-        VERIFIER_REVISION,
-        fleet::digest::DIGEST_SCHEME_VERSION,
-    )
-}
-
 /// Which verification engine to use.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum EngineKind {

@@ -1,4 +1,4 @@
-//! Canonical request identity: a stable, persistable digest.
+//! Canonical request identity: a stable digest.
 //!
 //! The cache key must identify *what is being verified*, not how the
 //! request happened to be spelled: two requests whose JSON differs in
@@ -12,20 +12,18 @@
 //!                    hash(parsed Program) )
 //! ```
 //!
-//! `DefaultHasher` may change across std versions and must never be
-//! persisted, so this module hashes with FNV-1a over a canonical text
-//! rendering instead: the same request digests identically across processes,
-//! machines, and restarts. Anything that changes what a digest *means*
+//! `DefaultHasher` is seeded per process and may change across std
+//! versions, so this module hashes with FNV-1a over a canonical text
+//! rendering instead: the same request digests identically across
+//! processes and machines. Anything that changes what a digest *means*
 //! — the AST `Debug` shape, the hash mixing, field order — must bump
-//! [`DIGEST_SCHEME_VERSION`], which invalidates persistent stores (see
-//! `store`).
+//! [`DIGEST_SCHEME_VERSION`], so that no new digest equals an old one.
 
 use gpumc_ir::{Arch, Program};
 use gpumc_models::ModelKind;
 
-/// Version of the digest scheme. Part of every digest and of the
-/// persistent-store fingerprint: bump it whenever the canonical
-/// rendering or the hash mixing changes.
+/// Version of the digest scheme. Part of every digest: bump it
+/// whenever the canonical rendering or the hash mixing changes.
 pub const DIGEST_SCHEME_VERSION: u32 = 1;
 
 /// The wire protocol version this build speaks. Part of every request
@@ -98,18 +96,9 @@ pub fn request_digest(key: &RequestKey<'_>) -> u128 {
     (u128::from(hi) << 64) | u128::from(lo)
 }
 
-/// Renders a digest as the fixed-width hex used on disk and on the
-/// wire.
+/// Renders a digest as fixed-width hex.
 pub fn digest_hex(d: u128) -> String {
     format!("{d:032x}")
-}
-
-/// Parses [`digest_hex`] output back.
-pub fn parse_digest_hex(s: &str) -> Option<u128> {
-    if s.len() != 32 {
-        return None;
-    }
-    u128::from_str_radix(s, 16).ok()
 }
 
 /// Maps every accepted engine spelling to its canonical digest name.
@@ -246,9 +235,8 @@ exists (P0:r0 == 0 /\\ P1:r1 == 0)";
         let d = source_digest(MP, None, 2, "all", "sat", 1).unwrap();
         let hex = digest_hex(d);
         assert_eq!(hex.len(), 32);
-        assert_eq!(parse_digest_hex(&hex), Some(d));
-        assert_eq!(parse_digest_hex("xyz"), None);
-        assert_eq!(parse_digest_hex(""), None);
+        assert_eq!(u128::from_str_radix(&hex, 16), Ok(d));
+        assert_eq!(digest_hex(1), format!("{}1", "0".repeat(31)));
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! `gpumc-serve` — the persistent verification service.
+//! `gpumc-serve` — the long-running verification service.
 //!
 //! gpumc started as a batch CLI: one process per request, cold caches
 //! every time, and the only resource limit anywhere was a conflict
@@ -24,10 +24,9 @@
 //!
 //! The JSON plumbing ([`json`]) is hand-rolled: the offline dependency
 //! set has no serde, and the protocol needs very little. It lives in
-//! `gpumc-fleet` (re-exported here) so the persistent cache store can
-//! speak the wire format without a server dependency. The fleet layer
-//! itself — request digest and content-addressed result cache — is
-//! described in DESIGN.md §16.
+//! `gpumc-fleet` (re-exported here) because the benchmark imports it as
+//! `gpumc::fleet::json`. The fleet layer itself — request digest and
+//! content-addressed result cache — is described in DESIGN.md §16.
 
 pub mod client;
 pub mod metrics;

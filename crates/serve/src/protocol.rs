@@ -54,14 +54,14 @@
 //! cancellation/memory — retrying with more budget is sound), `error`
 //! (the request itself was bad), `rejected` (backpressure or shutdown —
 //! resubmit later; the `error` field distinguishes the two), `failed`
-//! (the job crashed and exhausted its retries; the `class` field is one
-//! of `panic`/`oom`/`timeout`), plus `ok` for ping/metrics/shutdown.
+//! (the job panicked; the `class` field is one of
+//! `panic`/`oom`/`timeout`, and `attempts` is always 1 because a job
+//! runs once, DESIGN.md §20), plus `ok` for ping/metrics/shutdown.
 //! `rejected` is the server's one answer to overload (DESIGN.md §18):
 //! the job never ran, so resubmitting it is always safe. See DESIGN.md
 //! §13 for the complete failure taxonomy.
 
 use gpumc::FullOutcome;
-use gpumc_fleet::cache::CachedVerdict;
 
 use crate::json::Json;
 
@@ -275,8 +275,8 @@ fn id_json(id: Option<u64>) -> Json {
 
 /// The canonical wire name of an engine — the vocabulary the request
 /// digest is built from (`gpumc_fleet::digest::canonical_engine`
-/// accepts exactly these, so the server's digest and `gpumc cache
-/// digest` agree).
+/// accepts exactly these, so the server's digest and
+/// `gpumc_fleet::digest::source_digest` agree).
 pub fn engine_name(e: gpumc::EngineKind) -> &'static str {
     match e {
         gpumc::EngineKind::Sat => "sat",
@@ -294,89 +294,47 @@ fn proto_json() -> Json {
     Json::count(u64::from(PROTOCOL_VERSION))
 }
 
-/// The one place the verdict object's shape is defined. Fresh
-/// verifications come through [`verdict_json`] and cache hits through
-/// [`cached_verdict_json`]; both funnel here, so a cached answer is
-/// byte-identical to the verification that populated it.
-fn verdict_fields(
-    test_name: &str,
-    reachable: bool,
-    expectation: &str,
-    liveness: &str,
-    datarace: &str,
-) -> Json {
+/// The verdict object of a completed verification — the same facts the
+/// batch CLI (`gpumc verify --all`) prints, as structured fields, so
+/// server and CLI answers can be compared for byte-identity. This is
+/// the one place the verdict object is built: the result cache stores
+/// it as built here and a cache hit answers with it.
+pub fn verdict_json(test_name: &str, o: &FullOutcome) -> Json {
+    let expectation = match o.assertion.satisfied_expectation {
+        Some(true) => "holds",
+        Some(false) => "fails",
+        None => "none",
+    };
+    let liveness = if o.liveness.violated {
+        "violation"
+    } else {
+        "ok"
+    };
+    let datarace = match &o.data_races {
+        Some(d) if d.violated => "found",
+        Some(_) => "none",
+        None => "n/a",
+    };
     Json::Obj(vec![
         ("test".into(), Json::str(test_name)),
-        ("reachable".into(), Json::Bool(reachable)),
+        ("reachable".into(), Json::Bool(o.assertion.reachable)),
         ("expectation".into(), Json::str(expectation)),
         ("liveness".into(), Json::str(liveness)),
         ("datarace".into(), Json::str(datarace)),
     ])
 }
 
-/// Reduces a completed verification to the cacheable verdict facts, in
-/// protocol vocabulary.
-pub fn cached_verdict(test_name: &str, o: &FullOutcome) -> CachedVerdict {
-    CachedVerdict {
-        test: test_name.to_string(),
-        reachable: o.assertion.reachable,
-        expectation: match o.assertion.satisfied_expectation {
-            Some(true) => "holds",
-            Some(false) => "fails",
-            None => "none",
-        }
-        .to_string(),
-        liveness: if o.liveness.violated {
-            "violation"
-        } else {
-            "ok"
-        }
-        .to_string(),
-        datarace: match &o.data_races {
-            Some(d) if d.violated => "found",
-            Some(_) => "none",
-            None => "n/a",
-        }
-        .to_string(),
-    }
-}
-
-/// The verdict object of a completed verification — the same facts the
-/// batch CLI (`gpumc verify --all`) prints, as structured fields, so
-/// server and CLI answers can be compared for byte-identity.
-pub fn verdict_json(test_name: &str, o: &FullOutcome) -> Json {
-    let v = cached_verdict(test_name, o);
-    verdict_fields(
-        &v.test,
-        v.reachable,
-        &v.expectation,
-        &v.liveness,
-        &v.datarace,
-    )
-}
-
-/// The verdict object reconstructed from a cache entry.
-pub fn cached_verdict_json(v: &CachedVerdict) -> Json {
-    verdict_fields(
-        &v.test,
-        v.reachable,
-        &v.expectation,
-        &v.liveness,
-        &v.datarace,
-    )
-}
-
 /// A `status: done` response served from the result cache. Carries the
-/// same verdict object a fresh verification would, plus `"cached":true`
-/// in place of the per-run phase/solver detail (which the cache
-/// deliberately does not store — timings of a run that didn't happen
-/// would be fiction).
-pub fn cached_response(id: Option<u64>, v: &CachedVerdict, wall_us: u64) -> Json {
+/// verdict object the fresh verification answered with, plus
+/// `"cached":true` in place of the per-run phase/solver detail (which
+/// the cache deliberately does not store — timings of a run that didn't
+/// happen would be fiction).
+pub fn cached_response(id: Option<u64>, verdict: Json, wall_us: u64) -> Json {
     Json::Obj(vec![
         ("id".into(), id_json(id)),
         ("proto".into(), proto_json()),
         ("status".into(), Json::str("done")),
-        ("verdict".into(), cached_verdict_json(v)),
+        ("verdict".into(), verdict),
         ("cached".into(), Json::Bool(true)),
         ("time_us".into(), Json::count(wall_us)),
     ])
@@ -685,19 +643,25 @@ mod tests {
 
     #[test]
     fn cached_response_reuses_the_verdict_shape() {
-        let v = CachedVerdict {
-            test: "MP".into(),
-            reachable: true,
-            expectation: "fails".into(),
-            liveness: "ok".into(),
-            datarace: "n/a".into(),
-        };
-        let r = cached_response(Some(3), &v, 12);
-        assert_eq!(r.get("status").unwrap().as_str(), Some("done"));
-        assert_eq!(r.get("cached").unwrap().as_bool(), Some(true));
-        let verdict = r.get("verdict").unwrap();
+        let program = gpumc::parse_litmus(
+            "PTX MP\n{ x = 0; flag = 0; }\n\
+             P0@cta 0,gpu 0 | P1@cta 1,gpu 0 ;\n\
+             st.weak x, 1 | ld.weak r0, flag ;\n\
+             st.weak flag, 1 | ld.weak r1, x ;\n\
+             ~exists (P1:r0 == 1 /\\ P1:r1 == 0)",
+        )
+        .unwrap();
+        let o = gpumc::Verifier::new(gpumc_models::load_shared(gpumc_models::ModelKind::Ptx75))
+            .with_bound(1)
+            .check_all(&program)
+            .unwrap();
+        let fresh = verify_response(Some(3), &program.name, &o, 12);
+        let hit = cached_response(Some(3), verdict_json(&program.name, &o), 12);
+        assert_eq!(hit.get("status").unwrap().as_str(), Some("done"));
+        assert_eq!(hit.get("cached").unwrap().as_bool(), Some(true));
+        assert_eq!(hit.get("verdict"), fresh.get("verdict"));
         assert_eq!(
-            verdict.to_string(),
+            hit.get("verdict").unwrap().to_string(),
             r#"{"test":"MP","reachable":true,"expectation":"fails","liveness":"ok","datarace":"n/a"}"#,
         );
     }

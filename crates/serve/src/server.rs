@@ -55,7 +55,6 @@ use std::cell::Cell;
 use std::io::{BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::panic::AssertUnwindSafe;
-use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
@@ -71,9 +70,9 @@ use gpumc_sat::CancelToken;
 use crate::json::{self, Json};
 use crate::metrics::Metrics;
 use crate::protocol::{
-    cached_response, cached_verdict, engine_name, error_response, failed_response, parse_request,
-    rejected_response, unknown_response, verify_response, Envelope, Request, VerifyRequest,
-    PROTOCOL_VERSION,
+    cached_response, engine_name, error_response, failed_response, parse_request,
+    rejected_response, unknown_response, verdict_json, verify_response, Envelope, Request,
+    VerifyRequest, PROTOCOL_VERSION,
 };
 use crate::sched::{JobQueue, PushError};
 
@@ -97,11 +96,9 @@ pub struct ServerConfig {
     /// the encoder or a solver.
     pub cache_enabled: bool,
     /// Resident verdicts in the result cache's LRU (`--cache-cap`).
+    /// The cache lives in memory only: no verdict outlives the server
+    /// process.
     pub cache_capacity: usize,
-    /// Directory for the persistent result store (`--cache-dir`); in
-    /// memory only when `None`. Invalidated when the verifier
-    /// fingerprint changes.
-    pub cache_dir: Option<PathBuf>,
 }
 
 impl Default for ServerConfig {
@@ -114,7 +111,6 @@ impl Default for ServerConfig {
             allow_faults: false,
             cache_enabled: true,
             cache_capacity: 4096,
-            cache_dir: None,
         }
     }
 }
@@ -159,30 +155,17 @@ struct Shared {
 }
 
 impl Shared {
-    /// # Errors
-    ///
-    /// Filesystem errors opening the persistent cache store.
-    fn new(config: &ServerConfig) -> std::io::Result<Arc<Shared>> {
-        let cache = if config.cache_enabled {
-            Some(match &config.cache_dir {
-                None => ResultCache::in_memory(config.cache_capacity),
-                Some(dir) => {
-                    let fingerprint =
-                        format!("{};proto={PROTOCOL_VERSION}", gpumc::verifier_fingerprint());
-                    ResultCache::persistent(config.cache_capacity, dir, &fingerprint)?
-                }
-            })
-        } else {
-            None
-        };
-        Ok(Arc::new(Shared {
+    fn new(config: &ServerConfig) -> Arc<Shared> {
+        Arc::new(Shared {
             metrics: Metrics::new(),
             queue: JobQueue::new(config.max_queue),
-            cache,
+            cache: config
+                .cache_enabled
+                .then(|| ResultCache::new(config.cache_capacity)),
             shutdown: AtomicBool::new(false),
             default_timeout_ms: config.default_timeout_ms,
             allow_faults: config.allow_faults,
-        }))
+        })
     }
 }
 
@@ -204,7 +187,7 @@ impl Server {
     pub fn bind(config: &ServerConfig) -> std::io::Result<Server> {
         let listener = TcpListener::bind(&config.addr)?;
         let jobs = effective_jobs(config.jobs);
-        let shared = Shared::new(config)?;
+        let shared = Shared::new(config);
         shared.metrics.set_gauge("workers", jobs as i64);
         Ok(Server {
             listener,
@@ -267,7 +250,7 @@ impl Server {
     /// I/O errors reading stdin.
     pub fn run_stdio(config: &ServerConfig) -> std::io::Result<()> {
         let jobs = effective_jobs(config.jobs);
-        let shared = Shared::new(config)?;
+        let shared = Shared::new(config);
         shared.metrics.set_gauge("workers", jobs as i64);
         let out: Out = Arc::new(Mutex::new(Box::new(std::io::stdout())));
         std::thread::scope(|pool| {
@@ -363,20 +346,9 @@ fn dispatch_line(line: &str, out: &Out, shared: &Shared) -> std::ops::ControlFlo
                 .metrics
                 .set_gauge("queue_depth", shared.queue.len() as i64);
             if let Some(cache) = &shared.cache {
-                let s = cache.stats();
                 shared
                     .metrics
                     .set_gauge("result_cache_len", cache.len() as i64);
-                shared
-                    .metrics
-                    .set_gauge("result_cache_loaded", s.loaded as i64);
-                shared
-                    .metrics
-                    .set_gauge("result_cache_invalidated", i64::from(s.invalidated));
-                shared.metrics.set_gauge(
-                    "result_cache_recovered_tail_bytes",
-                    s.recovered_tail_bytes as i64,
-                );
             }
             let snapshot = shared.metrics.snapshot();
             write_line(
@@ -461,13 +433,13 @@ fn dispatch_line(line: &str, out: &Out, shared: &Shared) -> std::ops::ControlFlo
                     // A cache hit is still a served verdict: the
                     // verdict counters and the latency histogram must
                     // add up across cached and fresh answers alike.
-                    let pass = v.expectation != "fails";
+                    let pass = v.get("expectation").and_then(Json::as_str) != Some("fails");
                     shared
                         .metrics
                         .inc(if pass { "verdict_pass" } else { "verdict_fail" });
                     let wall_us = accepted.elapsed().as_micros() as u64;
                     shared.metrics.observe_us("verify_latency_us", wall_us);
-                    write_line(out, &cached_response(id, &v, wall_us));
+                    write_line(out, &cached_response(id, v, wall_us));
                     return ControlFlow::Continue(());
                 }
                 shared.metrics.inc("cache_misses");
@@ -635,7 +607,7 @@ fn run_verify_job(job: &Job, shared: &Shared) -> Json {
             // jobs whose digest survived the dispatch-time gating
             // (cacheable request, no fault plan).
             if let (Some(cache), Some(d)) = (&shared.cache, job.digest) {
-                cache.insert(d, cached_verdict(&job.program.name, &o));
+                cache.insert(d, &verdict_json(&job.program.name, &o));
                 shared.metrics.inc("cache_inserts");
             }
             verify_response(job.id, &job.program.name, &o, wall_us)

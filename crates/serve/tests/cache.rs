@@ -1,8 +1,7 @@
 //! The content-addressed result cache, observed end-to-end through the
 //! wire protocol: duplicate requests must be answered without invoking
-//! the encoder or solver, the persistent store must survive a restart,
-//! a stale verifier fingerprint must invalidate it, and `cache:false`,
-//! fault-armed, and non-definitive answers must all bypass it.
+//! the encoder or solver, and `cache:false`, fault-armed, and
+//! non-definitive answers must all bypass it.
 
 use std::io::{BufRead, BufReader};
 use std::net::TcpStream;
@@ -217,99 +216,50 @@ fn unknown_answers_are_not_cached() {
     handle.join().unwrap();
 }
 
-/// The persistent store answers across a server restart: a second
-/// server process pointed at the same directory serves the first
-/// process's verdict as a cache hit without re-verifying.
+/// Fault-armed jobs bypass the cache in both directions: a verdict
+/// computed under injection is never recorded, and a clean cached
+/// verdict never answers a request that asked for injection.
 #[test]
-fn persistent_cache_survives_a_restart() {
-    let dir = std::env::temp_dir().join(format!("gpumc-serve-cache-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).expect("mkdir cache dir");
-
-    let config = || ServerConfig {
-        cache_dir: Some(dir.clone()),
-        ..quiet_config()
-    };
-
-    let (addr, handle) = spawn(config());
-    let mut conn = Conn::connect(&addr);
-    let fresh = conn.verify(1, MP, "");
-    assert_eq!(fresh.get("status").and_then(Json::as_str), Some("done"));
-    let verdict = fresh.get("verdict").cloned();
-    conn.shutdown();
-    handle.join().unwrap();
-
-    let (addr, handle) = spawn(config());
-    let mut conn = Conn::connect(&addr);
-    let hit = conn.verify(2, MP, "");
-    assert_eq!(hit.get("cached").and_then(Json::as_bool), Some(true));
-    assert_eq!(hit.get("verdict").cloned(), verdict);
-    let m = conn.metrics();
-    assert_eq!(hist_count(&m, "encode_us"), 0, "warm restart re-encoded");
-    assert!(
-        m.get("gauges")
-            .and_then(|g| g.get("result_cache_loaded"))
-            .and_then(Json::as_f64)
-            .unwrap_or(0.0)
-            >= 1.0
-    );
-    conn.shutdown();
-    handle.join().unwrap();
-
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
-/// A store written by a different verifier fingerprint is invalidated
-/// wholesale on open — stale verdicts are truncated, not served.
-#[test]
-fn stale_fingerprint_invalidates_the_persistent_store() {
-    let dir = std::env::temp_dir().join(format!("gpumc-serve-cache-stale-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).expect("mkdir cache dir");
-
-    // Populate the directory as an older verifier build would have.
-    {
-        let stale =
-            gpumc_fleet::cache::ResultCache::persistent(64, &dir, "gpumc=0.0.0;rev=0;scheme=0")
-                .expect("open stale store");
-        let d = gpumc_fleet::digest::source_digest(MP, None, 1, "all", "sat", 1).unwrap();
-        stale.insert(
-            d,
-            gpumc_fleet::cache::CachedVerdict {
-                test: "MP".into(),
-                reachable: false,
-                expectation: "poisoned".into(),
-                liveness: "poisoned".into(),
-                datarace: "poisoned".into(),
-            },
-        );
-    }
-
+fn fault_armed_jobs_neither_read_nor_fill_the_cache() {
     let (addr, handle) = spawn(ServerConfig {
-        cache_dir: Some(dir.clone()),
+        allow_faults: true,
         ..quiet_config()
     });
     let mut conn = Conn::connect(&addr);
-    let fresh = conn.verify(1, MP, "");
-    // Fresh verdict, not the poisoned stale entry.
-    assert_eq!(fresh.get("status").and_then(Json::as_str), Some("done"));
-    assert_eq!(fresh.get("cached"), None);
-    assert_ne!(
-        fresh
-            .get("verdict")
-            .and_then(|v| v.get("expectation"))
-            .and_then(Json::as_str),
-        Some("poisoned")
-    );
+    let faults = r#","faults":"serve.worker:delay_ms:1""#;
+
+    let armed = conn.verify(1, MP, faults);
+    assert_eq!(armed.get("status").and_then(Json::as_str), Some("done"));
+    assert_eq!(armed.get("cached"), None);
     let m = conn.metrics();
     assert_eq!(
-        m.get("gauges")
-            .and_then(|g| g.get("result_cache_invalidated"))
-            .and_then(Json::as_f64),
-        Some(1.0)
+        counter(&m, "cache_inserts"),
+        0,
+        "a fault-armed verdict was recorded"
     );
+
+    // The clean request finds nothing the armed run left behind: it
+    // runs fresh and is the one insert.
+    let clean = conn.verify(2, MP, "");
+    assert_eq!(clean.get("status").and_then(Json::as_str), Some("done"));
+    assert_eq!(clean.get("cached"), None);
+    assert_eq!(clean.get("verdict"), armed.get("verdict"));
+    let m = conn.metrics();
+    assert_eq!(counter(&m, "cache_inserts"), 1);
+
+    // The clean verdict is now cached, yet an armed request runs fresh.
+    let again = conn.verify(3, MP, faults);
+    assert_eq!(again.get("status").and_then(Json::as_str), Some("done"));
+    assert_eq!(again.get("cached"), None);
+    let m = conn.metrics();
+    assert_eq!(
+        counter(&m, "cache_hits"),
+        0,
+        "a fault-armed job read the cache"
+    );
+    assert_eq!(counter(&m, "cache_inserts"), 1);
+    assert_eq!(hist_count(&m, "encode_us"), 3);
+
     conn.shutdown();
     handle.join().unwrap();
-
-    let _ = std::fs::remove_dir_all(&dir);
 }

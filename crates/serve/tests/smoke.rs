@@ -223,12 +223,16 @@ fn unmeetable_deadline_is_accepted_and_answers_unknown() {
 #[test]
 fn full_queue_rejects_with_backpressure() {
     // One worker, one queue slot: the third-and-later of a burst of
-    // slow requests cannot all be accepted.
+    // slow requests cannot all be accepted. A release build answers
+    // this input in under a millisecond, after which its duplicates
+    // would be cache hits that never queue, so a delay fault makes each
+    // job slow; a fault-armed job also bypasses the cache.
     let (addr, handle) = spawn_server(ServerConfig {
         addr: "127.0.0.1:0".into(),
         jobs: 1,
         max_queue: 1,
         default_timeout_ms: Some(10_000),
+        allow_faults: true,
         ..ServerConfig::default()
     });
 
@@ -245,6 +249,7 @@ fn full_queue_rejects_with_backpressure() {
             ("source".into(), Json::str(SLOW_SPIN)),
             ("model".into(), Json::str("ptx-v6.0")),
             ("bound".into(), Json::count(14)),
+            ("faults".into(), Json::str("serve.worker:delay_ms:100")),
         ]);
         json::write_line(&mut writer, &req).unwrap();
     }
